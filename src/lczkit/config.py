@@ -3,14 +3,12 @@ determinism.
 
 Every key has a default; unknown keys raise. One master seed fans out to
 per-stage seeds via sha256(master:stage), so a single --seed reproduces
-the whole run. LCZ_THREADS caps internal worker count (0 = auto); the
-current implementation is sequential, so the cap is honored trivially.
+the whole run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 from .autogeolabel import LabelRules
 from .errors import ParseError, UsageError
@@ -63,16 +61,6 @@ DEFAULTS = {
 def stage_seed(master: int, stage: str) -> int:
     digest = hashlib.sha256(f"{master}:{stage}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def worker_count() -> int:
-    """Worker cap from LCZ_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("LCZ_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"LCZ_THREADS must be an integer, got {raw!r}") from None
-    return n if n > 0 else os.cpu_count() or 1
 
 
 def _coerce(key: str, text: str):

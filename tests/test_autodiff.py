@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lczkit import autodiff as ad
-from lczkit.autodiff import Adam, Sgd, Tensor, backward, check_gradient
+from lczkit.autodiff import Adam, Tensor, backward, check_gradient
 from lczkit.errors import UsageError
 
 RNG = np.random.default_rng(20240401)
@@ -134,12 +134,112 @@ def test_optimizer_only_touches_marked_params():
     frozen = Tensor(np.ones(2), requires_grad=False)
     before = frozen.value.copy()
     y = ad.sum_all(ad.add(ad.square(w), ad.square(frozen)))
-    opt = Sgd([w], lr=0.1)
+    opt = Adam([w], lr=0.1)
     opt.zero_grad()
     backward(y)
     opt.step()
     assert np.array_equal(frozen.value, before)
-    assert np.allclose(w.value, 1.0 - 0.1 * 2.0)
+    assert frozen.grad is None  # inactive: no adjoint computed
+    # first Adam step moves each coordinate by lr * g / (|g| + eps) with g = 2
+    assert np.allclose(w.value, 1.0 - 0.1 * 2.0 / (2.0 + 1e-8), rtol=1e-12, atol=0)
+
+
+def _backward_unpruned(root):
+    """The plain sweep: zero adjoints everywhere, every vjp term computed."""
+    order = ad.topo_order(root)
+    for node in order:
+        node.grad = np.zeros(node.shape)
+    root.grad = np.ones(())
+    for node in reversed(order):
+        for parent, vjp in zip(node.parents, node._vjps):
+            parent.grad = parent.grad + vjp(node.grad)
+
+
+def _mlp_loss(params, x, noise):
+    """Two-layer affine/relu/matmul graph with inactive data and noise inputs,
+    a node (a) whose first adjoint is its child's adjoint object and which
+    is then summed onto, and a node (h1) with three consumers."""
+    w1, b1, w2, b2, m = params
+    h1 = ad.relu(ad.affine(Tensor(x), w1, b1))
+    a = ad.matmul(h1, m)
+    code = ad.add(ad.add(a, a), ad.mul(ad.tanh(ad.matmul(h1, m)), Tensor(noise)))
+    out = ad.affine(ad.add(code, ad.tanh(a)), w2, b2)
+    return ad.add(ad.mean_all(ad.square(ad.sub(out, Tensor(x[:, :2])))),
+                  ad.scale(ad.sum_all(ad.square(h1)), 1e-3))
+
+
+def test_pruned_backward_matches_unpruned_reference():
+    rng = np.random.default_rng(5)
+    x, noise = rng.standard_normal((8, 6)), rng.standard_normal((8, 4))
+    values = [rng.standard_normal(s) for s in ((6, 5), (5,), (4, 2), (2,), (5, 4))]
+    trained = (False, True, True, False, True)  # w1 and b2 are frozen
+    params = [Tensor(v, requires_grad=t) for v, t in zip(values, trained)]
+    root = _mlp_loss(params, x, noise)
+    backward(root)
+    backward(root)  # a second sweep starts afresh instead of summing onto the first
+    nodes = ad.topo_order(root)
+    pruned = [None if n.grad is None else np.array(n.grad) for n in nodes]
+    assert [p.grad is not None for p in params] == list(trained)
+    assert sum(g is None for g in pruned) == 5  # x, its target slice, noise, w1, b2
+    _backward_unpruned(root)
+    for node, g in zip(nodes, pruned):
+        if g is None:  # inactive: a leaf without requires_grad, or only such parents
+            assert not node.requires_grad and all(
+                pruned[nodes.index(p)] is None for p in node.parents)
+        else:
+            assert g.shape == node.grad.shape
+            assert np.array_equal(g, node.grad)
+
+
+def test_backward_skips_nodes_with_only_inactive_parents():
+    def explode(g):
+        raise AssertionError("vjp of an inactive node was called")
+
+    data = Tensor(RNG.standard_normal(3))
+    inactive = Tensor(data.value * 2.0, op="custom", parents=(data,), vjps=(explode,))
+    w = Tensor(RNG.standard_normal(3), requires_grad=True)
+    backward(ad.sum_all(ad.mul(ad.tanh(inactive), w)))
+    assert np.array_equal(w.grad, np.tanh(inactive.value))
+    assert inactive.grad is None and data.grad is None
+
+
+def _adam_step_reference(opt, m, v):
+    """The textbook Adam update on whole arrays, as a reference."""
+    opt.t += 1
+    b1t = 1.0 - opt.beta1 ** opt.t
+    b2t = 1.0 - opt.beta2 ** opt.t
+    for i, p in enumerate(opt.params):
+        if p.grad is None:
+            continue
+        m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * p.grad
+        v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * p.grad * p.grad
+        m_hat = m[i] / b1t
+        v_hat = v[i] / b2t
+        p.value -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+def test_blocked_adam_bit_identical_to_reference():
+    block = ad._ADAM_BLOCK
+    shapes = [(3, block), (block + 7,), (1,), (40, 9)]  # last one loses its grad on some steps
+    rng = np.random.default_rng(3)
+    init = [rng.standard_normal(s) for s in shapes]
+    fast = [Tensor(v.copy(), requires_grad=True) for v in init]
+    slow = [Tensor(v.copy(), requires_grad=True) for v in init]
+    opt = Adam(fast, lr=3e-3)
+    ref = Adam(slow, lr=3e-3)
+    m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+    for step in range(6):
+        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        if step % 2:
+            grads[-1] = None
+        for p, q, g in zip(fast, slow, grads):
+            p.grad = q.grad = None if g is None else g.copy()
+        opt.step()
+        _adam_step_reference(ref, m, v)
+        for i in range(len(shapes)):
+            assert np.array_equal(fast[i].value, slow[i].value)
+            assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
+    assert opt.t == ref.t == 6
 
 
 def test_determinism_bit_exact():

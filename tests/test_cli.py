@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lczkit.cli import _split_overrides, main
-from lczkit.config import DEFAULTS, RunConfig, stage_seed, worker_count
+from lczkit.config import DEFAULTS, RunConfig, stage_seed
 from lczkit.errors import ParseError, UsageError
 from lczkit.rasterizer import load_stack
 
@@ -74,16 +74,6 @@ def test_stage_seeds_distinct_and_stable():
     assert stage_seed(0, "vae") == stage_seed(0, "vae")
     assert stage_seed(0, "vae") != stage_seed(0, "reg")
     assert stage_seed(0, "vae") != stage_seed(1, "vae")
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("LCZ_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LCZ_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("LCZ_THREADS", "lots")
-    with pytest.raises(UsageError):
-        worker_count()
 
 
 # --- flag handling ----------------------------------------------------------
