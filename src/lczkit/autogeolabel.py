@@ -18,8 +18,6 @@ from .errors import UsageError
 from .rasterizer import RasterStack
 
 BACKGROUND, BUILDING, VEGETATION = 0, 1, 2
-_PGM_LEVELS = {BACKGROUND: 0, BUILDING: 128, VEGETATION: 255}
-LABEL_NAMES = {BACKGROUND: "background", BUILDING: "building", VEGETATION: "vegetation"}
 
 
 @dataclass
@@ -63,11 +61,6 @@ def vegetation_fraction(seg: SegmentationMap) -> float:
     return float(np.count_nonzero(seg.labels == VEGETATION) / seg.labels.size)
 
 
-def label_counts(seg: SegmentationMap) -> dict:
-    return {name: int(np.count_nonzero(seg.labels == code))
-            for code, name in LABEL_NAMES.items()}
-
-
 def aggregate_fractions(tuples):
     """Average v' per distinct delta_t; returns [(delta_t, mean_v)] sorted
     by delta_t."""
@@ -81,19 +74,3 @@ def aggregate_fractions(tuples):
         counts[dt] = counts.get(dt, 0) + 1
     return [(dt, sums[dt] / counts[dt]) for dt in sorted(sums)]
 
-
-def export_pgm(seg: SegmentationMap, stream) -> None:
-    """Binary PGM (P5): background 0, building 128, vegetation 255."""
-    h, w = seg.labels.shape
-    gray = np.zeros((h, w), dtype=np.uint8)
-    for code, level in _PGM_LEVELS.items():
-        gray[seg.labels == code] = level
-    stream.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-    stream.write(gray[::-1].tobytes())  # row 0 is southernmost; PGM wants top-first
-
-
-def export_counts_csv(seg: SegmentationMap, stream) -> None:
-    counts = label_counts(seg)
-    stream.write("label,cells\n")
-    for name in ("background", "building", "vegetation"):
-        stream.write(f"{name},{counts[name]}\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import pipeline as pl
 from . import rasterizer
@@ -92,8 +93,9 @@ def run(argv) -> int:
               f"on {rep.n_holdout} scenes")
     elif args.subcommand == "perturb":
         batch = pl.run_perturb(cfg, out)
-        print(f"{len(batch.scenes)} counterfactuals written "
-              f"({len(batch.failures)} degenerate-gradient failures)")
+        kinds = Counter(kind for _, _, kind, _ in batch.failures)
+        failed = ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items())) or "none"
+        print(f"{len(batch.scenes)} counterfactuals written; failed pairs: {failed}")
     elif args.subcommand == "label":
         records = pl.run_label(cfg, out)
         print(f"labeled {len(records)} counterfactuals -> fractions.csv")

@@ -38,9 +38,13 @@ class FormatError(DataError):
 class NumericError(DataError):
     """Non-finite value where a finite one is required."""
 
+    kind = "non_finite"  # per-pair failure kind recorded by the perturb stage
+
 
 class DegenerateGradientError(NumericError):
     """Gradient norm below the configured floor; no safe latent step exists."""
+
+    kind = "degenerate_gradient"
 
 
 class DivergenceError(NumericError):

@@ -2,8 +2,9 @@
 
 Formats owned here:
   * whitespace XYZ point clouds ("x y z intensity return_number num_returns")
-  * ESRI ASCII grids for single-plane rasters
-  * the LCZM binary tensor container used for model weights and raster stacks
+  * the LCZM binary tensor container used for model weights, raster stacks
+    and counterfactuals; it stores float64, the dtype every stage computes
+    in, so a save -> load round trip returns the same bits
   * the scene manifest CSV ("scene_id,raster_path,temperature_kelvin")
 """
 
@@ -22,17 +23,7 @@ from .errors import FormatError, ParseError, UsageError, ValidationError
 FLOAT_FMT = "%.9g"  # text formats print 9 significant digits
 
 LCZM_MAGIC = b"LCZM"
-LCZM_VERSION = 1
-
-
-@dataclass
-class PointRecord:
-    x: float
-    y: float
-    z: float
-    intensity: float
-    return_number: int
-    num_returns: int
+LCZM_VERSION = 2
 
 
 @dataclass
@@ -48,12 +39,6 @@ class PointCloud:
 
     def __len__(self):
         return len(self.x)
-
-    def point(self, i: int) -> PointRecord:
-        return PointRecord(
-            float(self.x[i]), float(self.y[i]), float(self.z[i]),
-            float(self.intensity[i]), int(self.return_number[i]), int(self.num_returns[i]),
-        )
 
     @classmethod
     def from_arrays(cls, x, y, z, intensity, return_number, num_returns) -> "PointCloud":
@@ -78,17 +63,6 @@ class PointCloud:
             np.concatenate([c.return_number for c in clouds]),
             np.concatenate([c.num_returns for c in clouds]),
         )
-
-
-@dataclass
-class Raster2D:
-    width: int
-    height: int
-    cell_size: float
-    origin_x: float
-    origin_y: float
-    nodata: float
-    values: np.ndarray  # shape (height, width), row 0 = northernmost row
 
 
 @dataclass
@@ -142,77 +116,20 @@ def write_point_cloud(cloud: PointCloud, stream) -> None:
         )
 
 
-_GRID_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
-
-
-def import_ascii_grid(stream) -> Raster2D:
-    """Parse an ESRI ASCII grid (6 header lines, then nrows data rows)."""
-    if isinstance(stream, (str, bytes)):
-        stream = _io.StringIO(stream.decode("utf-8", "replace") if isinstance(stream, bytes) else stream)
-    header = {}
-    lines = iter(stream)
-    for _ in range(len(_GRID_KEYS)):
-        try:
-            line = next(lines)
-        except StopIteration:
-            missing = [k for k in _GRID_KEYS if k not in header]
-            raise ParseError(f"missing header key(s): {', '.join(missing)}") from None
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"bad header line {line.strip()!r}")
-        header[tokens[0].lower()] = tokens[1]
-    for key in _GRID_KEYS:
-        if key not in header:
-            raise ParseError(f"missing header key: {key}")
-    try:
-        ncols, nrows = int(header["ncols"]), int(header["nrows"])
-        xll, yll = float(header["xllcorner"]), float(header["yllcorner"])
-        cell = float(header["cellsize"])
-        nodata = float(header["nodata_value"])
-    except ValueError as exc:
-        raise ParseError(f"bad header value: {exc}") from None
-    if ncols < 1 or nrows < 1 or cell <= 0:
-        raise ParseError("ncols/nrows must be >= 1 and cellsize > 0")
-    values = np.empty((nrows, ncols))
-    for row in range(nrows):
-        try:
-            line = next(lines)
-        except StopIteration:
-            raise ParseError(f"missing data row {row + 1}") from None
-        tokens = line.split()
-        if len(tokens) != ncols:
-            raise ParseError(f"row {row + 1}: expected {ncols} values, got {len(tokens)}")
-        try:
-            values[row] = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise ParseError(f"row {row + 1}: bad numeric token: {exc}") from None
-    return Raster2D(ncols, nrows, cell, xll, yll, nodata, values)
-
-
-def export_ascii_grid(raster: Raster2D, stream) -> None:
-    stream.write(f"ncols {raster.width}\n")
-    stream.write(f"nrows {raster.height}\n")
-    stream.write(f"xllcorner {FLOAT_FMT % raster.origin_x}\n")
-    stream.write(f"yllcorner {FLOAT_FMT % raster.origin_y}\n")
-    stream.write(f"cellsize {FLOAT_FMT % raster.cell_size}\n")
-    stream.write(f"NODATA_value {FLOAT_FMT % raster.nodata}\n")
-    for row in raster.values:
-        stream.write(" ".join(FLOAT_FMT % v for v in row) + "\n")
-
-
 def save_model(weights, path) -> None:
     """Write named tensors to the LCZM container.
 
     Layout: magic "LCZM", version u32, tensor count u32, then per tensor
     name length u16 + UTF-8 name, rank u8, dims as u32, payload as
-    little-endian float32, row-major.
+    little-endian float64, row-major. Version 2; version 1 (float32
+    payload) is not read.
     """
     weights = list(weights)
     with open(path, "wb") as fh:
         fh.write(LCZM_MAGIC)
         fh.write(struct.pack("<II", LCZM_VERSION, len(weights)))
         for name, tensor in weights:
-            arr = np.ascontiguousarray(tensor, dtype="<f4")
+            arr = np.ascontiguousarray(tensor, dtype="<f8")
             encoded = name.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise UsageError(f"tensor name too long: {name!r}")
@@ -234,7 +151,7 @@ def _read_exact(fh, n, what):
 
 
 def load_model(path):
-    """Read an LCZM container; returns list of (name, float32 ndarray)."""
+    """Read an LCZM container; returns list of (name, float64 ndarray)."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != LCZM_MAGIC:
@@ -250,9 +167,9 @@ def load_model(path):
             dims = struct.unpack(
                 f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name!r} dims")
             )
-            size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            payload = _read_exact(fh, 4 * size, f"tensor {name!r} payload")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            arr = np.empty(dims, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"truncated file while reading tensor {name!r} payload")
             out.append((name, arr))
         return out
 

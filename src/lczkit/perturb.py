@@ -54,7 +54,18 @@ class CounterfactualScene:
 @dataclass
 class BatchResult:
     scenes: list                  # CounterfactualScene, scene-major order
-    failures: list = field(default_factory=list)  # (scene_id, delta_t, message)
+    failures: list = field(default_factory=list)  # (scene_id, delta_t, kind, message)
+
+
+@dataclass
+class _EncodedScene:
+    """The work every delta_t of one scene shares, done once."""
+
+    original: np.ndarray
+    code: np.ndarray
+    t0: float
+    reconstruction: np.ndarray
+    g: np.ndarray                 # dR/dc at code
 
 
 def delta_c(g, delta_t, g_floor=DEFAULT_G_FLOOR) -> np.ndarray:
@@ -68,23 +79,28 @@ def delta_c(g, delta_t, g_floor=DEFAULT_G_FLOOR) -> np.ndarray:
     return (float(delta_t) / (norm * norm)) * g
 
 
-def perturb_scene(vae, regressor, s, perturbation: Perturbation) -> CounterfactualScene:
-    """Encode s, step the latent code for the requested delta_t, decode."""
-    s_arr = s.channels if hasattr(s, "channels") else np.asarray(s, dtype=float)
-    code = vae_mod.encode_mean(vae, s_arr)
+def _encode_scene(vae, regressor, s) -> _EncodedScene:
+    original = s.channels if hasattr(s, "channels") else np.asarray(s, dtype=float)
+    code = vae_mod.encode_mean(vae, original)
     t0 = reg.predict(regressor, code)
     reconstruction = vae_mod.decode(vae, code)
+    if not np.all(np.isfinite(reconstruction)):
+        raise NumericError("decoded reconstruction is non-finite")
+    g = reg.grad_wrt_code(regressor, code)
+    return _EncodedScene(original.copy(), code, t0, reconstruction, g)
 
+
+def _step(vae, regressor, scene: _EncodedScene, perturbation: Perturbation) -> CounterfactualScene:
+    """Step the scene's latent code for the requested delta_t and decode."""
+    code, t0 = scene.code, scene.t0
     if perturbation.mode == "closed_form":
-        g = reg.grad_wrt_code(regressor, code)
-        step = delta_c(g, perturbation.delta_t, perturbation.g_floor)
+        step = delta_c(scene.g, perturbation.delta_t, perturbation.g_floor)
         new_code = code + step
     else:
         new_code = code.copy()
         dt = perturbation.delta_t
         if dt != 0.0:
-            g0 = reg.grad_wrt_code(regressor, new_code)
-            norm0 = float(np.linalg.norm(g0))
+            norm0 = float(np.linalg.norm(scene.g))
             if norm0 < perturbation.g_floor:
                 raise DegenerateGradientError(
                     f"gradient norm {norm0:.3e} below floor {perturbation.g_floor:.3e}"
@@ -105,8 +121,8 @@ def perturb_scene(vae, regressor, s, perturbation: Perturbation) -> Counterfactu
         raise NumericError("decoded counterfactual is non-finite")
     achieved = reg.predict(regressor, new_code) - t0
     return CounterfactualScene(
-        original=np.asarray(s_arr, dtype=float).copy(),
-        reconstruction=reconstruction,
+        original=scene.original,
+        reconstruction=scene.reconstruction,
         counterfactual=counterfactual,
         delta_c=step,
         achieved_dt=float(achieved),
@@ -114,27 +130,43 @@ def perturb_scene(vae, regressor, s, perturbation: Perturbation) -> Counterfactu
     )
 
 
+def perturb_scene(vae, regressor, s, perturbation: Perturbation) -> CounterfactualScene:
+    """Encode s, step the latent code for the requested delta_t, decode."""
+    return _step(vae, regressor, _encode_scene(vae, regressor, s), perturbation)
+
+
 def batch_perturb(vae, regressor, scenes, delta_ts, mode="closed_form",
                   g_floor=DEFAULT_G_FLOOR, zeta=None, steps=100) -> BatchResult:
-    """All scenes x all delta_t values; per-scene failures are collected,
-    not fatal, unless every scene fails."""
+    """All scenes x all delta_t values. Each scene is encoded, predicted,
+    reconstructed and differentiated once, then stepped per delta_t.
+
+    A NumericError fails only the pairs it reaches (all of a scene's pairs
+    if it comes from the shared per-scene work) and is recorded as
+    (scene_id, delta_t, kind, message); the batch fails only if every pair
+    does.
+    """
     scenes = list(scenes)
     if not scenes:
         raise UsageError("batch_perturb: empty scene list")
+    perturbations = [Perturbation(dt, mode=mode, g_floor=g_floor, zeta=zeta, steps=steps)
+                     for dt in delta_ts]
     results, failures = [], []
-    failed_scenes = set()
     for i, scene in enumerate(scenes):
         scene_id, stack = scene if isinstance(scene, tuple) else (f"scene_{i}", scene)
-        for dt in delta_ts:
-            pert = Perturbation(dt, mode=mode, g_floor=g_floor, zeta=zeta, steps=steps)
+        try:
+            encoded = _encode_scene(vae, regressor, stack)
+        except NumericError as exc:
+            failures += [(scene_id, float(p.delta_t), exc.kind, str(exc)) for p in perturbations]
+            continue
+        for pert in perturbations:
             try:
-                cf = perturb_scene(vae, regressor, stack, pert)
-            except DegenerateGradientError as exc:
-                failures.append((scene_id, float(dt), str(exc)))
-                failed_scenes.add(scene_id)
+                cf = _step(vae, regressor, encoded, pert)
+            except NumericError as exc:
+                failures.append((scene_id, float(pert.delta_t), exc.kind, str(exc)))
                 continue
             cf.scene_id = scene_id
             results.append(cf)
-    if list(delta_ts) and len(failed_scenes) == len(scenes) and not results:
-        raise DataError("batch_perturb: every scene failed with a degenerate gradient")
+    if failures and not results:
+        raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
+                        f"first: {failures[0][2]}: {failures[0][3]}")
     return BatchResult(results, failures)

@@ -7,6 +7,8 @@ re-reading from disk.
 
 from __future__ import annotations
 
+import csv
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ from .rasterizer import NormStats, RasterStack, load_stack
 MODEL_DIR = "models"
 CORPUS_DIR = "corpus"
 CF_DIR = "counterfactuals"
+INDEX_HEADER = "scene_id,delta_t,achieved_dt,path,slot"
 
 
 def _path(out_dir, *parts):
@@ -96,7 +99,8 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
 
 
 def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_model=None):
-    """Sweep the held-out scenes; persist counterfactual tensors + index."""
+    """Sweep the held-out scenes; persist counterfactual tensors, index and
+    failures."""
     if vae_model is None:
         vae_model, norm, reg_model = load_models(out_dir)
     if reg_model is None:
@@ -113,19 +117,34 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
         mode=cfg["perturb.mode"], g_floor=cfg["perturb.g_floor"],
         zeta=zeta, steps=cfg["perturb.steps"],
     )
-    index_path = _path(out_dir, CF_DIR, "index.csv")
-    with open(index_path, "w") as fh:
-        fh.write("scene_id,delta_t,achieved_dt,path\n")
-        for i, cf in enumerate(result.scenes):
+    _write_batch(result, out_dir)
+    return result
+
+
+def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
+    """One LCZM file per scene: its original and reconstruction once, then
+    its counterfactuals and latent steps stacked along a slot axis.
+    index.csv maps each (scene, delta_t) pair to its file and slot;
+    failures.csv lists the pairs that failed."""
+    with open(_path(out_dir, CF_DIR, "index.csv"), "w") as fh:
+        fh.write(INDEX_HEADER + "\n")
+        for i, (sid, group) in enumerate(itertools.groupby(batch.scenes, lambda cf: cf.scene_id)):
+            group = list(group)
             rel = f"cf_{i:05d}.lczm"
             save_model(
-                [("cf/original", cf.original), ("cf/reconstruction", cf.reconstruction),
-                 ("cf/counterfactual", cf.counterfactual), ("cf/delta_c", cf.delta_c),
-                 ("cf/meta", np.array([cf.requested_dt, cf.achieved_dt]))],
+                [("cf/original", group[0].original),
+                 ("cf/reconstruction", group[0].reconstruction),
+                 ("cf/counterfactual", np.stack([cf.counterfactual for cf in group])),
+                 ("cf/delta_c", np.stack([cf.delta_c for cf in group]))],
                 _path(out_dir, CF_DIR, rel),
             )
-            fh.write(f"{cf.scene_id},{cf.requested_dt:.9g},{cf.achieved_dt:.9g},{rel}\n")
-    return result
+            for slot, cf in enumerate(group):
+                fh.write(f"{sid},{cf.requested_dt!r},{cf.achieved_dt!r},{rel},{slot}\n")
+    with open(_path(out_dir, CF_DIR, "failures.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scene_id", "delta_t", "kind", "message"])
+        for sid, dt, kind, message in batch.failures:
+            writer.writerow([sid, repr(dt), kind, message])
 
 
 def records_from_batch(batch: perturb.BatchResult, norm: NormStats, rules) -> list:
@@ -152,7 +171,7 @@ def records_from_batch(batch: perturb.BatchResult, norm: NormStats, rules) -> li
 def _stack_like(channels: np.ndarray, norm: NormStats) -> RasterStack:
     c, h, w = channels.shape
     spec = rasterizer.GridSpec(0.0, 0.0, 1.0, w, h)
-    raw = rasterizer.denormalize_array(np.asarray(channels, dtype=float), norm)
+    raw = rasterizer.denormalize_array(channels, norm)
     return RasterStack(spec, raw)
 
 
@@ -164,34 +183,39 @@ def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
     with open(_path(out_dir, "fractions.csv"), "w") as fh:
         fh.write("scene_id,delta_t,achieved_dt,v_prime,v_baseline\n")
         for r in records:
-            fh.write(f"{r.scene_id},{r.delta_t:.9g},{r.achieved_dt:.9g},"
-                     f"{r.v_prime:.9g},{r.v_baseline:.9g}\n")
+            fh.write(f"{r.scene_id},{r.delta_t!r},{r.achieved_dt!r},"
+                     f"{r.v_prime!r},{r.v_baseline!r}\n")
     return records
 
 
 def _load_batch(out_dir: str) -> perturb.BatchResult:
-    index_path = os.path.join(out_dir, CF_DIR, "index.csv")
-    scenes = []
-    with open(index_path) as fh:
+    scenes, files = [], {}
+    with open(os.path.join(out_dir, CF_DIR, "index.csv")) as fh:
         header = fh.readline()
-        if header.strip() != "scene_id,delta_t,achieved_dt,path":
+        if header.strip() != INDEX_HEADER:
             raise UsageError(f"bad counterfactual index header: {header!r}")
         for line in fh:
-            sid, dt, adt, rel = line.strip().split(",")
-            tensors = dict(load_model(os.path.join(out_dir, CF_DIR, rel)))
+            sid, dt, adt, rel, slot = line.strip().split(",")
+            if rel not in files:
+                files[rel] = dict(load_model(os.path.join(out_dir, CF_DIR, rel)))
+            tensors, slot = files[rel], int(slot)
             scenes.append(perturb.CounterfactualScene(
-                original=np.asarray(tensors["cf/original"], dtype=float),
-                reconstruction=np.asarray(tensors["cf/reconstruction"], dtype=float),
-                counterfactual=np.asarray(tensors["cf/counterfactual"], dtype=float),
-                delta_c=np.asarray(tensors["cf/delta_c"], dtype=float),
+                original=tensors["cf/original"],
+                reconstruction=tensors["cf/reconstruction"],
+                counterfactual=tensors["cf/counterfactual"][slot],
+                delta_c=tensors["cf/delta_c"][slot],
                 achieved_dt=float(adt), requested_dt=float(dt), scene_id=sid,
             ))
     return perturb.BatchResult(scenes)
 
 
 def run_analyze(cfg: RunConfig, out_dir: str, records=None, n_excluded=0) -> report.ReportBundle:
+    """Without in-memory records, read fractions.csv and count the failed
+    pairs in counterfactuals/failures.csv."""
     if records is None:
         records = _load_records(out_dir)
+        with open(os.path.join(out_dir, CF_DIR, "failures.csv"), newline="") as fh:
+            n_excluded = sum(1 for _ in csv.reader(fh)) - 1
     bundle = report.build_report(records, cfg["analysis.alpha"], n_excluded=n_excluded)
     with open(_path(out_dir, "figure.csv"), "w") as fh:
         fh.write(bundle.figure_csv)

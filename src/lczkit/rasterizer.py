@@ -172,13 +172,6 @@ def normalize(stack: RasterStack, stats: NormStats) -> RasterStack:
     return RasterStack(stack.spec, scaled, stack.channel_names, stack.n_outside)
 
 
-def denormalize(stack: RasterStack, stats: NormStats) -> RasterStack:
-    if len(stats.mean) != stack.channels.shape[0]:
-        raise UsageError("norm stats channel count mismatch")
-    raw = stack.channels * stats.std[:, None, None] + stats.mean[:, None, None]
-    return RasterStack(stack.spec, raw, stack.channel_names, stack.n_outside)
-
-
 def denormalize_array(channels: np.ndarray, stats: NormStats) -> np.ndarray:
     """Denormalize a bare (C, H, W) array, e.g. a decoder output."""
     return channels * stats.std[:, None, None] + stats.mean[:, None, None]
@@ -205,13 +198,10 @@ def stack_from_tensors(tensors) -> RasterStack:
         raise UsageError("missing grid/spec tensor")
     gx, gy, cs, w, h = (float(v) for v in by_name["grid/spec"])
     spec = GridSpec(gx, gy, cs, int(w), int(h))
-    channels = np.zeros((N_CHANNELS, spec.height, spec.width))
-    for i, name in enumerate(CHANNEL_NAMES):
-        key = f"channel/{name}"
-        if key not in by_name:
-            raise UsageError(f"missing channel tensor {key}")
-        channels[i] = np.asarray(by_name[key], dtype=float)
-    return RasterStack(spec, channels)
+    for name in CHANNEL_NAMES:
+        if f"channel/{name}" not in by_name:
+            raise UsageError(f"missing channel tensor channel/{name}")
+    return RasterStack(spec, np.stack([by_name[f"channel/{name}"] for name in CHANNEL_NAMES]))
 
 
 def load_stack(path) -> RasterStack:
@@ -226,5 +216,4 @@ def norm_stats_tensors(stats: NormStats):
 
 def norm_stats_from_tensors(tensors) -> NormStats:
     by_name = dict(tensors)
-    return NormStats(np.asarray(by_name["norm/mean"], dtype=float),
-                     np.asarray(by_name["norm/std"], dtype=float))
+    return NormStats(by_name["norm/mean"], by_name["norm/std"])

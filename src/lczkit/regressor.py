@@ -182,8 +182,7 @@ def regressor_tensors(model: RegressorModel):
 
 def regressor_from_tensors(tensors) -> RegressorModel:
     by_name = dict(tensors)
-    meta = np.asarray(by_name["reg/meta"], dtype=float)
-    n, h1, h2, act_code = (int(round(v)) for v in meta)
+    n, h1, h2, act_code = (int(round(v)) for v in by_name["reg/meta"])
     activation = {v: k for k, v in _ACT_CODES.items()}[act_code]
     config = RegConfig(hidden=(h1, h2), activation=activation)
     model = init_regressor(n, config, np.random.default_rng(0))
@@ -191,7 +190,7 @@ def regressor_from_tensors(tensors) -> RegressorModel:
         key = f"reg/{name}"
         if key not in by_name:
             raise UsageError(f"missing tensor {key}")
-        tensor.value = np.asarray(by_name[key], dtype=float).reshape(tensor.shape)
+        tensor.value = by_name[key].reshape(tensor.shape)
     model.t_mean = float(by_name["reg/t_mean"][0])
     model.t_std = float(by_name["reg/t_std"][0])
     return model

@@ -36,7 +36,7 @@ class ReportBundle:
     figure_csv: str
     summary: str
     n_records: int
-    n_excluded: int        # degenerate-gradient failures, reported upstream
+    n_excluded: int        # (scene, delta_t) pairs that failed in perturb, any kind
 
 
 def build_report(records, alpha: float = 0.05, n_excluded: int = 0) -> ReportBundle:
@@ -64,7 +64,7 @@ def build_report(records, alpha: float = 0.05, n_excluded: int = 0) -> ReportBun
         "Counterfactual vegetation-vs-temperature report",
         "=" * 48,
         f"records: {len(records)} over {len(distinct)} temperature variations "
-        f"({n_excluded} excluded for degenerate gradients)",
+        f"({n_excluded} pairs excluded after numeric failures)",
         "",
         "delta_t [K]   mean v'",
     ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DivergenceError, UsageError
+from .errors import DivergenceError, NumericError, UsageError
 from .rasterizer import RasterStack
 
 
@@ -193,6 +193,8 @@ def encode(model: VaeModel, s):
     arr = _as_batch_array(s)
     if arr.shape[1:] != model.input_shape:
         raise UsageError(f"encode: expected shape {model.input_shape}, got {arr.shape[1:]}")
+    if not np.all(np.isfinite(arr)):  # relu would map NaN to 0 and hide it
+        raise NumericError("encoder input is non-finite")
     mu, logvar = encode_graph(model, Tensor(arr))
     if not (np.all(np.isfinite(mu.value)) and np.all(np.isfinite(logvar.value))):
         raise DivergenceError("encoder produced non-finite outputs")
@@ -284,14 +286,6 @@ def train_vae(corpus, config: VaeConfig):
     return model, history
 
 
-def reconstruction_loss(model: VaeModel, stacks) -> float:
-    """Mean per-cell MSE of decode(encode_mean(s)) over a corpus."""
-    data = np.stack([_as_batch_array(s)[0] for s in stacks])
-    mu, _ = encode_graph(model, Tensor(data))
-    s_hat = decode_graph(model, Tensor(mu.value))
-    return float(np.mean((s_hat.value - data) ** 2))
-
-
 _ARCH_CODES = {"mlp": 0, "patch": 1}
 
 
@@ -307,8 +301,7 @@ def vae_tensors(model: VaeModel):
 
 def vae_from_tensors(tensors) -> VaeModel:
     by_name = dict(tensors)
-    meta = np.asarray(by_name["vae/meta"], dtype=float)
-    c, h, w, n, arch_code, hidden, f1, f2 = (int(round(v)) for v in meta)
+    c, h, w, n, arch_code, hidden, f1, f2 = (int(round(v)) for v in by_name["vae/meta"])
     arch = {v: k for k, v in _ARCH_CODES.items()}[arch_code]
     config = VaeConfig(latent_dim=n, hidden=hidden, arch=arch, patch_features=(f1, f2))
     model = init_vae((c, h, w), config, np.random.default_rng(0))
@@ -316,5 +309,5 @@ def vae_from_tensors(tensors) -> VaeModel:
         key = f"vae/{name}"
         if key not in by_name:
             raise UsageError(f"missing tensor {key}")
-        tensor.value = np.asarray(by_name[key], dtype=float).reshape(tensor.shape)
+        tensor.value = by_name[key].reshape(tensor.shape)
     return model

@@ -4,7 +4,8 @@ import pytest
 from lczkit.cli import _split_overrides, main
 from lczkit.config import DEFAULTS, RunConfig, stage_seed
 from lczkit.errors import ParseError, UsageError
-from lczkit.rasterizer import load_stack
+from lczkit.io import read_manifest
+from lczkit.rasterizer import load_stack, save_stack
 
 SMALL_CONFIG = """\
 # desk-scale smoke configuration
@@ -166,3 +167,46 @@ def test_seed_changes_results(tmp_path, small_config):
     a = (out1 / "corpus/manifest.csv").read_bytes()
     b = (out2 / "corpus/manifest.csv").read_bytes()
     assert a != b
+
+
+def _run_files(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_staged_run_equals_pipeline(tmp_path, small_config):
+    chained, staged = tmp_path / "chained", tmp_path / "staged"
+    assert main(["pipeline", "--config", small_config, "--seed", "3",
+                 "--out", str(chained)]) == 0
+    for stage in ("synth", "train-vae", "train-reg", "perturb", "label", "analyze"):
+        assert main([stage, "--config", small_config, "--seed", "3",
+                     "--out", str(staged)]) == 0, stage
+    chained_files, staged_files = _run_files(chained), _run_files(staged)
+    for rel in ("fractions.csv", "figure.csv", "report.txt", "models/norm.lczm",
+                "models/vae.lczm", "models/reg.lczm", "counterfactuals/index.csv"):
+        assert staged_files[rel] == chained_files[rel], rel
+    assert staged_files == chained_files
+
+
+def test_staged_perturb_records_failures_and_analyze_counts_them(tmp_path, small_config, capsys):
+    out = tmp_path / "run"
+    args = ["--config", small_config, "--seed", "2", "--out", str(out)]
+    for stage in ("synth", "train-vae", "train-reg"):
+        assert main([stage, *args]) == 0, stage
+    # poison the first held-out scene: all of its pairs fail, the rest survive
+    sid, rel, _ = read_manifest(out / "corpus" / "test.csv").entries[0]
+    stack = load_stack(out / "corpus" / rel)
+    stack.channels[:] = np.nan
+    save_stack(stack, out / "corpus" / rel)
+    capsys.readouterr()
+    assert main(["perturb", *args]) == 0
+    n_dt = len(RunConfig().dt_sweep())
+    assert f"failed pairs: {n_dt} non_finite" in capsys.readouterr().out
+    rows = (out / "counterfactuals" / "failures.csv").read_text().splitlines()
+    assert rows[0] == "scene_id,delta_t,kind,message"
+    assert len(rows) == 1 + n_dt
+    assert all(row.startswith(f"{sid},") and ",non_finite," in row for row in rows[1:])
+    index = (out / "counterfactuals" / "index.csv").read_text().splitlines()
+    assert len(index) == 1 + 3 * n_dt and sid not in "".join(index)
+    assert main(["label", *args]) == 0
+    assert main(["analyze", *args]) == 0
+    assert f"({n_dt} pairs excluded after numeric failures)" in (out / "report.txt").read_text()

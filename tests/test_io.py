@@ -1,4 +1,5 @@
 import io as _io
+import struct
 
 import numpy as np
 import pytest
@@ -7,11 +8,9 @@ from hypothesis import strategies as st
 
 from lczkit.errors import FormatError, LczError, ParseError, ValidationError
 from lczkit.io import (
+    LCZM_MAGIC,
     PointCloud,
-    Raster2D,
     SceneManifest,
-    export_ascii_grid,
-    import_ascii_grid,
     load_model,
     parse_point_cloud,
     read_manifest,
@@ -24,9 +23,8 @@ from lczkit.io import (
 def test_parse_single_point():
     cloud = parse_point_cloud("1.0 2.0 10.5 300 1 2\n")
     assert len(cloud) == 1
-    p = cloud.point(0)
-    assert (p.x, p.y, p.z, p.intensity) == (1.0, 2.0, 10.5, 300.0)
-    assert (p.return_number, p.num_returns) == (1, 2)
+    assert (cloud.x[0], cloud.y[0], cloud.z[0], cloud.intensity[0]) == (1.0, 2.0, 10.5, 300.0)
+    assert (cloud.return_number[0], cloud.num_returns[0]) == (1, 2)
 
 
 def test_parse_empty_stream():
@@ -75,87 +73,47 @@ def test_point_cloud_round_trip(rows):
         assert np.array_equal(getattr(back, attr), getattr(cloud, attr))
 
 
-GRID_TEXT = """ncols 2
-nrows 1
-xllcorner 0
-yllcorner 0
-cellsize 100
-NODATA_value -9999
-280.0 285.5
-"""
-
-
-def test_import_ascii_grid_basic():
-    raster = import_ascii_grid(GRID_TEXT)
-    assert (raster.width, raster.height, raster.cell_size) == (2, 1, 100.0)
-    assert raster.values.tolist() == [[280.0, 285.5]]
-
-
-def test_import_ascii_grid_nodata_cell():
-    raster = import_ascii_grid(GRID_TEXT.replace("280.0", "-9999"))
-    assert raster.values[0, 0] == raster.nodata == -9999.0
-
-
-def test_import_ascii_grid_missing_key():
-    broken = "\n".join(GRID_TEXT.splitlines()[1:])
-    with pytest.raises(ParseError) as exc:
-        import_ascii_grid(broken)
-    assert "ncols" in str(exc.value) or "header" in str(exc.value)
-
-
-def test_import_ascii_grid_wrong_row_width():
-    with pytest.raises(ParseError) as exc:
-        import_ascii_grid(GRID_TEXT.replace("280.0 285.5", "280.0"))
-    assert "row 1" in str(exc.value)
-
-
-@given(st.integers(1, 6), st.integers(1, 6), st.data())
-@settings(max_examples=30)
-def test_ascii_grid_round_trip(w, h, data):
-    values = np.array([
-        [_round9(data.draw(st.floats(-1e6, 1e6))) for _ in range(w)]
-        for _ in range(h)
-    ])
-    raster = Raster2D(w, h, 0.5, 10.0, -3.0, -9999.0, values)
-    buf = _io.StringIO()
-    export_ascii_grid(raster, buf)
-    back = import_ascii_grid(buf.getvalue())
-    assert back.width == w and back.height == h
-    assert np.array_equal(back.values, values)
-    assert back.cell_size == raster.cell_size
-    assert back.origin_x == raster.origin_x and back.origin_y == raster.origin_y
-
-
 @given(st.binary(max_size=200))
 @settings(max_examples=100)
 def test_parsers_never_crash_on_fuzz(data):
-    for parser in (parse_point_cloud, import_ascii_grid):
-        try:
-            parser(data)
-        except LczError:
-            pass  # structured error is the contract
+    try:
+        parse_point_cloud(data)
+    except LczError:
+        pass  # structured error is the contract
 
 
 def test_model_round_trip(tmp_path):
     path = tmp_path / "m.lczm"
-    tensors = [("a/w", np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)),
-               ("a/b", np.zeros(3, dtype=np.float32))]
+    tensors = [("a/w", np.array([[1.0, 2.0], [3.0, 4.0]])),
+               ("a/b", np.zeros(3)),
+               ("a/int", np.array([7, 8]))]  # stored as float64
     save_model(tensors, path)
     back = load_model(path)
-    assert [n for n, _ in back] == ["a/w", "a/b"]
+    assert [n for n, _ in back] == ["a/w", "a/b", "a/int"]
     for (_, orig), (_, loaded) in zip(tensors, back):
-        assert loaded.dtype == np.float32
+        assert loaded.dtype == np.float64
         assert np.array_equal(orig, loaded)
 
 
 def test_model_round_trip_random(tmp_path):
     rng = np.random.default_rng(0)
-    tensors = [(f"t{i}", rng.standard_normal((i + 1, 3)).astype(np.float32))
+    tensors = [(f"t{i}", rng.standard_normal((i + 1, 3)) * 10.0 ** (3 * i - 6))
                for i in range(5)]
     save_model(tensors, tmp_path / "r.lczm")
     back = load_model(tmp_path / "r.lczm")
     for (_, orig), (_, loaded) in zip(tensors, back):
+        assert loaded.dtype == np.float64 and loaded.shape == orig.shape
         assert orig.tobytes() == loaded.tobytes()
+
+
+def test_model_version_1_rejected(tmp_path):
+    # version 1 stored a float32 payload; it is refused, not converted
+    path = tmp_path / "v1.lczm"
+    path.write_bytes(LCZM_MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"w"
+                     + struct.pack("<BI", 1, 2) + np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(FormatError) as exc:
+        load_model(path)
+    assert "version 1" in str(exc.value)
 
 
 def test_model_empty_list(tmp_path):
@@ -173,7 +131,7 @@ def test_model_bad_magic(tmp_path):
 
 def test_model_truncated(tmp_path):
     path = tmp_path / "t.lczm"
-    save_model([("w", np.ones((4, 4), dtype=np.float32))], path)
+    save_model([("w", np.ones((4, 4)))], path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-10])
     with pytest.raises(FormatError) as exc:

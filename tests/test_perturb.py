@@ -163,6 +163,73 @@ def test_batch_all_degenerate_raises():
         batch_perturb(vae, reg, [np.zeros(SHAPE)], [1.0])
 
 
+@pytest.mark.parametrize("mode", ["closed_form", "iterative"])
+def test_batch_equals_per_pair_perturb_scene_and_encodes_once(mode, monkeypatch):
+    import lczkit.vae as vae_mod
+
+    vae, reg = _models(activation="tanh", seed=23)
+    rng = np.random.default_rng(24)
+    scenes = [(f"s{i}", rng.standard_normal(SHAPE)) for i in range(3)]
+    sweep = [0.0, 0.5, -1.0, 3.0]
+    encodes = []
+    encode_mean = vae_mod.encode_mean
+
+    def counted(*args, **kwargs):
+        encodes.append(1)
+        return encode_mean(*args, **kwargs)
+
+    monkeypatch.setattr(vae_mod, "encode_mean", counted)
+    result = batch_perturb(vae, reg, scenes, sweep, mode=mode, steps=20)
+    assert len(encodes) == len(scenes)
+    assert len(result.scenes) == len(scenes) * len(sweep) and not result.failures
+    pairs = [(sid, s, dt) for sid, s in scenes for dt in sweep]
+    for cf, (sid, s, dt) in zip(result.scenes, pairs):
+        ref = perturb_scene(vae, reg, s, Perturbation(dt, mode=mode, steps=20))
+        assert cf.scene_id == sid and cf.requested_dt == dt
+        for name in ("original", "reconstruction", "counterfactual", "delta_c"):
+            assert np.array_equal(getattr(cf, name), getattr(ref, name)), name
+        assert cf.achieved_dt == ref.achieved_dt
+    by_scene = [result.scenes[i:i + len(sweep)] for i in range(0, len(result.scenes), len(sweep))]
+    for group in by_scene:  # a scene's pairs share one original and reconstruction
+        assert all(cf.original is group[0].original for cf in group)
+        assert all(cf.reconstruction is group[0].reconstruction for cf in group)
+
+
+def test_batch_records_poisoned_scene_and_keeps_the_rest():
+    vae, reg = _models(seed=25)
+    rng = np.random.default_rng(26)
+    poisoned = np.full(SHAPE, np.nan)
+    scenes = [("a", rng.standard_normal(SHAPE)), ("bad", poisoned), ("c", rng.standard_normal(SHAPE))]
+    sweep = [0.0, 1.0, -2.0]
+    result = batch_perturb(vae, reg, scenes, sweep)
+    assert [(sid, dt, kind) for sid, dt, kind, _ in result.failures] == [
+        ("bad", dt, "non_finite") for dt in sweep]
+    assert [(cf.scene_id, cf.requested_dt) for cf in result.scenes] == [
+        (sid, dt) for sid in ("a", "c") for dt in sweep]
+    clean = batch_perturb(vae, reg, [scenes[0], scenes[2]], sweep)
+    for cf, ref in zip(result.scenes, clean.scenes):
+        assert cf.counterfactual.tobytes() == ref.counterfactual.tobytes()
+
+
+def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
+    import lczkit.vae as vae_mod
+
+    vae, reg = _models(seed=27)
+    rng = np.random.default_rng(28)
+    decode = vae_mod.decode
+
+    def decode_inf_far_out(model, code):  # poison only large latent steps
+        out = decode(model, code)
+        return out if np.linalg.norm(code) < 1e3 else np.full_like(out, np.inf)
+
+    monkeypatch.setattr(vae_mod, "decode", decode_inf_far_out)
+    result = batch_perturb(vae, reg, [("s", rng.standard_normal(SHAPE))], [0.0, 1e9])
+    assert [cf.requested_dt for cf in result.scenes] == [0.0]
+    [(sid, dt, kind, message)] = result.failures
+    assert (sid, dt, kind) == ("s", 1e9, "non_finite")
+    assert "counterfactual" in message
+
+
 def test_batch_empty_scene_list():
     vae, reg = _models(seed=22)
     with pytest.raises(UsageError):

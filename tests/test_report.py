@@ -67,7 +67,7 @@ def test_figure_csv_row_count_matches_distinct_dts():
 
 def test_summary_carries_exclusions_and_verdict():
     bundle = build_report(_records(-0.02, noise=0.002, seed=5), n_excluded=3)
-    assert "(3 excluded for degenerate gradients)" in bundle.summary
+    assert "(3 pairs excluded after numeric failures)" in bundle.summary
     assert ("REJECT H0" in bundle.summary) == bundle.decision.reject_h0
     assert bundle.n_excluded == 3
 

@@ -250,5 +250,7 @@ def test_persistence_round_trip(tmp_path):
     x = np.random.default_rng(9).standard_normal(shape)
     mu_a, _ = encode(model, x)
     mu_b, _ = encode(back, x)
-    assert np.allclose(mu_a, mu_b, rtol=1e-6, atol=1e-5)  # float32 container
+    assert np.array_equal(mu_a, mu_b)
+    for name, tensor in model.params.items():
+        assert np.array_equal(back.params[name].value, tensor.value)
     assert back.arch == model.arch and back.latent_dim == model.latent_dim
