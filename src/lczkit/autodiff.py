@@ -51,6 +51,14 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
 
+def he_params(layout, rng) -> dict:
+    """Trainable parameters of a layout [(name, shape, gain)], drawn in order: a weight
+    from N(0, 2 / shape[0]) times gain (He et al., arXiv:1502.01852), a gain-0 entry zeros."""
+    return {name: Tensor(rng.standard_normal(shape) * np.sqrt(2.0 / shape[0]) * gain
+                         if gain else np.zeros(shape), requires_grad=True)
+            for name, shape, gain in layout}
+
+
 def _node(value, op, parents, vjps):
     return Tensor(value, requires_grad=False, op=op, parents=parents, vjps=vjps)
 

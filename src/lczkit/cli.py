@@ -1,9 +1,9 @@
 """Single orchestration binary: one subcommand per pipeline stage plus
 `pipeline` (full chain) and `check` (numeric self-test).
 
-Exit codes: 0 success, 1 usage error, 2 data/numeric error. Any RunConfig
-key can be overridden on the command line with --<key>=<value> dotted
-flags, e.g. --vae.latent_dim=64.
+Exit codes: 0 success, 1 usage error or missing input file, 2 data/numeric
+error or malformed file. Any RunConfig key can be overridden on the
+command line with --<key>=<value> dotted flags, e.g. --vae.latent_dim=64.
 """
 
 from __future__ import annotations
@@ -113,6 +113,9 @@ def main(argv=None) -> int:
         return run(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except FileNotFoundError as exc:  # an input, or the stage that writes it, is missing
+        print(f"usage error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1
     except LczError as exc:
         print(f"error: {exc}", file=sys.stderr)

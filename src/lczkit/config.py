@@ -66,8 +66,6 @@ def stage_seed(master: int, stage: str) -> int:
 def _coerce(key: str, text: str):
     default = DEFAULTS[key]
     try:
-        if isinstance(default, bool):
-            return text.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):

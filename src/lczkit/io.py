@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -108,14 +109,6 @@ def parse_point_cloud(stream) -> PointCloud:
     return PointCloud.from_arrays(*cols)
 
 
-def write_point_cloud(cloud: PointCloud, stream) -> None:
-    for i in range(len(cloud)):
-        stream.write(
-            f"{FLOAT_FMT % cloud.x[i]} {FLOAT_FMT % cloud.y[i]} {FLOAT_FMT % cloud.z[i]} "
-            f"{FLOAT_FMT % cloud.intensity[i]} {int(cloud.return_number[i])} {int(cloud.num_returns[i])}\n"
-        )
-
-
 def save_model(weights, path) -> None:
     """Write named tensors to the LCZM container.
 
@@ -129,7 +122,7 @@ def save_model(weights, path) -> None:
         fh.write(LCZM_MAGIC)
         fh.write(struct.pack("<II", LCZM_VERSION, len(weights)))
         for name, tensor in weights:
-            arr = np.ascontiguousarray(tensor, dtype="<f8")
+            arr = np.asarray(tensor, dtype="<f8")
             encoded = name.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise UsageError(f"tensor name too long: {name!r}")
@@ -162,7 +155,7 @@ def load_model(path):
         out = []
         for idx in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"tensor {idx} name length"))
-            name = _read_exact(fh, name_len, f"tensor {idx} name").decode("utf-8")
+            name = _read_exact(fh, name_len, f"tensor {idx} name").decode("utf-8", "replace")
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"tensor {name!r} rank"))
             dims = struct.unpack(
                 f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name!r} dims")
@@ -172,6 +165,24 @@ def load_model(path):
                 raise FormatError(f"truncated file while reading tensor {name!r} payload")
             out.append((name, arr))
         return out
+
+
+def read_meta(tensors, name, size) -> list:
+    """Tensor `name` of a load_model list as `size` non-negative integers."""
+    meta = dict(tensors).get(name)
+    if meta is None or meta.shape != (size,) or not all(v >= 0 and v.is_integer() for v in meta):
+        raise FormatError(f"{name} is missing or not {size} non-negative integers")
+    return [int(v) for v in meta]
+
+
+def layout_arrays(tensors, expected) -> list:
+    """The arrays of a load_model list whose (name, shape) pairs are exactly
+    `expected`, in order; FormatError at the first that is not."""
+    found = [(name, arr.shape) for name, arr in tensors]
+    for i, (want, have) in enumerate(itertools.zip_longest(expected, found, fillvalue="nothing")):
+        if want != have:
+            raise FormatError(f"tensor {i}: expected {want}, found {have}")
+    return [arr for _, arr in tensors]
 
 
 def read_manifest(path) -> SceneManifest:

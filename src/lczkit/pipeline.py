@@ -59,10 +59,9 @@ def load_split(out_dir: str, which: str):
     return ids, stacks, np.array(temps)
 
 
-def run_train_vae(cfg: RunConfig, out_dir: str, train_stacks=None):
+def run_train_vae(cfg: RunConfig, out_dir: str):
     """Compute norm stats on the training split, train, persist both."""
-    if train_stacks is None:
-        _, train_stacks, _ = load_split(out_dir, "train")
+    _, train_stacks, _ = load_split(out_dir, "train")
     norm = rasterizer.compute_norm_stats(train_stacks)
     normalized = [rasterizer.normalize(s, norm) for s in train_stacks]
     model, history = vae.train_vae(normalized, cfg.vae_config())
@@ -78,17 +77,17 @@ def run_train_vae(cfg: RunConfig, out_dir: str, train_stacks=None):
     return model, norm, history
 
 
-def load_models(out_dir: str):
-    norm = rasterizer.norm_stats_from_tensors(load_model(os.path.join(out_dir, MODEL_DIR, "norm.lczm")))
-    vae_model = vae.vae_from_tensors(load_model(os.path.join(out_dir, MODEL_DIR, "vae.lczm")))
-    reg_path = os.path.join(out_dir, MODEL_DIR, "reg.lczm")
-    reg_model = regressor.regressor_from_tensors(load_model(reg_path)) if os.path.exists(reg_path) else None
-    return vae_model, norm, reg_model
+def load_models(out_dir: str, *names) -> list:
+    """The named models ("norm", "vae", "reg") from <out_dir>/models/<name>.lczm."""
+    readers = {"norm": rasterizer.norm_stats_from_tensors, "vae": vae.vae_from_tensors,
+               "reg": regressor.regressor_from_tensors}
+    return [readers[name](load_model(os.path.join(out_dir, MODEL_DIR, f"{name}.lczm")))
+            for name in names]
 
 
 def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
     if vae_model is None or norm is None:
-        vae_model, norm, _ = load_models(out_dir)
+        vae_model, norm = load_models(out_dir, "vae", "norm")
     _, train_stacks, train_temps = load_split(out_dir, "train")
     codes = np.stack([
         vae.encode_mean(vae_model, rasterizer.normalize(s, norm)) for s in train_stacks
@@ -102,9 +101,7 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
     """Sweep the held-out scenes; persist counterfactual tensors, index and
     failures."""
     if vae_model is None:
-        vae_model, norm, reg_model = load_models(out_dir)
-    if reg_model is None:
-        raise UsageError("regressor model missing; run train-reg first")
+        vae_model, norm, reg_model = load_models(out_dir, "vae", "norm", "reg")
     test_ids, test_stacks, _ = load_split(out_dir, "test")
     n_use = min(cfg["perturb.n_scenes"], len(test_ids))
     scenes = [
@@ -177,7 +174,7 @@ def _stack_like(channels: np.ndarray, norm: NormStats) -> RasterStack:
 
 def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
     if batch is None:
-        _, norm, _ = load_models(out_dir)
+        (norm,) = load_models(out_dir, "norm")
         batch = _load_batch(out_dir)
     records = records_from_batch(batch, norm, cfg.label_rules())
     with open(_path(out_dir, "fractions.csv"), "w") as fh:

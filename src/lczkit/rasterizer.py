@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .io import PointCloud, save_model
+from .io import PointCloud, layout_arrays, save_model
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +55,6 @@ class GridSpec:
 class RasterStack:
     spec: GridSpec
     channels: np.ndarray  # shape (N_CHANNELS, height, width); row 0 at origin_y
-    channel_names: tuple = CHANNEL_NAMES
     n_outside: int = 0  # points outside the grid extent, ignored
 
     def __post_init__(self):
@@ -81,7 +80,7 @@ class NormStats:
             raise UsageError("mean/std shape mismatch")
 
 
-def rasterize(cloud: PointCloud, spec: GridSpec, ground_reference: bool = True) -> RasterStack:
+def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
     """Bin points to cells and compute per-cell statistics.
 
     Deterministic and permutation-invariant: points are sorted by
@@ -93,9 +92,7 @@ def rasterize(cloud: PointCloud, spec: GridSpec, ground_reference: bool = True) 
     if len(cloud) == 0:
         return RasterStack(spec, channels)
 
-    z = cloud.z.astype(float)
-    if ground_reference:
-        z = z - np.percentile(cloud.z, GROUND_PERCENTILE)
+    z = cloud.z.astype(float) - np.percentile(cloud.z, GROUND_PERCENTILE)
     col = np.floor((cloud.x - spec.origin_x) / spec.cell_size).astype(np.int64)
     row = np.floor((cloud.y - spec.origin_y) / spec.cell_size).astype(np.int64)
     inside = (col >= 0) & (col < w) & (row >= 0) & (row < h)
@@ -169,7 +166,7 @@ def normalize(stack: RasterStack, stats: NormStats) -> RasterStack:
     if len(stats.mean) != stack.channels.shape[0]:
         raise UsageError("norm stats channel count mismatch")
     scaled = (stack.channels - stats.mean[:, None, None]) / stats.std[:, None, None]
-    return RasterStack(stack.spec, scaled, stack.channel_names, stack.n_outside)
+    return RasterStack(stack.spec, scaled, stack.n_outside)
 
 
 def denormalize_array(channels: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -215,5 +212,5 @@ def norm_stats_tensors(stats: NormStats):
 
 
 def norm_stats_from_tensors(tensors) -> NormStats:
-    by_name = dict(tensors)
-    return NormStats(by_name["norm/mean"], by_name["norm/std"])
+    return NormStats(*layout_arrays(
+        tensors, [("norm/mean", (N_CHANNELS,)), ("norm/std", (N_CHANNELS,))]))

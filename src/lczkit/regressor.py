@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DivergenceError, UsageError
+from .errors import DivergenceError, FormatError, UsageError
+from .io import layout_arrays, read_meta
 
 
 @dataclass
@@ -38,8 +39,12 @@ class RegressorModel:
     t_mean: float = 0.0        # target standardization constants (kelvin)
     t_std: float = 1.0
 
-    def param_list(self):
-        return list(self.params.values())
+    def layout(self) -> list:
+        """(name, shape, init gain) of each parameter, in draw order."""
+        h1, h2 = self.hidden
+        return [("W1", (self.latent_dim, h1), 1.0), ("b1", (h1,), 0.0),
+                ("W2", (h1, h2), 1.0), ("b2", (h2,), 0.0),
+                ("W3", (h2, 1), 1.0), ("b3", (1,), 0.0)]
 
 
 @dataclass
@@ -51,22 +56,15 @@ class ErrorReport:
 
 
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "identity": lambda t: t}
-_ACT_CODES = {"relu": 0, "tanh": 1, "identity": 2}
+_ACT_NAMES = ("relu", "tanh", "identity")  # the activation code stored in reg/meta is the index
 
 
 def init_regressor(latent_dim, config: RegConfig, rng) -> RegressorModel:
     if config.activation not in _ACTIVATIONS:
         raise UsageError(f"unknown activation {config.activation!r}")
-    h1, h2 = config.hidden
-    def w(fan_in, shape):
-        return Tensor(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in), requires_grad=True)
-
-    params = {
-        "W1": w(latent_dim, (latent_dim, h1)), "b1": Tensor(np.zeros(h1), requires_grad=True),
-        "W2": w(h1, (h1, h2)), "b2": Tensor(np.zeros(h2), requires_grad=True),
-        "W3": w(h2, (h2, 1)), "b3": Tensor(np.zeros(1), requires_grad=True),
-    }
-    return RegressorModel(params, latent_dim, (h1, h2), config.activation)
+    model = RegressorModel({}, latent_dim, tuple(config.hidden), config.activation)
+    model.params = ad.he_params(model.layout(), rng)
+    return model
 
 
 def forward_graph(model: RegressorModel, code: Tensor, frozen: bool = False) -> Tensor:
@@ -116,11 +114,11 @@ def l1_loss_graph(pred: Tensor, target: Tensor) -> Tensor:
     return ad.mean_all(ad.absval(ad.sub(pred, target)))
 
 
-def train_regressor(codes, temps, config: RegConfig, val_codes=None, val_temps=None):
+def train_regressor(codes, temps, config: RegConfig):
     """Fit on L1 loss; returns (model, ErrorReport on the held-out split).
 
-    If no validation split is supplied, a seeded holdout_fraction split is
-    carved out of the input.
+    The held-out split is a seeded holdout_fraction of the input; when that
+    rounds to no scene, the report is on the training set.
     """
     codes = np.asarray(codes, dtype=float)
     temps = np.asarray(temps, dtype=float)
@@ -129,18 +127,14 @@ def train_regressor(codes, temps, config: RegConfig, val_codes=None, val_temps=N
     if len(codes) < 2:
         raise UsageError("need at least 2 training samples")
     rng = np.random.default_rng(config.seed)
-    if val_codes is None:
-        perm = rng.permutation(len(codes))
-        n_hold = int(round(config.holdout_fraction * len(codes)))
-        hold, keep = perm[:n_hold], perm[n_hold:]
-        if len(keep) < 2:
-            raise UsageError("holdout fraction leaves fewer than 2 training samples")
-        val_codes, val_temps = codes[hold], temps[hold]
-        codes, temps = codes[keep], temps[keep]
-    else:
-        val_codes = np.asarray(val_codes, dtype=float)
-        val_temps = np.asarray(val_temps, dtype=float)
-    if len(val_codes) == 0:
+    perm = rng.permutation(len(codes))
+    n_hold = int(round(config.holdout_fraction * len(codes)))
+    hold, keep = perm[:n_hold], perm[n_hold:]
+    if len(keep) < 2:
+        raise UsageError("holdout fraction leaves fewer than 2 training samples")
+    val_codes, val_temps = codes[hold], temps[hold]
+    codes, temps = codes[keep], temps[keep]
+    if len(hold) == 0:
         val_codes, val_temps = codes, temps
 
     model = init_regressor(codes.shape[1], config, rng)
@@ -148,7 +142,7 @@ def train_regressor(codes, temps, config: RegConfig, val_codes=None, val_temps=N
     model.t_std = float(max(temps.std(), 1e-8))
     targets = (temps - model.t_mean) / model.t_std
 
-    opt = ad.Adam(model.param_list(), config.lr)
+    opt = ad.Adam(model.params.values(), config.lr)
     n = len(codes)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -173,7 +167,7 @@ def train_regressor(codes, temps, config: RegConfig, val_codes=None, val_temps=N
 
 
 def regressor_tensors(model: RegressorModel):
-    meta = np.array([model.latent_dim, *model.hidden, _ACT_CODES[model.activation]])
+    meta = np.array([model.latent_dim, *model.hidden, _ACT_NAMES.index(model.activation)])
     tensors = [("reg/meta", meta), ("reg/t_mean", np.array([model.t_mean])),
                ("reg/t_std", np.array([model.t_std]))]
     tensors += [(f"reg/{name}", t.value) for name, t in model.params.items()]
@@ -181,16 +175,20 @@ def regressor_tensors(model: RegressorModel):
 
 
 def regressor_from_tensors(tensors) -> RegressorModel:
-    by_name = dict(tensors)
-    n, h1, h2, act_code = (int(round(v)) for v in by_name["reg/meta"])
-    activation = {v: k for k, v in _ACT_CODES.items()}[act_code]
-    config = RegConfig(hidden=(h1, h2), activation=activation)
-    model = init_regressor(n, config, np.random.default_rng(0))
-    for name, tensor in model.params.items():
-        key = f"reg/{name}"
-        if key not in by_name:
-            raise UsageError(f"missing tensor {key}")
-        tensor.value = by_name[key].reshape(tensor.shape)
-    model.t_mean = float(by_name["reg/t_mean"][0])
-    model.t_std = float(by_name["reg/t_std"][0])
+    """The model of regressor_tensors, its parameters the stored arrays;
+    FormatError unless the tensors are exactly reg/meta, a finite t_mean, a
+    positive t_std and the layout the meta describes."""
+    n, h1, h2, act_code = read_meta(tensors, "reg/meta", 4)
+    if act_code >= len(_ACT_NAMES):
+        raise FormatError(f"unknown regressor activation code {act_code}")
+    model = RegressorModel({}, n, (h1, h2), _ACT_NAMES[act_code])
+    layout = model.layout()
+    _, t_mean, t_std, *weights = layout_arrays(
+        tensors, [("reg/meta", (4,)), ("reg/t_mean", (1,)), ("reg/t_std", (1,))]
+        + [(f"reg/{name}", shape) for name, shape, _ in layout])
+    model.t_mean, model.t_std = float(t_mean[0]), float(t_std[0])
+    if not (np.isfinite(model.t_mean) and np.isfinite(model.t_std) and model.t_std > 0):
+        raise FormatError(f"reg/t_mean {model.t_mean} or reg/t_std {model.t_std} unusable")
+    model.params = {name: Tensor(arr, requires_grad=True)
+                    for (name, _, _), arr in zip(layout, weights)}
     return model

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DivergenceError, NumericError, UsageError
+from .errors import DivergenceError, FormatError, NumericError, UsageError
+from .io import layout_arrays, read_meta
 from .rasterizer import RasterStack
 
 
@@ -49,7 +50,7 @@ class VaeConfig:
 
 @dataclass
 class VaeModel:
-    params: dict               # name -> Tensor, insertion-ordered
+    params: dict               # name -> Tensor, in layout order
     input_shape: tuple         # (C, H, W)
     latent_dim: int
     arch: str
@@ -58,57 +59,44 @@ class VaeModel:
 
     PATCH_SIZES = (4, 2)
 
-    def param_list(self):
-        return list(self.params.values())
+    def layout(self) -> list:
+        """(name, shape, init gain) of each parameter, in draw order."""
+        c, h, w = self.input_shape
+        n = self.latent_dim
+        if self.arch == "mlp":
+            d, hid = c * h * w, self.hidden
+            return [*_layer("enc/W1", "enc/b1", d, hid),
+                    *_layer("enc/W2", "enc/b2", hid, hid),
+                    *_layer("enc/Wmu", "enc/bmu", hid, n, 0.5),
+                    *_layer("enc/Wlv", "enc/blv", hid, n, 0.1),
+                    *_layer("dec/W1", "dec/b1", n, hid),
+                    *_layer("dec/W2", "dec/b2", hid, hid),
+                    *_layer("dec/W3", "dec/b3", hid, d, 0.5)]
+        if self.arch == "patch":
+            p1, p2 = self.PATCH_SIZES
+            if h % (p1 * p2) or w % (p1 * p2):
+                raise UsageError(f"patch arch needs H and W divisible by {p1 * p2}, got {h}x{w}")
+            f1, f2 = self.patch_features
+            flat = (h // (p1 * p2)) * (w // (p1 * p2)) * f2
+            return [*_layer("enc/P1", "enc/pb1", p1 * p1 * c, f1),
+                    *_layer("enc/P2", "enc/pb2", p2 * p2 * f1, f2),
+                    *_layer("enc/Wmu", "enc/bmu", flat, n, 0.5),
+                    *_layer("enc/Wlv", "enc/blv", flat, n, 0.1),
+                    *_layer("dec/W", "dec/b", n, flat),
+                    *_layer("dec/U2", "dec/ub2", f2, p2 * p2 * f1),
+                    *_layer("dec/U1", "dec/ub1", f1, p1 * p1 * c, 0.5)]
+        raise UsageError(f"unknown vae arch {self.arch!r}")
 
 
-def _he(rng, fan_in, shape):
-    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+def _layer(weight, bias, n_in, n_out, gain=1.0):
+    return [(weight, (n_in, n_out), gain), (bias, (n_out,), 0.0)]
 
 
 def init_vae(input_shape, config: VaeConfig, rng) -> VaeModel:
-    c, h, w = input_shape
-    n, hid = config.latent_dim, config.hidden
-    params = {}
-    if config.arch == "mlp":
-        d = c * h * w
-        params["enc/W1"] = Tensor(_he(rng, d, (d, hid)), requires_grad=True)
-        params["enc/b1"] = Tensor(np.zeros(hid), requires_grad=True)
-        params["enc/W2"] = Tensor(_he(rng, hid, (hid, hid)), requires_grad=True)
-        params["enc/b2"] = Tensor(np.zeros(hid), requires_grad=True)
-        params["enc/Wmu"] = Tensor(_he(rng, hid, (hid, n)) * 0.5, requires_grad=True)
-        params["enc/bmu"] = Tensor(np.zeros(n), requires_grad=True)
-        params["enc/Wlv"] = Tensor(_he(rng, hid, (hid, n)) * 0.1, requires_grad=True)
-        params["enc/blv"] = Tensor(np.zeros(n), requires_grad=True)
-        params["dec/W1"] = Tensor(_he(rng, n, (n, hid)), requires_grad=True)
-        params["dec/b1"] = Tensor(np.zeros(hid), requires_grad=True)
-        params["dec/W2"] = Tensor(_he(rng, hid, (hid, hid)), requires_grad=True)
-        params["dec/b2"] = Tensor(np.zeros(hid), requires_grad=True)
-        params["dec/W3"] = Tensor(_he(rng, hid, (hid, d)) * 0.5, requires_grad=True)
-        params["dec/b3"] = Tensor(np.zeros(d), requires_grad=True)
-    elif config.arch == "patch":
-        p1, p2 = VaeModel.PATCH_SIZES
-        if h % (p1 * p2) or w % (p1 * p2):
-            raise UsageError(f"patch arch needs H and W divisible by {p1 * p2}, got {h}x{w}")
-        f1, f2 = config.patch_features
-        grid = (h // (p1 * p2)) * (w // (p1 * p2))
-        params["enc/P1"] = Tensor(_he(rng, c * p1 * p1, (p1 * p1 * c, f1)), requires_grad=True)
-        params["enc/pb1"] = Tensor(np.zeros(f1), requires_grad=True)
-        params["enc/P2"] = Tensor(_he(rng, f1 * p2 * p2, (p2 * p2 * f1, f2)), requires_grad=True)
-        params["enc/pb2"] = Tensor(np.zeros(f2), requires_grad=True)
-        params["enc/Wmu"] = Tensor(_he(rng, grid * f2, (grid * f2, n)) * 0.5, requires_grad=True)
-        params["enc/bmu"] = Tensor(np.zeros(n), requires_grad=True)
-        params["enc/Wlv"] = Tensor(_he(rng, grid * f2, (grid * f2, n)) * 0.1, requires_grad=True)
-        params["enc/blv"] = Tensor(np.zeros(n), requires_grad=True)
-        params["dec/W"] = Tensor(_he(rng, n, (n, grid * f2)), requires_grad=True)
-        params["dec/b"] = Tensor(np.zeros(grid * f2), requires_grad=True)
-        params["dec/U2"] = Tensor(_he(rng, f2, (f2, p2 * p2 * f1)), requires_grad=True)
-        params["dec/ub2"] = Tensor(np.zeros(p2 * p2 * f1), requires_grad=True)
-        params["dec/U1"] = Tensor(_he(rng, f1, (f1, p1 * p1 * c)) * 0.5, requires_grad=True)
-        params["dec/ub1"] = Tensor(np.zeros(p1 * p1 * c), requires_grad=True)
-    else:
-        raise UsageError(f"unknown vae arch {config.arch!r}")
-    return VaeModel(params, tuple(input_shape), n, config.arch, hid, tuple(config.patch_features))
+    model = VaeModel({}, tuple(input_shape), config.latent_dim, config.arch, config.hidden,
+                     tuple(config.patch_features))
+    model.params = ad.he_params(model.layout(), rng)
+    return model
 
 
 def _patchify(x: Tensor, p: int, channels_first: bool) -> Tensor:
@@ -207,12 +195,9 @@ def encode_mean(model: VaeModel, s) -> np.ndarray:
     return encode(model, s)[0]
 
 
-def reparameterize(mu, logvar, epsilon) -> np.ndarray:
-    """c = mu + exp(logvar / 2) * epsilon."""
-    mu, logvar, epsilon = (np.asarray(a, dtype=float) for a in (mu, logvar, epsilon))
-    if not (mu.shape == logvar.shape == epsilon.shape):
-        raise UsageError("reparameterize: shape mismatch")
-    return mu + np.exp(0.5 * logvar) * epsilon
+def reparameterize(mu: Tensor, logvar: Tensor, epsilon: Tensor) -> Tensor:
+    """c = mu + exp(logvar / 2) * epsilon, differentiable in mu and logvar."""
+    return ad.add(mu, ad.mul(ad.exp(ad.scale(logvar, 0.5)), epsilon))
 
 
 def decode(model: VaeModel, code) -> np.ndarray:
@@ -260,7 +245,7 @@ def train_vae(corpus, config: VaeConfig):
     n_samples = data.shape[0]
     rng = np.random.default_rng(config.seed)
     model = init_vae(data.shape[1:], config, rng)
-    opt = ad.Adam(model.param_list(), config.lr)
+    opt = ad.Adam(model.params.values(), config.lr)
     history = []
     for epoch in range(config.epochs):
         lam = kld_weight(config.schedule, epoch)
@@ -271,8 +256,7 @@ def train_vae(corpus, config: VaeConfig):
             x = Tensor(data[idx])
             eps = rng.standard_normal((len(idx), config.latent_dim))
             mu, logvar = encode_graph(model, x)
-            std = ad.exp(ad.scale(logvar, 0.5))
-            code = ad.add(mu, ad.mul(std, Tensor(eps)))
+            code = reparameterize(mu, logvar, Tensor(eps))
             s_hat = decode_graph(model, code)
             loss = elbo_loss(x, s_hat, mu, logvar, lam)
             if not np.isfinite(loss.value):
@@ -286,12 +270,12 @@ def train_vae(corpus, config: VaeConfig):
     return model, history
 
 
-_ARCH_CODES = {"mlp": 0, "patch": 1}
+_ARCHS = ("mlp", "patch")  # the arch code stored in vae/meta is the index
 
 
 def vae_tensors(model: VaeModel):
     meta = np.array(
-        [*model.input_shape, model.latent_dim, _ARCH_CODES[model.arch],
+        [*model.input_shape, model.latent_dim, _ARCHS.index(model.arch),
          model.hidden, *model.patch_features]
     )
     tensors = [("vae/meta", meta)]
@@ -300,14 +284,17 @@ def vae_tensors(model: VaeModel):
 
 
 def vae_from_tensors(tensors) -> VaeModel:
-    by_name = dict(tensors)
-    c, h, w, n, arch_code, hidden, f1, f2 = (int(round(v)) for v in by_name["vae/meta"])
-    arch = {v: k for k, v in _ARCH_CODES.items()}[arch_code]
-    config = VaeConfig(latent_dim=n, hidden=hidden, arch=arch, patch_features=(f1, f2))
-    model = init_vae((c, h, w), config, np.random.default_rng(0))
-    for name, tensor in model.params.items():
-        key = f"vae/{name}"
-        if key not in by_name:
-            raise UsageError(f"missing tensor {key}")
-        tensor.value = by_name[key].reshape(tensor.shape)
+    """The model of vae_tensors, its parameters the stored arrays; FormatError
+    unless the tensors are exactly vae/meta and the layout it describes."""
+    c, h, w, n, arch_code, hidden, f1, f2 = read_meta(tensors, "vae/meta", 8)
+    arch = _ARCHS[arch_code] if arch_code < len(_ARCHS) else f"code {arch_code}"
+    model = VaeModel({}, (c, h, w), n, arch, hidden, (f1, f2))
+    try:
+        layout = model.layout()
+    except UsageError as exc:  # an unknown arch, or a grid the patch arch cannot tile
+        raise FormatError(f"vae/meta: {exc}") from None
+    _, *weights = layout_arrays(
+        tensors, [("vae/meta", (8,))] + [(f"vae/{name}", shape) for name, shape, _ in layout])
+    model.params = {name: Tensor(arr, requires_grad=True)
+                    for (name, _, _), arr in zip(layout, weights)}
     return model

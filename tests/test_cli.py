@@ -4,7 +4,7 @@ import pytest
 from lczkit.cli import _split_overrides, main
 from lczkit.config import DEFAULTS, RunConfig, stage_seed
 from lczkit.errors import ParseError, UsageError
-from lczkit.io import read_manifest
+from lczkit.io import load_model, read_manifest, save_model
 from lczkit.rasterizer import load_stack, save_stack
 
 SMALL_CONFIG = """\
@@ -210,3 +210,24 @@ def test_staged_perturb_records_failures_and_analyze_counts_them(tmp_path, small
     assert main(["label", *args]) == 0
     assert main(["analyze", *args]) == 0
     assert f"({n_dt} pairs excluded after numeric failures)" in (out / "report.txt").read_text()
+
+
+def test_missing_and_malformed_model_files_exit_without_traceback(tmp_path, small_config, capsys):
+    out = tmp_path / "run"
+    args = ["--config", small_config, "--seed", "5", "--out", str(out), "--vae.epochs=1"]
+    for stage in ("synth", "train-vae"):
+        assert main([stage, *args]) == 0, stage
+    capsys.readouterr()
+    # a stage run before the one that writes its input: one-line usage error
+    for stage, missing in (("perturb", "reg.lczm"), ("label", "index.csv")):
+        assert main([stage, *args]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and missing in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    # a model file without its last weight: one-line data error
+    vae_path = out / "models" / "vae.lczm"
+    save_model(load_model(vae_path)[:-1], vae_path)
+    assert main(["train-reg", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "vae/dec/b3" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

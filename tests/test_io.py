@@ -1,4 +1,3 @@
-import io as _io
 import struct
 
 import numpy as np
@@ -16,7 +15,6 @@ from lczkit.io import (
     read_manifest,
     save_model,
     write_manifest,
-    write_point_cloud,
 )
 
 
@@ -53,22 +51,14 @@ def test_parse_rejects_negative_intensity():
         parse_point_cloud("1 2 3 -5 1 1\n")
 
 
-def _round9(v):
-    return float("%.9g" % v)
-
-
 @given(st.lists(st.tuples(
     st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.floats(-100, 1000),
     st.floats(0, 65535), st.integers(1, 3)), max_size=30))
 def test_point_cloud_round_trip(rows):
-    cloud = PointCloud.from_arrays(
-        [_round9(r[0]) for r in rows], [_round9(r[1]) for r in rows],
-        [_round9(r[2]) for r in rows], [_round9(r[3]) for r in rows],
-        [r[4] for r in rows], [r[4] for r in rows],
-    )
-    buf = _io.StringIO()
-    write_point_cloud(cloud, buf)
-    back = parse_point_cloud(buf.getvalue())
+    cols = [[row[k] for row in rows] for k in range(5)]
+    cloud = PointCloud.from_arrays(*cols, cols[4])
+    text = "".join(f"{x!r} {y!r} {z!r} {i!r} {rn} {rn}\n" for x, y, z, i, rn in rows)
+    back = parse_point_cloud(text)
     for attr in ("x", "y", "z", "intensity", "return_number", "num_returns"):
         assert np.array_equal(getattr(back, attr), getattr(cloud, attr))
 
@@ -93,6 +83,12 @@ def test_model_round_trip(tmp_path):
     for (_, orig), (_, loaded) in zip(tensors, back):
         assert loaded.dtype == np.float64
         assert np.array_equal(orig, loaded)
+
+
+def test_model_round_trip_rank_0(tmp_path):
+    save_model([("pi", np.array(np.pi))], tmp_path / "s.lczm")
+    [(name, back)] = load_model(tmp_path / "s.lczm")
+    assert name == "pi" and back.shape == () and back == np.pi
 
 
 def test_model_round_trip_random(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lczkit.errors import UsageError
+from lczkit.errors import FormatError, UsageError
 from lczkit.io import PointCloud
 from lczkit.rasterizer import (
     CHANNEL_NAMES,
@@ -12,6 +12,8 @@ from lczkit.rasterizer import (
     compute_norm_stats,
     denormalize_array,
     load_stack,
+    norm_stats_from_tensors,
+    norm_stats_tensors,
     normalize,
     rasterize,
     save_stack,
@@ -34,8 +36,10 @@ def test_empty_cloud_all_fill():
 
 
 def test_two_points_one_cell_statistics():
-    cloud = _cloud([(0.5, 0.5, 10.0, 100.0, 1, 1), (0.7, 0.3, 14.0, 200.0, 1, 1)])
-    stack = rasterize(cloud, SPEC, ground_reference=False)
+    # two ground returns at z = 0 in another cell put the ground reference at 0
+    cloud = _cloud([(0.5, 0.5, 10.0, 100.0, 1, 1), (0.7, 0.3, 14.0, 200.0, 1, 1),
+                    (3.5, 3.5, 0.0, 50.0, 1, 1), (3.5, 3.5, 0.0, 50.0, 1, 1)])
+    stack = rasterize(cloud, SPEC)
     assert stack.channel("z_min")[0, 0] == 10.0
     assert stack.channel("z_max")[0, 0] == 14.0
     assert stack.channel("z_mean")[0, 0] == 12.0
@@ -140,6 +144,17 @@ def test_norm_stats_matches_two_pass_oracle():
 def test_norm_stats_empty_collection():
     with pytest.raises(UsageError):
         compute_norm_stats([])
+
+
+def test_norm_stats_tensors_round_trip_and_malformed_rejected():
+    stats = compute_norm_stats([_raw_stack(np.random.default_rng(4).standard_normal(
+        (len(CHANNEL_NAMES), 2, 2)))])
+    tensors = norm_stats_tensors(stats)
+    back = norm_stats_from_tensors(tensors)
+    assert np.array_equal(back.mean, stats.mean) and np.array_equal(back.std, stats.std)
+    for malformed in (tensors[:1], [tensors[0], ("norm/std", stats.std[:-1])]):
+        with pytest.raises(FormatError):
+            norm_stats_from_tensors(malformed)
 
 
 def test_normalize_examples_and_round_trip():

@@ -3,7 +3,8 @@ import pytest
 
 from lczkit import autodiff as ad
 from lczkit.autodiff import Tensor, check_gradient
-from lczkit.errors import UsageError
+from lczkit.errors import FormatError, UsageError
+from lczkit.io import load_model, save_model
 from lczkit.regressor import (
     ErrorReport,
     RegConfig,
@@ -133,13 +134,70 @@ def test_train_length_mismatch():
 
 
 def test_persistence_round_trip(tmp_path):
-    from lczkit.io import load_model, save_model
-
     model = _model(seed=11)
     model.t_mean, model.t_std = 291.5, 2.25
     save_model(regressor_tensors(model), tmp_path / "reg.lczm")
     back = regressor_from_tensors(load_model(tmp_path / "reg.lczm"))
     c = np.random.default_rng(12).standard_normal(LATENT)
-    assert predict(back, c) == pytest.approx(predict(model, c), rel=1e-5)
+    assert predict(back, c) == predict(model, c)
     assert back.activation == model.activation
-    assert back.t_mean == pytest.approx(model.t_mean, rel=1e-6)
+    assert (back.t_mean, back.t_std) == (model.t_mean, model.t_std)
+
+
+def test_init_draws_as_the_per_weight_formula():
+    # reference: each weight He-normal with fan_in rows, in this order, biases zeros
+    model = _model(seed=14)
+    rng = np.random.default_rng(14)
+    expected = {}
+    for w, b, n_in, n_out in (("W1", "b1", LATENT, 5), ("W2", "b2", 5, 4), ("W3", "b3", 4, 1)):
+        expected[w] = rng.standard_normal((n_in, n_out)) * np.sqrt(2.0 / n_in)
+        expected[b] = np.zeros(n_out)
+    assert list(model.params) == list(expected)
+    for name, value in expected.items():
+        assert model.params[name].value.tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_loaded_model_is_the_stored_arrays(activation, tmp_path, monkeypatch):
+    model = _model(activation, seed=13)
+    model.t_mean, model.t_std = 300.25, 1.5
+    save_model(regressor_tensors(model), tmp_path / "reg.lczm")
+    stored = load_model(tmp_path / "reg.lczm")
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("loading a model must not initialise or draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_init)
+    monkeypatch.setattr(ad, "he_params", no_init)
+    back = regressor_from_tensors(stored)
+    assert (back.latent_dim, back.hidden, back.activation, back.t_mean, back.t_std) == (
+        model.latent_dim, model.hidden, model.activation, model.t_mean, model.t_std)
+    assert list(back.params) == list(model.params)
+    arrays = dict(stored)
+    for name, tensor in back.params.items():
+        assert tensor.requires_grad
+        assert np.array_equal(tensor.value, model.params[name].value)
+        assert np.shares_memory(tensor.value, arrays[f"reg/{name}"])
+
+
+def _replace(tensors, name, value):
+    return [(n, np.array(value, dtype=float) if n == name else a) for n, a in tensors]
+
+
+MALFORMED_REG = {
+    "missing weight": lambda ts: [t for t in ts if t[0] != "reg/W2"],
+    "wrong-size weight": lambda ts: [(n, a[:, :-1] if n == "reg/W3" else a) for n, a in ts],
+    "missing meta": lambda ts: ts[1:],
+    "unknown activation code": lambda ts: _replace(ts, "reg/meta", [LATENT, 5, 4, 9]),
+    "negative meta": lambda ts: _replace(ts, "reg/meta", [LATENT, -5, 4, 0]),
+    "missing t_std": lambda ts: [t for t in ts if t[0] != "reg/t_std"],
+    "non-finite t_mean": lambda ts: _replace(ts, "reg/t_mean", [np.nan]),
+    "zero t_std": lambda ts: _replace(ts, "reg/t_std", [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REG))
+def test_malformed_model_file_raises_format_error(case, tmp_path):
+    save_model(MALFORMED_REG[case](regressor_tensors(_model())), tmp_path / "reg.lczm")
+    with pytest.raises(FormatError):
+        regressor_from_tensors(load_model(tmp_path / "reg.lczm"))

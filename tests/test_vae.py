@@ -9,7 +9,8 @@ import lczkit
 from lczkit import autodiff as ad
 from lczkit import vae
 from lczkit.autodiff import Tensor, backward, check_gradient
-from lczkit.errors import UsageError
+from lczkit.errors import FormatError, UsageError
+from lczkit.io import load_model, save_model
 from lczkit.vae import (
     KldSchedule,
     VaeConfig,
@@ -89,23 +90,24 @@ def test_patch_arch_round_trip_shapes():
 
 def test_reparameterize_zero_epsilon():
     mu = np.array([1.0, -2.0])
-    assert np.array_equal(reparameterize(mu, np.zeros(2), np.zeros(2)), mu)
+    code = reparameterize(Tensor(mu), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+    assert np.array_equal(code.value, mu)
 
 
 def test_reparameterize_unit_logvar_zero():
     mu = np.array([1.0, 0.0])
     e1 = np.array([1.0, 0.0])
-    assert np.array_equal(reparameterize(mu, np.zeros(2), e1), mu + e1)
+    code = reparameterize(Tensor(mu), Tensor(np.zeros(2)), Tensor(e1))
+    assert np.array_equal(code.value, mu + e1)
 
 
 def test_reparameterize_monte_carlo_variance():
     rng = np.random.default_rng(5)
+    n = 100_000
     logvar = np.array([0.0, 1.0, -1.0])
-    draws = np.stack([
-        reparameterize(np.zeros(3), logvar, rng.standard_normal(3))
-        for _ in range(100_000)
-    ])
-    assert np.allclose(draws.var(axis=0), np.exp(logvar), rtol=0.05)
+    draws = reparameterize(Tensor(np.zeros((n, 3))), Tensor(np.tile(logvar, (n, 1))),
+                           Tensor(rng.standard_normal((n, 3))))
+    assert np.allclose(draws.value.var(axis=0), np.exp(logvar), rtol=0.05)
 
 
 def test_kld_schedule_ramp_reference_points():
@@ -162,8 +164,7 @@ def test_elbo_gradient_wrt_weights():
             for n, piece in zip(names, pieces):
                 model.params[n] = piece
             mu, lv = vae.encode_graph(model, Tensor(x))
-            code = ad.add(mu, ad.mul(ad.exp(ad.scale(lv, 0.5)), Tensor(eps)))
-            s_hat = vae.decode_graph(model, code)
+            s_hat = vae.decode_graph(model, reparameterize(mu, lv, Tensor(eps)))
             return elbo_loss(Tensor(x), s_hat, mu, lv, 1e-3)
         finally:
             model.params.update(saved)
@@ -241,8 +242,6 @@ def test_train_vae_empty_corpus():
 
 
 def test_persistence_round_trip(tmp_path):
-    from lczkit.io import load_model, save_model
-
     model, shape = _model(seed=3)
     path = tmp_path / "vae.lczm"
     save_model(vae_tensors(model), path)
@@ -254,3 +253,81 @@ def test_persistence_round_trip(tmp_path):
     for name, tensor in model.params.items():
         assert np.array_equal(back.params[name].value, tensor.value)
     assert back.arch == model.arch and back.latent_dim == model.latent_dim
+
+
+def test_init_draws_as_the_per_weight_formula():
+    # reference: each weight He-normal with fan_in rows, in this order, biases zeros
+    model = init_vae((2, 4, 4), VaeConfig(latent_dim=3, hidden=8), np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    d, hid, n = 32, 8, 3
+    expected = {}
+    layers = (("enc/W1", "enc/b1", d, hid, 1.0), ("enc/W2", "enc/b2", hid, hid, 1.0),
+              ("enc/Wmu", "enc/bmu", hid, n, 0.5), ("enc/Wlv", "enc/blv", hid, n, 0.1),
+              ("dec/W1", "dec/b1", n, hid, 1.0), ("dec/W2", "dec/b2", hid, hid, 1.0),
+              ("dec/W3", "dec/b3", hid, d, 0.5))
+    for w, b, n_in, n_out, gain in layers:
+        weight = rng.standard_normal((n_in, n_out)) * np.sqrt(2.0 / n_in)
+        expected[w] = weight * gain if gain != 1.0 else weight
+        expected[b] = np.zeros(n_out)
+    assert list(model.params) == list(expected)
+    for name, value in expected.items():
+        assert model.params[name].value.tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("arch", ["mlp", "patch"])
+def test_loaded_model_is_the_stored_arrays(arch, tmp_path, monkeypatch):
+    model, _ = _model(arch=arch, seed=4)
+    save_model(vae_tensors(model), tmp_path / "vae.lczm")
+    stored = load_model(tmp_path / "vae.lczm")
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("loading a model must not initialise or draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_init)
+    monkeypatch.setattr(ad, "he_params", no_init)
+    back = vae_from_tensors(stored)
+    assert (back.input_shape, back.latent_dim, back.arch, back.hidden, back.patch_features) == (
+        model.input_shape, model.latent_dim, model.arch, model.hidden, model.patch_features)
+    assert list(back.params) == list(model.params)
+    arrays = dict(stored)
+    for name, tensor in back.params.items():
+        assert tensor.requires_grad
+        assert np.array_equal(tensor.value, model.params[name].value)
+        assert np.shares_memory(tensor.value, arrays[f"vae/{name}"])
+
+
+def _with_meta(tensors, index, value):
+    meta = tensors[0][1].copy()
+    meta[index] = value
+    return [(tensors[0][0], meta)] + tensors[1:]
+
+
+MALFORMED_VAE = {
+    "missing weight": lambda ts: [t for t in ts if t[0] != "vae/dec/W2"],
+    "wrong-size weight": lambda ts: [(n, a[:-1] if n == "vae/enc/b1" else a) for n, a in ts],
+    "extra tensor": lambda ts: ts + [("vae/extra", np.zeros(2))],
+    "missing meta": lambda ts: ts[1:],
+    "short meta": lambda ts: [(ts[0][0], ts[0][1][:-1])] + ts[1:],
+    "non-integer meta": lambda ts: _with_meta(ts, 3, 2.5),
+    "unknown arch code": lambda ts: _with_meta(ts, 4, 7),
+    "patch grid not divisible": lambda ts: _with_meta(ts, 1, 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VAE))
+def test_malformed_model_file_raises_format_error(case, tmp_path):
+    model, _ = _model(arch="patch" if case == "patch grid not divisible" else "mlp")
+    save_model(MALFORMED_VAE[case](vae_tensors(model)), tmp_path / "vae.lczm")
+    with pytest.raises(FormatError):
+        vae_from_tensors(load_model(tmp_path / "vae.lczm"))
+
+
+def test_model_file_with_a_name_not_utf8_raises_format_error(tmp_path):
+    model, _ = _model()
+    path = tmp_path / "vae.lczm"
+    save_model(vae_tensors(model), path)
+    blob = bytearray(path.read_bytes())
+    blob[14] = 0xFF  # first name byte: after magic, version, count and the u16 name length
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError):
+        vae_from_tensors(load_model(path))
