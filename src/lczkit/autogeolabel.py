@@ -39,10 +39,6 @@ class LabelRules:
 class SegmentationMap:
     labels: np.ndarray  # (H, W) of {BACKGROUND, BUILDING, VEGETATION}
 
-    @property
-    def shape(self):
-        return self.labels.shape
-
 
 def segment(stack: RasterStack, rules: LabelRules) -> SegmentationMap:
     """Label each cell of a de-normalized stack."""

@@ -1,7 +1,7 @@
 """Single orchestration binary: one subcommand per pipeline stage plus
 `pipeline` (full chain) and `check` (numeric self-test).
 
-Exit codes: 0 success, 1 usage error or missing input file, 2 data/numeric
+Exit codes: 0 success, 1 usage error or unusable path (OSError), 2 data/numeric
 error or malformed file. Any RunConfig key can be overridden on the
 command line with --<key>=<value> dotted flags, e.g. --vae.latent_dim=64.
 """
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:  # an input, or the stage that writes it, is missing
+    except OSError as exc:  # a missing input, or an --out or --input of the wrong kind
         print(f"usage error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1
     except LczError as exc:

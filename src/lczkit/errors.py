@@ -18,12 +18,15 @@ class DataError(LczError):
 
 
 class ParseError(DataError):
-    """Malformed text input. Carries a 1-based line (or row) number."""
+    """Malformed text input. Carries a 1-based line (or row) number and,
+    when known, the file."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

@@ -5,15 +5,18 @@ Formats owned here:
   * the LCZM binary tensor container used for model weights, raster stacks
     and counterfactuals; it stores float64, the dtype every stage computes
     in, so a save -> load round trip returns the same bits
-  * the scene manifest CSV ("scene_id,raster_path,temperature_kelvin")
+  * the run directory's csv tables, one schema each (below): the scene
+    manifests, counterfactuals/index.csv and failures.csv, fractions.csv
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _io
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -21,10 +24,16 @@ import numpy as np
 
 from .errors import FormatError, ParseError, UsageError, ValidationError
 
-FLOAT_FMT = "%.9g"  # text formats print 9 significant digits
-
 LCZM_MAGIC = b"LCZM"
 LCZM_VERSION = 2
+
+# Table schemas: (column, type) in file order, for write_table and read_table.
+MANIFEST = (("scene_id", str), ("raster_path", str), ("temperature_kelvin", float))
+CF_INDEX = (("scene_id", str), ("delta_t", float), ("achieved_dt", float),
+            ("path", str), ("slot", int))
+CF_FAILURES = (("scene_id", str), ("delta_t", float), ("kind", str), ("message", str))
+FRACTIONS = (("scene_id", str), ("delta_t", float), ("achieved_dt", float),
+             ("v_prime", float), ("v_baseline", float))
 
 
 @dataclass
@@ -74,9 +83,6 @@ class SceneManifest:
         ids = [e[0] for e in self.entries]
         if len(ids) != len(set(ids)):
             raise ValidationError("duplicate scene_id in manifest")
-        for sid, _, t in self.entries:
-            if not math.isfinite(t):
-                raise ValidationError(f"non-finite temperature for scene {sid}")
 
 
 def parse_point_cloud(stream) -> PointCloud:
@@ -118,7 +124,7 @@ def save_model(weights, path) -> None:
     payload) is not read.
     """
     weights = list(weights)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(LCZM_MAGIC)
         fh.write(struct.pack("<II", LCZM_VERSION, len(weights)))
         for name, tensor in weights:
@@ -130,9 +136,7 @@ def save_model(weights, path) -> None:
                 raise UsageError(f"tensor rank too large: {arr.ndim}")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
+            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             fh.write(arr.tobytes())
 
 
@@ -143,28 +147,54 @@ def _read_exact(fh, n, what):
     return data
 
 
-def load_model(path):
-    """Read an LCZM container; returns list of (name, float64 ndarray)."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != LCZM_MAGIC:
-            raise FormatError(f"bad magic {magic!r}")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if version != LCZM_VERSION:
-            raise FormatError(f"unsupported format version {version}")
-        out = []
-        for idx in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"tensor {idx} name length"))
-            name = _read_exact(fh, name_len, f"tensor {idx} name").decode("utf-8", "replace")
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"tensor {name!r} rank"))
-            dims = struct.unpack(
-                f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name!r} dims")
-            )
-            arr = np.empty(dims, dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:
-                raise FormatError(f"truncated file while reading tensor {name!r} payload")
-            out.append((name, arr))
-        return out
+@contextlib.contextmanager
+def atomic_open(path):
+    """A binary file that replaces `path` when the block ends; if the block
+    raises, it is removed and `path` keeps its old bytes, if any. The
+    directory of `path` is made if missing."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def load_model(path, build=list):
+    """build(list of (name, float64 ndarray)) of an LCZM container; a
+    FormatError, from the container or from build, names the file."""
+    try:
+        with open(path, "rb") as fh:
+            magic = _read_exact(fh, 4, "magic")
+            if magic != LCZM_MAGIC:
+                raise FormatError(f"bad magic {magic!r}")
+            version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
+            if version != LCZM_VERSION:
+                raise FormatError(f"unsupported format version {version}")
+            out = []
+            for idx in range(count):
+                (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"tensor {idx} name length"))
+                name = _read_exact(fh, name_len, f"tensor {idx} name").decode("utf-8", "replace")
+                (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"tensor {name!r} rank"))
+                dims = struct.unpack(
+                    f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name!r} dims")
+                )
+                arr = np.empty(dims, dtype="<f8")
+                if fh.readinto(arr) != arr.nbytes:
+                    raise FormatError(f"truncated file while reading tensor {name!r} payload")
+                out.append((name, arr))
+        return build(out)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def read_meta(tensors, name, size) -> list:
@@ -185,30 +215,42 @@ def layout_arrays(tensors, expected) -> list:
     return [arr for _, arr in tensors]
 
 
-def read_manifest(path) -> SceneManifest:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def write_table(path, schema, rows) -> None:
+    """A header of schema's column names, then one line per row: csv with
+    "\n" line ends, floats as repr, quotes only where a field needs them."""
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([[name for name, _ in schema], *rows])
+    write_text(path, buf.getvalue())
+
+
+def read_table(path, schema) -> list:
+    """The rows of a write_table file as tuples typed by schema; ParseError
+    with the file and line at a wrong header, field count or value, or a
+    non-finite float."""
+    names = [name for name, _ in schema]
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        reader = csv.reader(fh, strict=True)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty manifest") from None
-        if header != ["scene_id", "raster_path", "temperature_kelvin"]:
-            raise ParseError(f"bad manifest header: {header}")
-        entries = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ParseError("expected 3 columns", line=row_no)
-            try:
-                temp = float(row[2])
-            except ValueError:
-                raise ParseError(f"bad temperature {row[2]!r}", line=row_no) from None
-            entries.append((row[0], row[1], temp))
-    return SceneManifest(entries)
+            if next(reader, None) != names:
+                raise ValueError(f"header is not {','.join(names)}")
+            return [_typed_row(row, schema) for row in reader]
+        except (csv.Error, ValueError) as exc:
+            raise ParseError(str(exc), line=max(reader.line_num, 1), path=path) from None
+
+
+def _typed_row(row, schema) -> tuple:
+    if len(row) != len(schema):
+        raise ValueError(f"expected {len(schema)} fields, found {len(row)}")
+    values = tuple(typ(text) for text, (_, typ) in zip(row, schema))
+    for text, value in zip(row, values):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{text!r} is not a finite float")
+    return values
+
+
+def read_manifest(path) -> SceneManifest:
+    return SceneManifest(read_table(path, MANIFEST))
 
 
 def write_manifest(manifest: SceneManifest, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scene_id", "raster_path", "temperature_kelvin"])
-        for sid, rpath, temp in manifest.entries:
-            writer.writerow([sid, rpath, FLOAT_FMT % temp])
+    write_table(path, MANIFEST, manifest.entries)

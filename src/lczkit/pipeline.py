@@ -7,56 +7,42 @@ re-reading from disk.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import itertools
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, autogeolabel, perturb, rasterizer, regressor, report, synthcity, vae
 from .autodiff import Tensor, check_gradient
 from .config import RunConfig
-from .errors import UsageError
-from .io import load_model, read_manifest, save_model
+from .errors import ParseError
+from .io import (CF_FAILURES, CF_INDEX, FRACTIONS, layout_arrays, load_model, read_manifest,
+                 read_table, save_model, write_table, write_text)
 from .rasterizer import NormStats, RasterStack, load_stack
 
 MODEL_DIR = "models"
 CORPUS_DIR = "corpus"
 CF_DIR = "counterfactuals"
-INDEX_HEADER = "scene_id,delta_t,achieved_dt,path,slot"
-
-
-def _path(out_dir, *parts):
-    path = os.path.join(out_dir, *parts)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    return path
 
 
 def write_run_manifest(cfg: RunConfig, out_dir: str) -> None:
-    with open(_path(out_dir, "run_config.txt"), "w") as fh:
-        fh.write(cfg.resolved_text())
+    write_text(os.path.join(out_dir, "run_config.txt"), cfg.resolved_text())
 
 
 def run_synth(cfg: RunConfig, out_dir: str) -> synthcity.CorpusResult:
-    corpus_dir = os.path.join(out_dir, CORPUS_DIR)
-    os.makedirs(corpus_dir, exist_ok=True)
     return synthcity.generate_corpus(
         cfg["synth.n_scenes"], cfg.scene_params(), cfg.temperature_law(),
-        cfg["seed"], corpus_dir,
+        cfg["seed"], os.path.join(out_dir, CORPUS_DIR),
     )
 
 
 def load_split(out_dir: str, which: str):
     """Read one split manifest; returns (ids, stacks, temps)."""
     corpus_dir = os.path.join(out_dir, CORPUS_DIR)
-    manifest = read_manifest(os.path.join(corpus_dir, f"{which}.csv"))
-    ids, stacks, temps = [], [], []
-    for sid, rpath, temp in manifest.entries:
-        ids.append(sid)
-        stacks.append(load_stack(os.path.join(corpus_dir, rpath)))
-        temps.append(temp)
-    return ids, stacks, np.array(temps)
+    entries = read_manifest(os.path.join(corpus_dir, f"{which}.csv")).entries
+    stacks = [load_stack(os.path.join(corpus_dir, rpath)) for _, rpath, _ in entries]
+    return [sid for sid, _, _ in entries], stacks, np.array([t for _, _, t in entries])
 
 
 def run_train_vae(cfg: RunConfig, out_dir: str):
@@ -65,15 +51,15 @@ def run_train_vae(cfg: RunConfig, out_dir: str):
     norm = rasterizer.compute_norm_stats(train_stacks)
     normalized = [rasterizer.normalize(s, norm) for s in train_stacks]
     model, history = vae.train_vae(normalized, cfg.vae_config())
-    save_model(rasterizer.norm_stats_tensors(norm), _path(out_dir, MODEL_DIR, "norm.lczm"))
-    save_model(vae.vae_tensors(model), _path(out_dir, MODEL_DIR, "vae.lczm"))
+    save_model(rasterizer.norm_stats_tensors(norm), os.path.join(out_dir, MODEL_DIR, "norm.lczm"))
+    save_model(vae.vae_tensors(model), os.path.join(out_dir, MODEL_DIR, "vae.lczm"))
     vcfg = cfg.vae_config()
-    with open(_path(out_dir, MODEL_DIR, "vae_config.txt"), "w") as fh:
-        for key in ("latent_dim", "hidden", "arch", "epochs", "lr", "batch_size", "seed"):
-            fh.write(f"{key}={getattr(vcfg, key)}\n")
-        fh.write(f"ramp_epochs={vcfg.schedule.ramp_epochs}\n")
-        fh.write(f"lambda_max={vcfg.schedule.lambda_max}\n")
-        fh.write("optimizer=adam\n")
+    settings = [(key, getattr(vcfg, key)) for key in
+                ("latent_dim", "hidden", "arch", "epochs", "lr", "batch_size", "seed")]
+    settings += [("ramp_epochs", vcfg.schedule.ramp_epochs),
+                 ("lambda_max", vcfg.schedule.lambda_max), ("optimizer", "adam")]
+    write_text(os.path.join(out_dir, MODEL_DIR, "vae_config.txt"),
+               "".join(f"{key}={value}\n" for key, value in settings))
     return model, norm, history
 
 
@@ -81,7 +67,7 @@ def load_models(out_dir: str, *names) -> list:
     """The named models ("norm", "vae", "reg") from <out_dir>/models/<name>.lczm."""
     readers = {"norm": rasterizer.norm_stats_from_tensors, "vae": vae.vae_from_tensors,
                "reg": regressor.regressor_from_tensors}
-    return [readers[name](load_model(os.path.join(out_dir, MODEL_DIR, f"{name}.lczm")))
+    return [load_model(os.path.join(out_dir, MODEL_DIR, f"{name}.lczm"), readers[name])
             for name in names]
 
 
@@ -93,7 +79,7 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
         vae.encode_mean(vae_model, rasterizer.normalize(s, norm)) for s in train_stacks
     ])
     model, err_report = regressor.train_regressor(codes, train_temps, cfg.reg_config())
-    save_model(regressor.regressor_tensors(model), _path(out_dir, MODEL_DIR, "reg.lczm"))
+    save_model(regressor.regressor_tensors(model), os.path.join(out_dir, MODEL_DIR, "reg.lczm"))
     return model, err_report
 
 
@@ -123,25 +109,21 @@ def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
     its counterfactuals and latent steps stacked along a slot axis.
     index.csv maps each (scene, delta_t) pair to its file and slot;
     failures.csv lists the pairs that failed."""
-    with open(_path(out_dir, CF_DIR, "index.csv"), "w") as fh:
-        fh.write(INDEX_HEADER + "\n")
-        for i, (sid, group) in enumerate(itertools.groupby(batch.scenes, lambda cf: cf.scene_id)):
-            group = list(group)
-            rel = f"cf_{i:05d}.lczm"
-            save_model(
-                [("cf/original", group[0].original),
-                 ("cf/reconstruction", group[0].reconstruction),
-                 ("cf/counterfactual", np.stack([cf.counterfactual for cf in group])),
-                 ("cf/delta_c", np.stack([cf.delta_c for cf in group]))],
-                _path(out_dir, CF_DIR, rel),
-            )
-            for slot, cf in enumerate(group):
-                fh.write(f"{sid},{cf.requested_dt!r},{cf.achieved_dt!r},{rel},{slot}\n")
-    with open(_path(out_dir, CF_DIR, "failures.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scene_id", "delta_t", "kind", "message"])
-        for sid, dt, kind, message in batch.failures:
-            writer.writerow([sid, repr(dt), kind, message])
+    index = []
+    for i, (sid, group) in enumerate(itertools.groupby(batch.scenes, lambda cf: cf.scene_id)):
+        group = list(group)
+        rel = f"cf_{i:05d}.lczm"
+        save_model(
+            [("cf/original", group[0].original),
+             ("cf/reconstruction", group[0].reconstruction),
+             ("cf/counterfactual", np.stack([cf.counterfactual for cf in group])),
+             ("cf/delta_c", np.stack([cf.delta_c for cf in group]))],
+            os.path.join(out_dir, CF_DIR, rel),
+        )
+        index += [(sid, cf.requested_dt, cf.achieved_dt, rel, slot)
+                  for slot, cf in enumerate(group)]
+    write_table(os.path.join(out_dir, CF_DIR, "index.csv"), CF_INDEX, index)
+    write_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES, batch.failures)
 
 
 def records_from_batch(batch: perturb.BatchResult, norm: NormStats, rules) -> list:
@@ -177,32 +159,36 @@ def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
         (norm,) = load_models(out_dir, "norm")
         batch = _load_batch(out_dir)
     records = records_from_batch(batch, norm, cfg.label_rules())
-    with open(_path(out_dir, "fractions.csv"), "w") as fh:
-        fh.write("scene_id,delta_t,achieved_dt,v_prime,v_baseline\n")
-        for r in records:
-            fh.write(f"{r.scene_id},{r.delta_t!r},{r.achieved_dt!r},"
-                     f"{r.v_prime!r},{r.v_baseline!r}\n")
+    write_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS,
+                map(dataclasses.astuple, records))
     return records
 
 
+def _cf_arrays(tensors) -> list:
+    """A cf file's original and reconstruction (13, H, W), counterfactuals
+    (K, 13, H, W) and latent steps (K, n); the file sets H, W, K and n."""
+    by_name = dict(tensors)
+    scene = (rasterizer.N_CHANNELS, *np.shape(by_name.get("cf/original"))[-2:])
+    k = (np.shape(by_name.get("cf/counterfactual")) or (-1,))[0]
+    n = (np.shape(by_name.get("cf/delta_c")) or (-1,))[-1]
+    return layout_arrays(tensors, [("cf/original", scene), ("cf/reconstruction", scene),
+                                   ("cf/counterfactual", (k, *scene)), ("cf/delta_c", (k, n))])
+
+
 def _load_batch(out_dir: str) -> perturb.BatchResult:
+    index = os.path.join(out_dir, CF_DIR, "index.csv")
     scenes, files = [], {}
-    with open(os.path.join(out_dir, CF_DIR, "index.csv")) as fh:
-        header = fh.readline()
-        if header.strip() != INDEX_HEADER:
-            raise UsageError(f"bad counterfactual index header: {header!r}")
-        for line in fh:
-            sid, dt, adt, rel, slot = line.strip().split(",")
-            if rel not in files:
-                files[rel] = dict(load_model(os.path.join(out_dir, CF_DIR, rel)))
-            tensors, slot = files[rel], int(slot)
-            scenes.append(perturb.CounterfactualScene(
-                original=tensors["cf/original"],
-                reconstruction=tensors["cf/reconstruction"],
-                counterfactual=tensors["cf/counterfactual"][slot],
-                delta_c=tensors["cf/delta_c"][slot],
-                achieved_dt=float(adt), requested_dt=float(dt), scene_id=sid,
-            ))
+    for line, (sid, dt, adt, rel, slot) in enumerate(read_table(index, CF_INDEX), start=2):
+        if rel not in files:
+            files[rel] = load_model(os.path.join(out_dir, CF_DIR, rel), _cf_arrays)
+        original, reconstruction, cfs, delta_cs = files[rel]
+        if not 0 <= slot < len(cfs):
+            raise ParseError(f"slot {slot} is not one of the {len(cfs)} in {rel}",
+                             line=line, path=index)
+        scenes.append(perturb.CounterfactualScene(
+            original=original, reconstruction=reconstruction, counterfactual=cfs[slot],
+            delta_c=delta_cs[slot], achieved_dt=adt, requested_dt=dt, scene_id=sid,
+        ))
     return perturb.BatchResult(scenes)
 
 
@@ -210,29 +196,16 @@ def run_analyze(cfg: RunConfig, out_dir: str, records=None, n_excluded=0) -> rep
     """Without in-memory records, read fractions.csv and count the failed
     pairs in counterfactuals/failures.csv."""
     if records is None:
-        records = _load_records(out_dir)
-        with open(os.path.join(out_dir, CF_DIR, "failures.csv"), newline="") as fh:
-            n_excluded = sum(1 for _ in csv.reader(fh)) - 1
+        records = [report.ExperimentRecord(*row)
+                   for row in read_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS)]
+        n_excluded = len(read_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES))
     bundle = report.build_report(records, cfg["analysis.alpha"], n_excluded=n_excluded)
-    with open(_path(out_dir, "figure.csv"), "w") as fh:
-        fh.write(bundle.figure_csv)
-    with open(_path(out_dir, "report.txt"), "w") as fh:
-        fh.write(bundle.summary)
+    write_text(os.path.join(out_dir, "figure.csv"), bundle.figure_csv)
+    write_text(os.path.join(out_dir, "report.txt"), bundle.summary)
     return bundle
 
 
-def _load_records(out_dir: str) -> list:
-    records = []
-    with open(os.path.join(out_dir, "fractions.csv")) as fh:
-        fh.readline()
-        for line in fh:
-            sid, dt, adt, vp, vb = line.strip().split(",")
-            records.append(report.ExperimentRecord(sid, float(dt), float(adt),
-                                                   float(vp), float(vb)))
-    return records
-
-
-@dataclass
+@dataclasses.dataclass
 class PipelineResult:
     corpus: synthcity.CorpusResult
     vae_model: object
@@ -247,7 +220,6 @@ class PipelineResult:
 
 def run_pipeline(cfg: RunConfig, out_dir: str) -> PipelineResult:
     """synth -> rasterize -> train-vae -> train-reg -> perturb -> label -> analyze."""
-    os.makedirs(out_dir, exist_ok=True)
     write_run_manifest(cfg, out_dir)
     corpus = run_synth(cfg, out_dir)
     vae_model, norm, history = run_train_vae(cfg, out_dir)

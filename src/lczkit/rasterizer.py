@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
-from .io import PointCloud, layout_arrays, save_model
+from .errors import FormatError, UsageError
+from .io import PointCloud, layout_arrays, load_model, save_model
 
 log = logging.getLogger(__name__)
 
@@ -190,21 +190,22 @@ def save_stack(stack: RasterStack, path) -> None:
 
 
 def stack_from_tensors(tensors) -> RasterStack:
-    by_name = dict(tensors)
-    if "grid/spec" not in by_name:
-        raise UsageError("missing grid/spec tensor")
-    gx, gy, cs, w, h = (float(v) for v in by_name["grid/spec"])
-    spec = GridSpec(gx, gy, cs, int(w), int(h))
-    for name in CHANNEL_NAMES:
-        if f"channel/{name}" not in by_name:
-            raise UsageError(f"missing channel tensor channel/{name}")
-    return RasterStack(spec, np.stack([by_name[f"channel/{name}"] for name in CHANNEL_NAMES]))
+    """The stack of a stack_tensors list: each channel of shape (height,
+    width), then grid/spec of five finite values (origin x and y, a
+    positive cell size, width and height as positive integers)."""
+    grid = dict(tensors).get("grid/spec")
+    if (grid is None or grid.shape != (5,) or not np.isfinite(grid).all() or grid[2] <= 0
+            or not all(v >= 1 and v.is_integer() for v in grid[3:])):
+        raise FormatError("grid/spec is missing or not 5 finite values with "
+                          "cell size > 0 and integer width, height >= 1")
+    spec = GridSpec(*grid[:3].tolist(), int(grid[3]), int(grid[4]))
+    *channels, _ = layout_arrays(tensors, [(f"channel/{name}", (spec.height, spec.width))
+                                           for name in CHANNEL_NAMES] + [("grid/spec", (5,))])
+    return RasterStack(spec, np.stack(channels))
 
 
 def load_stack(path) -> RasterStack:
-    from .io import load_model
-
-    return stack_from_tensors(load_model(path))
+    return load_model(path, stack_from_tensors)
 
 
 def norm_stats_tensors(stats: NormStats):

@@ -47,10 +47,6 @@ class SceneParams:
         if self.tree_density < 0 or self.building_density < 0:
             raise UsageError("densities must be >= 0")
 
-    @property
-    def extent(self) -> float:
-        return self.grid.extent_x
-
 
 @dataclass
 class TemperatureLaw:
@@ -171,8 +167,6 @@ def scene_temperature(law: TemperatureLaw, true_veg_fraction: float, scene_seed:
 @dataclass
 class CorpusResult:
     manifest_path: str
-    train_path: str
-    test_path: str
     entries: list              # (scene_id, raster_path, temperature)
     true_fractions: dict       # scene_id -> planted vegetation fraction
     train_ids: list
@@ -188,8 +182,6 @@ def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
     """
     if n_scenes < 1:
         raise UsageError("n_scenes must be >= 1")
-    scene_dir = os.path.join(out_dir, "scenes")
-    os.makedirs(scene_dir, exist_ok=True)
     rng = np.random.default_rng([seed, 11])
     density_scales = rng.uniform(0.02, 1.0, n_scenes)
     bld_scales = rng.uniform(0.3, 1.0, n_scenes)
@@ -212,15 +204,9 @@ def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
 
     order = rng.permutation(n_scenes)
     n_train = int(round(0.8 * n_scenes))
-    train_ids = [entries[j][0] for j in sorted(order[:n_train])]
-    test_ids = [entries[j][0] for j in sorted(order[n_train:])]
-
-    manifest_path = os.path.join(out_dir, "manifest.csv")
-    train_path = os.path.join(out_dir, "train.csv")
-    test_path = os.path.join(out_dir, "test.csv")
-    by_id = {e[0]: e for e in entries}
-    write_manifest(SceneManifest(entries), manifest_path)
-    write_manifest(SceneManifest([by_id[s] for s in train_ids]), train_path)
-    write_manifest(SceneManifest([by_id[s] for s in test_ids]), test_path)
-    return CorpusResult(manifest_path, train_path, test_path, entries,
-                        fractions, train_ids, test_ids)
+    train = [entries[j] for j in sorted(order[:n_train])]
+    test = [entries[j] for j in sorted(order[n_train:])]
+    for name, split in (("manifest", entries), ("train", train), ("test", test)):
+        write_manifest(SceneManifest(split), os.path.join(out_dir, f"{name}.csv"))
+    return CorpusResult(os.path.join(out_dir, "manifest.csv"), entries, fractions,
+                        [e[0] for e in train], [e[0] for e in test])

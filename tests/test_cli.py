@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -231,3 +233,106 @@ def test_missing_and_malformed_model_files_exit_without_traceback(tmp_path, smal
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "vae/dec/b3" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["out_is_a_file", "input_is_a_directory"])
+def test_out_or_input_of_the_wrong_kind_exits_one(tmp_path, capsys, where):
+    (tmp_path / "taken").write_text("")
+    argv = (["synth", "--out", str(tmp_path / "taken")] if where == "out_is_a_file" else
+            ["rasterize", "--input", str(tmp_path), "--output", str(tmp_path / "s.lczm")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+
+
+# --- corrupt artifacts ------------------------------------------------------
+
+def _edit_row(path, row, edit):
+    lines = path.read_text().split("\n")
+    lines[row] = edit(lines[row])
+    path.write_text("\n".join(lines))
+
+
+def _set_field(path, row, col, value):
+    def edit(line):
+        fields = line.split(",")
+        fields[col] = value
+        return ",".join(fields)
+    _edit_row(path, row, edit)
+
+
+def _first_test_stack(out):
+    return out / "corpus" / read_manifest(out / "corpus" / "test.csv").entries[0][1]
+
+
+def _edit_tensors(path, edit):
+    save_model(edit(load_model(path)), path)
+
+
+def _replace_tensor(name, value):
+    return lambda tensors: [(n, value if n == name else a) for n, a in tensors]
+
+
+def _grid_width(value):
+    def edit(tensors):
+        grid = dict(tensors)["grid/spec"].copy()
+        grid[3] = value
+        return _replace_tensor("grid/spec", grid)(tensors)
+    return edit
+
+
+FRACTIONS = ("analyze", lambda out: out / "fractions.csv")
+FAILURES = ("analyze", lambda out: out / "counterfactuals" / "failures.csv")
+INDEX = ("label", lambda out: out / "counterfactuals" / "index.csv")
+CF_FILE = ("label", lambda out: out / "counterfactuals" / "cf_00000.lczm")
+STACK = ("perturb", _first_test_stack)
+TEST_MANIFEST = ("perturb", lambda out: out / "corpus" / "test.csv")
+
+CORRUPTIONS = {
+    "fractions_extra_field": (FRACTIONS, lambda p: _edit_row(p, 1, lambda line: line + ",0.5")),
+    "fractions_non_number": (FRACTIONS, lambda p: _set_field(p, 1, 3, "lots")),
+    "fractions_non_finite": (FRACTIONS, lambda p: _set_field(p, 2, 1, "nan")),
+    "fractions_header": (FRACTIONS, lambda p: _set_field(p, 0, 1, "dt")),
+    "failures_garbage_row": (FAILURES, lambda p: p.write_text(p.read_text() + "garbage\n")),
+    "index_header": (INDEX, lambda p: _set_field(p, 0, 4, "position")),
+    "index_field_count": (INDEX, lambda p: _edit_row(p, 1, lambda line: line.rsplit(",", 1)[0])),
+    "index_slot_past_end": (INDEX, lambda p: _set_field(p, 1, 4, "99")),
+    "index_slot_negative": (INDEX, lambda p: _set_field(p, 1, 4, "-1")),
+    "index_path_to_a_non_cf_file": (INDEX, lambda p: _set_field(p, 1, 3, "../models/norm.lczm")),
+    "cf_file_missing_a_tensor": (CF_FILE, lambda p: _edit_tensors(p, lambda t: t[:-1])),
+    "stack_missing_channel": (STACK, lambda p: _edit_tensors(
+        p, lambda t: [(n, a) for n, a in t if n != "channel/z_std"])),
+    "stack_wrong_shape_channel": (STACK, lambda p: _edit_tensors(
+        p, _replace_tensor("channel/z_std", np.zeros((3, 3))))),
+    "stack_grid_spec_short": (STACK, lambda p: _edit_tensors(
+        p, _replace_tensor("grid/spec", np.array([0.0, 0.0, 1.0, 16.0])))),
+    "stack_grid_spec_non_finite": (STACK, lambda p: _edit_tensors(p, _grid_width(np.nan))),
+    "stack_grid_width_fractional": (STACK, lambda p: _edit_tensors(p, _grid_width(16.5))),
+    "manifest_bad_temperature": (TEST_MANIFEST, lambda p: _set_field(p, 1, 2, "hot")),
+}
+
+
+@pytest.fixture(scope="module")
+def labeled_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("labeled") / "run"
+    for stage in ("synth", "train-vae", "train-reg", "perturb", "label"):
+        assert main([stage, "--seed", "6", "--out", str(out), "--synth.n_scenes=30",
+                     "--vae.epochs=2", "--vae.hidden=32", "--reg.epochs=5",
+                     "--perturb.n_scenes=2"]) == 0, stage
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_artifact_exits_two_naming_the_file(tmp_path, labeled_run, capsys, case):
+    (stage, locate), corrupt = CORRUPTIONS[case]
+    out = tmp_path / "run"
+    shutil.copytree(labeled_run, out)
+    path = locate(out)
+    corrupt(path)
+    capsys.readouterr()
+    assert main([stage, "--seed", "6", "--out", str(out), "--perturb.n_scenes=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    named = "norm.lczm" if case == "index_path_to_a_non_cf_file" else path.name
+    assert named in err, err

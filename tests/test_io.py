@@ -1,20 +1,28 @@
+import ast
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lczkit.errors import FormatError, LczError, ParseError, ValidationError
+import lczkit
+from lczkit.errors import FormatError, LczError, ParseError, UsageError, ValidationError
 from lczkit.io import (
+    CF_FAILURES,
+    FRACTIONS,
     LCZM_MAGIC,
     PointCloud,
     SceneManifest,
     load_model,
     parse_point_cloud,
     read_manifest,
+    read_table,
     save_model,
     write_manifest,
+    write_table,
 )
 
 
@@ -63,13 +71,23 @@ def test_point_cloud_round_trip(rows):
         assert np.array_equal(getattr(back, attr), getattr(cloud, attr))
 
 
-@given(st.binary(max_size=200))
+def _read_table_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(data)
+        return read_table(path, FRACTIONS)
+
+
+@given(st.one_of(st.binary(max_size=200),
+                 st.binary(max_size=200).map(
+                     lambda b: b"scene_id,delta_t,achieved_dt,v_prime,v_baseline\n" + b)))
 @settings(max_examples=100)
 def test_parsers_never_crash_on_fuzz(data):
-    try:
-        parse_point_cloud(data)
-    except LczError:
-        pass  # structured error is the contract
+    for parse in (parse_point_cloud, _read_table_bytes):
+        try:
+            parse(data)
+        except LczError:
+            pass  # structured error is the contract
 
 
 def test_model_round_trip(tmp_path):
@@ -136,7 +154,8 @@ def test_model_truncated(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    manifest = SceneManifest([("s1", "a.lczm", 290.5), ("s2", "b.lczm", 285.0)])
+    manifest = SceneManifest([("s1", "a.lczm", 290.5), ("s2", "b.lczm", 285.0),
+                              ("s3", "c.lczm", 292.8536153371237)])
     path = tmp_path / "manifest.csv"
     write_manifest(manifest, path)
     assert path.read_text().splitlines()[0] == "scene_id,raster_path,temperature_kelvin"
@@ -147,3 +166,65 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_duplicate_id_rejected():
     with pytest.raises(ValidationError):
         SceneManifest([("s1", "a", 1.0), ("s1", "b", 2.0)])
+
+
+def test_table_dialect_and_a_message_with_a_comma_round_trip(tmp_path):
+    rows = [("s1", 1.5, "non_finite", 'decoded, "counterfactual"\nis non-finite'),
+            ("s2", -0.1, "degenerate_gradient", "plain")]
+    path = tmp_path / "failures.csv"
+    write_table(path, CF_FAILURES, rows)
+    assert path.read_bytes() == (
+        b"scene_id,delta_t,kind,message\n"
+        b's1,1.5,non_finite,"decoded, ""counterfactual""\nis non-finite"\n'
+        b"s2,-0.1,degenerate_gradient,plain\n")
+    assert read_table(path, CF_FAILURES) == rows
+
+
+@pytest.mark.parametrize("text, line", [
+    ("scene_id,delta_t,achieved_dt,v_prime\n", 1),
+    ("", 1),
+    ("scene_id,delta_t,achieved_dt,v_prime,v_baseline\ns,0.0,0.0,0.5,0.5\ns,1.0,0.9,0.5\n", 3),
+    ("scene_id,delta_t,achieved_dt,v_prime,v_baseline\ns,0.0,0.0,0.5,x\n", 2),
+    ("scene_id,delta_t,achieved_dt,v_prime,v_baseline\ns,inf,0.0,0.5,0.5\n", 2),
+])
+def test_read_table_error_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "fractions.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_table(path, FRACTIONS)
+    assert exc.value.line == line and str(path) in str(exc.value)
+
+
+def test_interrupted_write_keeps_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "m.lczm"
+    save_model([("w", np.ones(3))], path)
+    before = path.read_bytes()
+    with pytest.raises(UsageError):  # raised after the first tensor is written
+        save_model([("w", np.zeros(3)), ("x" * 0x10000, np.zeros(3))], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.lczm"]
+
+
+WRITE_CALLS = {"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"}
+
+
+def test_only_io_opens_files_for_writing():
+    """Every write goes through io's atomic writer; no other module writes."""
+    writes = []
+    for path in sorted(Path(lczkit.__file__).parent.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                if all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                       and set(m.value) <= set("rbt") for m in modes):
+                    continue
+            elif not (isinstance(func, ast.Attribute) and name in WRITE_CALLS):
+                continue
+            writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []
