@@ -118,6 +118,7 @@ class OlsFit:
     x_mean: float
     sxx: float
     resid_std: float           # sqrt(SS_res / dof)
+    t975: float                # Student-t 0.975 quantile at dof; the 95% interval multiplier
     degenerate_y: bool = False # SS_tot was zero; r_squared forced to 0
 
 
@@ -159,7 +160,7 @@ def ols_fit(xs, ys) -> OlsFit:
         ci_b=(b - t975 * se_b, b + t975 * se_b),
         p_a=p_a, dof=dof, residuals=residuals,
         se_a=se_a, se_b=se_b, n=n, x_mean=float(x_mean), sxx=sxx,
-        resid_std=resid_std, degenerate_y=degenerate,
+        resid_std=resid_std, t975=t975, degenerate_y=degenerate,
     )
 
 
@@ -191,11 +192,10 @@ def hypothesis_report(fit: OlsFit, alpha: float) -> HypothesisDecision:
     )
 
 
-def mean_response_ci(fit: OlsFit, x: float, level: float = 0.95):
-    """Confidence band for the fitted mean at x; narrowest at x_mean."""
-    t_mult = student_t_quantile(0.5 + level / 2.0, fit.dof)
+def mean_response_ci(fit: OlsFit, x: float):
+    """95% confidence band for the fitted mean at x; narrowest at x_mean."""
     fitted = fit.a * x + fit.b
-    half = t_mult * fit.resid_std * math.sqrt(
+    half = fit.t975 * fit.resid_std * math.sqrt(
         1.0 / fit.n + (x - fit.x_mean) ** 2 / fit.sxx
     )
     return fitted - half, fitted + half

@@ -14,6 +14,7 @@ from .autogeolabel import LabelRules
 from .errors import ParseError, UsageError
 from .rasterizer import GridSpec
 from .regressor import RegConfig
+from .report import check_sweep
 from .synthcity import SceneParams, TemperatureLaw
 from .vae import KldSchedule, VaeConfig
 
@@ -37,11 +38,9 @@ DEFAULTS = {
     "reg.lr": 1e-3,
     "reg.batch_size": 32,
     "reg.holdout_fraction": 0.2,
-    "perturb.mode": "closed_form",
     "perturb.dt_sweep": "0,1,3,5,10,-1,-3,-5,-10",
     "perturb.g_floor": 1e-8,
-    "perturb.zeta": 0.0,       # 0 = automatic step scale in iterative mode
-    "perturb.steps": 100,
+    "perturb.steps": 1,        # closed-form steps on the remaining delta_t
     "perturb.n_scenes": 30,    # held-out scenes to perturb
     "labels.veg_zstd_min": 0.5,
     "labels.veg_multiret_min": 0.3,
@@ -82,6 +81,7 @@ class RunConfig:
             if key not in DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
             self.values[key] = val
+        self.dt_sweep()  # a sweep that cannot be analyzed is refused before any stage runs
 
     @classmethod
     def from_file(cls, path=None, overrides=None) -> "RunConfig":
@@ -164,6 +164,8 @@ class RunConfig:
     def dt_sweep(self) -> list:
         raw = self["perturb.dt_sweep"]
         try:
-            return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
-        except ValueError:
-            raise UsageError(f"bad perturb.dt_sweep {raw!r}") from None
+            sweep = [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+            check_sweep(sweep)
+        except (ValueError, UsageError) as exc:
+            raise UsageError(f"bad perturb.dt_sweep {raw!r}: {exc}") from None
+        return sweep

@@ -19,6 +19,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -217,10 +218,14 @@ def layout_arrays(tensors, expected) -> list:
 
 def write_table(path, schema, rows) -> None:
     """A header of schema's column names, then one line per row: csv with
-    "\n" line ends, floats as repr, quotes only where a field needs them."""
-    buf = _io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([[name for name, _ in schema], *rows])
-    write_text(path, buf.getvalue())
+    "\n" line ends, floats as repr, quotes only where a field needs them:
+    one holding the delimiter, a quote, "\n" or "\r"."""
+    # The writer quotes a field holding any character of its line terminator
+    # and writes each row with one call, so rows go out with "\r\n", end in "\n".
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(
+        [[name for name, _ in schema], *rows])
+    write_text(path, "".join(f"{line[:-2]}\n" for line in lines))
 
 
 def read_table(path, schema) -> list:

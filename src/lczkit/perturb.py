@@ -1,11 +1,13 @@
 """Stage 3: push a requested temperature variation into latent space and
 decode the counterfactual scene.
 
-The closed form takes the unique gradient-parallel step
-delta_c = (delta_t / ||g||^2) * g, which satisfies delta_c . g = delta_t
-and has minimal norm among all steps doing so. The iterative mode walks
-c along the recomputed gradient until the predicted change reaches the
-request. Note this is NOT a function inverse of the regressor.
+The step is the unique gradient-parallel one, delta_c = (delta_t / ||g||^2) * g,
+which satisfies delta_c . g = delta_t and has minimal norm among all steps
+doing so. With steps > 1 the same closed form is applied again, at the
+stepped code, to what is still missing of delta_t; a repetition is kept only
+if it brings the regressor's change closer to the request, and a flat
+gradient ends the walk with what was achieved. One step is the closed form.
+Note this is NOT a function inverse of the regressor.
 """
 
 from __future__ import annotations
@@ -24,18 +26,14 @@ DEFAULT_G_FLOOR = 1e-8
 @dataclass
 class Perturbation:
     delta_t: float
-    mode: str = "closed_form"      # "closed_form" | "iterative"
-    zeta: float | None = None      # iterative step scale; default 0.1*|dt|/||g0||
-    steps: int = 100
+    steps: int = 1                 # closed-form steps at most; 1 is the closed form
     g_floor: float = DEFAULT_G_FLOOR
 
     def __post_init__(self):
         if not np.isfinite(self.delta_t):
             raise UsageError("delta_t must be finite")
-        if self.mode not in ("closed_form", "iterative"):
-            raise UsageError(f"unknown perturbation mode {self.mode!r}")
-        if self.mode == "iterative" and self.steps < 1:
-            raise UsageError("iterative mode needs steps >= 1")
+        if self.steps < 1:
+            raise UsageError("steps must be >= 1")
         if self.g_floor <= 0:
             raise UsageError("g_floor must be > 0")
 
@@ -91,42 +89,32 @@ def _encode_scene(vae, regressor, s) -> _EncodedScene:
 
 
 def _step(vae, regressor, scene: _EncodedScene, perturbation: Perturbation) -> CounterfactualScene:
-    """Step the scene's latent code for the requested delta_t and decode."""
-    code, t0 = scene.code, scene.t0
-    if perturbation.mode == "closed_form":
-        step = delta_c(scene.g, perturbation.delta_t, perturbation.g_floor)
-        new_code = code + step
-    else:
-        new_code = code.copy()
-        dt = perturbation.delta_t
-        if dt != 0.0:
-            norm0 = float(np.linalg.norm(scene.g))
-            if norm0 < perturbation.g_floor:
-                raise DegenerateGradientError(
-                    f"gradient norm {norm0:.3e} below floor {perturbation.g_floor:.3e}"
-                )
-            zeta = perturbation.zeta if perturbation.zeta is not None else 0.1 * abs(dt) / norm0
-            zeta = float(np.copysign(zeta, dt))
-            for _ in range(perturbation.steps):
-                g = reg.grad_wrt_code(regressor, new_code)
-                if float(np.linalg.norm(g)) < perturbation.g_floor:
-                    break  # flat region; stop with what we achieved
-                new_code = new_code + zeta * g
-                if abs(reg.predict(regressor, new_code) - t0) >= abs(dt):
-                    break
-        step = new_code - code
+    """Step the scene's latent code for the requested delta_t and decode;
+    a degenerate gradient at the scene's code fails the pair."""
+    code, t0, dt = scene.code, scene.t0, perturbation.delta_t
+    step = delta_c(scene.g, dt, perturbation.g_floor)
+    achieved = reg.predict(regressor, code + step) - t0
+    for _ in range(perturbation.steps - 1):
+        try:
+            candidate = step + delta_c(reg.grad_wrt_code(regressor, code + step),
+                                       dt - achieved, perturbation.g_floor)
+        except DegenerateGradientError:
+            break  # flat region; keep what was achieved
+        reached = reg.predict(regressor, code + candidate) - t0
+        if not abs(dt - reached) < abs(dt - achieved):
+            break  # a step is taken only if it helps
+        step, achieved = candidate, reached
 
-    counterfactual = vae_mod.decode(vae, new_code)
+    counterfactual = vae_mod.decode(vae, code + step)
     if not np.all(np.isfinite(counterfactual)):
         raise NumericError("decoded counterfactual is non-finite")
-    achieved = reg.predict(regressor, new_code) - t0
     return CounterfactualScene(
         original=scene.original,
         reconstruction=scene.reconstruction,
         counterfactual=counterfactual,
         delta_c=step,
         achieved_dt=float(achieved),
-        requested_dt=float(perturbation.delta_t),
+        requested_dt=float(dt),
     )
 
 
@@ -135,8 +123,8 @@ def perturb_scene(vae, regressor, s, perturbation: Perturbation) -> Counterfactu
     return _step(vae, regressor, _encode_scene(vae, regressor, s), perturbation)
 
 
-def batch_perturb(vae, regressor, scenes, delta_ts, mode="closed_form",
-                  g_floor=DEFAULT_G_FLOOR, zeta=None, steps=100) -> BatchResult:
+def batch_perturb(vae, regressor, scenes, delta_ts, g_floor=DEFAULT_G_FLOOR,
+                  steps=1) -> BatchResult:
     """All scenes x all delta_t values. Each scene is encoded, predicted,
     reconstructed and differentiated once, then stepped per delta_t.
 
@@ -148,8 +136,7 @@ def batch_perturb(vae, regressor, scenes, delta_ts, mode="closed_form",
     scenes = list(scenes)
     if not scenes:
         raise UsageError("batch_perturb: empty scene list")
-    perturbations = [Perturbation(dt, mode=mode, g_floor=g_floor, zeta=zeta, steps=steps)
-                     for dt in delta_ts]
+    perturbations = [Perturbation(dt, steps=steps, g_floor=g_floor) for dt in delta_ts]
     results, failures = [], []
     for i, scene in enumerate(scenes):
         scene_id, stack = scene if isinstance(scene, tuple) else (f"scene_{i}", scene)

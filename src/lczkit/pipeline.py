@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, autogeolabel, perturb, rasterizer, regressor, report, synthcity, vae
 from .autodiff import Tensor, check_gradient
 from .config import RunConfig
-from .errors import ParseError
+from .errors import ParseError, UsageError, ValidationError
 from .io import (CF_FAILURES, CF_INDEX, FRACTIONS, layout_arrays, load_model, read_manifest,
                  read_table, save_model, write_table, write_text)
 from .rasterizer import NormStats, RasterStack, load_stack
@@ -90,16 +90,10 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
         vae_model, norm, reg_model = load_models(out_dir, "vae", "norm", "reg")
     test_ids, test_stacks, _ = load_split(out_dir, "test")
     n_use = min(cfg["perturb.n_scenes"], len(test_ids))
-    scenes = [
-        (sid, rasterizer.normalize(stack, norm))
-        for sid, stack in zip(test_ids[:n_use], test_stacks[:n_use])
-    ]
-    zeta = cfg["perturb.zeta"] or None
-    result = perturb.batch_perturb(
-        vae_model, reg_model, scenes, cfg.dt_sweep(),
-        mode=cfg["perturb.mode"], g_floor=cfg["perturb.g_floor"],
-        zeta=zeta, steps=cfg["perturb.steps"],
-    )
+    scenes = [(sid, rasterizer.normalize(stack, norm))
+              for sid, stack in zip(test_ids[:n_use], test_stacks[:n_use])]
+    result = perturb.batch_perturb(vae_model, reg_model, scenes, cfg.dt_sweep(),
+                                   g_floor=cfg["perturb.g_floor"], steps=cfg["perturb.steps"])
     _write_batch(result, out_dir)
     return result
 
@@ -196,8 +190,12 @@ def run_analyze(cfg: RunConfig, out_dir: str, records=None, n_excluded=0) -> rep
     """Without in-memory records, read fractions.csv and count the failed
     pairs in counterfactuals/failures.csv."""
     if records is None:
-        records = [report.ExperimentRecord(*row)
-                   for row in read_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS)]
+        path = os.path.join(out_dir, "fractions.csv")
+        try:
+            records = [report.ExperimentRecord(*row) for row in read_table(path, FRACTIONS)]
+            report.check_sweep(r.delta_t for r in records)
+        except UsageError as exc:  # a value that parses but breaks a rule
+            raise ValidationError(str(exc), path=path) from None
         n_excluded = len(read_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES))
     bundle = report.build_report(records, cfg["analysis.alpha"], n_excluded=n_excluded)
     write_text(os.path.join(out_dir, "figure.csv"), bundle.figure_csv)

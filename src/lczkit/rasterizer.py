@@ -32,9 +32,9 @@ GROUND_PERCENTILE = 2.0
 class GridSpec:
     origin_x: float = 0.0
     origin_y: float = 0.0
-    cell_size: float = 0.3
-    width: int = 128
-    height: int = 128
+    cell_size: float = 1.0
+    width: int = 16
+    height: int = 16
 
     def __post_init__(self):
         if self.cell_size <= 0:

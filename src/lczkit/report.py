@@ -6,6 +6,7 @@ baseline row taken from the reconstructed (unperturbed) scenes.
 from __future__ import annotations
 
 import io as _io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +40,21 @@ class ReportBundle:
     n_excluded: int        # (scene, delta_t) pairs that failed in perturb, any kind
 
 
+def check_sweep(delta_ts) -> None:
+    """The rules a set of delta_t values meets for the slope fit."""
+    distinct = sorted(set(delta_ts))
+    if not all(map(math.isfinite, distinct)) or 0.0 not in distinct or len(distinct) < 3:
+        raise UsageError("delta_t values must be finite, hold the 0 baseline and at least "
+                         f"3 distinct values; got {', '.join(map(repr, distinct))}")
+
+
 def build_report(records, alpha: float = 0.05, n_excluded: int = 0) -> ReportBundle:
     """Aggregate per-scene fractions, fit, and decide; pure in its inputs."""
     records = list(records)
     if not records:
         raise UsageError("no experiment records")
     distinct = sorted({r.delta_t for r in records})
-    if 0.0 not in distinct:
-        raise UsageError("records must include the delta_t = 0 baseline")
-    if len(distinct) < 3:
-        raise UsageError(f"need >= 3 distinct delta_t values, got {len(distinct)}")
+    check_sweep(distinct)
 
     aggregated = aggregate_fractions((r.delta_t, r.v_prime) for r in records)
     xs = np.array([dt for dt, _ in aggregated])

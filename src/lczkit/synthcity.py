@@ -28,7 +28,7 @@ CANOPY_DENSITY_FACTOR = 1.2
 
 @dataclass
 class SceneParams:
-    grid: GridSpec = field(default_factory=lambda: GridSpec(cell_size=1.0, width=16, height=16))
+    grid: GridSpec = field(default_factory=GridSpec)
     tree_density: float = 0.05          # trees per m^2
     building_density: float = 0.008     # buildings per m^2
     crown_radius_range: tuple = (1.5, 2.5)   # meters

@@ -37,11 +37,11 @@ def kld_weight(schedule: KldSchedule, epoch: int) -> float:
 
 @dataclass
 class VaeConfig:
-    latent_dim: int = 64
+    latent_dim: int = 32
     hidden: int = 256          # mlp hidden width
     arch: str = "mlp"          # "mlp" | "patch"
     patch_features: tuple = (32, 64)
-    epochs: int = 100
+    epochs: int = 40
     lr: float = 1e-3
     batch_size: int = 32
     schedule: KldSchedule = field(default_factory=KldSchedule)

@@ -1,13 +1,21 @@
+import dataclasses
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lczkit
+from lczkit.autogeolabel import LabelRules
 from lczkit.cli import _split_overrides, main
 from lczkit.config import DEFAULTS, RunConfig, stage_seed
 from lczkit.errors import ParseError, UsageError
 from lczkit.io import load_model, read_manifest, save_model
-from lczkit.rasterizer import load_stack, save_stack
+from lczkit.perturb import Perturbation
+from lczkit.rasterizer import GridSpec, load_stack, save_stack
+from lczkit.regressor import RegConfig
+from lczkit.synthcity import SceneParams, TemperatureLaw
+from lczkit.vae import VaeConfig
 
 SMALL_CONFIG = """\
 # desk-scale smoke configuration
@@ -69,8 +77,27 @@ def test_config_resolved_text_round_trips(tmp_path):
 def test_dt_sweep_parsing():
     cfg = RunConfig({"perturb.dt_sweep": "0, 1.5, -2"})
     assert cfg.dt_sweep() == [0.0, 1.5, -2.0]
-    with pytest.raises(UsageError):
-        RunConfig({"perturb.dt_sweep": "0,oops"}).dt_sweep()
+    for bad in ("0,oops", "1,2,-2", "0,1", "0,1,1,0", "0,1,nan", "0,1,-inf", ""):
+        with pytest.raises(UsageError, match="perturb.dt_sweep"):
+            RunConfig({"perturb.dt_sweep": bad})
+
+
+def test_run_config_views_equal_the_dataclass_defaults():
+    cfg = RunConfig()
+    views = [(cfg.grid_spec(), GridSpec), (cfg.vae_config(), VaeConfig),
+             (cfg.reg_config(), RegConfig), (cfg.label_rules(), LabelRules),
+             (cfg.scene_params(), SceneParams), (cfg.temperature_law(), TemperatureLaw)]
+    for view, cls in views:
+        if hasattr(view, "seed"):  # stage seeds come from the master seed
+            view = dataclasses.replace(view, seed=cls().seed)
+        assert view == cls(), cls.__name__
+    pert = Perturbation(1.0)
+    assert (pert.steps, pert.g_floor) == (cfg["perturb.steps"], cfg["perturb.g_floor"])
+
+
+def test_every_config_key_is_read_by_a_stage():
+    source = "".join(path.read_text() for path in Path(lczkit.__file__).parent.glob("*.py"))
+    assert [key for key in DEFAULTS if f'["{key}"]' not in source] == []
 
 
 def test_stage_seeds_distinct_and_stable():
@@ -95,6 +122,19 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("vae.latent=8\n")
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    for flag in ("--perturb.mode=iterative", "--perturb.zeta=0.1"):
+        capsys.readouterr()
+        assert main(["perturb", flag, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and flag[2:flag.index("=")] in err, err
+
+
+def test_pipeline_refuses_an_unusable_sweep_before_any_stage(tmp_path, small_config, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", small_config, "--out", str(out), "--dt-sweep=1,2,-2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1, err
+    assert "perturb.dt_sweep" in err and not out.exists()
 
 
 # --- subcommands ------------------------------------------------------------
@@ -261,6 +301,12 @@ def _set_field(path, row, col, value):
     _edit_row(path, row, edit)
 
 
+def _keep_rows(path, keep):
+    header, *rows = path.read_text().splitlines()
+    kept = [row for row in rows if keep(float(row.split(",")[1]))]
+    path.write_text("".join(f"{line}\n" for line in [header, *kept]))
+
+
 def _first_test_stack(out):
     return out / "corpus" / read_manifest(out / "corpus" / "test.csv").entries[0][1]
 
@@ -293,6 +339,9 @@ CORRUPTIONS = {
     "fractions_non_number": (FRACTIONS, lambda p: _set_field(p, 1, 3, "lots")),
     "fractions_non_finite": (FRACTIONS, lambda p: _set_field(p, 2, 1, "nan")),
     "fractions_header": (FRACTIONS, lambda p: _set_field(p, 0, 1, "dt")),
+    "fractions_v_prime_above_one": (FRACTIONS, lambda p: _set_field(p, 1, 3, "1.5")),
+    "fractions_no_baseline": (FRACTIONS, lambda p: _keep_rows(p, lambda dt: dt != 0.0)),
+    "fractions_two_distinct_dt": (FRACTIONS, lambda p: _keep_rows(p, lambda dt: dt in (0.0, 1.0))),
     "failures_garbage_row": (FAILURES, lambda p: p.write_text(p.read_text() + "garbage\n")),
     "index_header": (INDEX, lambda p: _set_field(p, 0, 4, "position")),
     "index_field_count": (INDEX, lambda p: _edit_row(p, 1, lambda line: line.rsplit(",", 1)[0])),

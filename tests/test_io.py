@@ -170,13 +170,17 @@ def test_manifest_duplicate_id_rejected():
 
 def test_table_dialect_and_a_message_with_a_comma_round_trip(tmp_path):
     rows = [("s1", 1.5, "non_finite", 'decoded, "counterfactual"\nis non-finite'),
-            ("s2", -0.1, "degenerate_gradient", "plain")]
+            ("s2", -0.1, "degenerate_gradient", "plain"),
+            ("s3", 2.0, "non_finite", "a\rb"),
+            ("s4", -3.0, "non_finite", "a\r\nb")]
     path = tmp_path / "failures.csv"
     write_table(path, CF_FAILURES, rows)
     assert path.read_bytes() == (
         b"scene_id,delta_t,kind,message\n"
         b's1,1.5,non_finite,"decoded, ""counterfactual""\nis non-finite"\n'
-        b"s2,-0.1,degenerate_gradient,plain\n")
+        b"s2,-0.1,degenerate_gradient,plain\n"
+        b's3,2.0,non_finite,"a\rb"\n'
+        b's4,-3.0,non_finite,"a\r\nb"\n')
     assert read_table(path, CF_FAILURES) == rows
 
 

@@ -105,16 +105,60 @@ def test_perturb_first_order_consistency_smooth_model():
 def test_perturb_iterative_reaches_requested_change():
     vae, reg = _models(activation="tanh", seed=10)
     s = np.random.default_rng(11).standard_normal(SHAPE)
-    cf = perturb_scene(vae, reg, s, Perturbation(0.5, mode="iterative", steps=100))
-    assert abs(cf.achieved_dt) >= 0.5 * 0.9  # early stop once |change| >= |dt|
-    assert np.sign(cf.achieved_dt) == 1.0
+    one = perturb_scene(vae, reg, s, Perturbation(0.5))
+    cf = perturb_scene(vae, reg, s, Perturbation(0.5, steps=100))
+    assert abs(one.achieved_dt - 0.5) > 1e-3  # the closed form alone misses
+    assert cf.achieved_dt == pytest.approx(0.5, abs=1e-9)
 
 
 def test_perturb_iterative_zero_dt():
     vae, reg = _models(seed=12)
     s = np.random.default_rng(13).standard_normal(SHAPE)
-    cf = perturb_scene(vae, reg, s, Perturbation(0.0, mode="iterative"))
+    cf = perturb_scene(vae, reg, s, Perturbation(0.0, steps=100))
     assert not cf.delta_c.any()
+    assert cf.counterfactual.tobytes() == cf.reconstruction.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_more_steps_never_move_away_from_the_request(activation):
+    vae, reg = _models(activation=activation, seed=29)
+    rng = np.random.default_rng(30)
+    scenes = [(f"s{i}", rng.standard_normal(SHAPE)) for i in range(4)]
+    sweep = [0.5, -1.0, 3.0, -5.0]
+    runs = [batch_perturb(vae, reg, scenes, sweep, steps=k) for k in range(1, 6)]
+    for run in runs[1:]:  # a pair fails, or not, at the first step
+        assert run.failures == runs[0].failures
+    errors = np.array([[abs(cf.achieved_dt - cf.requested_dt) for cf in run.scenes]
+                       for run in runs])
+    assert (np.diff(errors, axis=0) <= 0.0).all()
+    assert errors[-1].sum() < errors[0].sum()
+
+
+def test_flat_gradient_fails_the_pair_only_at_the_first_step(monkeypatch):
+    import lczkit.regressor as reg_mod
+
+    vae, reg = _models(seed=31)
+    s = np.random.default_rng(32).standard_normal(SHAPE)
+    closed_form = perturb_scene(vae, reg, s, Perturbation(2.0))
+    grad = reg_mod.grad_wrt_code
+
+    def flat_after(n):  # the true gradient for the first n calls, then zeros
+        calls = []
+
+        def patched(model, code):
+            calls.append(code)
+            return grad(model, code) if len(calls) <= n else np.zeros(LATENT)
+        return patched
+
+    monkeypatch.setattr(reg_mod, "grad_wrt_code", flat_after(1))  # flat after the first step
+    kept = batch_perturb(vae, reg, [("s", s)], [2.0], steps=5)
+    assert not kept.failures
+    assert kept.scenes[0].delta_c.tobytes() == closed_form.delta_c.tobytes()
+    assert kept.scenes[0].achieved_dt == closed_form.achieved_dt
+
+    monkeypatch.setattr(reg_mod, "grad_wrt_code", flat_after(0))  # flat at the scene's code
+    with pytest.raises(DataError, match="first: degenerate_gradient"):
+        batch_perturb(vae, reg, [("s", s)], [2.0], steps=5)
 
 
 def test_perturb_freezes_all_weights():
@@ -163,8 +207,8 @@ def test_batch_all_degenerate_raises():
         batch_perturb(vae, reg, [np.zeros(SHAPE)], [1.0])
 
 
-@pytest.mark.parametrize("mode", ["closed_form", "iterative"])
-def test_batch_equals_per_pair_perturb_scene_and_encodes_once(mode, monkeypatch):
+@pytest.mark.parametrize("steps", [1, 20])
+def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch):
     import lczkit.vae as vae_mod
 
     vae, reg = _models(activation="tanh", seed=23)
@@ -179,12 +223,12 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(mode, monkeypatch)
         return encode_mean(*args, **kwargs)
 
     monkeypatch.setattr(vae_mod, "encode_mean", counted)
-    result = batch_perturb(vae, reg, scenes, sweep, mode=mode, steps=20)
+    result = batch_perturb(vae, reg, scenes, sweep, steps=steps)
     assert len(encodes) == len(scenes)
     assert len(result.scenes) == len(scenes) * len(sweep) and not result.failures
     pairs = [(sid, s, dt) for sid, s in scenes for dt in sweep]
     for cf, (sid, s, dt) in zip(result.scenes, pairs):
-        ref = perturb_scene(vae, reg, s, Perturbation(dt, mode=mode, steps=20))
+        ref = perturb_scene(vae, reg, s, Perturbation(dt, steps=steps))
         assert cf.scene_id == sid and cf.requested_dt == dt
         for name in ("original", "reconstruction", "counterfactual", "delta_c"):
             assert np.array_equal(getattr(cf, name), getattr(ref, name)), name
@@ -240,6 +284,4 @@ def test_perturbation_validation():
     with pytest.raises(UsageError):
         Perturbation(float("nan"))
     with pytest.raises(UsageError):
-        Perturbation(1.0, mode="sideways")
-    with pytest.raises(UsageError):
-        Perturbation(1.0, mode="iterative", steps=0)
+        Perturbation(1.0, steps=0)
