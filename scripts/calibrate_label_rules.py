@@ -6,8 +6,11 @@ Sweeps the vegetation thresholds (z_std minimum, multi-return-fraction
 minimum) and the building thresholds (height minimum, z_std maximum) over
 a grid of candidate values, scores each candidate on cell-level accuracy
 and on the per-scene vegetation-fraction error, and prints the winners.
-The shipped defaults in `lczkit.autogeolabel.LabelRules` were frozen from
-a run of this script; re-run it after changing the scene generator.
+The shipped thresholds were frozen from a run of this script; re-run it
+after changing the scene generator. A run takes its thresholds from the
+`labels.*` keys of `lczkit.config.DEFAULTS`, so adopting new ones means
+editing both those keys and the `lczkit.autogeolabel.LabelRules` defaults;
+to try them on one run, pass `--labels.<name>=<value>` flags instead.
 
 Usage:
     python3 scripts/calibrate_label_rules.py [--scenes N] [--seed S]
@@ -46,7 +49,7 @@ def build_scenes(n_scenes, seed):
 def score(scenes, rules):
     frac_errs, veg_cell_acc, bld_cell_acc = [], [], []
     for stack, truth in scenes:
-        seg = segment(stack, rules)
+        seg = segment(stack.channels, rules)
         frac_errs.append(abs(vegetation_fraction(seg) - truth.true_veg_fraction))
         veg_cell_acc.append(np.mean((seg.labels == VEGETATION) == truth.veg_mask))
         bld_cell_acc.append(np.mean((seg.labels == BUILDING) == truth.bld_mask))
@@ -122,7 +125,11 @@ def main(argv=None):
     if (zs, mr, bh, bz) != (defaults.veg_zstd_min, defaults.veg_multiret_min,
                             defaults.bld_height_min, defaults.bld_zstd_max):
         print("\nNOTE: winner differs from the shipped defaults "
-              f"({defaults}); consider updating LabelRules.")
+              f"({defaults}). To adopt it, update both the labels.* keys of "
+              "lczkit.config.DEFAULTS and the LabelRules defaults in "
+              "lczkit/autogeolabel.py; to try it on one run, pass "
+              f"--labels.veg_zstd_min={zs} --labels.veg_multiret_min={mr} "
+              f"--labels.bld_height_min={bh} --labels.bld_zstd_max={bz}.")
     return 0
 
 

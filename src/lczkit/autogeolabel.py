@@ -1,4 +1,4 @@
-"""Rule-based labeling of raster stacks into vegetation / building /
+"""Rule-based labeling of raster channels into vegetation / building /
 background, plus vegetation-fraction bookkeeping.
 
 Canopy scatters laser pulses, so vegetation keys on elevation roughness
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .rasterizer import RasterStack
+from .rasterizer import CHANNEL_NAMES, N_CHANNELS
 
 BACKGROUND, BUILDING, VEGETATION = 0, 1, 2
 
@@ -40,11 +40,13 @@ class SegmentationMap:
     labels: np.ndarray  # (H, W) of {BACKGROUND, BUILDING, VEGETATION}
 
 
-def segment(stack: RasterStack, rules: LabelRules) -> SegmentationMap:
-    """Label each cell of a de-normalized stack."""
-    z_std = stack.channel("z_std")
-    z_mean = stack.channel("z_mean")
-    multiret = stack.channel("multi_return_fraction")
+def segment(channels: np.ndarray, rules: LabelRules) -> SegmentationMap:
+    """Label each cell of a de-normalized (13, H, W) scene."""
+    if channels.ndim != 3 or len(channels) != N_CHANNELS:
+        raise UsageError(f"segment needs a ({N_CHANNELS}, H, W) array, got shape {channels.shape}")
+    z_std = channels[CHANNEL_NAMES.index("z_std")]
+    z_mean = channels[CHANNEL_NAMES.index("z_mean")]
+    multiret = channels[CHANNEL_NAMES.index("multi_return_fraction")]
     veg = (z_std >= rules.veg_zstd_min) & (multiret >= rules.veg_multiret_min)
     bld = (z_mean >= rules.bld_height_min) & (z_std <= rules.bld_zstd_max) & ~veg
     labels = np.full(z_std.shape, BACKGROUND, dtype=np.uint8)

@@ -40,7 +40,7 @@ class Perturbation:
 
 @dataclass
 class CounterfactualScene:
-    original: np.ndarray          # normalized input stack (C, H, W)
+    original: np.ndarray          # normalized input scene (C, H, W)
     reconstruction: np.ndarray    # D(E(s)) at delta_t = 0
     counterfactual: np.ndarray    # D(c + delta_c)
     delta_c: np.ndarray
@@ -77,15 +77,15 @@ def delta_c(g, delta_t, g_floor=DEFAULT_G_FLOOR) -> np.ndarray:
     return (float(delta_t) / (norm * norm)) * g
 
 
-def _encode_scene(vae, regressor, s) -> _EncodedScene:
-    original = s.channels if hasattr(s, "channels") else np.asarray(s, dtype=float)
+def _encode_scene(vae, regressor, channels) -> _EncodedScene:
+    original = np.array(channels, dtype=float)  # a copy the caller cannot change
     code = vae_mod.encode_mean(vae, original)
     t0 = reg.predict(regressor, code)
     reconstruction = vae_mod.decode(vae, code)
     if not np.all(np.isfinite(reconstruction)):
         raise NumericError("decoded reconstruction is non-finite")
     g = reg.grad_wrt_code(regressor, code)
-    return _EncodedScene(original.copy(), code, t0, reconstruction, g)
+    return _EncodedScene(original, code, t0, reconstruction, g)
 
 
 def _step(vae, regressor, scene: _EncodedScene, perturbation: Perturbation) -> CounterfactualScene:
@@ -118,14 +118,16 @@ def _step(vae, regressor, scene: _EncodedScene, perturbation: Perturbation) -> C
     )
 
 
-def perturb_scene(vae, regressor, s, perturbation: Perturbation) -> CounterfactualScene:
-    """Encode s, step the latent code for the requested delta_t, decode."""
-    return _step(vae, regressor, _encode_scene(vae, regressor, s), perturbation)
+def perturb_scene(vae, regressor, channels, perturbation: Perturbation) -> CounterfactualScene:
+    """Encode a normalized (C, H, W) scene, step its latent code for the
+    requested delta_t, decode."""
+    return _step(vae, regressor, _encode_scene(vae, regressor, channels), perturbation)
 
 
 def batch_perturb(vae, regressor, scenes, delta_ts, g_floor=DEFAULT_G_FLOOR,
                   steps=1) -> BatchResult:
-    """All scenes x all delta_t values. Each scene is encoded, predicted,
+    """All scenes x all delta_t values. A scene is a normalized (C, H, W)
+    array or a (scene_id, array) pair. Each scene is encoded, predicted,
     reconstructed and differentiated once, then stepped per delta_t.
 
     A NumericError fails only the pairs it reaches (all of a scene's pairs
@@ -139,9 +141,9 @@ def batch_perturb(vae, regressor, scenes, delta_ts, g_floor=DEFAULT_G_FLOOR,
     perturbations = [Perturbation(dt, steps=steps, g_floor=g_floor) for dt in delta_ts]
     results, failures = [], []
     for i, scene in enumerate(scenes):
-        scene_id, stack = scene if isinstance(scene, tuple) else (f"scene_{i}", scene)
+        scene_id, channels = scene if isinstance(scene, tuple) else (f"scene_{i}", scene)
         try:
-            encoded = _encode_scene(vae, regressor, stack)
+            encoded = _encode_scene(vae, regressor, channels)
         except NumericError as exc:
             failures += [(scene_id, float(p.delta_t), exc.kind, str(exc)) for p in perturbations]
             continue

@@ -16,10 +16,10 @@ import numpy as np
 from . import analysis, autogeolabel, perturb, rasterizer, regressor, report, synthcity, vae
 from .autodiff import Tensor, check_gradient
 from .config import RunConfig
-from .errors import ParseError, UsageError, ValidationError
+from .errors import FormatError, ParseError, UsageError, ValidationError
 from .io import (CF_FAILURES, CF_INDEX, FRACTIONS, layout_arrays, load_model, read_manifest,
                  read_table, save_model, write_table, write_text)
-from .rasterizer import NormStats, RasterStack, load_stack
+from .rasterizer import N_CHANNELS, NormStats, load_stack
 
 MODEL_DIR = "models"
 CORPUS_DIR = "corpus"
@@ -37,20 +37,31 @@ def run_synth(cfg: RunConfig, out_dir: str) -> synthcity.CorpusResult:
     )
 
 
-def load_split(out_dir: str, which: str):
-    """Read one split manifest; returns (ids, stacks, temps)."""
+def load_split(out_dir: str, which: str, n=None):
+    """The first n scenes (all by default) of one split manifest: (ids,
+    channels, temps), the channels one (N, 13, H, W) array. A stack whose
+    grid is not the first stack's is a FormatError naming its file."""
     corpus_dir = os.path.join(out_dir, CORPUS_DIR)
-    entries = read_manifest(os.path.join(corpus_dir, f"{which}.csv")).entries
-    stacks = [load_stack(os.path.join(corpus_dir, rpath)) for _, rpath, _ in entries]
-    return [sid for sid, _, _ in entries], stacks, np.array([t for _, _, t in entries])
+    entries = read_manifest(os.path.join(corpus_dir, f"{which}.csv")).entries[:n]
+    channels = np.empty((0, N_CHANNELS, 0, 0))
+    for i, (_, rpath, _) in enumerate(entries):
+        path = os.path.join(corpus_dir, rpath)
+        scene = load_stack(path).channels
+        if i == 0:
+            channels = np.empty((len(entries), *scene.shape))
+        elif scene.shape != channels.shape[1:]:
+            raise FormatError(f"{path}: grid {scene.shape[1:]} is not the split's "
+                              f"{channels.shape[2:]}")
+        channels[i] = scene
+    return [sid for sid, _, _ in entries], channels, np.array([t for _, _, t in entries])
 
 
 def run_train_vae(cfg: RunConfig, out_dir: str):
     """Compute norm stats on the training split, train, persist both."""
-    _, train_stacks, _ = load_split(out_dir, "train")
-    norm = rasterizer.compute_norm_stats(train_stacks)
-    normalized = [rasterizer.normalize(s, norm) for s in train_stacks]
-    model, history = vae.train_vae(normalized, cfg.vae_config())
+    _, channels, _ = load_split(out_dir, "train")
+    norm = rasterizer.compute_norm_stats(channels)
+    channels = rasterizer.normalize(channels, norm)  # only this copy is alive while training
+    model, history = vae.train_vae(channels, cfg.vae_config())
     save_model(rasterizer.norm_stats_tensors(norm), os.path.join(out_dir, MODEL_DIR, "norm.lczm"))
     save_model(vae.vae_tensors(model), os.path.join(out_dir, MODEL_DIR, "vae.lczm"))
     vcfg = cfg.vae_config()
@@ -74,24 +85,22 @@ def load_models(out_dir: str, *names) -> list:
 def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
     if vae_model is None or norm is None:
         vae_model, norm = load_models(out_dir, "vae", "norm")
-    _, train_stacks, train_temps = load_split(out_dir, "train")
-    codes = np.stack([
-        vae.encode_mean(vae_model, rasterizer.normalize(s, norm)) for s in train_stacks
-    ])
+    _, channels, train_temps = load_split(out_dir, "train")
+    # One scene at a time: a batched encode may round differently.
+    codes = np.stack([vae.encode_mean(vae_model, s)
+                      for s in rasterizer.normalize(channels, norm)])
     model, err_report = regressor.train_regressor(codes, train_temps, cfg.reg_config())
     save_model(regressor.regressor_tensors(model), os.path.join(out_dir, MODEL_DIR, "reg.lczm"))
     return model, err_report
 
 
 def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_model=None):
-    """Sweep the held-out scenes; persist counterfactual tensors, index and
-    failures."""
+    """Sweep the first perturb.n_scenes held-out scenes; persist
+    counterfactual tensors, index and failures."""
     if vae_model is None:
         vae_model, norm, reg_model = load_models(out_dir, "vae", "norm", "reg")
-    test_ids, test_stacks, _ = load_split(out_dir, "test")
-    n_use = min(cfg["perturb.n_scenes"], len(test_ids))
-    scenes = [(sid, rasterizer.normalize(stack, norm))
-              for sid, stack in zip(test_ids[:n_use], test_stacks[:n_use])]
+    test_ids, channels, _ = load_split(out_dir, "test", cfg["perturb.n_scenes"])
+    scenes = list(zip(test_ids, rasterizer.normalize(channels, norm)))
     result = perturb.batch_perturb(vae_model, reg_model, scenes, cfg.dt_sweep(),
                                    g_floor=cfg["perturb.g_floor"], steps=cfg["perturb.steps"])
     _write_batch(result, out_dir)
@@ -122,30 +131,18 @@ def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
 
 def records_from_batch(batch: perturb.BatchResult, norm: NormStats, rules) -> list:
     """Segment de-normalized counterfactuals into ExperimentRecords."""
+    def fraction(channels):
+        seg = autogeolabel.segment(rasterizer.denormalize(channels, norm), rules)
+        return autogeolabel.vegetation_fraction(seg)
+
     baselines = {}
     for cf in batch.scenes:
         if cf.scene_id not in baselines:
-            rec_stack = _stack_like(cf.reconstruction, norm)
-            baselines[cf.scene_id] = autogeolabel.vegetation_fraction(
-                autogeolabel.segment(rec_stack, rules)
-            )
-    records = []
-    for cf in batch.scenes:
-        cf_stack = _stack_like(cf.counterfactual, norm)
-        v_prime = autogeolabel.vegetation_fraction(autogeolabel.segment(cf_stack, rules))
-        records.append(report.ExperimentRecord(
-            scene_id=cf.scene_id, delta_t=cf.requested_dt,
-            achieved_dt=cf.achieved_dt, v_prime=v_prime,
-            v_baseline=baselines[cf.scene_id],
-        ))
-    return records
-
-
-def _stack_like(channels: np.ndarray, norm: NormStats) -> RasterStack:
-    c, h, w = channels.shape
-    spec = rasterizer.GridSpec(0.0, 0.0, 1.0, w, h)
-    raw = rasterizer.denormalize_array(channels, norm)
-    return RasterStack(spec, raw)
+            baselines[cf.scene_id] = fraction(cf.reconstruction)
+    return [report.ExperimentRecord(
+                scene_id=cf.scene_id, delta_t=cf.requested_dt, achieved_dt=cf.achieved_dt,
+                v_prime=fraction(cf.counterfactual), v_baseline=baselines[cf.scene_id])
+            for cf in batch.scenes]
 
 
 def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:

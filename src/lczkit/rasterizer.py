@@ -9,7 +9,7 @@ proxy) so the empty-cell fill value 0 reads as "at ground level".
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,26 +151,30 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
     return RasterStack(spec, channels, n_outside=n_outside)
 
 
-def compute_norm_stats(stacks) -> NormStats:
-    """Per-channel mean/std over all cells of all stacks (population std)."""
-    stacks = list(stacks)
-    if not stacks:
-        raise UsageError("compute_norm_stats needs at least one stack")
-    flat = np.concatenate([s.channels.reshape(N_CHANNELS, -1) for s in stacks], axis=1)
+def compute_norm_stats(channels) -> NormStats:
+    """Per-channel mean/std over every cell of an (N, 13, H, W) split
+    (population std)."""
+    channels = np.asarray(channels, dtype=float)
+    if channels.ndim != 4 or channels.shape[1] != N_CHANNELS or not len(channels):
+        raise UsageError(f"compute_norm_stats needs an (N >= 1, {N_CHANNELS}, H, W) array, "
+                         f"got shape {channels.shape}")
+    # One contiguous row of N*H*W cells per channel, reduced along the row:
+    # mean(axis=(0, 2, 3)) sums in another order and gives other bits.
+    flat = channels.transpose(1, 0, 2, 3).reshape(N_CHANNELS, -1)
     mean = flat.mean(axis=1)
     std = np.maximum(flat.std(axis=1), STD_FLOOR)
     return NormStats(mean, std)
 
 
-def normalize(stack: RasterStack, stats: NormStats) -> RasterStack:
-    if len(stats.mean) != stack.channels.shape[0]:
+def normalize(channels: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Scale (..., C, H, W) channels to zero mean and unit std per channel."""
+    if channels.ndim < 3 or channels.shape[-3] != len(stats.mean):
         raise UsageError("norm stats channel count mismatch")
-    scaled = (stack.channels - stats.mean[:, None, None]) / stats.std[:, None, None]
-    return RasterStack(stack.spec, scaled, stack.n_outside)
+    return (channels - stats.mean[:, None, None]) / stats.std[:, None, None]
 
 
-def denormalize_array(channels: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Denormalize a bare (C, H, W) array, e.g. a decoder output."""
+def denormalize(channels: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Inverse of normalize, e.g. of a decoder output."""
     return channels * stats.std[:, None, None] + stats.mean[:, None, None]
 
 

@@ -36,7 +36,6 @@ class ReportBundle:
     decision: HypothesisDecision
     figure_csv: str
     summary: str
-    n_records: int
     n_excluded: int        # (scene, delta_t) pairs that failed in perturb, any kind
 
 
@@ -85,5 +84,4 @@ def build_report(records, alpha: float = 0.05, n_excluded: int = 0) -> ReportBun
         decision.summary(),
     ]
     summary = "\n".join(lines)
-    return ReportBundle(aggregated, fit, decision, figure_csv, summary,
-                        n_records=len(records), n_excluded=n_excluded)
+    return ReportBundle(aggregated, fit, decision, figure_csv, summary, n_excluded)

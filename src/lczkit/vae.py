@@ -1,4 +1,4 @@
-"""Stage 1: variational autoencoder compressing raster stacks to latent codes.
+"""Stage 1: variational autoencoder compressing (C, H, W) rasters to latent codes.
 
 Two interchangeable architectures: "mlp" (flatten, two hidden layers) for
 desk-scale grids, and "patch" (two strided patchwise-affine layers, then a
@@ -16,7 +16,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DivergenceError, FormatError, NumericError, UsageError
 from .io import layout_arrays, read_meta
-from .rasterizer import RasterStack
 
 
 @dataclass
@@ -167,18 +166,13 @@ def decode_graph(model: VaeModel, code: Tensor) -> Tensor:
     return _unpatchify(up1, b, h // p1, w // p1, p1, c, channels_first=True)
 
 
-def _as_batch_array(s) -> np.ndarray:
-    if isinstance(s, RasterStack):
-        s = s.channels
-    arr = np.asarray(s, dtype=float)
-    if arr.ndim == 3:
+def encode(model: VaeModel, channels):
+    """Encode one normalized (C, H, W) scene, or a (B, C, H, W) batch;
+    returns (mu, logvar) as n-vectors, or as (B, n) arrays."""
+    arr = np.asarray(channels, dtype=float)
+    single = arr.ndim == 3
+    if single:
         arr = arr[None]
-    return arr
-
-
-def encode(model: VaeModel, s):
-    """Encode one normalized stack; returns (mu, logvar) as n-vectors."""
-    arr = _as_batch_array(s)
     if arr.shape[1:] != model.input_shape:
         raise UsageError(f"encode: expected shape {model.input_shape}, got {arr.shape[1:]}")
     if not np.all(np.isfinite(arr)):  # relu would map NaN to 0 and hide it
@@ -186,13 +180,13 @@ def encode(model: VaeModel, s):
     mu, logvar = encode_graph(model, Tensor(arr))
     if not (np.all(np.isfinite(mu.value)) and np.all(np.isfinite(logvar.value))):
         raise DivergenceError("encoder produced non-finite outputs")
-    if arr.shape[0] == 1:
+    if single:
         return mu.value[0].copy(), logvar.value[0].copy()
     return mu.value.copy(), logvar.value.copy()
 
 
-def encode_mean(model: VaeModel, s) -> np.ndarray:
-    return encode(model, s)[0]
+def encode_mean(model: VaeModel, channels) -> np.ndarray:
+    return encode(model, channels)[0]
 
 
 def reparameterize(mu: Tensor, logvar: Tensor, epsilon: Tensor) -> Tensor:
@@ -201,7 +195,8 @@ def reparameterize(mu: Tensor, logvar: Tensor, epsilon: Tensor) -> Tensor:
 
 
 def decode(model: VaeModel, code) -> np.ndarray:
-    """Decode a latent n-vector (or (B, n) batch) to stack-shaped output."""
+    """Decode a latent n-vector to a (C, H, W) scene, or a (B, n) batch to
+    (B, C, H, W)."""
     arr = np.asarray(code, dtype=float)
     single = arr.ndim == 1
     if single:
@@ -234,14 +229,15 @@ def elbo_loss(s, s_hat, mu, logvar, lam) -> Tensor:
 
 
 def train_vae(corpus, config: VaeConfig):
-    """Train on a corpus of normalized stacks; returns (model, loss_history).
+    """Train on a normalized (N, C, H, W) corpus; returns (model, loss_history).
 
     Seed-deterministic: initialization, shuffling, and reparameterization
     noise all derive from config.seed.
     """
-    data = np.stack([_as_batch_array(s)[0] for s in corpus]) if len(corpus) else None
-    if data is None or data.shape[0] == 0:
-        raise UsageError("train_vae: empty corpus")
+    data = np.asarray(corpus, dtype=float)
+    if data.ndim != 4 or not len(data):
+        raise UsageError(f"train_vae: needs a non-empty (N, C, H, W) corpus, "
+                         f"got shape {data.shape}")
     n_samples = data.shape[0]
     rng = np.random.default_rng(config.seed)
     model = init_vae(data.shape[1:], config, rng)

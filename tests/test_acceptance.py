@@ -218,7 +218,7 @@ def test_criterion_06_labeling_calibration():
                              building_density=0.008 * rng.uniform(0.3, 1.0))
         truth = generate_scene(params, i)
         stack = rasterize(truth.cloud, params.grid)
-        v_est = vegetation_fraction(segment(stack, rules))
+        v_est = vegetation_fraction(segment(stack.channels, rules))
         err = abs(v_est - truth.true_veg_fraction)
         errs.append(err)
         hits += err <= 0.1

@@ -14,7 +14,7 @@ from lczkit.autogeolabel import (
     vegetation_fraction,
 )
 from lczkit.errors import UsageError
-from lczkit.rasterizer import CHANNEL_NAMES, GridSpec, RasterStack
+from lczkit.rasterizer import CHANNEL_NAMES
 
 RULES = LabelRules()
 
@@ -23,7 +23,7 @@ def _stack(h=2, w=2, **named_channels):
     channels = np.zeros((len(CHANNEL_NAMES), h, w))
     for name, grid in named_channels.items():
         channels[CHANNEL_NAMES.index(name)] = grid
-    return RasterStack(GridSpec(0, 0, 1.0, w, h), channels)
+    return channels
 
 
 def test_rough_multireturn_cell_is_vegetation():

@@ -385,3 +385,17 @@ def test_corrupt_artifact_exits_two_naming_the_file(tmp_path, labeled_run, capsy
     assert "Traceback" not in err
     named = "norm.lczm" if case == "index_path_to_a_non_cf_file" else path.name
     assert named in err, err
+
+
+def test_a_split_stack_on_another_grid_exits_two_naming_it(tmp_path, labeled_run, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(labeled_run, out)
+    second = out / "corpus" / read_manifest(out / "corpus" / "test.csv").entries[1][1]
+    stack = load_stack(second)
+    small = dataclasses.replace(stack.spec, width=8, height=8)
+    save_stack(dataclasses.replace(stack, spec=small, channels=stack.channels[:, :8, :8]), second)
+    capsys.readouterr()
+    assert main(["perturb", "--seed", "6", "--out", str(out), "--perturb.n_scenes=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert second.name in err, err

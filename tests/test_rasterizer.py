@@ -10,7 +10,7 @@ from lczkit.rasterizer import (
     GridSpec,
     NormStats,
     compute_norm_stats,
-    denormalize_array,
+    denormalize,
     load_stack,
     norm_stats_from_tensors,
     norm_stats_tensors,
@@ -107,16 +107,10 @@ def test_stack_invariants(cloud):
     assert np.all(np.isfinite(stack.channels))
 
 
-def _raw_stack(channels):
-    from lczkit.rasterizer import RasterStack
-
-    return RasterStack(GridSpec(0, 0, 1.0, 2, 2), channels)
-
-
 def test_norm_stats_constant_channel_clamped():
     channels = np.zeros((len(CHANNEL_NAMES), 2, 2))
     channels[0] = 5.0
-    stats = compute_norm_stats([_raw_stack(channels)])
+    stats = compute_norm_stats(channels[None])
     assert stats.mean[0] == 5.0
     assert stats.std[0] == 1e-6
 
@@ -124,17 +118,17 @@ def test_norm_stats_constant_channel_clamped():
 def test_norm_stats_hand_computation():
     channels = np.zeros((len(CHANNEL_NAMES), 2, 2))
     channels[0] = [[0.0, 2.0], [0.0, 2.0]]
-    stats = compute_norm_stats([_raw_stack(channels)])
+    stats = compute_norm_stats(channels[None])
     assert stats.mean[0] == 1.0
     assert stats.std[0] == 1.0
 
 
 def test_norm_stats_matches_two_pass_oracle():
     rng = np.random.default_rng(3)
-    stacks = [_raw_stack(rng.standard_normal((len(CHANNEL_NAMES), 2, 2)) * 10) for _ in range(5)]
+    stacks = np.stack([rng.standard_normal((len(CHANNEL_NAMES), 2, 2)) * 10 for _ in range(5)])
     stats = compute_norm_stats(stacks)
     for ci in range(len(CHANNEL_NAMES)):
-        cells = [float(v) for s in stacks for v in s.channels[ci].ravel()]
+        cells = [float(v) for s in stacks for v in s[ci].ravel()]
         mean = sum(cells) / len(cells)
         var = sum((v - mean) ** 2 for v in cells) / len(cells)
         assert stats.mean[ci] == pytest.approx(mean, rel=1e-12)
@@ -147,8 +141,8 @@ def test_norm_stats_empty_collection():
 
 
 def test_norm_stats_tensors_round_trip_and_malformed_rejected():
-    stats = compute_norm_stats([_raw_stack(np.random.default_rng(4).standard_normal(
-        (len(CHANNEL_NAMES), 2, 2)))])
+    stats = compute_norm_stats(np.random.default_rng(4).standard_normal(
+        (1, len(CHANNEL_NAMES), 2, 2)))
     tensors = norm_stats_tensors(stats)
     back = norm_stats_from_tensors(tensors)
     assert np.array_equal(back.mean, stats.mean) and np.array_equal(back.std, stats.std)
@@ -159,21 +153,20 @@ def test_norm_stats_tensors_round_trip_and_malformed_rejected():
 
 def test_normalize_examples_and_round_trip():
     rng = np.random.default_rng(5)
-    stack = _raw_stack(rng.standard_normal((len(CHANNEL_NAMES), 2, 2)))
-    stats = compute_norm_stats([stack])
+    stack = rng.standard_normal((len(CHANNEL_NAMES), 2, 2))
+    stats = compute_norm_stats(stack[None])
     normed = normalize(stack, stats)
     # value == mean -> 0; mean + std -> 1
-    probe = _raw_stack(np.broadcast_to(stats.mean[:, None, None], stack.channels.shape).copy())
-    assert np.allclose(normalize(probe, stats).channels, 0.0)
-    probe2 = _raw_stack(np.broadcast_to((stats.mean + stats.std)[:, None, None],
-                                        stack.channels.shape).copy())
-    assert np.allclose(normalize(probe2, stats).channels, 1.0)
-    back = denormalize_array(normed.channels, stats)
-    assert np.allclose(back, stack.channels, rtol=1e-6, atol=1e-12)
+    probe = np.broadcast_to(stats.mean[:, None, None], stack.shape).copy()
+    assert np.allclose(normalize(probe, stats), 0.0)
+    probe2 = np.broadcast_to((stats.mean + stats.std)[:, None, None], stack.shape).copy()
+    assert np.allclose(normalize(probe2, stats), 1.0)
+    back = denormalize(normed, stats)
+    assert np.allclose(back, stack, rtol=1e-6, atol=1e-12)
 
 
 def test_normalize_channel_count_mismatch():
-    stack = _raw_stack(np.zeros((len(CHANNEL_NAMES), 2, 2)))
+    stack = np.zeros((len(CHANNEL_NAMES), 2, 2))
     with pytest.raises(UsageError):
         normalize(stack, NormStats(np.zeros(3), np.ones(3)))
 

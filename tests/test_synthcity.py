@@ -150,5 +150,5 @@ def test_rasterized_scene_matches_truth_fraction():
     params = SceneParams(seed=13, tree_density=0.04)
     truth = generate_scene(params, 3)
     stack = rasterize(truth.cloud, params.grid)
-    v_est = vegetation_fraction(segment(stack, LabelRules()))
+    v_est = vegetation_fraction(segment(stack.channels, LabelRules()))
     assert abs(v_est - truth.true_veg_fraction) <= 0.15
