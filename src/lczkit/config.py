@@ -81,7 +81,11 @@ class RunConfig:
             if key not in DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
             self.values[key] = val
-        self.dt_sweep()  # a sweep that cannot be analyzed is refused before any stage runs
+        # a setting no stage can run with is refused before any stage runs
+        self.dt_sweep()
+        for key in ("perturb.n_scenes", "perturb.steps"):
+            if not self[key] >= 1:
+                raise UsageError(f"bad {key} {self[key]!r}: must be at least 1")
 
     @classmethod
     def from_file(cls, path=None, overrides=None) -> "RunConfig":

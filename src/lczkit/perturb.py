@@ -8,6 +8,11 @@ stepped code, to what is still missing of delta_t; a repetition is kept only
 if it brings the regressor's change closer to the request, and a flat
 gradient ends the walk with what was achieved. One step is the closed form.
 Note this is NOT a function inverse of the regressor.
+
+A scene costs one encode and one decode call: its code and every stepped
+code of the sweep are decoded as one (K + 1, n) batch, row 0 being the
+reconstruction. A row decodes to the same bits in any batch of two or more
+rows, so a lone pair decodes [code, code + step] the same way.
 """
 
 from __future__ import annotations
@@ -55,17 +60,6 @@ class BatchResult:
     failures: list = field(default_factory=list)  # (scene_id, delta_t, kind, message)
 
 
-@dataclass
-class _EncodedScene:
-    """The work every delta_t of one scene shares, done once."""
-
-    original: np.ndarray
-    code: np.ndarray
-    t0: float
-    reconstruction: np.ndarray
-    g: np.ndarray                 # dR/dc at code
-
-
 def delta_c(g, delta_t, g_floor=DEFAULT_G_FLOOR) -> np.ndarray:
     """Gradient-parallel latent step: (delta_t / ||g||^2) * g."""
     g = np.asarray(g, dtype=float)
@@ -77,22 +71,11 @@ def delta_c(g, delta_t, g_floor=DEFAULT_G_FLOOR) -> np.ndarray:
     return (float(delta_t) / (norm * norm)) * g
 
 
-def _encode_scene(vae, regressor, channels) -> _EncodedScene:
-    original = np.array(channels, dtype=float)  # a copy the caller cannot change
-    code = vae_mod.encode_mean(vae, original)
-    t0 = reg.predict(regressor, code)
-    reconstruction = vae_mod.decode(vae, code)
-    if not np.all(np.isfinite(reconstruction)):
-        raise NumericError("decoded reconstruction is non-finite")
-    g = reg.grad_wrt_code(regressor, code)
-    return _EncodedScene(original, code, t0, reconstruction, g)
-
-
-def _step(vae, regressor, scene: _EncodedScene, perturbation: Perturbation) -> CounterfactualScene:
-    """Step the scene's latent code for the requested delta_t and decode;
-    a degenerate gradient at the scene's code fails the pair."""
-    code, t0, dt = scene.code, scene.t0, perturbation.delta_t
-    step = delta_c(scene.g, dt, perturbation.g_floor)
+def _walk(regressor, code, t0, g, perturbation: Perturbation):
+    """The latent step for one delta_t and the change R(c + step) - R(c) it
+    achieves; a degenerate gradient at the scene's code fails the pair."""
+    dt = perturbation.delta_t
+    step = delta_c(g, dt, perturbation.g_floor)
     achieved = reg.predict(regressor, code + step) - t0
     for _ in range(perturbation.steps - 1):
         try:
@@ -104,31 +87,66 @@ def _step(vae, regressor, scene: _EncodedScene, perturbation: Perturbation) -> C
         if not abs(dt - reached) < abs(dt - achieved):
             break  # a step is taken only if it helps
         step, achieved = candidate, reached
+    return step, achieved
 
-    counterfactual = vae_mod.decode(vae, code + step)
-    if not np.all(np.isfinite(counterfactual)):
-        raise NumericError("decoded counterfactual is non-finite")
-    return CounterfactualScene(
-        original=scene.original,
-        reconstruction=scene.reconstruction,
-        counterfactual=counterfactual,
-        delta_c=step,
-        achieved_dt=float(achieved),
-        requested_dt=float(dt),
-    )
+
+def _sweep_scene(vae, regressor, channels, perturbations, scene_id="") -> list:
+    """One scene through every perturbation: encode, predict and
+    differentiate once, walk each delta_t, then decode the code and every
+    stepped code in one batch, row 0 being the reconstruction. Returns one
+    CounterfactualScene or NumericError per perturbation; a failure of the
+    shared work, a non-finite reconstruction included, is raised."""
+    original = np.array(channels, dtype=float)  # a copy the caller cannot change
+    code = vae_mod.encode_mean(vae, original)
+    t0 = reg.predict(regressor, code)
+    try:
+        g = reg.grad_wrt_code(regressor, code)
+    except NumericError as exc:  # fails every pair, unless the reconstruction does first
+        outcomes = [exc] * len(perturbations)
+    else:
+        outcomes = []
+        for pert in perturbations:
+            try:
+                outcomes.append(_walk(regressor, code, t0, g, pert))
+            except NumericError as exc:
+                outcomes.append(exc)
+    walked = [o for o in outcomes if not isinstance(o, NumericError)]
+    decoded = iter(vae_mod.decode(vae, np.stack([code] + [code + step for step, _ in walked])))
+    reconstruction = next(decoded)
+    if not np.all(np.isfinite(reconstruction)):
+        raise NumericError("decoded reconstruction is non-finite")
+    results = []
+    for pert, outcome in zip(perturbations, outcomes):
+        if not isinstance(outcome, NumericError):
+            counterfactual = next(decoded)
+            if not np.all(np.isfinite(counterfactual)):
+                outcome = NumericError("decoded counterfactual is non-finite")
+            else:
+                outcome = CounterfactualScene(
+                    original=original, reconstruction=reconstruction,
+                    counterfactual=counterfactual, delta_c=outcome[0],
+                    achieved_dt=float(outcome[1]), requested_dt=float(pert.delta_t),
+                    scene_id=scene_id)
+        results.append(outcome)
+    return results
 
 
 def perturb_scene(vae, regressor, channels, perturbation: Perturbation) -> CounterfactualScene:
     """Encode a normalized (C, H, W) scene, step its latent code for the
-    requested delta_t, decode."""
-    return _step(vae, regressor, _encode_scene(vae, regressor, channels), perturbation)
+    requested delta_t and decode code and stepped code as one batch; a
+    NumericError is raised, not recorded."""
+    [outcome] = _sweep_scene(vae, regressor, channels, [perturbation])
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return outcome
 
 
 def batch_perturb(vae, regressor, scenes, delta_ts, g_floor=DEFAULT_G_FLOOR,
                   steps=1) -> BatchResult:
     """All scenes x all delta_t values. A scene is a normalized (C, H, W)
-    array or a (scene_id, array) pair. Each scene is encoded, predicted,
-    reconstructed and differentiated once, then stepped per delta_t.
+    array or a (scene_id, array) pair. Each scene is encoded, predicted and
+    differentiated once and stepped per delta_t; its reconstruction and
+    all its counterfactuals are decoded in one call.
 
     A NumericError fails only the pairs it reaches (all of a scene's pairs
     if it comes from the shared per-scene work) and is recorded as
@@ -143,18 +161,14 @@ def batch_perturb(vae, regressor, scenes, delta_ts, g_floor=DEFAULT_G_FLOOR,
     for i, scene in enumerate(scenes):
         scene_id, channels = scene if isinstance(scene, tuple) else (f"scene_{i}", scene)
         try:
-            encoded = _encode_scene(vae, regressor, channels)
+            outcomes = _sweep_scene(vae, regressor, channels, perturbations, scene_id)
         except NumericError as exc:
-            failures += [(scene_id, float(p.delta_t), exc.kind, str(exc)) for p in perturbations]
-            continue
-        for pert in perturbations:
-            try:
-                cf = _step(vae, regressor, encoded, pert)
-            except NumericError as exc:
-                failures.append((scene_id, float(pert.delta_t), exc.kind, str(exc)))
-                continue
-            cf.scene_id = scene_id
-            results.append(cf)
+            outcomes = [exc] * len(perturbations)
+        for pert, outcome in zip(perturbations, outcomes):
+            if isinstance(outcome, NumericError):
+                failures.append((scene_id, float(pert.delta_t), outcome.kind, str(outcome)))
+            else:
+                results.append(outcome)
     if failures and not results:
         raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
                         f"first: {failures[0][2]}: {failures[0][3]}")

@@ -151,7 +151,8 @@ def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
         batch = _load_batch(out_dir)
     records = records_from_batch(batch, norm, cfg.label_rules())
     write_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS,
-                map(dataclasses.astuple, records))
+                [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime, r.v_baseline)
+                 for r in records])
     return records
 
 

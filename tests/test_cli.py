@@ -137,6 +137,17 @@ def test_pipeline_refuses_an_unusable_sweep_before_any_stage(tmp_path, small_con
     assert "perturb.dt_sweep" in err and not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--perturb.n_scenes=-2", "--perturb.n_scenes=0",
+                                  "--perturb.steps=0"])
+def test_pipeline_refuses_a_perturb_count_below_one_before_any_stage(
+        flag, tmp_path, small_config, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", small_config, "--out", str(out), flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1, err
+    assert flag[2:flag.index("=")] in err and not out.exists()
+
+
 # --- subcommands ------------------------------------------------------------
 
 def test_check_exits_zero(tmp_path, capsys):

@@ -215,16 +215,19 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
     rng = np.random.default_rng(24)
     scenes = [(f"s{i}", rng.standard_normal(SHAPE)) for i in range(3)]
     sweep = [0.0, 0.5, -1.0, 3.0]
-    encodes = []
-    encode_mean = vae_mod.encode_mean
+    calls = []
 
-    def counted(*args, **kwargs):
-        encodes.append(1)
-        return encode_mean(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(vae_mod, "encode_mean", counted)
+    monkeypatch.setattr(vae_mod, "encode_mean", counted(vae_mod.encode_mean))
+    monkeypatch.setattr(vae_mod, "decode", counted(vae_mod.decode))
     result = batch_perturb(vae, reg, scenes, sweep, steps=steps)
-    assert len(encodes) == len(scenes)
+    assert calls.count("encode_mean") == len(scenes)
+    assert calls.count("decode") == len(scenes)
     assert len(result.scenes) == len(scenes) * len(sweep) and not result.failures
     pairs = [(sid, s, dt) for sid, s in scenes for dt in sweep]
     for cf, (sid, s, dt) in zip(result.scenes, pairs):
@@ -262,9 +265,10 @@ def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
     rng = np.random.default_rng(28)
     decode = vae_mod.decode
 
-    def decode_inf_far_out(model, code):  # poison only large latent steps
+    def decode_inf_far_out(model, code):  # poison only the rows of large latent steps
         out = decode(model, code)
-        return out if np.linalg.norm(code) < 1e3 else np.full_like(out, np.inf)
+        out[np.linalg.norm(code, axis=-1) >= 1e3] = np.inf
+        return out
 
     monkeypatch.setattr(vae_mod, "decode", decode_inf_far_out)
     result = batch_perturb(vae, reg, [("s", rng.standard_normal(SHAPE))], [0.0, 1e9])
@@ -272,6 +276,34 @@ def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
     [(sid, dt, kind, message)] = result.failures
     assert (sid, dt, kind) == ("s", 1e9, "non_finite")
     assert "counterfactual" in message
+
+
+# Perturbs three scenes over the default sweep with the default model shapes
+# (13 x 16 x 16 input, latent 32), whose batched decodes are large enough for
+# OpenBLAS to split across threads, and prints the pair count and a digest of
+# every reconstruction, counterfactual, latent step and achieved delta_t.
+_THREADED_PERTURB = """
+import hashlib
+import numpy as np
+from lczkit.perturb import batch_perturb
+from lczkit.regressor import RegConfig, init_regressor
+from lczkit.vae import VaeConfig, init_vae
+rng = np.random.default_rng(0)
+vae = init_vae((13, 16, 16), VaeConfig(), rng)
+reg = init_regressor(32, RegConfig(activation="tanh"), rng)
+scenes = list(rng.standard_normal((3, 13, 16, 16)))
+result = batch_perturb(vae, reg, scenes, [0, 1, 3, 5, 10, -1, -3, -5, -10], steps=3)
+digest = hashlib.sha256()
+for cf in result.scenes:
+    for part in (cf.reconstruction, cf.counterfactual, cf.delta_c, np.float64(cf.achieved_dt)):
+        digest.update(part.tobytes())
+print(len(result.scenes), digest.hexdigest())
+"""
+
+
+def test_batch_perturb_blas_thread_invariant(run_under_blas_threads):
+    out1, out2 = run_under_blas_threads(_THREADED_PERTURB)
+    assert out1 == out2 and out1[0] == "27"
 
 
 def test_batch_empty_scene_list():
