@@ -49,10 +49,10 @@ def build_scenes(n_scenes, seed):
 def score(scenes, rules):
     frac_errs, veg_cell_acc, bld_cell_acc = [], [], []
     for stack, truth in scenes:
-        seg = segment(stack.channels, rules)
-        frac_errs.append(abs(vegetation_fraction(seg) - truth.true_veg_fraction))
-        veg_cell_acc.append(np.mean((seg.labels == VEGETATION) == truth.veg_mask))
-        bld_cell_acc.append(np.mean((seg.labels == BUILDING) == truth.bld_mask))
+        labels = segment(stack.channels, rules)
+        frac_errs.append(abs(vegetation_fraction(labels) - truth.true_veg_fraction))
+        veg_cell_acc.append(np.mean((labels == VEGETATION) == truth.veg_mask))
+        bld_cell_acc.append(np.mean((labels == BUILDING) == truth.bld_mask))
     frac_errs = np.array(frac_errs)
     return {
         "mean_frac_err": float(frac_errs.mean()),

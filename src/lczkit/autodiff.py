@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation on dense float64 tensors.
 
 Op vocabulary: elementwise add/sub/mul, scalar scale/shift, matmul, affine
-(matmul plus row-broadcast bias), relu, tanh, exp, log, square, abs,
+(matmul plus row-broadcast bias), relu, tanh, exp, square, abs,
 mean/sum reductions, reshape/transpose, and stop_gradient for freezing.
 No general broadcasting: elementwise ops require equal shapes, the only
 broadcast is the bias row in `affine`.
@@ -133,12 +133,6 @@ def exp(a: Tensor) -> Tensor:
     return _node(e, "exp", (a,), (lambda g: g * e,))
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.value <= 0):
-        raise NumericError("log: non-positive input")
-    return _node(np.log(a.value), "log", (a,), (lambda g: g / a.value,))
-
-
 def square(a: Tensor) -> Tensor:
     return _node(a.value * a.value, "square", (a,), (lambda g: g * 2.0 * a.value,))
 
@@ -154,13 +148,6 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     n = a.value.size
     return _node(a.value.mean(), "mean", (a,), (lambda g: np.broadcast_to(g / n, a.shape).copy(),))
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    def vjp(g):
-        return np.repeat(np.expand_dims(g, axis), a.shape[axis], axis=axis)
-
-    return _node(a.value.sum(axis=axis), "sum_axis", (a,), (vjp,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -35,13 +35,9 @@ class LabelRules:
             raise UsageError("bld_zstd_max must be < veg_zstd_min (disjointness guard)")
 
 
-@dataclass
-class SegmentationMap:
-    labels: np.ndarray  # (H, W) of {BACKGROUND, BUILDING, VEGETATION}
-
-
-def segment(channels: np.ndarray, rules: LabelRules) -> SegmentationMap:
-    """Label each cell of a de-normalized (13, H, W) scene."""
+def segment(channels: np.ndarray, rules: LabelRules) -> np.ndarray:
+    """Label each cell of a de-normalized (13, H, W) scene: an (H, W) uint8
+    array of BACKGROUND, BUILDING and VEGETATION."""
     if channels.ndim != 3 or len(channels) != N_CHANNELS:
         raise UsageError(f"segment needs a ({N_CHANNELS}, H, W) array, got shape {channels.shape}")
     z_std = channels[CHANNEL_NAMES.index("z_std")]
@@ -52,11 +48,12 @@ def segment(channels: np.ndarray, rules: LabelRules) -> SegmentationMap:
     labels = np.full(z_std.shape, BACKGROUND, dtype=np.uint8)
     labels[bld] = BUILDING
     labels[veg] = VEGETATION
-    return SegmentationMap(labels)
+    return labels
 
 
-def vegetation_fraction(seg: SegmentationMap) -> float:
-    return float(np.count_nonzero(seg.labels == VEGETATION) / seg.labels.size)
+def vegetation_fraction(labels: np.ndarray) -> float:
+    """The share of cells of an (H, W) label array that are VEGETATION."""
+    return float(np.count_nonzero(labels == VEGETATION) / labels.size)
 
 
 def aggregate_fractions(tuples):

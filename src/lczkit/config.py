@@ -16,7 +16,7 @@ from .rasterizer import GridSpec
 from .regressor import RegConfig
 from .report import check_sweep
 from .synthcity import SceneParams, TemperatureLaw
-from .vae import KldSchedule, VaeConfig
+from .vae import KldSchedule, VaeConfig, VaeModel
 
 DEFAULTS = {
     "seed": 0,
@@ -81,11 +81,30 @@ class RunConfig:
             if key not in DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
             self.values[key] = val
-        # a setting no stage can run with is refused before any stage runs
+        # A setting no stage can run with is refused before any stage runs.
+        # Each typed view checks its own fields, named as the keys after
+        # their section.
+        views = (("grid", self.grid_spec), ("vae", self.vae_config), ("reg", self.reg_config),
+                 ("labels", self.label_rules), ("synth", self.scene_params),
+                 ("synth", self.temperature_law))
+        for section, view in views:
+            try:
+                view()
+            except UsageError as exc:
+                raise UsageError(f"{section}.{exc}") from None
+        tile = VaeModel.PATCH_SIZES[0] * VaeModel.PATCH_SIZES[1]
+        if self["vae.arch"] == "patch" and (self["grid.width"] % tile or self["grid.height"] % tile):
+            raise UsageError(f"bad grid.width/grid.height {self['grid.width']}x"
+                             f"{self['grid.height']}: vae.arch 'patch' needs both divisible "
+                             f"by {tile}")
         self.dt_sweep()
-        for key in ("perturb.n_scenes", "perturb.steps"):
+        for key in ("synth.n_scenes", "perturb.n_scenes", "perturb.steps"):
             if not self[key] >= 1:
                 raise UsageError(f"bad {key} {self[key]!r}: must be at least 1")
+        if not self["perturb.g_floor"] > 0:
+            raise UsageError(f"bad perturb.g_floor {self['perturb.g_floor']!r}: must be > 0")
+        if not 0 < self["analysis.alpha"] < 1:
+            raise UsageError(f"bad analysis.alpha {self['analysis.alpha']!r}: must be in (0, 1)")
 
     @classmethod
     def from_file(cls, path=None, overrides=None) -> "RunConfig":

@@ -9,10 +9,11 @@ if it brings the regressor's change closer to the request, and a flat
 gradient ends the walk with what was achieved. One step is the closed form.
 Note this is NOT a function inverse of the regressor.
 
-A scene costs one encode and one decode call: its code and every stepped
-code of the sweep are decoded as one (K + 1, n) batch, row 0 being the
-reconstruction. A row decodes to the same bits in any batch of two or more
-rows, so a lone pair decodes [code, code + step] the same way.
+batch_perturb is the one entry point: it takes the scenes as one
+(N, C, H, W) array with their ids. A scene costs one encode and one decode
+call: its code and every stepped code of the sweep are decoded as one
+(K + 1, n) batch, row 0 being the reconstruction. A row decodes to the same
+bits in any batch of two or more rows.
 """
 
 from __future__ import annotations
@@ -26,21 +27,6 @@ from . import vae as vae_mod
 from .errors import DataError, DegenerateGradientError, NumericError, UsageError
 
 DEFAULT_G_FLOOR = 1e-8
-
-
-@dataclass
-class Perturbation:
-    delta_t: float
-    steps: int = 1                 # closed-form steps at most; 1 is the closed form
-    g_floor: float = DEFAULT_G_FLOOR
-
-    def __post_init__(self):
-        if not np.isfinite(self.delta_t):
-            raise UsageError("delta_t must be finite")
-        if self.steps < 1:
-            raise UsageError("steps must be >= 1")
-        if self.g_floor <= 0:
-            raise UsageError("g_floor must be > 0")
 
 
 @dataclass
@@ -71,43 +57,41 @@ def delta_c(g, delta_t, g_floor=DEFAULT_G_FLOOR) -> np.ndarray:
     return (float(delta_t) / (norm * norm)) * g
 
 
-def _walk(regressor, code, t0, g, perturbation: Perturbation):
+def _walk(regressor, code, t0, g, dt, steps, g_floor):
     """The latent step for one delta_t and the change R(c + step) - R(c) it
     achieves; a degenerate gradient at the scene's code fails the pair."""
-    dt = perturbation.delta_t
-    step = delta_c(g, dt, perturbation.g_floor)
-    achieved = reg.predict(regressor, code + step) - t0
-    for _ in range(perturbation.steps - 1):
+    step = delta_c(g, dt, g_floor)
+    achieved = reg.predict(regressor, (code + step)[None])[0] - t0
+    for _ in range(steps - 1):
         try:
-            candidate = step + delta_c(reg.grad_wrt_code(regressor, code + step),
-                                       dt - achieved, perturbation.g_floor)
+            candidate = step + delta_c(reg.grad_wrt_code(regressor, (code + step)[None])[0],
+                                       dt - achieved, g_floor)
         except DegenerateGradientError:
             break  # flat region; keep what was achieved
-        reached = reg.predict(regressor, code + candidate) - t0
+        reached = reg.predict(regressor, (code + candidate)[None])[0] - t0
         if not abs(dt - reached) < abs(dt - achieved):
             break  # a step is taken only if it helps
         step, achieved = candidate, reached
     return step, achieved
 
 
-def _sweep_scene(vae, regressor, channels, perturbations, scene_id="") -> list:
-    """One scene through every perturbation: encode, predict and
+def _sweep_scene(vae, regressor, original, delta_ts, steps, g_floor, scene_id) -> list:
+    """One (C, H, W) scene through every delta_t: encode, predict and
     differentiate once, walk each delta_t, then decode the code and every
     stepped code in one batch, row 0 being the reconstruction. Returns one
-    CounterfactualScene or NumericError per perturbation; a failure of the
+    CounterfactualScene or NumericError per delta_t; a failure of the
     shared work, a non-finite reconstruction included, is raised."""
-    original = np.array(channels, dtype=float)  # a copy the caller cannot change
-    code = vae_mod.encode_mean(vae, original)
-    t0 = reg.predict(regressor, code)
+    code = vae_mod.encode_mean(vae, original[None])[0]
+    t0 = reg.predict(regressor, code[None])[0]
     try:
-        g = reg.grad_wrt_code(regressor, code)
+        g = reg.grad_wrt_code(regressor, code[None])[0]
     except NumericError as exc:  # fails every pair, unless the reconstruction does first
-        outcomes = [exc] * len(perturbations)
+        outcomes = [exc] * len(delta_ts)
     else:
         outcomes = []
-        for pert in perturbations:
+        for dt in delta_ts:
             try:
-                outcomes.append(_walk(regressor, code, t0, g, pert))
+                outcomes.append(_walk(regressor, code, t0, g, dt, steps, g_floor))
             except NumericError as exc:
                 outcomes.append(exc)
     walked = [o for o in outcomes if not isinstance(o, NumericError)]
@@ -116,7 +100,7 @@ def _sweep_scene(vae, regressor, channels, perturbations, scene_id="") -> list:
     if not np.all(np.isfinite(reconstruction)):
         raise NumericError("decoded reconstruction is non-finite")
     results = []
-    for pert, outcome in zip(perturbations, outcomes):
+    for dt, outcome in zip(delta_ts, outcomes):
         if not isinstance(outcome, NumericError):
             counterfactual = next(decoded)
             if not np.all(np.isfinite(counterfactual)):
@@ -125,48 +109,44 @@ def _sweep_scene(vae, regressor, channels, perturbations, scene_id="") -> list:
                 outcome = CounterfactualScene(
                     original=original, reconstruction=reconstruction,
                     counterfactual=counterfactual, delta_c=outcome[0],
-                    achieved_dt=float(outcome[1]), requested_dt=float(pert.delta_t),
-                    scene_id=scene_id)
+                    achieved_dt=float(outcome[1]), requested_dt=dt, scene_id=scene_id)
         results.append(outcome)
     return results
 
 
-def perturb_scene(vae, regressor, channels, perturbation: Perturbation) -> CounterfactualScene:
-    """Encode a normalized (C, H, W) scene, step its latent code for the
-    requested delta_t and decode code and stepped code as one batch; a
-    NumericError is raised, not recorded."""
-    [outcome] = _sweep_scene(vae, regressor, channels, [perturbation])
-    if isinstance(outcome, NumericError):
-        raise outcome
-    return outcome
-
-
-def batch_perturb(vae, regressor, scenes, delta_ts, g_floor=DEFAULT_G_FLOOR,
+def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G_FLOOR,
                   steps=1) -> BatchResult:
-    """All scenes x all delta_t values. A scene is a normalized (C, H, W)
-    array or a (scene_id, array) pair. Each scene is encoded, predicted and
-    differentiated once and stepped per delta_t; its reconstruction and
-    all its counterfactuals are decoded in one call.
+    """All scenes x all delta_t values: scenes is a normalized (N, C, H, W)
+    array and scene_ids its N ids. Each scene is encoded, predicted and
+    differentiated once and stepped per delta_t, by at most `steps`
+    closed-form steps; its reconstruction and all its counterfactuals are
+    decoded in one call.
 
     A NumericError fails only the pairs it reaches (all of a scene's pairs
     if it comes from the shared per-scene work) and is recorded as
     (scene_id, delta_t, kind, message); the batch fails only if every pair
     does.
     """
-    scenes = list(scenes)
-    if not scenes:
-        raise UsageError("batch_perturb: empty scene list")
-    perturbations = [Perturbation(dt, steps=steps, g_floor=g_floor) for dt in delta_ts]
+    scenes = np.array(scenes, dtype=float)  # originals the caller cannot change
+    if scenes.ndim != 4 or not len(scenes) or len(scene_ids) != len(scenes):
+        raise UsageError(f"batch_perturb: needs a non-empty (N, C, H, W) array and its N ids, "
+                         f"got shape {scenes.shape} and {len(scene_ids)} ids")
+    delta_ts = [float(dt) for dt in delta_ts]
+    if not np.all(np.isfinite(delta_ts)):
+        raise UsageError(f"batch_perturb: delta_t values must be finite, got {delta_ts}")
+    if steps < 1:
+        raise UsageError(f"batch_perturb: steps must be >= 1, got {steps}")
+    if not g_floor > 0:
+        raise UsageError(f"batch_perturb: g_floor must be > 0, got {g_floor}")
     results, failures = [], []
-    for i, scene in enumerate(scenes):
-        scene_id, channels = scene if isinstance(scene, tuple) else (f"scene_{i}", scene)
+    for scene_id, original in zip(scene_ids, scenes):
         try:
-            outcomes = _sweep_scene(vae, regressor, channels, perturbations, scene_id)
+            outcomes = _sweep_scene(vae, regressor, original, delta_ts, steps, g_floor, scene_id)
         except NumericError as exc:
-            outcomes = [exc] * len(perturbations)
-        for pert, outcome in zip(perturbations, outcomes):
+            outcomes = [exc] * len(delta_ts)
+        for dt, outcome in zip(delta_ts, outcomes):
             if isinstance(outcome, NumericError):
-                failures.append((scene_id, float(pert.delta_t), outcome.kind, str(outcome)))
+                failures.append((scene_id, dt, outcome.kind, str(outcome)))
             else:
                 results.append(outcome)
     if failures and not results:

@@ -87,7 +87,7 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
         vae_model, norm = load_models(out_dir, "vae", "norm")
     _, channels, train_temps = load_split(out_dir, "train")
     # One scene at a time: a batched encode may round differently.
-    codes = np.stack([vae.encode_mean(vae_model, s)
+    codes = np.stack([vae.encode_mean(vae_model, s[None])[0]
                       for s in rasterizer.normalize(channels, norm)])
     model, err_report = regressor.train_regressor(codes, train_temps, cfg.reg_config())
     save_model(regressor.regressor_tensors(model), os.path.join(out_dir, MODEL_DIR, "reg.lczm"))
@@ -100,9 +100,9 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
     if vae_model is None:
         vae_model, norm, reg_model = load_models(out_dir, "vae", "norm", "reg")
     test_ids, channels, _ = load_split(out_dir, "test", cfg["perturb.n_scenes"])
-    scenes = list(zip(test_ids, rasterizer.normalize(channels, norm)))
-    result = perturb.batch_perturb(vae_model, reg_model, scenes, cfg.dt_sweep(),
-                                   g_floor=cfg["perturb.g_floor"], steps=cfg["perturb.steps"])
+    result = perturb.batch_perturb(vae_model, reg_model, rasterizer.normalize(channels, norm),
+                                   cfg.dt_sweep(), test_ids, g_floor=cfg["perturb.g_floor"],
+                                   steps=cfg["perturb.steps"])
     _write_batch(result, out_dir)
     return result
 
@@ -132,8 +132,8 @@ def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
 def records_from_batch(batch: perturb.BatchResult, norm: NormStats, rules) -> list:
     """Segment de-normalized counterfactuals into ExperimentRecords."""
     def fraction(channels):
-        seg = autogeolabel.segment(rasterizer.denormalize(channels, norm), rules)
-        return autogeolabel.vegetation_fraction(seg)
+        labels = autogeolabel.segment(rasterizer.denormalize(channels, norm), rules)
+        return autogeolabel.vegetation_fraction(labels)
 
     baselines = {}
     for cf in batch.scenes:

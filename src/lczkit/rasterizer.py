@@ -39,8 +39,9 @@ class GridSpec:
     def __post_init__(self):
         if self.cell_size <= 0:
             raise UsageError("cell_size must be > 0")
-        if self.width < 1 or self.height < 1:
-            raise UsageError("grid must be at least 1x1")
+        for name in ("width", "height"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be at least 1")
 
     @property
     def extent_x(self) -> float:

@@ -2,9 +2,11 @@
 from a latent code.
 
 Targets are z-scored during training and de-standardized at predict time,
-so the public contract stays in kelvin. Activation is relu by default; a
-tanh variant gives a smoother gradient field for the perturbation stage,
-and "identity" yields a purely linear model (useful for exactness checks).
+so the public contract stays in kelvin. predict and grad_wrt_code take a
+(B, n) batch of codes and return (B,) temperatures and (B, n) gradients;
+one code is a batch of one row. Activation is relu by default; a tanh
+variant gives a smoother gradient field for the perturbation stage, and
+"identity" yields a purely linear model (useful for exactness checks).
 """
 
 from __future__ import annotations
@@ -28,6 +30,19 @@ class RegConfig:
     batch_size: int = 32
     holdout_fraction: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        for i, width in enumerate(self.hidden, start=1):
+            if width < 1:
+                raise UsageError(f"hidden{i} must be at least 1")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be at least 1")
+        if self.activation not in _ACTIVATIONS:
+            raise UsageError(f"activation {self.activation!r} is not one of "
+                             f"{', '.join(_ACTIVATIONS)}")
+        if not 0 <= self.holdout_fraction < 1:
+            raise UsageError(f"holdout_fraction {self.holdout_fraction!r} is not in [0, 1)")
 
 
 @dataclass
@@ -60,8 +75,6 @@ _ACT_NAMES = ("relu", "tanh", "identity")  # the activation code stored in reg/m
 
 
 def init_regressor(latent_dim, config: RegConfig, rng) -> RegressorModel:
-    if config.activation not in _ACTIVATIONS:
-        raise UsageError(f"unknown activation {config.activation!r}")
     model = RegressorModel({}, latent_dim, tuple(config.hidden), config.activation)
     model.params = ad.he_params(model.layout(), rng)
     return model
@@ -80,25 +93,24 @@ def forward_graph(model: RegressorModel, code: Tensor, frozen: bool = False) -> 
 
 def _check_code(model, code) -> np.ndarray:
     arr = np.asarray(code, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None]
-    if arr.shape[1] != model.latent_dim:
-        raise UsageError(f"expected latent dim {model.latent_dim}, got {arr.shape[1]}")
+    if arr.ndim != 2 or arr.shape[1] != model.latent_dim:
+        raise UsageError(f"expected a (B, {model.latent_dim}) batch of codes, got {arr.shape}")
     return arr
 
 
-def predict(model: RegressorModel, code) -> float:
-    """Temperature in kelvin for one latent code (or array for a batch)."""
+def predict(model: RegressorModel, code) -> np.ndarray:
+    """Temperatures in kelvin, (B,), for a (B, n) batch of latent codes."""
     arr = _check_code(model, code)
     out = forward_graph(model, Tensor(arr)).value[:, 0]
     temps = out * model.t_std + model.t_mean
     if not np.all(np.isfinite(temps)):
         raise DivergenceError("regressor produced non-finite prediction")
-    return float(temps[0]) if np.asarray(code).ndim == 1 else temps.copy()
+    return temps
 
 
 def grad_wrt_code(model: RegressorModel, code) -> np.ndarray:
-    """g = dR/dc in kelvin per latent unit; model weights stay frozen."""
+    """g = dR/dc in kelvin per latent unit, (B, n) for a (B, n) batch of
+    codes; model weights stay frozen."""
     arr = _check_code(model, code)
     leaf = Tensor(arr, requires_grad=True)
     out = forward_graph(model, leaf, frozen=True)
@@ -107,7 +119,7 @@ def grad_wrt_code(model: RegressorModel, code) -> np.ndarray:
     g = leaf.grad * model.t_std
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient")
-    return g[0].copy() if np.asarray(code).ndim == 1 else g.copy()
+    return g
 
 
 def l1_loss_graph(pred: Tensor, target: Tensor) -> Tensor:

@@ -44,8 +44,9 @@ class SceneParams:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise UsageError(f"{name} is degenerate: {lo} > {hi}")
-        if self.tree_density < 0 or self.building_density < 0:
-            raise UsageError("densities must be >= 0")
+        for name in ("tree_density", "building_density"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0")
 
 
 @dataclass

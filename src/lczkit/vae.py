@@ -3,7 +3,8 @@
 Two interchangeable architectures: "mlp" (flatten, two hidden layers) for
 desk-scale grids, and "patch" (two strided patchwise-affine layers, then a
 flatten and an affine head) for larger grids. Both expose the same
-encode/decode contract.
+encode/decode contract, on batches only: encode takes (B, C, H, W) and
+decode (B, n), and one scene is a batch of one row.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ class KldSchedule:
     ramp_epochs: int = 50
     lambda_max: float = 1e-5
 
+    def __post_init__(self):
+        if self.lambda_max < 0:
+            raise UsageError("lambda_max must be >= 0")
+
 
 def kld_weight(schedule: KldSchedule, epoch: int) -> float:
     if epoch < 0:
@@ -45,6 +50,13 @@ class VaeConfig:
     batch_size: int = 32
     schedule: KldSchedule = field(default_factory=KldSchedule)
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("latent_dim", "hidden", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be at least 1")
+        if self.arch not in _ARCHS:
+            raise UsageError(f"arch {self.arch!r} is not one of {', '.join(_ARCHS)}")
 
 
 @dataclass
@@ -167,21 +179,15 @@ def decode_graph(model: VaeModel, code: Tensor) -> Tensor:
 
 
 def encode(model: VaeModel, channels):
-    """Encode one normalized (C, H, W) scene, or a (B, C, H, W) batch;
-    returns (mu, logvar) as n-vectors, or as (B, n) arrays."""
+    """Encode a normalized (B, C, H, W) batch; returns (mu, logvar), each (B, n)."""
     arr = np.asarray(channels, dtype=float)
-    single = arr.ndim == 3
-    if single:
-        arr = arr[None]
     if arr.shape[1:] != model.input_shape:
-        raise UsageError(f"encode: expected shape {model.input_shape}, got {arr.shape[1:]}")
+        raise UsageError(f"encode: expected a (B, *{model.input_shape}) batch, got {arr.shape}")
     if not np.all(np.isfinite(arr)):  # relu would map NaN to 0 and hide it
         raise NumericError("encoder input is non-finite")
     mu, logvar = encode_graph(model, Tensor(arr))
     if not (np.all(np.isfinite(mu.value)) and np.all(np.isfinite(logvar.value))):
         raise DivergenceError("encoder produced non-finite outputs")
-    if single:
-        return mu.value[0].copy(), logvar.value[0].copy()
     return mu.value.copy(), logvar.value.copy()
 
 
@@ -195,16 +201,11 @@ def reparameterize(mu: Tensor, logvar: Tensor, epsilon: Tensor) -> Tensor:
 
 
 def decode(model: VaeModel, code) -> np.ndarray:
-    """Decode a latent n-vector to a (C, H, W) scene, or a (B, n) batch to
-    (B, C, H, W)."""
+    """Decode a (B, n) batch of latent codes to (B, C, H, W) scenes."""
     arr = np.asarray(code, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None]
-    if arr.shape[1] != model.latent_dim:
-        raise UsageError(f"decode: expected latent dim {model.latent_dim}, got {arr.shape[1]}")
-    out = decode_graph(model, Tensor(arr)).value
-    return out[0].copy() if single else out.copy()
+    if arr.ndim != 2 or arr.shape[1] != model.latent_dim:
+        raise UsageError(f"decode: expected a (B, {model.latent_dim}) batch, got {arr.shape}")
+    return decode_graph(model, Tensor(arr)).value.copy()
 
 
 def _as_tensor(x) -> Tensor:
@@ -215,16 +216,16 @@ def elbo_loss(s, s_hat, mu, logvar, lam) -> Tensor:
     """Mean squared reconstruction error plus lam * KLD.
 
     KLD = -1/2 sum_i (1 + logvar_i - mu_i^2 - exp(logvar_i)), summed over
-    latent dims and averaged over the batch (a lone vector counts as a
-    batch of one).
+    latent dims and averaged over the batch; mu and logvar are (B, n).
     """
     if lam < 0:
         raise UsageError("lambda must be >= 0")
     s, s_hat, mu, logvar = _as_tensor(s), _as_tensor(s_hat), _as_tensor(mu), _as_tensor(logvar)
+    if mu.value.ndim != 2:
+        raise UsageError(f"elbo_loss: expected (B, n) codes, got shape {mu.shape}")
     rec = ad.mean_all(ad.square(ad.sub(s_hat, s)))
     inner = ad.sub(ad.sub(ad.shift(logvar, 1.0), ad.square(mu)), ad.exp(logvar))
-    batch = mu.shape[0] if mu.value.ndim == 2 else 1
-    kld = ad.scale(ad.sum_all(inner), -0.5 / batch)
+    kld = ad.scale(ad.sum_all(inner), -0.5 / mu.shape[0])
     return ad.add(rec, ad.scale(kld, lam))
 
 

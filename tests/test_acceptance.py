@@ -19,7 +19,7 @@ from lczkit.analysis import ols_fit, student_t_cdf
 from lczkit.autodiff import Tensor, check_gradient
 from lczkit.autogeolabel import LabelRules, segment, vegetation_fraction
 from lczkit.config import RunConfig
-from lczkit.perturb import Perturbation, delta_c, perturb_scene
+from lczkit.perturb import batch_perturb, delta_c
 from lczkit.rasterizer import rasterize
 from lczkit.regressor import RegConfig, forward_graph, init_regressor, l1_loss_graph
 from lczkit.synthcity import SceneParams, generate_scene
@@ -174,13 +174,11 @@ def test_criterion_04_linear_regressor_exactness():
     vae = init_vae(shape, VaeConfig(latent_dim=4, hidden=8), rng)
     reg = init_regressor(4, RegConfig(hidden=(6, 3), activation="identity"), rng)
     reg.t_mean, reg.t_std = 290.0, 2.0
-    worst = 0.0
-    for dt in (1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0):
-        for seed in range(3):
-            s = np.random.default_rng(seed).standard_normal(shape)
-            cf = perturb_scene(vae, reg, s, Perturbation(dt))
-            worst = max(worst, abs(cf.achieved_dt - dt))
-    ok = worst <= 1e-6
+    sweep = (1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0)
+    scenes = np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in range(3)])
+    result = batch_perturb(vae, reg, scenes, sweep, [f"seed_{seed}" for seed in range(3)])
+    worst = max(abs(cf.achieved_dt - cf.requested_dt) for cf in result.scenes)
+    ok = not result.failures and len(result.scenes) == len(sweep) * len(scenes) and worst <= 1e-6
     _verdict(4, ok, f"linear model achieved-vs-requested max err {worst:.2e} (<=1e-6) "
                     f"over the ±1/±3/±5/±10 sweep")
 

@@ -76,11 +76,9 @@ def primitive_cases(rng):
         ("relu", lambda x: ad.sum_all(ad.relu(x)), True),
         ("tanh", lambda x: ad.sum_all(ad.tanh(x)), False),
         ("exp", lambda x: ad.sum_all(ad.exp(x)), False),
-        ("log", lambda x: ad.sum_all(ad.log(ad.exp(x))), False),
         ("square", lambda x: ad.sum_all(ad.square(x)), False),
         ("abs", lambda x: ad.sum_all(ad.absval(x)), True),
         ("mean", lambda x: ad.mean_all(ad.square(x)), False),
-        ("sum_axis", lambda x: ad.sum_all(ad.square(ad.sum_axis(ad.reshape(x, (2, 3)), 0))), False),
         ("reshape", lambda x: ad.sum_all(ad.square(ad.reshape(x, (3, 2)))), False),
         ("transpose", lambda x: ad.sum_all(ad.square(
             ad.transpose(ad.reshape(x, (2, 3)), (1, 0)))), False),

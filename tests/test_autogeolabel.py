@@ -8,7 +8,6 @@ from lczkit.autogeolabel import (
     BUILDING,
     VEGETATION,
     LabelRules,
-    SegmentationMap,
     aggregate_fractions,
     segment,
     vegetation_fraction,
@@ -28,35 +27,35 @@ def _stack(h=2, w=2, **named_channels):
 
 def test_rough_multireturn_cell_is_vegetation():
     stack = _stack(1, 1, z_std=0.8, multi_return_fraction=0.5)
-    assert segment(stack, RULES).labels[0, 0] == VEGETATION
+    assert segment(stack, RULES)[0, 0] == VEGETATION
 
 
 def test_tall_smooth_cell_is_building():
     stack = _stack(1, 1, z_mean=5.0, z_std=0.1)
-    assert segment(stack, RULES).labels[0, 0] == BUILDING
+    assert segment(stack, RULES)[0, 0] == BUILDING
 
 
 def test_flat_ground_is_background():
     stack = _stack(1, 1)
-    assert segment(stack, RULES).labels[0, 0] == BACKGROUND
+    assert segment(stack, RULES)[0, 0] == BACKGROUND
 
 
 def test_vegetation_takes_precedence_over_building():
     # satisfies the roughness+multireturn rule and the tall rule at once
     stack = _stack(1, 1, z_mean=6.0, z_std=0.6, multi_return_fraction=0.9)
-    assert segment(stack, RULES).labels[0, 0] == VEGETATION
+    assert segment(stack, RULES)[0, 0] == VEGETATION
 
 
 def test_thresholds_are_inclusive():
     stack = _stack(1, 1, z_std=0.5, multi_return_fraction=0.3)
-    assert segment(stack, RULES).labels[0, 0] == VEGETATION
+    assert segment(stack, RULES)[0, 0] == VEGETATION
     stack = _stack(1, 1, z_mean=3.0, z_std=0.4)
-    assert segment(stack, RULES).labels[0, 0] == BUILDING
+    assert segment(stack, RULES)[0, 0] == BUILDING
 
 
 def test_rough_without_multireturn_is_not_vegetation():
     stack = _stack(1, 1, z_std=2.0, multi_return_fraction=0.1)
-    assert segment(stack, RULES).labels[0, 0] != VEGETATION
+    assert segment(stack, RULES)[0, 0] != VEGETATION
 
 
 def test_rules_validation():
@@ -68,8 +67,7 @@ def test_rules_validation():
 
 def test_vegetation_fraction_and_counts_partition():
     labels = np.array([[VEGETATION, BUILDING], [BACKGROUND, VEGETATION]], dtype=np.uint8)
-    seg = SegmentationMap(labels)
-    assert vegetation_fraction(seg) == 0.5
+    assert vegetation_fraction(labels) == 0.5
     counts = [np.count_nonzero(labels == code) for code in (BACKGROUND, BUILDING, VEGETATION)]
     assert counts == [1, 1, 2]
     assert sum(counts) == labels.size
@@ -85,10 +83,11 @@ def test_every_cell_gets_exactly_one_label(seed):
         z_std=rng.uniform(0, 2, (4, 4)),
         multi_return_fraction=rng.uniform(0, 1, (4, 4)),
     )
-    seg = segment(stack, RULES)
-    assert np.all(np.isin(seg.labels, (BACKGROUND, BUILDING, VEGETATION)))
-    assert sum(np.count_nonzero(seg.labels == code)
-               for code in (BACKGROUND, BUILDING, VEGETATION)) == seg.labels.size
+    labels = segment(stack, RULES)
+    assert labels.shape == (4, 4) and labels.dtype == np.uint8
+    assert np.all(np.isin(labels, (BACKGROUND, BUILDING, VEGETATION)))
+    assert sum(np.count_nonzero(labels == code)
+               for code in (BACKGROUND, BUILDING, VEGETATION)) == labels.size
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.5, 1.5))

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import shutil
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from lczkit.cli import _split_overrides, main
 from lczkit.config import DEFAULTS, RunConfig, stage_seed
 from lczkit.errors import ParseError, UsageError
 from lczkit.io import load_model, read_manifest, save_model
-from lczkit.perturb import Perturbation
+from lczkit.perturb import batch_perturb
 from lczkit.rasterizer import GridSpec, load_stack, save_stack
 from lczkit.regressor import RegConfig
 from lczkit.synthcity import SceneParams, TemperatureLaw
@@ -82,6 +83,13 @@ def test_dt_sweep_parsing():
             RunConfig({"perturb.dt_sweep": bad})
 
 
+def test_patch_arch_refuses_a_grid_it_cannot_tile():
+    assert RunConfig({"vae.arch": "patch", "grid.width": 24}).vae_config().arch == "patch"
+    for key in ("grid.width", "grid.height"):
+        with pytest.raises(UsageError, match="grid.width/grid.height"):
+            RunConfig({"vae.arch": "patch", key: 12})
+
+
 def test_run_config_views_equal_the_dataclass_defaults():
     cfg = RunConfig()
     views = [(cfg.grid_spec(), GridSpec), (cfg.vae_config(), VaeConfig),
@@ -91,8 +99,9 @@ def test_run_config_views_equal_the_dataclass_defaults():
         if hasattr(view, "seed"):  # stage seeds come from the master seed
             view = dataclasses.replace(view, seed=cls().seed)
         assert view == cls(), cls.__name__
-    pert = Perturbation(1.0)
-    assert (pert.steps, pert.g_floor) == (cfg["perturb.steps"], cfg["perturb.g_floor"])
+    defaults = inspect.signature(batch_perturb).parameters
+    assert (defaults["steps"].default, defaults["g_floor"].default) == (
+        cfg["perturb.steps"], cfg["perturb.g_floor"])
 
 
 def test_every_config_key_is_read_by_a_stage():
@@ -140,6 +149,22 @@ def test_pipeline_refuses_an_unusable_sweep_before_any_stage(tmp_path, small_con
 @pytest.mark.parametrize("flag", ["--perturb.n_scenes=-2", "--perturb.n_scenes=0",
                                   "--perturb.steps=0"])
 def test_pipeline_refuses_a_perturb_count_below_one_before_any_stage(
+        flag, tmp_path, small_config, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", small_config, "--out", str(out), flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1, err
+    assert flag[2:flag.index("=")] in err and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--perturb.g_floor=0",
+                                  "--reg.activation=foo", "--vae.arch=foo",
+                                  "--labels.veg_zstd_min=-1", "--analysis.alpha=0",
+                                  "--reg.holdout_fraction=1.5", "--vae.batch_size=0",
+                                  "--reg.batch_size=0", "--vae.latent_dim=0",
+                                  "--vae.epochs=0", "--vae.lambda_max=-1",
+                                  "--synth.n_scenes=0"])
+def test_pipeline_refuses_an_unusable_setting_before_any_stage(
         flag, tmp_path, small_config, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", small_config, "--out", str(out), flag]) == 1

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from lczkit.errors import DataError, DegenerateGradientError, UsageError
-from lczkit.perturb import (
-    BatchResult,
-    Perturbation,
-    batch_perturb,
-    delta_c,
-    perturb_scene,
-)
+from lczkit.perturb import BatchResult, batch_perturb, delta_c
 from lczkit.regressor import RegConfig, init_regressor
 from lczkit.vae import VaeConfig, init_vae
 
@@ -22,6 +16,14 @@ def _models(activation="tanh", seed=0):
     reg = init_regressor(LATENT, RegConfig(hidden=(6, 3), activation=activation), rng)
     reg.t_mean, reg.t_std = 290.0, 2.0
     return vae, reg
+
+
+def _one(vae, reg, scene, dt, **kwargs):
+    """The counterfactual of one (C, H, W) scene at one delta_t."""
+    result = batch_perturb(vae, reg, scene[None], [dt], ["s"], **kwargs)
+    assert not result.failures
+    [cf] = result.scenes
+    return cf
 
 
 def test_delta_c_hand_example():
@@ -66,7 +68,7 @@ def test_delta_c_minimal_norm_among_constraint_satisfiers():
 def test_perturb_zero_dt_reproduces_reconstruction_bit_exact():
     vae, reg = _models()
     s = np.random.default_rng(3).standard_normal(SHAPE)
-    cf = perturb_scene(vae, reg, s, Perturbation(0.0))
+    cf = _one(vae, reg, s, 0.0)
     assert cf.counterfactual.tobytes() == cf.reconstruction.tobytes()
     assert not cf.delta_c.any()
     assert cf.achieved_dt == 0.0
@@ -78,8 +80,8 @@ def test_perturb_closed_form_parallel_to_gradient():
 
     vae, reg = _models(seed=4)
     s = np.random.default_rng(5).standard_normal(SHAPE)
-    cf = perturb_scene(vae, reg, s, Perturbation(2.0))
-    g = grad_wrt_code(reg, encode_mean(vae, s))
+    cf = _one(vae, reg, s, 2.0)
+    g = grad_wrt_code(reg, encode_mean(vae, s[None]))[0]
     cos = (cf.delta_c @ g) / (np.linalg.norm(cf.delta_c) * np.linalg.norm(g))
     assert abs(cos - 1.0) <= 1e-9
 
@@ -88,7 +90,7 @@ def test_perturb_linear_regressor_exact_across_sweep():
     vae, reg = _models(activation="identity", seed=6)
     s = np.random.default_rng(7).standard_normal(SHAPE)
     for dt in (1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0):
-        cf = perturb_scene(vae, reg, s, Perturbation(dt))
+        cf = _one(vae, reg, s, dt)
         assert cf.achieved_dt == pytest.approx(dt, abs=1e-6)
 
 
@@ -98,15 +100,15 @@ def test_perturb_first_order_consistency_smooth_model():
     for _ in range(5):
         s = rng.standard_normal(SHAPE)
         dt = 1e-3
-        cf = perturb_scene(vae, reg, s, Perturbation(dt))
+        cf = _one(vae, reg, s, dt)
         assert abs(cf.achieved_dt - dt) / dt <= 0.1
 
 
 def test_perturb_iterative_reaches_requested_change():
     vae, reg = _models(activation="tanh", seed=10)
     s = np.random.default_rng(11).standard_normal(SHAPE)
-    one = perturb_scene(vae, reg, s, Perturbation(0.5))
-    cf = perturb_scene(vae, reg, s, Perturbation(0.5, steps=100))
+    one = _one(vae, reg, s, 0.5)
+    cf = _one(vae, reg, s, 0.5, steps=100)
     assert abs(one.achieved_dt - 0.5) > 1e-3  # the closed form alone misses
     assert cf.achieved_dt == pytest.approx(0.5, abs=1e-9)
 
@@ -114,7 +116,7 @@ def test_perturb_iterative_reaches_requested_change():
 def test_perturb_iterative_zero_dt():
     vae, reg = _models(seed=12)
     s = np.random.default_rng(13).standard_normal(SHAPE)
-    cf = perturb_scene(vae, reg, s, Perturbation(0.0, steps=100))
+    cf = _one(vae, reg, s, 0.0, steps=100)
     assert not cf.delta_c.any()
     assert cf.counterfactual.tobytes() == cf.reconstruction.tobytes()
 
@@ -123,9 +125,9 @@ def test_perturb_iterative_zero_dt():
 def test_more_steps_never_move_away_from_the_request(activation):
     vae, reg = _models(activation=activation, seed=29)
     rng = np.random.default_rng(30)
-    scenes = [(f"s{i}", rng.standard_normal(SHAPE)) for i in range(4)]
+    scenes, ids = rng.standard_normal((4, *SHAPE)), [f"s{i}" for i in range(4)]
     sweep = [0.5, -1.0, 3.0, -5.0]
-    runs = [batch_perturb(vae, reg, scenes, sweep, steps=k) for k in range(1, 6)]
+    runs = [batch_perturb(vae, reg, scenes, sweep, ids, steps=k) for k in range(1, 6)]
     for run in runs[1:]:  # a pair fails, or not, at the first step
         assert run.failures == runs[0].failures
     errors = np.array([[abs(cf.achieved_dt - cf.requested_dt) for cf in run.scenes]
@@ -139,7 +141,7 @@ def test_flat_gradient_fails_the_pair_only_at_the_first_step(monkeypatch):
 
     vae, reg = _models(seed=31)
     s = np.random.default_rng(32).standard_normal(SHAPE)
-    closed_form = perturb_scene(vae, reg, s, Perturbation(2.0))
+    closed_form = _one(vae, reg, s, 2.0)
     grad = reg_mod.grad_wrt_code
 
     def flat_after(n):  # the true gradient for the first n calls, then zeros
@@ -147,26 +149,25 @@ def test_flat_gradient_fails_the_pair_only_at_the_first_step(monkeypatch):
 
         def patched(model, code):
             calls.append(code)
-            return grad(model, code) if len(calls) <= n else np.zeros(LATENT)
+            return grad(model, code) if len(calls) <= n else np.zeros_like(code)
         return patched
 
     monkeypatch.setattr(reg_mod, "grad_wrt_code", flat_after(1))  # flat after the first step
-    kept = batch_perturb(vae, reg, [("s", s)], [2.0], steps=5)
+    kept = batch_perturb(vae, reg, s[None], [2.0], ["s"], steps=5)
     assert not kept.failures
     assert kept.scenes[0].delta_c.tobytes() == closed_form.delta_c.tobytes()
     assert kept.scenes[0].achieved_dt == closed_form.achieved_dt
 
     monkeypatch.setattr(reg_mod, "grad_wrt_code", flat_after(0))  # flat at the scene's code
     with pytest.raises(DataError, match="first: degenerate_gradient"):
-        batch_perturb(vae, reg, [("s", s)], [2.0], steps=5)
+        batch_perturb(vae, reg, s[None], [2.0], ["s"], steps=5)
 
 
 def test_perturb_freezes_all_weights():
     vae, reg = _models(seed=14)
     before = {f"v/{k}": t.value.tobytes() for k, t in vae.params.items()}
     before.update({f"r/{k}": t.value.tobytes() for k, t in reg.params.items()})
-    perturb_scene(vae, reg, np.random.default_rng(15).standard_normal(SHAPE),
-                  Perturbation(3.0))
+    _one(vae, reg, np.random.default_rng(15).standard_normal(SHAPE), 3.0)
     after = {f"v/{k}": t.value.tobytes() for k, t in vae.params.items()}
     after.update({f"r/{k}": t.value.tobytes() for k, t in reg.params.items()})
     assert before == after
@@ -175,25 +176,25 @@ def test_perturb_freezes_all_weights():
 def test_batch_cardinality():
     vae, reg = _models(seed=16)
     rng = np.random.default_rng(17)
-    scenes = [rng.standard_normal(SHAPE) for _ in range(2)]
+    scenes = rng.standard_normal((2, *SHAPE))
     sweep = [1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0]
-    result = batch_perturb(vae, reg, scenes, sweep)
+    result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
     assert len(result.scenes) == 16
     assert not result.failures
 
 
 def test_batch_empty_sweep():
     vae, reg = _models(seed=18)
-    result = batch_perturb(vae, reg, [np.zeros(SHAPE)], [])
+    result = batch_perturb(vae, reg, np.zeros((1, *SHAPE)), [], ["a"])
     assert result.scenes == []
 
 
 def test_batch_order_independence():
     vae, reg = _models(seed=19)
     rng = np.random.default_rng(20)
-    scenes = [(f"s{i}", rng.standard_normal(SHAPE)) for i in range(4)]
-    fwd = batch_perturb(vae, reg, scenes, [1.0, -2.0])
-    rev = batch_perturb(vae, reg, scenes[::-1], [1.0, -2.0])
+    scenes, ids = rng.standard_normal((4, *SHAPE)), [f"s{i}" for i in range(4)]
+    fwd = batch_perturb(vae, reg, scenes, [1.0, -2.0], ids)
+    rev = batch_perturb(vae, reg, scenes[::-1], [1.0, -2.0], ids[::-1])
     by_key_fwd = {(c.scene_id, c.requested_dt): c.counterfactual.tobytes() for c in fwd.scenes}
     by_key_rev = {(c.scene_id, c.requested_dt): c.counterfactual.tobytes() for c in rev.scenes}
     assert by_key_fwd == by_key_rev
@@ -204,7 +205,7 @@ def test_batch_all_degenerate_raises():
     for t in reg.params.values():
         t.value[:] = 0.0  # gradient identically zero
     with pytest.raises(DataError):
-        batch_perturb(vae, reg, [np.zeros(SHAPE)], [1.0])
+        batch_perturb(vae, reg, np.zeros((1, *SHAPE)), [1.0], ["a"])
 
 
 @pytest.mark.parametrize("steps", [1, 20])
@@ -213,7 +214,7 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
 
     vae, reg = _models(activation="tanh", seed=23)
     rng = np.random.default_rng(24)
-    scenes = [(f"s{i}", rng.standard_normal(SHAPE)) for i in range(3)]
+    scenes, ids = rng.standard_normal((3, *SHAPE)), [f"s{i}" for i in range(3)]
     sweep = [0.0, 0.5, -1.0, 3.0]
     calls = []
 
@@ -225,13 +226,13 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
 
     monkeypatch.setattr(vae_mod, "encode_mean", counted(vae_mod.encode_mean))
     monkeypatch.setattr(vae_mod, "decode", counted(vae_mod.decode))
-    result = batch_perturb(vae, reg, scenes, sweep, steps=steps)
+    result = batch_perturb(vae, reg, scenes, sweep, ids, steps=steps)
     assert calls.count("encode_mean") == len(scenes)
     assert calls.count("decode") == len(scenes)
     assert len(result.scenes) == len(scenes) * len(sweep) and not result.failures
-    pairs = [(sid, s, dt) for sid, s in scenes for dt in sweep]
+    pairs = [(sid, s, dt) for sid, s in zip(ids, scenes) for dt in sweep]
     for cf, (sid, s, dt) in zip(result.scenes, pairs):
-        ref = perturb_scene(vae, reg, s, Perturbation(dt, steps=steps))
+        ref = _one(vae, reg, s, dt, steps=steps)  # a batch of one scene and one delta_t
         assert cf.scene_id == sid and cf.requested_dt == dt
         for name in ("original", "reconstruction", "counterfactual", "delta_c"):
             assert np.array_equal(getattr(cf, name), getattr(ref, name)), name
@@ -245,15 +246,15 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
 def test_batch_records_poisoned_scene_and_keeps_the_rest():
     vae, reg = _models(seed=25)
     rng = np.random.default_rng(26)
-    poisoned = np.full(SHAPE, np.nan)
-    scenes = [("a", rng.standard_normal(SHAPE)), ("bad", poisoned), ("c", rng.standard_normal(SHAPE))]
+    scenes, ids = rng.standard_normal((3, *SHAPE)), ["a", "bad", "c"]
+    scenes[1] = np.nan
     sweep = [0.0, 1.0, -2.0]
-    result = batch_perturb(vae, reg, scenes, sweep)
+    result = batch_perturb(vae, reg, scenes, sweep, ids)
     assert [(sid, dt, kind) for sid, dt, kind, _ in result.failures] == [
         ("bad", dt, "non_finite") for dt in sweep]
     assert [(cf.scene_id, cf.requested_dt) for cf in result.scenes] == [
         (sid, dt) for sid in ("a", "c") for dt in sweep]
-    clean = batch_perturb(vae, reg, [scenes[0], scenes[2]], sweep)
+    clean = batch_perturb(vae, reg, scenes[[0, 2]], sweep, ["a", "c"])
     for cf, ref in zip(result.scenes, clean.scenes):
         assert cf.counterfactual.tobytes() == ref.counterfactual.tobytes()
 
@@ -271,7 +272,7 @@ def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(vae_mod, "decode", decode_inf_far_out)
-    result = batch_perturb(vae, reg, [("s", rng.standard_normal(SHAPE))], [0.0, 1e9])
+    result = batch_perturb(vae, reg, rng.standard_normal((1, *SHAPE)), [0.0, 1e9], ["s"])
     assert [cf.requested_dt for cf in result.scenes] == [0.0]
     [(sid, dt, kind, message)] = result.failures
     assert (sid, dt, kind) == ("s", 1e9, "non_finite")
@@ -291,8 +292,9 @@ from lczkit.vae import VaeConfig, init_vae
 rng = np.random.default_rng(0)
 vae = init_vae((13, 16, 16), VaeConfig(), rng)
 reg = init_regressor(32, RegConfig(activation="tanh"), rng)
-scenes = list(rng.standard_normal((3, 13, 16, 16)))
-result = batch_perturb(vae, reg, scenes, [0, 1, 3, 5, 10, -1, -3, -5, -10], steps=3)
+scenes = rng.standard_normal((3, 13, 16, 16))
+result = batch_perturb(vae, reg, scenes, [0, 1, 3, 5, 10, -1, -3, -5, -10], ["a", "b", "c"],
+                       steps=3)
 digest = hashlib.sha256()
 for cf in result.scenes:
     for part in (cf.reconstruction, cf.counterfactual, cf.delta_c, np.float64(cf.achieved_dt)):
@@ -309,11 +311,15 @@ def test_batch_perturb_blas_thread_invariant(run_under_blas_threads):
 def test_batch_empty_scene_list():
     vae, reg = _models(seed=22)
     with pytest.raises(UsageError):
-        batch_perturb(vae, reg, [], [1.0])
+        batch_perturb(vae, reg, np.zeros((0, *SHAPE)), [1.0], [])
 
 
 def test_perturbation_validation():
+    vae, reg = _models(seed=22)
+    scenes = np.zeros((1, *SHAPE))
     with pytest.raises(UsageError):
-        Perturbation(float("nan"))
+        batch_perturb(vae, reg, scenes, [1.0, float("nan")], ["a"])
     with pytest.raises(UsageError):
-        Perturbation(1.0, steps=0)
+        batch_perturb(vae, reg, scenes, [1.0], ["a"], steps=0)
+    with pytest.raises(UsageError):
+        batch_perturb(vae, reg, scenes, [1.0], ["a"], g_floor=0.0)

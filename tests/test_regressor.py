@@ -30,18 +30,18 @@ def test_predict_zero_weights_zero_biases():
     model = _model()
     for t in model.params.values():
         t.value[:] = 0.0
-    assert predict(model, np.ones(LATENT)) == 0.0
+    assert predict(model, np.ones((1, LATENT))) == [0.0]
 
 
 def test_predict_deterministic():
     model = _model()
-    c = np.random.default_rng(1).standard_normal(LATENT)
+    c = np.random.default_rng(1).standard_normal((1, LATENT))
     assert predict(model, c) == predict(model, c)
 
 
 def test_predict_length_mismatch():
     with pytest.raises(UsageError):
-        predict(_model(), np.zeros(LATENT + 2))
+        predict(_model(), np.zeros((1, LATENT + 2)))
 
 
 def test_l1_loss_exact():
@@ -55,7 +55,7 @@ def test_grad_linear_model_equals_weight_row():
     w_eff = (model.params["W1"].value @ model.params["W2"].value
              @ model.params["W3"].value)[:, 0]
     for seed in range(3):
-        c = np.random.default_rng(seed).standard_normal(LATENT)
+        c = np.random.default_rng(seed).standard_normal((1, LATENT))
         assert np.allclose(grad_wrt_code(model, c), w_eff * model.t_std, rtol=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_grad_matches_finite_differences(activation):
     for _ in range(5):
         c = rng.standard_normal(LATENT)
         assert check_gradient(f, c, h=1e-5) <= 1e-5
-        leaf_grad = grad_wrt_code(model, c)
+        leaf_grad = grad_wrt_code(model, c[None])[0]
         ref = Tensor(c.copy(), requires_grad=True)
         ad.backward(f(ref))
         assert np.allclose(leaf_grad, ref.grad, rtol=1e-12, atol=1e-12)
@@ -80,16 +80,16 @@ def test_grad_matches_finite_differences(activation):
 
 def test_relu_gradient_piecewise_constant():
     model = _model(seed=4)
-    c = np.random.default_rng(5).standard_normal(LATENT) + 0.3
+    c = np.random.default_rng(5).standard_normal((1, LATENT)) + 0.3
     g0 = grad_wrt_code(model, c)
-    g1 = grad_wrt_code(model, c + 1e-9 * np.ones(LATENT))
+    g1 = grad_wrt_code(model, c + 1e-9 * np.ones((1, LATENT)))
     assert np.array_equal(g0, g1)
 
 
 def test_grad_leaves_weights_bit_identical():
     model = _model(seed=6)
     before = {k: t.value.tobytes() for k, t in model.params.items()}
-    grad_wrt_code(model, np.random.default_rng(7).standard_normal(LATENT))
+    grad_wrt_code(model, np.random.default_rng(7).standard_normal((1, LATENT)))
     after = {k: t.value.tobytes() for k, t in model.params.items()}
     assert before == after
 
@@ -138,7 +138,7 @@ def test_persistence_round_trip(tmp_path):
     model.t_mean, model.t_std = 291.5, 2.25
     save_model(regressor_tensors(model), tmp_path / "reg.lczm")
     back = regressor_from_tensors(load_model(tmp_path / "reg.lczm"))
-    c = np.random.default_rng(12).standard_normal(LATENT)
+    c = np.random.default_rng(12).standard_normal((1, LATENT))
     assert predict(back, c) == predict(model, c)
     assert back.activation == model.activation
     assert (back.t_mean, back.t_std) == (model.t_mean, model.t_std)

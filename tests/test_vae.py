@@ -6,6 +6,7 @@ from lczkit import vae
 from lczkit.autodiff import Tensor, backward, check_gradient
 from lczkit.errors import FormatError, UsageError
 from lczkit.io import load_model, save_model
+from lczkit.regressor import RegConfig, grad_wrt_code, init_regressor, predict
 from lczkit.vae import (
     KldSchedule,
     VaeConfig,
@@ -32,7 +33,7 @@ def _model(arch="mlp", latent=3, hidden=8, seed=0):
 
 def test_encode_deterministic():
     model, shape = _model()
-    x = np.random.default_rng(1).standard_normal(shape)
+    x = np.random.default_rng(1).standard_normal((1, *shape))
     mu1, lv1 = encode(model, x)
     mu2, lv2 = encode(model, x)
     assert np.array_equal(mu1, mu2) and np.array_equal(lv1, lv2)
@@ -42,45 +43,67 @@ def test_encode_zero_weights_gives_zero_outputs():
     model, shape = _model()
     for t in model.params.values():
         t.value[:] = 0.0
-    mu, lv = encode(model, np.ones(shape))
+    mu, lv = encode(model, np.ones((1, *shape)))
     assert not mu.any() and not lv.any()
 
 
 def test_encode_shape_mismatch():
     model, _ = _model()
     with pytest.raises(UsageError):
-        encode(model, np.zeros((1, 2, 2)))
+        encode(model, np.zeros((1, 1, 2, 2)))
 
 
 def test_decode_shape_and_determinism():
     model, shape = _model()
-    c = np.random.default_rng(2).standard_normal(model.latent_dim)
+    c = np.random.default_rng(2).standard_normal((1, model.latent_dim))
     out1, out2 = decode(model, c), decode(model, c)
-    assert out1.shape == shape
+    assert out1.shape == (1, *shape)
     assert np.array_equal(out1, out2)
 
 
 def test_decode_length_mismatch():
     model, _ = _model()
     with pytest.raises(UsageError):
-        decode(model, np.zeros(model.latent_dim + 1))
+        decode(model, np.zeros((1, model.latent_dim + 1)))
+
+
+def test_network_functions_refuse_a_non_batch_input():
+    model, shape = _model()
+    reg = init_regressor(model.latent_dim, RegConfig(hidden=(4, 3)), np.random.default_rng(1))
+    scene, code = np.zeros(shape), np.zeros(model.latent_dim)
+    calls = {"encode": lambda: encode(model, scene),
+             "encode_mean": lambda: encode_mean(model, scene),
+             "decode": lambda: decode(model, code),
+             "predict": lambda: predict(reg, code),
+             "grad_wrt_code": lambda: grad_wrt_code(reg, code),
+             "elbo_loss": lambda: elbo_loss(scene, scene, code, code, 1.0)}
+    for name, call in calls.items():
+        with pytest.raises(UsageError):
+            call()
+            pytest.fail(f"{name} accepted a non-batch input")
+    # the same data as a batch of one row is accepted
+    assert encode_mean(model, scene[None]).shape == (1, model.latent_dim)
+    assert decode(model, code[None]).shape == (1, *shape)
+    assert predict(reg, code[None]).shape == (1,)
+    assert grad_wrt_code(reg, code[None]).shape == (1, model.latent_dim)
+    assert elbo_loss(scene[None], scene[None], code[None], code[None], 1.0).value == 0.0
 
 
 def test_decode_continuity():
     model, _ = _model()
     rng = np.random.default_rng(3)
-    c = rng.standard_normal(model.latent_dim)
-    delta = 1e-6 * rng.standard_normal(model.latent_dim)
+    c = rng.standard_normal((1, model.latent_dim))
+    delta = 1e-6 * rng.standard_normal((1, model.latent_dim))
     diff = np.linalg.norm(decode(model, c + delta) - decode(model, c))
     assert diff < 1e-4  # locally Lipschitz: tiny latent step, tiny output step
 
 
 def test_patch_arch_round_trip_shapes():
     model, shape = _model(arch="patch")
-    x = np.random.default_rng(4).standard_normal(shape)
+    x = np.random.default_rng(4).standard_normal((1, *shape))
     mu, lv = encode(model, x)
-    assert mu.shape == lv.shape == (model.latent_dim,)
-    assert decode(model, mu).shape == shape
+    assert mu.shape == lv.shape == (1, model.latent_dim)
+    assert decode(model, mu).shape == (1, *shape)
 
 
 def test_reparameterize_zero_epsilon():
@@ -121,14 +144,14 @@ def test_kld_schedule_nondecreasing():
 
 def test_elbo_perfect_reconstruction_at_prior():
     s = np.ones((2, 2))
-    loss = elbo_loss(s, s, np.zeros(3), np.zeros(3), 1.0)
+    loss = elbo_loss(s, s, np.zeros((1, 3)), np.zeros((1, 3)), 1.0)
     assert loss.value == 0.0
 
 
 def test_elbo_closed_form_kld():
     s = np.zeros((2, 2))
-    mu = np.array([1.0, 0.0, 0.0])
-    loss = elbo_loss(s, s, mu, np.zeros(3), 1.0)
+    mu = np.array([[1.0, 0.0, 0.0]])
+    loss = elbo_loss(s, s, mu, np.zeros((1, 3)), 1.0)
     assert loss.value == pytest.approx(0.5)
 
 
@@ -136,7 +159,7 @@ def test_elbo_kld_nonnegative():
     rng = np.random.default_rng(6)
     s = np.zeros((2, 2))
     for _ in range(50):
-        mu, lv = rng.standard_normal(4), rng.standard_normal(4)
+        mu, lv = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
         assert elbo_loss(s, s, mu, lv, 1.0).value >= -1e-12
 
 
@@ -229,8 +252,8 @@ def test_decoded_row_does_not_depend_on_its_batch(arch):
     for _ in range(40):
         rows = rng.integers(0, len(codes), size=rng.integers(2, len(codes) + 1))
         assert decode(model, codes[rows]).tobytes() == whole[rows].tobytes()
-    for code, row in zip(codes, whole):  # a lone row agrees to float64 rounding
-        np.testing.assert_allclose(decode(model, code), row, rtol=0, atol=1e-12)
+    for code, row in zip(codes, whole):  # a 1-row batch agrees to float64 rounding
+        np.testing.assert_allclose(decode(model, code[None])[0], row, rtol=0, atol=1e-12)
 
 
 def test_train_vae_empty_corpus():
@@ -243,7 +266,7 @@ def test_persistence_round_trip(tmp_path):
     path = tmp_path / "vae.lczm"
     save_model(vae_tensors(model), path)
     back = vae_from_tensors(load_model(path))
-    x = np.random.default_rng(9).standard_normal(shape)
+    x = np.random.default_rng(9).standard_normal((1, *shape))
     mu_a, _ = encode(model, x)
     mu_b, _ = encode(back, x)
     assert np.array_equal(mu_a, mu_b)
