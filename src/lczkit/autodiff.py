@@ -4,7 +4,8 @@ Op vocabulary: elementwise add/sub/mul, scalar scale/shift, matmul, affine
 (matmul plus row-broadcast bias), relu, tanh, exp, square, abs,
 mean/sum reductions, reshape/transpose, and stop_gradient for freezing.
 No general broadcasting: elementwise ops require equal shapes, the only
-broadcast is the bias row in `affine`.
+broadcast is the bias row in `affine`. A product with a one-column matrix is
+a row-wise multiply and sum, so each row of it rounds alike in any batch.
 
 Each op records one vjp per parent, so the backward pass can be pruned by
 activity analysis (Griewank & Walther, *Evaluating Derivatives*): a node is
@@ -27,6 +28,14 @@ from .errors import NumericError, UsageError
 # arrays from memory; 16k-64k ran alike on a 2 MiB-L2 Xeon, and whole arrays
 # of the 852k-element VAE weights ran 1.6x slower.
 _ADAM_BLOCK = 1 << 16
+
+# Every network call (vae.encode, vae.decode, regressor.predict,
+# regressor.grad_wrt_code) runs on at least this many rows: a smaller batch
+# is padded with copies of its first row, which are dropped from the result.
+# OpenBLAS picks its GEMM kernel by the row count, so a row's bits depend on
+# its batch below some size (1, 2-37 rows at the default shapes) and not
+# from it on; tests/test_vae.py and tests/test_regressor.py prove the value.
+MIN_ROWS = 64
 
 
 class Tensor:
@@ -97,11 +106,28 @@ def shift(a: Tensor, k: float) -> Tensor:
     return _node(a.value + k, "shift", (a,), (_identity,))
 
 
+def pad_rows(arr: np.ndarray) -> np.ndarray:
+    """A non-empty batch of fewer than MIN_ROWS rows, with copies of its first
+    row appended up to MIN_ROWS; a larger or empty batch as it is."""
+    if not 0 < len(arr) < MIN_ROWS:
+        return arr
+    return np.concatenate([arr, np.repeat(arr[:1], MIN_ROWS - len(arr), axis=0)])
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D operands. A one-column b is a row-wise multiply and sum:
+    numpy would call a GEMV, whose rounding of a row depends on where the row
+    sits in the batch."""
+    if b.shape[1] == 1:
+        return (a * b[:, 0]).sum(axis=1, keepdims=True)
+    return a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise UsageError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     return _node(
-        a.value @ b.value, "matmul", (a, b),
+        _product(a.value, b.value), "matmul", (a, b),
         (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
     )
 
@@ -113,7 +139,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[1],):
         raise UsageError(f"affine: bias shape {b.shape} does not match {w.shape[1]} outputs")
     return _node(
-        x.value @ w.value + b.value, "affine", (x, w, b),
+        _product(x.value, w.value) + b.value, "affine", (x, w, b),
         (lambda g: g @ w.value.T, lambda g: x.value.T @ g, lambda g: g.sum(axis=0)),
     )
 

@@ -36,13 +36,15 @@ class LabelRules:
 
 
 def segment(channels: np.ndarray, rules: LabelRules) -> np.ndarray:
-    """Label each cell of a de-normalized (13, H, W) scene: an (H, W) uint8
-    array of BACKGROUND, BUILDING and VEGETATION."""
-    if channels.ndim != 3 or len(channels) != N_CHANNELS:
-        raise UsageError(f"segment needs a ({N_CHANNELS}, H, W) array, got shape {channels.shape}")
-    z_std = channels[CHANNEL_NAMES.index("z_std")]
-    z_mean = channels[CHANNEL_NAMES.index("z_mean")]
-    multiret = channels[CHANNEL_NAMES.index("multi_return_fraction")]
+    """Label each cell of a de-normalized (13, H, W) scene, or of a
+    (K, 13, H, W) stack of scenes: an (H, W), or (K, H, W), uint8 array of
+    BACKGROUND, BUILDING and VEGETATION."""
+    if channels.ndim not in (3, 4) or channels.shape[-3] != N_CHANNELS:
+        raise UsageError(f"segment needs a ({N_CHANNELS}, H, W) array or a stack of them, "
+                         f"got shape {channels.shape}")
+    z_std = channels[..., CHANNEL_NAMES.index("z_std"), :, :]
+    z_mean = channels[..., CHANNEL_NAMES.index("z_mean"), :, :]
+    multiret = channels[..., CHANNEL_NAMES.index("multi_return_fraction"), :, :]
     veg = (z_std >= rules.veg_zstd_min) & (multiret >= rules.veg_multiret_min)
     bld = (z_mean >= rules.bld_height_min) & (z_std <= rules.bld_zstd_max) & ~veg
     labels = np.full(z_std.shape, BACKGROUND, dtype=np.uint8)
@@ -51,9 +53,11 @@ def segment(channels: np.ndarray, rules: LabelRules) -> np.ndarray:
     return labels
 
 
-def vegetation_fraction(labels: np.ndarray) -> float:
-    """The share of cells of an (H, W) label array that are VEGETATION."""
-    return float(np.count_nonzero(labels == VEGETATION) / labels.size)
+def vegetation_fraction(labels: np.ndarray):
+    """The share of cells of an (H, W) label array that are VEGETATION, or
+    the (K,) shares of a (K, H, W) stack."""
+    h, w = labels.shape[-2:]
+    return np.count_nonzero(labels == VEGETATION, axis=(-2, -1)) / (h * w)
 
 
 def aggregate_fractions(tuples):

@@ -15,7 +15,7 @@ from .errors import ParseError, UsageError
 from .rasterizer import GridSpec
 from .regressor import RegConfig
 from .report import check_sweep
-from .synthcity import SceneParams, TemperatureLaw
+from .synthcity import SceneParams, TemperatureLaw, split_sizes
 from .vae import KldSchedule, VaeConfig, VaeModel
 
 DEFAULTS = {
@@ -101,6 +101,13 @@ class RunConfig:
         for key in ("synth.n_scenes", "perturb.n_scenes", "perturb.steps"):
             if not self[key] >= 1:
                 raise UsageError(f"bad {key} {self[key]!r}: must be at least 1")
+        n_train, n_test = split_sizes(self["synth.n_scenes"])
+        n_fit = n_train - self.reg_config().n_holdout(n_train)
+        if n_test < 1 or n_fit < 2:
+            raise UsageError(f"bad synth.n_scenes {self['synth.n_scenes']!r}: the 80/20 split "
+                             f"leaves {n_test} test scenes and, after the reg.holdout_fraction "
+                             f"{self['reg.holdout_fraction']!r}, {n_fit} regressor training "
+                             f"scenes; needs at least 1 and 2")
         if not self["perturb.g_floor"] > 0:
             raise UsageError(f"bad perturb.g_floor {self['perturb.g_floor']!r}: must be > 0")
         if not 0 < self["analysis.alpha"] < 1:

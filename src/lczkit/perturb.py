@@ -10,10 +10,14 @@ gradient ends the walk with what was achieved. One step is the closed form.
 Note this is NOT a function inverse of the regressor.
 
 batch_perturb is the one entry point: it takes the scenes as one
-(N, C, H, W) array with their ids. A scene costs one encode and one decode
-call: its code and every stepped code of the sweep are decoded as one
-(K + 1, n) batch, row 0 being the reconstruction. A row decodes to the same
-bits in any batch of two or more rows.
+(N, C, H, W) array with their ids and works on the whole batch. It makes
+one encode of the finite scenes, one predict and one gradient over their
+codes, one predict over all stepped codes, and per further walk step one
+gradient and one predict over the pairs still walking. The codes and every
+stepped code are then decoded, consecutive rows in calls of DECODE_ROWS.
+Every network call runs on at least autodiff.MIN_ROWS rows, so a row has
+the same bits in any batch: a batched result equals the result of the
+scene, or the pair, alone.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from . import vae as vae_mod
 from .errors import DataError, DegenerateGradientError, NumericError, UsageError
 
 DEFAULT_G_FLOOR = 1e-8
+DECODE_ROWS = 256  # rows per decode call: the decoded scenes are views of these calls' outputs
 
 
 @dataclass
@@ -46,72 +51,72 @@ class BatchResult:
     failures: list = field(default_factory=list)  # (scene_id, delta_t, kind, message)
 
 
+def _steps(g, delta_t, g_floor):
+    """delta_c of each row of a (B, n) gradient for (B,) delta_t values: the
+    (B, n) steps and the rows' gradient norms. A row whose norm is below
+    g_floor gets a zero step."""
+    norm = np.linalg.norm(g, axis=1)
+    scale = np.divide(delta_t, norm * norm, out=np.zeros(len(g)), where=~(norm < g_floor))
+    return scale[:, None] * g, norm
+
+
+def _flat(norm, g_floor) -> DegenerateGradientError:
+    return DegenerateGradientError(f"gradient norm {norm:.3e} below floor {g_floor:.3e}; "
+                                   f"regressor is locally insensitive")
+
+
 def delta_c(g, delta_t, g_floor=DEFAULT_G_FLOOR) -> np.ndarray:
     """Gradient-parallel latent step: (delta_t / ||g||^2) * g."""
-    g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g))
+    [step], [norm] = _steps(np.asarray(g, dtype=float)[None], np.array([float(delta_t)]), g_floor)
     if norm < g_floor:
-        raise DegenerateGradientError(
-            f"gradient norm {norm:.3e} below floor {g_floor:.3e}; regressor is locally insensitive"
-        )
-    return (float(delta_t) / (norm * norm)) * g
+        raise _flat(norm, g_floor)
+    return step
 
 
-def _walk(regressor, code, t0, g, dt, steps, g_floor):
-    """The latent step for one delta_t and the change R(c + step) - R(c) it
-    achieves; a degenerate gradient at the scene's code fails the pair."""
-    step = delta_c(g, dt, g_floor)
-    achieved = reg.predict(regressor, (code + step)[None])[0] - t0
-    for _ in range(steps - 1):
-        try:
-            candidate = step + delta_c(reg.grad_wrt_code(regressor, (code + step)[None])[0],
-                                       dt - achieved, g_floor)
-        except DegenerateGradientError:
-            break  # flat region; keep what was achieved
-        reached = reg.predict(regressor, (code + candidate)[None])[0] - t0
-        if not abs(dt - reached) < abs(dt - achieved):
-            break  # a step is taken only if it helps
-        step, achieved = candidate, reached
-    return step, achieved
-
-
-def _sweep_scene(vae, regressor, original, delta_ts, steps, g_floor, scene_id) -> list:
-    """One (C, H, W) scene through every delta_t: encode, predict and
-    differentiate once, walk each delta_t, then decode the code and every
-    stepped code in one batch, row 0 being the reconstruction. Returns one
-    CounterfactualScene or NumericError per delta_t; a failure of the
-    shared work, a non-finite reconstruction included, is raised."""
-    code = vae_mod.encode_mean(vae, original[None])[0]
-    t0 = reg.predict(regressor, code[None])[0]
+def _apply(fn, model, rows, errors, shape) -> np.ndarray:
+    """fn(model, ...) over the rows whose entry in errors is None, as a
+    (len(rows), *shape) array; NaN in the other rows. One call, or, if it
+    raises a NumericError, one call per row, and each such error goes to its
+    row's entry in errors. A row has the same bits in any batch, so the rows
+    that pass do not change."""
+    out = np.full((len(rows), *shape), np.nan)
+    live = np.array([i for i, err in enumerate(errors) if err is None], dtype=int)
+    if not live.size:
+        return out
     try:
-        g = reg.grad_wrt_code(regressor, code[None])[0]
-    except NumericError as exc:  # fails every pair, unless the reconstruction does first
-        outcomes = [exc] * len(delta_ts)
-    else:
-        outcomes = []
-        for dt in delta_ts:
+        out[live] = fn(model, rows[live])
+    except NumericError:
+        for i in live:
             try:
-                outcomes.append(_walk(regressor, code, t0, g, dt, steps, g_floor))
+                out[i] = fn(model, rows[i:i + 1])[0]
             except NumericError as exc:
-                outcomes.append(exc)
-    walked = [o for o in outcomes if not isinstance(o, NumericError)]
-    decoded = iter(vae_mod.decode(vae, np.stack([code] + [code + step for step, _ in walked])))
-    reconstruction = next(decoded)
-    if not np.all(np.isfinite(reconstruction)):
-        raise NumericError("decoded reconstruction is non-finite")
-    results = []
-    for dt, outcome in zip(delta_ts, outcomes):
-        if not isinstance(outcome, NumericError):
-            counterfactual = next(decoded)
-            if not np.all(np.isfinite(counterfactual)):
-                outcome = NumericError("decoded counterfactual is non-finite")
-            else:
-                outcome = CounterfactualScene(
-                    original=original, reconstruction=reconstruction,
-                    counterfactual=counterfactual, delta_c=outcome[0],
-                    achieved_dt=float(outcome[1]), requested_dt=dt, scene_id=scene_id)
-        results.append(outcome)
-    return results
+                errors[i] = exc
+    return out
+
+
+def _walk(regressor, codes, t0, dts, step, achieved, errors, steps, g_floor):
+    """Up to steps - 1 more closed-form steps on what each pair still misses,
+    updating step, achieved and errors in place. A pair walks on while a step
+    brings it closer to its delta_t; a flat gradient stops it with what it
+    achieved, and a NumericError fails it."""
+    walking = np.array([err is None for err in errors])
+    for _ in range(steps - 1):
+        idx = np.flatnonzero(walking)
+        if not idx.size:
+            break
+        new_errors = [None] * len(idx)
+        g = _apply(reg.grad_wrt_code, regressor, codes[idx] + step[idx], new_errors,
+                   codes.shape[1:])
+        more, norm = _steps(g, dts[idx] - achieved[idx], g_floor)
+        candidate = step[idx] + more
+        reached = _apply(reg.predict, regressor, codes[idx] + candidate, new_errors, ()) - t0[idx]
+        # NaN, from a failed row, is never better
+        better = (np.abs(dts[idx] - reached) < np.abs(dts[idx] - achieved[idx])) & ~(norm < g_floor)
+        for r, err in enumerate(new_errors):
+            if err is not None:
+                errors[idx[r]] = err
+        step[idx[better]], achieved[idx[better]] = candidate[better], reached[better]
+        walking[idx[~better]] = False
 
 
 def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G_FLOOR,
@@ -120,12 +125,12 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G
     array and scene_ids its N ids. Each scene is encoded, predicted and
     differentiated once and stepped per delta_t, by at most `steps`
     closed-form steps; its reconstruction and all its counterfactuals are
-    decoded in one call.
+    decoded with the other scenes', DECODE_ROWS rows a call.
 
     A NumericError fails only the pairs it reaches (all of a scene's pairs
-    if it comes from the shared per-scene work) and is recorded as
-    (scene_id, delta_t, kind, message); the batch fails only if every pair
-    does.
+    if it comes from the scene's input, code, prediction, gradient or
+    reconstruction) and is recorded as (scene_id, delta_t, kind, message);
+    the batch fails only if every pair does.
     """
     scenes = np.array(scenes, dtype=float)  # originals the caller cannot change
     if scenes.ndim != 4 or not len(scenes) or len(scene_ids) != len(scenes):
@@ -138,17 +143,51 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G
         raise UsageError(f"batch_perturb: steps must be >= 1, got {steps}")
     if not g_floor > 0:
         raise UsageError(f"batch_perturb: g_floor must be > 0, got {g_floor}")
+    n, k, latent = len(scenes), len(delta_ts), (vae.latent_dim,)
+    # A scene error fails all the scene's pairs and skips its decode; a
+    # gradient error fails them too, but a non-finite reconstruction comes first.
+    scene_errors = [None if ok else NumericError("encoder input is non-finite")
+                    for ok in np.isfinite(scenes).all(axis=(1, 2, 3))]
+    codes = _apply(vae_mod.encode_mean, vae, scenes, scene_errors, latent)
+    t0 = _apply(reg.predict, regressor, codes, scene_errors, ())
+    grad_errors = list(scene_errors)
+    grads = _apply(reg.grad_wrt_code, regressor, codes, grad_errors, latent)
+
+    owner = np.repeat(np.arange(n), k)  # pair p = i * k + j is scene i at delta_ts[j]
+    dts = np.tile(np.array(delta_ts), n)
+    step, norm = _steps(grads[owner], dts, g_floor)
+    errors = [grad_errors[i] if grad_errors[i] is not None
+              else _flat(norm[p], g_floor) if norm[p] < g_floor else None
+              for p, i in enumerate(owner)]
+    pair_codes = codes[owner]
+    achieved = _apply(reg.predict, regressor, pair_codes + step, errors, ()) - t0[owner]
+    _walk(regressor, pair_codes, t0[owner], dts, step, achieved, errors, steps, g_floor)
+
+    rows = []  # rows of [codes; stepped codes] to decode: each scene's code, then its pairs'
+    for i in np.flatnonzero([err is None for err in scene_errors]):
+        rows += [i] + [n + p for p in range(i * k, i * k + k) if errors[p] is None]
+    table = np.concatenate([codes, pair_codes + step])[rows]
+    chunks = [vae_mod.decode(vae, table[start:start + DECODE_ROWS])
+              for start in range(0, len(rows), DECODE_ROWS)]
+    decoded = dict(zip(rows, (row for chunk in chunks for row in chunk)))
+    finite = dict(zip(rows, (ok for chunk in chunks
+                             for ok in np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1))))
+
     results, failures = [], []
-    for scene_id, original in zip(scene_ids, scenes):
-        try:
-            outcomes = _sweep_scene(vae, regressor, original, delta_ts, steps, g_floor, scene_id)
-        except NumericError as exc:
-            outcomes = [exc] * len(delta_ts)
-        for dt, outcome in zip(delta_ts, outcomes):
-            if isinstance(outcome, NumericError):
-                failures.append((scene_id, dt, outcome.kind, str(outcome)))
+    for i, (scene_id, original) in enumerate(zip(scene_ids, scenes)):
+        for j, dt in enumerate(delta_ts):
+            p = i * k + j
+            err = (NumericError("decoded reconstruction is non-finite")
+                   if not finite.get(i, True) else errors[p])
+            if err is None and not finite[n + p]:
+                err = NumericError("decoded counterfactual is non-finite")
+            if err is None:
+                results.append(CounterfactualScene(
+                    original=original, reconstruction=decoded[i], counterfactual=decoded[n + p],
+                    delta_c=step[p], achieved_dt=float(achieved[p]), requested_dt=dt,
+                    scene_id=scene_id))
             else:
-                results.append(outcome)
+                failures.append((scene_id, dt, err.kind, str(err)))
     if failures and not results:
         raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
                         f"first: {failures[0][2]}: {failures[0][3]}")

@@ -86,9 +86,7 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
     if vae_model is None or norm is None:
         vae_model, norm = load_models(out_dir, "vae", "norm")
     _, channels, train_temps = load_split(out_dir, "train")
-    # One scene at a time: a batched encode may round differently.
-    codes = np.stack([vae.encode_mean(vae_model, s[None])[0]
-                      for s in rasterizer.normalize(channels, norm)])
+    codes = vae.encode_mean(vae_model, rasterizer.normalize(channels, norm))
     model, err_report = regressor.train_regressor(codes, train_temps, cfg.reg_config())
     save_model(regressor.regressor_tensors(model), os.path.join(out_dir, MODEL_DIR, "reg.lczm"))
     return model, err_report
@@ -129,31 +127,25 @@ def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
     write_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES, batch.failures)
 
 
-def records_from_batch(batch: perturb.BatchResult, norm: NormStats, rules) -> list:
-    """Segment de-normalized counterfactuals into ExperimentRecords."""
-    def fraction(channels):
-        labels = autogeolabel.segment(rasterizer.denormalize(channels, norm), rules)
-        return autogeolabel.vegetation_fraction(labels)
-
-    baselines = {}
-    for cf in batch.scenes:
-        if cf.scene_id not in baselines:
-            baselines[cf.scene_id] = fraction(cf.reconstruction)
-    return [report.ExperimentRecord(
-                scene_id=cf.scene_id, delta_t=cf.requested_dt, achieved_dt=cf.achieved_dt,
-                v_prime=fraction(cf.counterfactual), v_baseline=baselines[cf.scene_id])
-            for cf in batch.scenes]
+def _scene_records(scene_ids, stack, pairs, norm: NormStats, rules) -> list:
+    """The ExperimentRecords of one scene's K pairs: stack is its normalized
+    reconstruction and K counterfactuals as one (K + 1, 13, H, W) array,
+    de-normalized and segmented at once; scene_ids and pairs, the K pairs'
+    ids and (requested, achieved) delta_t."""
+    fractions = autogeolabel.vegetation_fraction(
+        autogeolabel.segment(rasterizer.denormalize(stack, norm), rules))
+    return [report.ExperimentRecord(scene_id=sid, delta_t=dt, achieved_dt=adt,
+                                    v_prime=float(v), v_baseline=float(fractions[0]))
+            for sid, (dt, adt), v in zip(scene_ids, pairs, fractions[1:])]
 
 
-def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
-    if batch is None:
-        (norm,) = load_models(out_dir, "norm")
-        batch = _load_batch(out_dir)
-    records = records_from_batch(batch, norm, cfg.label_rules())
-    write_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS,
-                [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime, r.v_baseline)
-                 for r in records])
-    return records
+def _batch_scenes(batch: perturb.BatchResult):
+    """Per scene of an in-memory batch, the arguments of _scene_records."""
+    for _, group in itertools.groupby(batch.scenes, lambda cf: cf.scene_id):
+        group = list(group)
+        yield ([cf.scene_id for cf in group],
+               np.stack([group[0].reconstruction] + [cf.counterfactual for cf in group]),
+               [(cf.requested_dt, cf.achieved_dt) for cf in group])
 
 
 def _cf_arrays(tensors) -> list:
@@ -167,21 +159,35 @@ def _cf_arrays(tensors) -> list:
                                    ("cf/counterfactual", (k, *scene)), ("cf/delta_c", (k, n))])
 
 
-def _load_batch(out_dir: str) -> perturb.BatchResult:
+def _file_scenes(out_dir: str):
+    """Per counterfactuals file, in index.csv order, the arguments of
+    _scene_records; one file is in memory at a time."""
     index = os.path.join(out_dir, CF_DIR, "index.csv")
-    scenes, files = [], {}
-    for line, (sid, dt, adt, rel, slot) in enumerate(read_table(index, CF_INDEX), start=2):
-        if rel not in files:
-            files[rel] = load_model(os.path.join(out_dir, CF_DIR, rel), _cf_arrays)
-        original, reconstruction, cfs, delta_cs = files[rel]
-        if not 0 <= slot < len(cfs):
-            raise ParseError(f"slot {slot} is not one of the {len(cfs)} in {rel}",
-                             line=line, path=index)
-        scenes.append(perturb.CounterfactualScene(
-            original=original, reconstruction=reconstruction, counterfactual=cfs[slot],
-            delta_c=delta_cs[slot], achieved_dt=adt, requested_dt=dt, scene_id=sid,
-        ))
-    return perturb.BatchResult(scenes)
+    rows = enumerate(read_table(index, CF_INDEX), start=2)
+    for rel, group in itertools.groupby(rows, lambda row: row[1][3]):
+        lines, entries = zip(*group)
+        scene_ids, dts, achieved, _, slots = zip(*entries)
+        _, reconstruction, cfs, _ = load_model(os.path.join(out_dir, CF_DIR, rel), _cf_arrays)
+        for line, slot in zip(lines, slots):
+            if not 0 <= slot < len(cfs):
+                raise ParseError(f"slot {slot} is not one of the {len(cfs)} in {rel}",
+                                 line=line, path=index)
+        yield (scene_ids, np.concatenate([reconstruction[None], cfs[list(slots)]]),
+               list(zip(dts, achieved)))
+
+
+def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
+    """Label every pair of the in-memory batch or, without one, of the
+    counterfactuals files, one scene at a time; write fractions.csv."""
+    if batch is None:
+        (norm,) = load_models(out_dir, "norm")
+    scenes = _file_scenes(out_dir) if batch is None else _batch_scenes(batch)
+    rules = cfg.label_rules()
+    records = [record for scene in scenes for record in _scene_records(*scene, norm, rules)]
+    write_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS,
+                [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime, r.v_baseline)
+                 for r in records])
+    return records
 
 
 def run_analyze(cfg: RunConfig, out_dir: str, records=None, n_excluded=0) -> report.ReportBundle:

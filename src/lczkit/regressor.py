@@ -4,9 +4,13 @@ from a latent code.
 Targets are z-scored during training and de-standardized at predict time,
 so the public contract stays in kelvin. predict and grad_wrt_code take a
 (B, n) batch of codes and return (B,) temperatures and (B, n) gradients;
-one code is a batch of one row. Activation is relu by default; a tanh
-variant gives a smoother gradient field for the perturbation stage, and
-"identity" yields a purely linear model (useful for exactness checks).
+one code is a batch of one row. Both pad a batch of fewer than
+autodiff.MIN_ROWS rows with copies of its first row and drop them from the
+result, and the one-output layer is a row-wise product and sum, not a GEMV,
+so a code's temperature and gradient have the same bits in any batch.
+Activation is relu by default; a tanh variant gives a smoother gradient
+field for the perturbation stage, and "identity" yields a purely linear
+model (useful for exactness checks).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DivergenceError, FormatError, UsageError
+from .errors import DivergenceError, FormatError, NumericError, UsageError
 from .io import layout_arrays, read_meta
 
 
@@ -43,6 +47,10 @@ class RegConfig:
                              f"{', '.join(_ACTIVATIONS)}")
         if not 0 <= self.holdout_fraction < 1:
             raise UsageError(f"holdout_fraction {self.holdout_fraction!r} is not in [0, 1)")
+
+    def n_holdout(self, n: int) -> int:
+        """Scenes held out of n training scenes."""
+        return int(round(self.holdout_fraction * n))
 
 
 @dataclass
@@ -95,13 +103,15 @@ def _check_code(model, code) -> np.ndarray:
     arr = np.asarray(code, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != model.latent_dim:
         raise UsageError(f"expected a (B, {model.latent_dim}) batch of codes, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):  # relu would map NaN to 0 and hide it
+        raise NumericError("regressor input is non-finite")
     return arr
 
 
 def predict(model: RegressorModel, code) -> np.ndarray:
     """Temperatures in kelvin, (B,), for a (B, n) batch of latent codes."""
     arr = _check_code(model, code)
-    out = forward_graph(model, Tensor(arr)).value[:, 0]
+    out = forward_graph(model, Tensor(ad.pad_rows(arr))).value[:len(arr), 0]
     temps = out * model.t_std + model.t_mean
     if not np.all(np.isfinite(temps)):
         raise DivergenceError("regressor produced non-finite prediction")
@@ -112,11 +122,11 @@ def grad_wrt_code(model: RegressorModel, code) -> np.ndarray:
     """g = dR/dc in kelvin per latent unit, (B, n) for a (B, n) batch of
     codes; model weights stay frozen."""
     arr = _check_code(model, code)
-    leaf = Tensor(arr, requires_grad=True)
+    leaf = Tensor(ad.pad_rows(arr), requires_grad=True)
     out = forward_graph(model, leaf, frozen=True)
     root = ad.sum_all(out)  # scalar; rows are independent so per-row grads are exact
     ad.backward(root)
-    g = leaf.grad * model.t_std
+    g = leaf.grad[:len(arr)] * model.t_std
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient")
     return g
@@ -140,7 +150,7 @@ def train_regressor(codes, temps, config: RegConfig):
         raise UsageError("need at least 2 training samples")
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(codes))
-    n_hold = int(round(config.holdout_fraction * len(codes)))
+    n_hold = config.n_holdout(len(codes))
     hold, keep = perm[:n_hold], perm[n_hold:]
     if len(keep) < 2:
         raise UsageError("holdout fraction leaves fewer than 2 training samples")

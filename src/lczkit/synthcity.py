@@ -174,6 +174,12 @@ class CorpusResult:
     test_ids: list
 
 
+def split_sizes(n_scenes: int) -> tuple:
+    """(train, test) scene counts of the corpus's 80/20 split."""
+    n_train = int(round(0.8 * n_scenes))
+    return n_train, n_scenes - n_train
+
+
 def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
                     seed: int, out_dir: str) -> CorpusResult:
     """Write n_scenes rasterized scenes plus manifest CSVs (80/20 split).
@@ -204,7 +210,7 @@ def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
         fractions[scene_id] = truth.true_veg_fraction
 
     order = rng.permutation(n_scenes)
-    n_train = int(round(0.8 * n_scenes))
+    n_train, _ = split_sizes(n_scenes)
     train = [entries[j] for j in sorted(order[:n_train])]
     test = [entries[j] for j in sorted(order[n_train:])]
     for name, split in (("manifest", entries), ("train", train), ("test", test)):

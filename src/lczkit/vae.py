@@ -4,7 +4,10 @@ Two interchangeable architectures: "mlp" (flatten, two hidden layers) for
 desk-scale grids, and "patch" (two strided patchwise-affine layers, then a
 flatten and an affine head) for larger grids. Both expose the same
 encode/decode contract, on batches only: encode takes (B, C, H, W) and
-decode (B, n), and one scene is a batch of one row.
+decode (B, n), and one scene is a batch of one row. Either call pads a
+batch of fewer than autodiff.MIN_ROWS rows with copies of its first row and
+drops them from the result, so a row encodes and decodes to the same bits
+in any batch.
 """
 
 from __future__ import annotations
@@ -185,10 +188,10 @@ def encode(model: VaeModel, channels):
         raise UsageError(f"encode: expected a (B, *{model.input_shape}) batch, got {arr.shape}")
     if not np.all(np.isfinite(arr)):  # relu would map NaN to 0 and hide it
         raise NumericError("encoder input is non-finite")
-    mu, logvar = encode_graph(model, Tensor(arr))
-    if not (np.all(np.isfinite(mu.value)) and np.all(np.isfinite(logvar.value))):
+    mu, logvar = (t.value[:len(arr)] for t in encode_graph(model, Tensor(ad.pad_rows(arr))))
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
         raise DivergenceError("encoder produced non-finite outputs")
-    return mu.value.copy(), logvar.value.copy()
+    return mu.copy(), logvar.copy()
 
 
 def encode_mean(model: VaeModel, channels) -> np.ndarray:
@@ -205,7 +208,7 @@ def decode(model: VaeModel, code) -> np.ndarray:
     arr = np.asarray(code, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != model.latent_dim:
         raise UsageError(f"decode: expected a (B, {model.latent_dim}) batch, got {arr.shape}")
-    return decode_graph(model, Tensor(arr)).value.copy()
+    return decode_graph(model, Tensor(ad.pad_rows(arr))).value[:len(arr)].copy()
 
 
 def _as_tensor(x) -> Tensor:

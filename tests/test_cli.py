@@ -163,7 +163,8 @@ def test_pipeline_refuses_a_perturb_count_below_one_before_any_stage(
                                   "--reg.holdout_fraction=1.5", "--vae.batch_size=0",
                                   "--reg.batch_size=0", "--vae.latent_dim=0",
                                   "--vae.epochs=0", "--vae.lambda_max=-1",
-                                  "--synth.n_scenes=0"])
+                                  "--synth.n_scenes=0", "--synth.n_scenes=1",
+                                  "--synth.n_scenes=2"])
 def test_pipeline_refuses_an_unusable_setting_before_any_stage(
         flag, tmp_path, small_config, capsys):
     out = tmp_path / "run"

@@ -227,8 +227,8 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
     monkeypatch.setattr(vae_mod, "encode_mean", counted(vae_mod.encode_mean))
     monkeypatch.setattr(vae_mod, "decode", counted(vae_mod.decode))
     result = batch_perturb(vae, reg, scenes, sweep, ids, steps=steps)
-    assert calls.count("encode_mean") == len(scenes)
-    assert calls.count("decode") == len(scenes)
+    assert calls.count("encode_mean") == 1  # the whole batch at once
+    assert calls.count("decode") == 1  # 3 reconstructions and 12 counterfactuals in one call
     assert len(result.scenes) == len(scenes) * len(sweep) and not result.failures
     pairs = [(sid, s, dt) for sid, s in zip(ids, scenes) for dt in sweep]
     for cf, (sid, s, dt) in zip(result.scenes, pairs):
@@ -241,6 +241,41 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
     for group in by_scene:  # a scene's pairs share one original and reconstruction
         assert all(cf.original is group[0].original for cf in group)
         assert all(cf.reconstruction is group[0].reconstruction for cf in group)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_network_calls_are_whole_batch(steps, monkeypatch):
+    import lczkit.regressor as reg_mod
+    import lczkit.vae as vae_mod
+
+    vae, reg = _models(activation="tanh", seed=33)
+    scenes = np.random.default_rng(34).standard_normal((30, *SHAPE))
+    sweep = [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 5.0]
+    calls = {}
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(model, rows):
+            calls.setdefault(name, []).append(len(rows))
+            return fn(model, rows)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    for mod, name in ((vae_mod, "encode_mean"), (vae_mod, "decode"),
+                      (reg_mod, "predict"), (reg_mod, "grad_wrt_code")):
+        counted(mod, name)
+    result = batch_perturb(vae, reg, scenes, sweep, [f"s{i}" for i in range(30)], steps=steps)
+    assert len(result.scenes) == 300 and not result.failures
+    assert calls["encode_mean"] == [30]
+    # codes, then stepped codes; then per further step the pairs still walking
+    assert calls["predict"][:2] == [30, 300] and calls["grad_wrt_code"][0] == 30
+    if steps == 1:
+        assert len(calls["predict"]) == 2 and len(calls["grad_wrt_code"]) == 1
+    else:
+        assert 2 < len(calls["predict"]) <= 2 + steps - 1
+        assert len(calls["grad_wrt_code"]) == len(calls["predict"]) - 1
+    rows = 30 + 300  # each scene's reconstruction and its counterfactuals
+    assert sum(calls["decode"]) == rows and len(calls["decode"]) <= -(-rows // 256)
 
 
 def test_batch_records_poisoned_scene_and_keeps_the_rest():
@@ -277,6 +312,23 @@ def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
     [(sid, dt, kind, message)] = result.failures
     assert (sid, dt, kind) == ("s", 1e9, "non_finite")
     assert "counterfactual" in message
+
+
+def test_batch_records_non_finite_step_per_pair():
+    vae, reg = _models(activation="relu", seed=35)
+    scenes = np.random.default_rng(36).standard_normal((2, *SHAPE))
+    sweep = [0.0, 1.7e308, 1.0]  # the step for 1.7e308 overflows to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+    assert [(sid, dt, kind) for sid, dt, kind, _ in result.failures] == [
+        ("a", 1.7e308, "non_finite"), ("b", 1.7e308, "non_finite")]
+    assert all("regressor input is non-finite" in message for *_, message in result.failures)
+    clean = batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a", "b"])
+    assert len(result.scenes) == len(clean.scenes) == 4
+    for cf, ref in zip(result.scenes, clean.scenes):
+        assert (cf.scene_id, cf.requested_dt, cf.achieved_dt) == (
+            ref.scene_id, ref.requested_dt, ref.achieved_dt)
+        assert cf.counterfactual.tobytes() == ref.counterfactual.tobytes()
 
 
 # Perturbs three scenes over the default sweep with the default model shapes

@@ -3,7 +3,7 @@ import pytest
 
 from lczkit import autodiff as ad
 from lczkit.autodiff import Tensor, check_gradient
-from lczkit.errors import FormatError, UsageError
+from lczkit.errors import FormatError, NumericError, UsageError
 from lczkit.io import load_model, save_model
 from lczkit.regressor import (
     ErrorReport,
@@ -42,6 +42,45 @@ def test_predict_deterministic():
 def test_predict_length_mismatch():
     with pytest.raises(UsageError):
         predict(_model(), np.zeros((1, LATENT + 2)))
+
+
+def test_predict_and_gradient_refuse_a_non_finite_code():
+    code = np.zeros((3, LATENT))
+    code[1, 2] = np.nan  # relu would map it to 0
+    for fn in (predict, grad_wrt_code):
+        with pytest.raises(NumericError, match="regressor input is non-finite"):
+            fn(_model(), code)
+
+
+# Calls predict and grad_wrt_code of the default regressor shape (latent 32,
+# hidden 128 and 32) with each activation on one batch of 2,200 codes, then
+# on a window of every size from 1 to 300 rows of it, and prints per call
+# the number of sizes at which some row differs from the same row of the
+# 2,200-row call, and the first such sizes.
+_ROW_INVARIANCE = """
+import numpy as np
+from lczkit.regressor import RegConfig, grad_wrt_code, init_regressor, predict
+rng = np.random.default_rng(0)
+codes = rng.standard_normal((2200, 32))
+for activation in ("relu", "tanh"):
+    model = init_regressor(32, RegConfig(activation=activation), rng)
+    for fn in (predict, grad_wrt_code):
+        whole = fn(model, codes)
+        starts = {b: 7 * b % (len(codes) - 300) for b in range(1, 301)}
+        bad = [b for b, s in starts.items() if not np.array_equal(fn(model, codes[s:s + b]),
+                                                                  whole[s:s + b])]
+        print(activation, fn.__name__, len(bad), ",".join(map(str, bad[:8])) or "-")
+"""
+
+
+def test_a_row_predicts_and_differentiates_alike_in_any_batch(run_under_blas_threads):
+    # ad.MIN_ROWS pads a small batch: grad_wrt_code rounds a row differently in
+    # batches of 2-37 rows otherwise, and a one-output layer is no GEMV, whose
+    # rounding of a row depends on where the row sits in the batch
+    out1, out2 = run_under_blas_threads(_ROW_INVARIANCE)
+    expected = [field for act in ("relu", "tanh")
+                for name in ("predict", "grad_wrt_code") for field in (act, name, "0", "-")]
+    assert out1 == out2 == expected, (out1, out2)
 
 
 def test_l1_loss_exact():

@@ -241,10 +241,37 @@ def test_train_vae_blas_thread_invariant(run_under_blas_threads):
     assert digest1 == digest2
 
 
+# Calls encode_mean and decode of the default mlp shape (13 x 16 x 16 input,
+# hidden 256, latent 32) on one batch of 2,200 rows, then on a window of
+# every size from 1 to 300 rows of it, and prints per call the number of
+# sizes at which some row differs from the same row of the 2,200-row call,
+# and the first such sizes.
+_ROW_INVARIANCE = """
+import numpy as np
+from lczkit.vae import VaeConfig, decode, encode_mean, init_vae
+rng = np.random.default_rng(0)
+model = init_vae((13, 16, 16), VaeConfig(), rng)
+calls = {"encode_mean": (encode_mean, rng.standard_normal((2200, 13, 16, 16))),
+         "decode": (decode, rng.standard_normal((2200, model.latent_dim)))}
+for name, (fn, rows) in calls.items():
+    whole = fn(model, rows)
+    starts = {b: 7 * b % (len(rows) - 300) for b in range(1, 301)}
+    bad = [b for b, s in starts.items() if not np.array_equal(fn(model, rows[s:s + b]),
+                                                              whole[s:s + b])]
+    print(name, len(bad), ",".join(map(str, bad[:8])) or "-")
+"""
+
+
+def test_a_row_encodes_and_decodes_alike_in_any_batch(run_under_blas_threads):
+    # ad.MIN_ROWS pads a small batch: a 1-row encode or decode rounds otherwise
+    out1, out2 = run_under_blas_threads(_ROW_INVARIANCE)
+    assert out1 == out2 == ["encode_mean", "0", "-", "decode", "0", "-"], (out1, out2)
+
+
 @pytest.mark.parametrize("arch", ["mlp", "patch"])
 def test_decoded_row_does_not_depend_on_its_batch(arch):
     # perturb decodes a scene's code with all its stepped codes in one batch;
-    # a 1-row decode may round differently, any batch of >= 2 rows may not
+    # a 1-row batch is padded to ad.MIN_ROWS rows, so it may not round differently
     model = init_vae((13, 16, 16), VaeConfig(arch=arch), np.random.default_rng(1))
     rng = np.random.default_rng(2)
     codes = rng.standard_normal((24, model.latent_dim))
