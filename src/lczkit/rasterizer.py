@@ -110,7 +110,16 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
     rn = cloud.return_number[inside].astype(float)
     nr = cloud.num_returns[inside].astype(float)
 
-    order = np.lexsort((inten, zz, y, x, cell))
+    # Sorted by cell, then x: one sort on x and a stable one on the cell
+    # (in the smallest unsigned type, which numpy radix-sorts up to 16 bits).
+    # When no two points of a cell share an x this is the whole
+    # (cell, x, y, z, intensity) order; otherwise the five-key sort breaks
+    # the ties.
+    order = np.argsort(x)
+    order = order[np.argsort(cell[order].astype(np.min_scalar_type(h * w - 1)), kind="stable")]
+    xs, cs = x[order], cell[order]
+    if np.any((xs[1:] == xs[:-1]) & (cs[1:] == cs[:-1])):
+        order = np.lexsort((inten, zz, y, x, cell))
     cell, zz, inten, rn, nr = cell[order], zz[order], inten[order], rn[order], nr[order]
     starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
     cells = cell[starts]
@@ -131,13 +140,14 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
 
     z_mean = seg_sum(zz) / counts
     i_mean = seg_sum(inten) / counts
+    z_min, z_max = seg_min(zz), seg_max(zz)
     rows, cols = cells // w, cells % w
     stats = {
-        "z_min": seg_min(zz),
-        "z_max": seg_max(zz),
+        "z_min": z_min,
+        "z_max": z_max,
         "z_mean": z_mean,
         "z_std": seg_std(zz, z_mean),
-        "z_range": seg_max(zz) - seg_min(zz),
+        "z_range": z_max - z_min,
         "i_mean": i_mean,
         "i_std": seg_std(inten, i_mean),
         "i_min": seg_min(inten),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -180,34 +181,52 @@ def split_sizes(n_scenes: int) -> tuple:
     return n_train, n_scenes - n_train
 
 
+def _write_scene(params: SceneParams, law: TemperatureLaw, out_dir: str, i: int,
+                 raster_path: str, density_scale: float, bld_scale: float) -> tuple:
+    """Build, rasterize and write scene i to out_dir/raster_path; its
+    (temperature, planted vegetation fraction)."""
+    scene_params = replace(
+        params,
+        tree_density=params.tree_density * density_scale,
+        building_density=params.building_density * bld_scale,
+    )
+    truth = generate_scene(scene_params, i)
+    stack = rasterize(truth.cloud, params.grid)
+    save_stack(stack, os.path.join(out_dir, raster_path))
+    return scene_temperature(law, truth.true_veg_fraction, i), truth.true_veg_fraction
+
+
 def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
                     seed: int, out_dir: str) -> CorpusResult:
     """Write n_scenes rasterized scenes plus manifest CSVs (80/20 split).
 
     Per-scene tree density is scaled by a seeded uniform draw so planted
-    vegetation fractions spread from ~0 to ~0.6.
+    vegetation fractions spread from ~0 to ~0.6. Scenes are built in one
+    worker process per usable CPU; each is fixed by its index, so the bytes
+    written do not depend on how many workers there are.
     """
     if n_scenes < 1:
         raise UsageError("n_scenes must be >= 1")
+    # Imported here: a module-level import would slow every lczkit start.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     rng = np.random.default_rng([seed, 11])
     density_scales = rng.uniform(0.02, 1.0, n_scenes)
     bld_scales = rng.uniform(0.3, 1.0, n_scenes)
 
-    entries, fractions = [], {}
-    for i in range(n_scenes):
-        scene_id = f"scene_{i:05d}"
-        scene_params = replace(
-            params,
-            tree_density=params.tree_density * density_scales[i],
-            building_density=params.building_density * bld_scales[i],
-        )
-        truth = generate_scene(scene_params, i)
-        stack = rasterize(truth.cloud, params.grid)
-        raster_path = os.path.join("scenes", f"{scene_id}.lczm")
-        save_stack(stack, os.path.join(out_dir, raster_path))
-        temp = scene_temperature(law, truth.true_veg_fraction, i)
-        entries.append((scene_id, raster_path, temp))
-        fractions[scene_id] = truth.true_veg_fraction
+    ids = [f"scene_{i:05d}" for i in range(n_scenes)]
+    paths = [os.path.join("scenes", f"{scene_id}.lczm") for scene_id in ids]
+    workers = len(os.sched_getaffinity(0))
+    # fork, not spawn: a spawned worker would import numpy and lczkit again
+    # before its first scene. A few chunks per worker: one message per scene
+    # costs more than the finer balance saves.
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        scenes = list(pool.map(partial(_write_scene, params, law, out_dir), range(n_scenes),
+                               paths, density_scales.tolist(), bld_scales.tolist(),
+                               chunksize=max(1, n_scenes // (8 * workers))))
+    entries = [(scene_id, path, temp) for scene_id, path, (temp, _) in zip(ids, paths, scenes)]
+    fractions = {scene_id: fraction for scene_id, (_, fraction) in zip(ids, scenes)}
 
     order = rng.permutation(n_scenes)
     n_train, _ = split_sizes(n_scenes)

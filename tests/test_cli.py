@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import multiprocessing
 import shutil
 from pathlib import Path
 
@@ -320,6 +321,18 @@ def test_out_or_input_of_the_wrong_kind_exits_one(tmp_path, capsys, where):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+
+
+def test_an_error_in_a_synth_worker_exits_one_and_leaves_no_process(tmp_path, capfd):
+    # capfd, not capsys: a forked worker writes to file descriptor 2.
+    scenes = tmp_path / "run" / "corpus" / "scenes"
+    scenes.parent.mkdir(parents=True)
+    scenes.write_text("")
+    assert main(["synth", "--out", str(tmp_path / "run"), "--synth.n_scenes=12"]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("usage error: ") and str(scenes) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not multiprocessing.active_children()
 
 
 # --- corrupt artifacts ------------------------------------------------------

@@ -18,6 +18,7 @@ from lczkit.rasterizer import (
     rasterize,
     save_stack,
 )
+from lczkit.synthcity import SceneParams, generate_scene
 
 SPEC = GridSpec(0.0, 0.0, 1.0, 4, 4)
 
@@ -78,18 +79,93 @@ def clouds(draw):
     return _cloud([r + (rn, nr) for r, rn, nr in zip(rows, rns, nrs)])
 
 
+def _shuffled(cloud, perm):
+    return PointCloud.from_arrays(
+        cloud.x[perm], cloud.y[perm], cloud.z[perm],
+        cloud.intensity[perm], cloud.return_number[perm], cloud.num_returns[perm],
+    )
+
+
 @given(clouds(), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_permutation_invariance_bit_exact(cloud, rand):
     perm = list(range(len(cloud)))
     rand.shuffle(perm)
-    shuffled = PointCloud.from_arrays(
-        cloud.x[perm], cloud.y[perm], cloud.z[perm],
-        cloud.intensity[perm], cloud.return_number[perm], cloud.num_returns[perm],
-    )
     a = rasterize(cloud, SPEC)
-    b = rasterize(shuffled, SPEC)
+    b = rasterize(_shuffled(cloud, perm), SPEC)
     assert a.channels.tobytes() == b.channels.tobytes()
+
+
+def _lexsort_oracle(cloud, spec):
+    """The channels of `rasterize` with the points of each cell ordered by
+    the five-key lexsort on (cell, x, y, z, intensity)."""
+    channels = np.zeros((len(CHANNEL_NAMES), spec.height, spec.width))
+    z = cloud.z - np.percentile(cloud.z, 2.0) if len(cloud) else cloud.z
+    col = np.floor((cloud.x - spec.origin_x) / spec.cell_size).astype(np.int64)
+    row = np.floor((cloud.y - spec.origin_y) / spec.cell_size).astype(np.int64)
+    inside = (col >= 0) & (col < spec.width) & (row >= 0) & (row < spec.height)
+    if not inside.any():
+        return channels
+    cell = (row * spec.width + col)[inside]
+    order = np.lexsort((cloud.intensity[inside], z[inside], cloud.y[inside],
+                        cloud.x[inside], cell))
+    cell, zz, inten = cell[order], z[inside][order], cloud.intensity[inside][order]
+    rn = cloud.return_number[inside][order].astype(float)
+    nr = cloud.num_returns[inside][order].astype(float)
+    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    n = np.diff(np.r_[starts, len(cell)])
+
+    def total(a):
+        return np.add.reduceat(a, starts)
+
+    z_mean, i_mean = total(zz) / n, total(inten) / n
+    z_dev, i_dev = zz - np.repeat(z_mean, n), inten - np.repeat(i_mean, n)
+    z_min, z_max = np.minimum.reduceat(zz, starts), np.maximum.reduceat(zz, starts)
+    values = (z_min, z_max, z_mean, np.sqrt(total(z_dev * z_dev) / n), z_max - z_min,
+              i_mean, np.sqrt(total(i_dev * i_dev) / n),
+              np.minimum.reduceat(inten, starts), np.maximum.reduceat(inten, starts),
+              n.astype(float), total(rn) / n,
+              total((nr > 1).astype(float)) / n, total((rn == nr).astype(float)) / n)
+    c = cell[starts]
+    for ci, value in enumerate(values):
+        channels[ci, c // spec.width, c % spec.width] = value
+    return channels
+
+
+@st.composite
+def tied_clouds(draw):
+    """Clouds whose cells hold points with equal x, and exact duplicates:
+    x comes from a few values (0.0 and -0.0 among them), and points from a
+    small pool as often as they are drawn fresh."""
+    def point():
+        nr = draw(st.integers(1, 3))
+        return (draw(st.sampled_from([-0.0, 0.0, 0.25, 1.5, 1.75, 3.5, 4.5])),
+                draw(st.sampled_from([0.5, 2.25]) | st.floats(-1.0, 5.0)),
+                draw(st.sampled_from([1.0, 3.0]) | st.floats(0.0, 20.0)),
+                draw(st.sampled_from([10.0, 20.0]) | st.floats(0.0, 1000.0)),
+                draw(st.integers(1, nr)), nr)
+
+    pool = [point() for _ in range(draw(st.integers(1, 6)))]
+    n = draw(st.integers(0, 60))
+    return _cloud([draw(st.sampled_from(pool)) if draw(st.booleans()) else point()
+                   for _ in range(n)])
+
+
+@given(tied_clouds(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_tied_x_and_duplicate_points_match_the_lexsort_oracle(cloud, rand):
+    stack = rasterize(cloud, SPEC)
+    assert stack.channels.tobytes() == _lexsort_oracle(cloud, SPEC).tobytes()
+    perm = list(range(len(cloud)))
+    rand.shuffle(perm)
+    assert rasterize(_shuffled(cloud, perm), SPEC).channels.tobytes() == stack.channels.tobytes()
+
+
+def test_a_synthetic_scene_matches_the_lexsort_oracle():
+    params = SceneParams(seed=2)
+    cloud = generate_scene(params, 4).cloud
+    assert rasterize(cloud, params.grid).channels.tobytes() == \
+        _lexsort_oracle(cloud, params.grid).tobytes()
 
 
 @given(clouds())

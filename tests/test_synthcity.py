@@ -1,17 +1,22 @@
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lczkit.analysis import ols_fit
 from lczkit.autogeolabel import LabelRules, segment, vegetation_fraction
 from lczkit.errors import UsageError
-from lczkit.io import read_manifest
-from lczkit.rasterizer import load_stack, rasterize
+from lczkit.io import SceneManifest, read_manifest, write_manifest
+from lczkit.rasterizer import load_stack, rasterize, save_stack
 from lczkit.synthcity import (
     SceneParams,
     TemperatureLaw,
     generate_corpus,
     generate_scene,
     scene_temperature,
+    split_sizes,
 )
 
 
@@ -115,12 +120,49 @@ def test_corpus_split_and_manifests(tmp_path):
                                      abs=4 * law.noise_sigma)
 
 
-def test_corpus_deterministic(tmp_path):
+def _serial_corpus(n_scenes, params, law, seed, out_dir):
+    """generate_corpus written out in one process, scene after scene."""
+    rng = np.random.default_rng([seed, 11])
+    density_scales = rng.uniform(0.02, 1.0, n_scenes)
+    bld_scales = rng.uniform(0.3, 1.0, n_scenes)
+    entries = []
+    for i in range(n_scenes):
+        truth = generate_scene(replace(
+            params, tree_density=params.tree_density * density_scales[i],
+            building_density=params.building_density * bld_scales[i]), i)
+        raster_path = os.path.join("scenes", f"scene_{i:05d}.lczm")
+        save_stack(rasterize(truth.cloud, params.grid), os.path.join(out_dir, raster_path))
+        entries.append((f"scene_{i:05d}", raster_path,
+                        scene_temperature(law, truth.true_veg_fraction, i)))
+    order = rng.permutation(n_scenes)
+    n_train, _ = split_sizes(n_scenes)
+    for name, split in (("manifest", entries),
+                        ("train", [entries[j] for j in sorted(order[:n_train])]),
+                        ("test", [entries[j] for j in sorted(order[n_train:])])):
+        write_manifest(SceneManifest(split), os.path.join(out_dir, f"{name}.csv"))
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_corpus_deterministic(tmp_path, monkeypatch):
+    """Every file of a corpus built in worker processes has the bytes of a
+    serial build, whatever the number of workers, and no worker outlives
+    the call."""
     params = SceneParams(seed=5)
     law = TemperatureLaw(seed=5)
-    a = generate_corpus(6, params, law, seed=5, out_dir=str(tmp_path / "a"))
-    b = generate_corpus(6, params, law, seed=5, out_dir=str(tmp_path / "b"))
-    assert (tmp_path / "a/manifest.csv").read_bytes() == (tmp_path / "b/manifest.csv").read_bytes()
+    _serial_corpus(12, params, law, 5, str(tmp_path / "serial"))
+    expected = _tree_bytes(tmp_path / "serial")
+    assert len(expected) == 15
+    a = generate_corpus(12, params, law, seed=5, out_dir=str(tmp_path / "a"))
+    assert not multiprocessing.active_children()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    b = generate_corpus(12, params, law, seed=5, out_dir=str(tmp_path / "b"))
+    assert not multiprocessing.active_children()
+    assert _tree_bytes(tmp_path / "a") == expected
+    assert _tree_bytes(tmp_path / "b") == expected
     assert a.train_ids == b.train_ids
 
 
