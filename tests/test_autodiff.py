@@ -201,43 +201,81 @@ def test_backward_skips_nodes_with_only_inactive_parents():
     assert inactive.grad is None and data.grad is None
 
 
-def _adam_step_reference(opt, m, v):
-    """The textbook Adam update on whole arrays, as a reference."""
-    opt.t += 1
-    b1t = 1.0 - opt.beta1 ** opt.t
-    b2t = 1.0 - opt.beta2 ** opt.t
-    for i, p in enumerate(opt.params):
-        if p.grad is None:
-            continue
-        m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * p.grad
-        v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * p.grad * p.grad
-        m_hat = m[i] / b1t
-        v_hat = v[i] / b2t
-        p.value -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+# Blocks of one parameter piece (inside the first and third arrays), of two
+# (the first two arrays' boundary) and of three (the third's tail, (1,) and
+# the head of (40, 9)), and a short last block.
+_ADAM_SHAPES = [(3, ad._ADAM_BLOCK), (ad._ADAM_BLOCK - 10,), (ad._ADAM_BLOCK + 7,), (1,), (40, 9)]
 
 
-def test_blocked_adam_bit_identical_to_reference():
-    block = ad._ADAM_BLOCK
-    shapes = [(3, block), (block + 7,), (1,), (40, 9)]  # last one loses its grad on some steps
+def _adam_grads(rng, shapes):
+    """Gradients whose scales range from 1e-6 to 1e2, one scale per array."""
+    return [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+
+
+def test_blocked_adam_equals_its_formula_on_whole_arrays():
     rng = np.random.default_rng(3)
-    init = [rng.standard_normal(s) for s in shapes]
-    fast = [Tensor(v.copy(), requires_grad=True) for v in init]
-    slow = [Tensor(v.copy(), requires_grad=True) for v in init]
-    opt = Adam(fast, lr=3e-3)
-    ref = Adam(slow, lr=3e-3)
-    m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
-    for step in range(6):
-        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
-        if step % 2:
-            grads[-1] = None
-        for p, q, g in zip(fast, slow, grads):
-            p.grad = q.grad = None if g is None else g.copy()
+    x = [rng.standard_normal(s) for s in _ADAM_SHAPES]
+    params = [Tensor(a.copy(), requires_grad=True) for a in x]
+    opt = Adam(params, lr=3e-3)
+    assert [len(block[-1]) for block in opt._blocks] == [1, 1, 1, 2, 3, 1]
+    b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
+    m, v = [np.zeros(s) for s in _ADAM_SHAPES], [np.zeros(s) for s in _ADAM_SHAPES]
+    ends = np.cumsum([a.size for a in x])
+    for t in range(1, 7):
+        grads = _adam_grads(rng, _ADAM_SHAPES)
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
         opt.step()
-        _adam_step_reference(ref, m, v)
-        for i in range(len(shapes)):
-            assert np.array_equal(fast[i].value, slow[i].value)
-            assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
-    assert opt.t == ref.t == 6
+        c = np.sqrt(1.0 - b2 ** t) / np.sqrt(1.0 - b2)
+        alpha, eps_t = lr * c * (1.0 - b1) / (1.0 - b1 ** t), eps * c
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + g
+            v[i] = b2 * v[i] + g * g
+            x[i] = x[i] - alpha * (m[i] / (np.sqrt(v[i]) + eps_t))
+            lo, hi = ends[i] - x[i].size, ends[i]
+            assert np.array_equal(params[i].value, x[i])
+            assert np.array_equal(opt.m[lo:hi], m[i].ravel())
+            assert np.array_equal(opt.v[lo:hi], v[i].ravel())
+    assert opt.t == 6
+
+
+def test_adam_matches_textbook_formula():
+    rng = np.random.default_rng(4)
+    x = [rng.standard_normal(s) for s in _ADAM_SHAPES]
+    params = [Tensor(a.copy(), requires_grad=True) for a in x]
+    opt = Adam(params, lr=3e-3)
+    m, v = [np.zeros(s) for s in _ADAM_SHAPES], [np.zeros(s) for s in _ADAM_SHAPES]
+    for t in range(1, 7):
+        grads = _adam_grads(rng, _ADAM_SHAPES)
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        opt.step()
+        for i, g in enumerate(grads):
+            m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * g
+            v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * g * g
+            m_hat, v_hat = m[i] / (1.0 - opt.beta1 ** t), v[i] / (1.0 - opt.beta2 ** t)
+            x[i] = x[i] - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    # Relative to each array's largest value: an element near zero carries
+    # the same absolute rounding (~1 ulp of the array's values) as the rest.
+    for p, ref in zip(params, x):
+        assert np.max(np.abs(p.value - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_adam_refuses_a_missing_gradient_and_keeps_its_state():
+    rng = np.random.default_rng(5)
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, 3), (3,))]
+    opt = Adam(params, lr=1e-2)
+    for p in params:
+        p.grad = rng.standard_normal(p.shape)
+    opt.step()
+    before = [p.value.copy() for p in params], opt.m.copy(), opt.v.copy()
+    params[0].grad = rng.standard_normal((4, 3))
+    params[1].grad = None
+    with pytest.raises(UsageError, match=r"parameter 1 \(shape \(3,\)\)"):
+        opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(p.value, b) for p, b in zip(params, before[0]))
+    assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
 
 
 def test_determinism_bit_exact():

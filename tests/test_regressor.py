@@ -167,6 +167,28 @@ def test_train_seed_deterministic():
         assert np.array_equal(m1.params[k].value, m2.params[k].value)
 
 
+def test_trained_model_holds_its_trained_values_through_a_round_trip(tmp_path):
+    rng = np.random.default_rng(15)
+    codes = rng.standard_normal((30, LATENT))
+    temps = 290.0 + codes @ rng.standard_normal(LATENT)
+    cfg = RegConfig(hidden=(5, 4), epochs=20, seed=3)
+    model, report = train_regressor(codes, temps, cfg)
+    # Adam rebinds every value to a view of its one flat buffer
+    buffer = model.params["W1"].value.base
+    assert buffer is not None and all(t.value.base is buffer for t in model.params.values())
+    split = np.random.default_rng(cfg.seed)
+    hold = split.permutation(len(codes))[:cfg.n_holdout(len(codes))]
+    untrained = init_regressor(LATENT, cfg, split)
+    for name, tensor in model.params.items():
+        assert not np.array_equal(tensor.value, untrained.params[name].value), name
+    assert report.mae == float(np.mean(np.abs(predict(model, codes[hold]) - temps[hold])))
+    save_model(regressor_tensors(model), tmp_path / "reg.lczm")
+    back = regressor_from_tensors(load_model(tmp_path / "reg.lczm"))
+    for name, tensor in model.params.items():
+        assert np.array_equal(back.params[name].value, tensor.value), name
+    assert np.array_equal(predict(back, codes), predict(model, codes))
+
+
 def test_train_length_mismatch():
     with pytest.raises(UsageError):
         train_regressor(np.zeros((3, LATENT)), np.zeros(4), RegConfig())

@@ -215,6 +215,23 @@ def test_train_vae_seed_deterministic():
     assert hist1 == hist2
 
 
+def test_trained_vae_holds_its_trained_values_through_a_round_trip(tmp_path):
+    corpus = np.asarray(_toy_corpus())
+    cfg = VaeConfig(latent_dim=3, hidden=16, epochs=3, seed=42)
+    model, _ = train_vae(corpus, cfg)
+    # Adam rebinds every value to a view of its one flat buffer
+    buffer = model.params["enc/W1"].value.base
+    assert buffer is not None and all(t.value.base is buffer for t in model.params.values())
+    untrained = init_vae(SHAPE, cfg, np.random.default_rng(cfg.seed))
+    for name, tensor in model.params.items():
+        assert not np.array_equal(tensor.value, untrained.params[name].value), name
+    save_model(vae_tensors(model), tmp_path / "vae.lczm")
+    back = vae_from_tensors(load_model(tmp_path / "vae.lczm"))
+    for name, tensor in model.params.items():
+        assert np.array_equal(back.params[name].value, tensor.value), name
+    assert np.array_equal(encode_mean(back, corpus), encode_mean(model, corpus))
+
+
 def test_train_vae_loss_decreases():
     corpus = _toy_corpus(n=20)
     cfg = VaeConfig(latent_dim=4, hidden=32, epochs=30, seed=1)
