@@ -19,6 +19,9 @@ from .rasterizer import CHANNEL_NAMES, N_CHANNELS
 
 BACKGROUND, BUILDING, VEGETATION = 0, 1, 2
 
+LABEL_CHANNELS = ("z_mean", "z_std", "multi_return_fraction")  # the channels segment reads
+_LABEL_INDEX = tuple(CHANNEL_NAMES.index(name) for name in LABEL_CHANNELS)
+
 
 @dataclass
 class LabelRules:
@@ -35,16 +38,35 @@ class LabelRules:
             raise UsageError("bld_zstd_max must be < veg_zstd_min (disjointness guard)")
 
 
+def label_channels(parts, norm) -> np.ndarray:
+    """The LABEL_CHANNELS of normalized (k, 13, H, W) arrays, de-normalized
+    as rasterizer.denormalize does it and stacked in order into one
+    (sum of k, 3, H, W) array, which segment takes as it takes whole scenes."""
+    if any(p.ndim != 4 or p.shape[1:] != parts[0].shape[1:] or p.shape[1] != N_CHANNELS
+           for p in parts):
+        raise UsageError(f"label_channels needs (k, {N_CHANNELS}, H, W) arrays of one grid, "
+                         f"got shapes {[p.shape for p in parts]}")
+    out = np.empty((sum(len(p) for p in parts), len(LABEL_CHANNELS), *parts[0].shape[2:]))
+    start = 0
+    for part in parts:
+        rows = out[start:start + len(part)]
+        for c, i in enumerate(_LABEL_INDEX):
+            np.multiply(part[:, i], norm.std[i], out=rows[:, c])
+            np.add(rows[:, c], norm.mean[i], out=rows[:, c])
+        start += len(part)
+    return out
+
+
 def segment(channels: np.ndarray, rules: LabelRules) -> np.ndarray:
     """Label each cell of a de-normalized (13, H, W) scene, or of a
-    (K, 13, H, W) stack of scenes: an (H, W), or (K, H, W), uint8 array of
+    (K, 13, H, W) stack of scenes, or of their LABEL_CHANNELS alone as
+    (3, H, W) or (K, 3, H, W): an (H, W), or (K, H, W), uint8 array of
     BACKGROUND, BUILDING and VEGETATION."""
-    if channels.ndim not in (3, 4) or channels.shape[-3] != N_CHANNELS:
-        raise UsageError(f"segment needs a ({N_CHANNELS}, H, W) array or a stack of them, "
-                         f"got shape {channels.shape}")
-    z_std = channels[..., CHANNEL_NAMES.index("z_std"), :, :]
-    z_mean = channels[..., CHANNEL_NAMES.index("z_mean"), :, :]
-    multiret = channels[..., CHANNEL_NAMES.index("multi_return_fraction"), :, :]
+    if channels.ndim not in (3, 4) or channels.shape[-3] not in (N_CHANNELS, len(_LABEL_INDEX)):
+        raise UsageError(f"segment needs a ({N_CHANNELS}, H, W) or ({len(_LABEL_INDEX)}, H, W) "
+                         f"array or a stack of them, got shape {channels.shape}")
+    index = _LABEL_INDEX if channels.shape[-3] == N_CHANNELS else range(len(_LABEL_INDEX))
+    z_mean, z_std, multiret = (channels[..., i, :, :] for i in index)
     veg = (z_std >= rules.veg_zstd_min) & (multiret >= rules.veg_multiret_min)
     bld = (z_mean >= rules.bld_height_min) & (z_std <= rules.bld_zstd_max) & ~veg
     labels = np.full(z_std.shape, BACKGROUND, dtype=np.uint8)

@@ -4,7 +4,10 @@ Formats owned here:
   * whitespace XYZ point clouds ("x y z intensity return_number num_returns")
   * the LCZM binary tensor container used for model weights, raster stacks
     and counterfactuals; it stores float64, the dtype every stage computes
-    in, so a save -> load round trip returns the same bits
+    in, so a save -> load round trip returns the same bits. A payload is
+    written from the tensor's own buffer when it is already C-contiguous
+    little-endian float64, such as a slice of rows, and converted once
+    otherwise
   * the run directory's csv tables, one schema each (below): the scene
     manifests, counterfactuals/index.csv and failures.csv, fractions.csv
 """
@@ -129,7 +132,7 @@ def save_model(weights, path) -> None:
         fh.write(LCZM_MAGIC)
         fh.write(struct.pack("<II", LCZM_VERSION, len(weights)))
         for name, tensor in weights:
-            arr = np.asarray(tensor, dtype="<f8")
+            arr = np.asarray(tensor, dtype="<f8", order="C")
             encoded = name.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise UsageError(f"tensor name too long: {name!r}")
@@ -138,7 +141,7 @@ def save_model(weights, path) -> None:
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr.data)  # the payload's own buffer, not a bytes copy of it
 
 
 def _read_exact(fh, n, what):

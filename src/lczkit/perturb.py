@@ -14,15 +14,21 @@ batch_perturb is the one entry point: it takes the scenes as one
 one encode of the finite scenes, one predict and one gradient over their
 codes, one predict over all stepped codes, and per further walk step one
 gradient and one predict over the pairs still walking. The codes and every
-stepped code are then decoded, consecutive rows in calls of DECODE_ROWS.
-Every network call runs on at least autodiff.MIN_ROWS rows, so a row has
-the same bits in any batch: a batched result equals the result of the
-scene, or the pair, alone.
+stepped code are then decoded into one (rows, C, H, W) array, each scene's
+reconstruction followed by its counterfactuals, DECODE_ROWS rows a call,
+each call writing its rows in place. If a decoded row fails, the rows after
+it move up, so a scene's rows stay consecutive: every reconstruction and
+counterfactual of the result is a view of that array, and a scene's
+counterfactuals are one slice of it. Every network call runs on at least
+autodiff.MIN_ROWS rows, so a row has the same bits in any batch: a batched
+result equals the result of the scene, or the pair, alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from . import vae as vae_mod
 from .errors import DataError, DegenerateGradientError, NumericError, UsageError
 
 DEFAULT_G_FLOOR = 1e-8
-DECODE_ROWS = 256  # rows per decode call: the decoded scenes are views of these calls' outputs
+DECODE_ROWS = 256  # rows per decode call, each call filling its rows of the batch's one array
 
 
 @dataclass
@@ -48,7 +54,21 @@ class CounterfactualScene:
 @dataclass
 class BatchResult:
     scenes: list                  # CounterfactualScene, scene-major order
-    failures: list = field(default_factory=list)  # (scene_id, delta_t, kind, message)
+    failures: list                # (scene_id, delta_t, kind, message)
+    decoded: np.ndarray           # (R, C, H, W): per scene with a pair, its reconstruction,
+                                  # then its counterfactuals, which are views of it
+    steps: np.ndarray             # (R, n): each decoded row's delta_c, zeros for a reconstruction
+
+    def by_scene(self):
+        """Per scene with a pair, in order: its CounterfactualScenes, its
+        decoded rows (the reconstruction, then the counterfactuals) and
+        their latent steps, the rows as views of decoded and steps."""
+        start = 0
+        for _, group in itertools.groupby(self.scenes, lambda cf: cf.scene_id):
+            group = list(group)
+            stop = start + 1 + len(group)
+            yield group, self.decoded[start:stop], self.steps[start:stop]
+            start = stop
 
 
 def _steps(g, delta_t, g_floor):
@@ -122,10 +142,11 @@ def _walk(regressor, codes, t0, dts, step, achieved, errors, steps, g_floor):
 def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G_FLOOR,
                   steps=1) -> BatchResult:
     """All scenes x all delta_t values: scenes is a normalized (N, C, H, W)
-    array and scene_ids its N ids. Each scene is encoded, predicted and
+    array and scene_ids its N distinct ids. Each scene is encoded, predicted and
     differentiated once and stepped per delta_t, by at most `steps`
     closed-form steps; its reconstruction and all its counterfactuals are
-    decoded with the other scenes', DECODE_ROWS rows a call.
+    decoded with the other scenes' into the result's one array, DECODE_ROWS
+    rows a call.
 
     A NumericError fails only the pairs it reaches (all of a scene's pairs
     if it comes from the scene's input, code, prediction, gradient or
@@ -143,6 +164,9 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G
         raise UsageError(f"batch_perturb: steps must be >= 1, got {steps}")
     if not g_floor > 0:
         raise UsageError(f"batch_perturb: g_floor must be > 0, got {g_floor}")
+    repeated = [sid for sid, count in Counter(scene_ids).items() if count > 1]
+    if repeated:
+        raise UsageError(f"batch_perturb: scene ids must be distinct, {repeated[0]!r} repeats")
     n, k, latent = len(scenes), len(delta_ts), (vae.latent_dim,)
     # A scene error fails all the scene's pairs and skips its decode; a
     # gradient error fails them too, but a non-finite reconstruction comes first.
@@ -167,28 +191,43 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G
     for i in np.flatnonzero([err is None for err in scene_errors]):
         rows += [i] + [n + p for p in range(i * k, i * k + k) if errors[p] is None]
     table = np.concatenate([codes, pair_codes + step])[rows]
-    chunks = [vae_mod.decode(vae, table[start:start + DECODE_ROWS])
-              for start in range(0, len(rows), DECODE_ROWS)]
-    decoded = dict(zip(rows, (row for chunk in chunks for row in chunk)))
-    finite = dict(zip(rows, (ok for chunk in chunks
-                             for ok in np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1))))
+    decoded, finite = np.empty((len(rows), *scenes.shape[1:])), np.empty(len(rows), dtype=bool)
+    for start in range(0, len(rows), DECODE_ROWS):
+        chunk = decoded[start:start + DECODE_ROWS]
+        vae_mod.decode(vae, table[start:start + DECODE_ROWS], out=chunk)
+        finite[start:start + len(chunk)] = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
+    at = dict(zip(rows, range(len(rows))))  # row of table -> row of decoded
 
-    results, failures = [], []
-    for i, (scene_id, original) in enumerate(zip(scene_ids, scenes)):
+    keep, passed, failures = [], [], []  # keep: decoded rows; passed: (scene, its pairs)
+    for i, scene_id in enumerate(scene_ids):
+        ok = []
         for j, dt in enumerate(delta_ts):
             p = i * k + j
             err = (NumericError("decoded reconstruction is non-finite")
-                   if not finite.get(i, True) else errors[p])
-            if err is None and not finite[n + p]:
+                   if i in at and not finite[at[i]] else errors[p])
+            if err is None and not finite[at[n + p]]:
                 err = NumericError("decoded counterfactual is non-finite")
             if err is None:
-                results.append(CounterfactualScene(
-                    original=original, reconstruction=decoded[i], counterfactual=decoded[n + p],
-                    delta_c=step[p], achieved_dt=float(achieved[p]), requested_dt=dt,
-                    scene_id=scene_id))
+                ok.append(p)
             else:
                 failures.append((scene_id, dt, err.kind, str(err)))
-    if failures and not results:
+        if ok:
+            keep += [at[i]] + [at[n + p] for p in ok]
+            passed.append((i, ok))
+    if failures and not keep:
         raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
                         f"first: {failures[0][2]}: {failures[0][3]}")
-    return BatchResult(results, failures)
+    if len(keep) < len(rows):  # close the gaps the failed rows left
+        decoded[:len(keep)] = decoded[keep]
+        decoded = decoded[:len(keep)]
+    row_steps = np.concatenate([np.zeros_like(codes), step])[np.array(rows, dtype=int)[keep]]
+
+    results, start = [], 0
+    for i, ok in passed:
+        original, reconstruction = scenes[i], decoded[start]
+        results += [CounterfactualScene(
+            original=original, reconstruction=reconstruction, counterfactual=decoded[r],
+            delta_c=row_steps[r], achieved_dt=float(achieved[p]), requested_dt=delta_ts[p % k],
+            scene_id=scene_ids[i]) for r, p in enumerate(ok, start=start + 1)]
+        start += 1 + len(ok)
+    return BatchResult(results, failures, decoded, row_steps)

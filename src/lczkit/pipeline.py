@@ -107,33 +107,30 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
 
 def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
     """One LCZM file per scene: its original and reconstruction once, then
-    its counterfactuals and latent steps stacked along a slot axis.
-    index.csv maps each (scene, delta_t) pair to its file and slot;
-    failures.csv lists the pairs that failed."""
+    its counterfactuals and latent steps stacked along a slot axis, each
+    written from its rows of the batch's arrays. index.csv maps each
+    (scene, delta_t) pair to its file and slot; failures.csv lists the
+    pairs that failed."""
     index = []
-    for i, (sid, group) in enumerate(itertools.groupby(batch.scenes, lambda cf: cf.scene_id)):
-        group = list(group)
+    for i, (group, rows, steps) in enumerate(batch.by_scene()):
         rel = f"cf_{i:05d}.lczm"
-        save_model(
-            [("cf/original", group[0].original),
-             ("cf/reconstruction", group[0].reconstruction),
-             ("cf/counterfactual", np.stack([cf.counterfactual for cf in group])),
-             ("cf/delta_c", np.stack([cf.delta_c for cf in group]))],
-            os.path.join(out_dir, CF_DIR, rel),
-        )
-        index += [(sid, cf.requested_dt, cf.achieved_dt, rel, slot)
+        save_model([("cf/original", group[0].original), ("cf/reconstruction", rows[0]),
+                    ("cf/counterfactual", rows[1:]), ("cf/delta_c", steps[1:])],
+                   os.path.join(out_dir, CF_DIR, rel))
+        index += [(cf.scene_id, cf.requested_dt, cf.achieved_dt, rel, slot)
                   for slot, cf in enumerate(group)]
     write_table(os.path.join(out_dir, CF_DIR, "index.csv"), CF_INDEX, index)
     write_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES, batch.failures)
 
 
-def _scene_records(scene_ids, stack, pairs, norm: NormStats, rules) -> list:
-    """The ExperimentRecords of one scene's K pairs: stack is its normalized
-    reconstruction and K counterfactuals as one (K + 1, 13, H, W) array,
-    de-normalized and segmented at once; scene_ids and pairs, the K pairs'
+def _scene_records(scene_ids, parts, pairs, norm: NormStats, rules) -> list:
+    """The ExperimentRecords of one scene's K pairs: parts hold its
+    normalized reconstruction and K counterfactuals, in that order, as
+    (k, 13, H, W) arrays; only the channels segment reads are de-normalized,
+    into one (K + 1, 3, H, W) array. scene_ids and pairs are the K pairs'
     ids and (requested, achieved) delta_t."""
     fractions = autogeolabel.vegetation_fraction(
-        autogeolabel.segment(rasterizer.denormalize(stack, norm), rules))
+        autogeolabel.segment(autogeolabel.label_channels(parts, norm), rules))
     return [report.ExperimentRecord(scene_id=sid, delta_t=dt, achieved_dt=adt,
                                     v_prime=float(v), v_baseline=float(fractions[0]))
             for sid, (dt, adt), v in zip(scene_ids, pairs, fractions[1:])]
@@ -141,10 +138,8 @@ def _scene_records(scene_ids, stack, pairs, norm: NormStats, rules) -> list:
 
 def _batch_scenes(batch: perturb.BatchResult):
     """Per scene of an in-memory batch, the arguments of _scene_records."""
-    for _, group in itertools.groupby(batch.scenes, lambda cf: cf.scene_id):
-        group = list(group)
-        yield ([cf.scene_id for cf in group],
-               np.stack([group[0].reconstruction] + [cf.counterfactual for cf in group]),
+    for group, rows, _ in batch.by_scene():
+        yield ([cf.scene_id for cf in group], [rows],
                [(cf.requested_dt, cf.achieved_dt) for cf in group])
 
 
@@ -172,8 +167,9 @@ def _file_scenes(out_dir: str):
             if not 0 <= slot < len(cfs):
                 raise ParseError(f"slot {slot} is not one of the {len(cfs)} in {rel}",
                                  line=line, path=index)
-        yield (scene_ids, np.concatenate([reconstruction[None], cfs[list(slots)]]),
-               list(zip(dts, achieved)))
+        if slots != tuple(range(len(cfs))):
+            cfs = cfs[list(slots)]
+        yield scene_ids, [reconstruction[None], cfs], list(zip(dts, achieved))
 
 
 def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:

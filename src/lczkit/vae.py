@@ -159,16 +159,20 @@ def encode_graph(model: VaeModel, x: Tensor):
     return mu, logvar
 
 
-def decode_graph(model: VaeModel, code: Tensor) -> Tensor:
-    """Build the (B, C, H, W) reconstruction graph from (B, n) codes."""
+def decode_graph(model: VaeModel, code: Tensor, out=None) -> Tensor:
+    """Build the (B, C, H, W) reconstruction graph from (B, n) codes. With
+    out, a C-contiguous (B, C, H, W) array, the mlp arch computes its last
+    layer in out, so the result's value is a view of out; the patch arch,
+    whose last layer is laid out by patch, ignores it."""
     b = code.shape[0]
     c, h, w = model.input_shape
     pr = model.params
     if model.arch == "mlp":
         h1 = ad.relu(ad.affine(code, pr["dec/W1"], pr["dec/b1"]))
         h2 = ad.relu(ad.affine(h1, pr["dec/W2"], pr["dec/b2"]))
-        out = ad.affine(h2, pr["dec/W3"], pr["dec/b3"])
-        return ad.reshape(out, (b, c, h, w))
+        flat = ad.affine(h2, pr["dec/W3"], pr["dec/b3"],
+                         out=None if out is None else out.reshape(b, c * h * w))
+        return ad.reshape(flat, (b, c, h, w))
     p1, p2 = VaeModel.PATCH_SIZES
     f1, f2 = model.patch_features
     h2g, w2g = h // (p1 * p2), w // (p1 * p2)
@@ -203,12 +207,26 @@ def reparameterize(mu: Tensor, logvar: Tensor, epsilon: Tensor) -> Tensor:
     return ad.add(mu, ad.mul(ad.exp(ad.scale(logvar, 0.5)), epsilon))
 
 
-def decode(model: VaeModel, code) -> np.ndarray:
-    """Decode a (B, n) batch of latent codes to (B, C, H, W) scenes."""
+def decode(model: VaeModel, code, out=None) -> np.ndarray:
+    """Decode a (B, n) batch of latent codes to (B, C, H, W) scenes, written
+    into out if given (a C-contiguous float64 array of that shape, such as
+    a slice of rows of a larger one) and returned. The last layer's product
+    and bias go straight into out; a padded call, or the patch arch, copies
+    its rows in."""
     arr = np.asarray(code, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != model.latent_dim:
         raise UsageError(f"decode: expected a (B, {model.latent_dim}) batch, got {arr.shape}")
-    return decode_graph(model, Tensor(ad.pad_rows(arr))).value[:len(arr)].copy()
+    shape = (len(arr), *model.input_shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise UsageError(f"decode: out must be a C-contiguous float64 {shape} array, "
+                         f"got {out.dtype} {out.shape}")
+    rows = ad.pad_rows(arr)
+    value = decode_graph(model, Tensor(rows), out if rows is arr else None).value
+    if not np.may_share_memory(value, out):
+        out[...] = value[:len(arr)]
+    return out
 
 
 def _as_tensor(x) -> Tensor:

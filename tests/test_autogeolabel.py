@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 from lczkit.autogeolabel import (
     BACKGROUND,
     BUILDING,
+    LABEL_CHANNELS,
     VEGETATION,
     LabelRules,
     aggregate_fractions,
+    label_channels,
     segment,
     vegetation_fraction,
 )
 from lczkit.errors import UsageError
-from lczkit.rasterizer import CHANNEL_NAMES
+from lczkit.rasterizer import CHANNEL_NAMES, N_CHANNELS, NormStats, denormalize
 
 RULES = LabelRules()
 
@@ -121,3 +123,52 @@ def test_aggregate_fractions_empty_raises():
     with pytest.raises(UsageError):
         aggregate_fractions([])
 
+
+
+def _on_a_value(values, rng):
+    """Two distinct entries of positive values, lower first, so that a rule
+    threshold sits exactly on a cell."""
+    found = np.unique(values)
+    hi = rng.integers(1, len(found))
+    return float(found[rng.integers(0, hi)]), float(found[hi])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 4), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_three_label_channels_label_as_the_whole_denormalized_stack(seed, k, h, w):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k + 1, N_CHANNELS, h, w))  # normalized, as a decoder gives it
+    mean, std = rng.uniform(-4.0, 4.0, N_CHANNELS), rng.uniform(0.05, 2.0, N_CHANNELS)
+    index = [CHANNEL_NAMES.index(name) for name in LABEL_CHANNELS]
+    # positive de-normalized label channels, so the thresholds can be cell values
+    mean[index], std[index] = rng.uniform(3.0, 5.0, 3), rng.uniform(0.05, 0.5, 3)
+    norm = NormStats(mean, std)
+    whole = denormalize(stack, norm)
+    z_mean, z_std, multiret = (whole[:, i] for i in index)
+    bld_zstd_max, veg_zstd_min = _on_a_value(z_std, rng)
+    rules = LabelRules(veg_zstd_min=veg_zstd_min, bld_zstd_max=bld_zstd_max,
+                       veg_multiret_min=_on_a_value(multiret, rng)[1],
+                       bld_height_min=_on_a_value(z_mean, rng)[1])
+    split = rng.integers(0, k + 2)  # the reconstruction and the counterfactuals may come apart
+    parts = [p for p in (stack[:split], stack[split:]) if len(p)]
+    three = label_channels(parts, norm)
+    assert three.shape == (k + 1, 3, h, w)
+    assert np.array_equal(three, whole[:, index])
+    for c, threshold in ((1, rules.veg_zstd_min), (1, rules.bld_zstd_max),
+                         (2, rules.veg_multiret_min), (0, rules.bld_height_min)):
+        assert np.any(three[:, c] == threshold)
+    labels = segment(three, rules)
+    assert np.array_equal(labels, segment(whole, rules))
+    assert np.array_equal(vegetation_fraction(labels),
+                          vegetation_fraction(segment(whole, rules)))
+    assert np.array_equal(segment(three[0], rules), segment(whole[0], rules))
+
+
+def test_label_channels_and_segment_refuse_other_shapes():
+    norm = NormStats(np.zeros(N_CHANNELS), np.ones(N_CHANNELS))
+    with pytest.raises(UsageError):
+        label_channels([np.zeros((2, 3, 4, 4))], norm)
+    with pytest.raises(UsageError):
+        label_channels([np.zeros((2, N_CHANNELS, 4, 4)), np.zeros((1, N_CHANNELS, 4, 5))], norm)
+    with pytest.raises(UsageError):
+        segment(np.zeros((2, 4, 4, 4)), RULES)

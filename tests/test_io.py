@@ -120,6 +120,20 @@ def test_model_round_trip_random(tmp_path):
         assert orig.tobytes() == loaded.tobytes()
 
 
+def test_model_payload_is_written_from_any_layout_as_little_endian_rows(tmp_path):
+    grid = np.arange(24.0).reshape(2, 3, 4) * np.pi
+    tensors = [("transposed", grid.transpose(2, 0, 1)), ("strided", grid[:, ::2, 1::2]),
+               ("big_endian", grid.astype(">f8")), ("rows", grid[1:]), ("rank0", np.array(-0.5)),
+               ("empty", np.zeros((0, 3)))]
+    save_model(tensors, tmp_path / "views.lczm")
+    expected = LCZM_MAGIC + struct.pack("<II", 2, len(tensors))
+    for name, t in tensors:  # the previous writer's formula is the oracle
+        expected += struct.pack("<H", len(name)) + name.encode()
+        expected += struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape)
+        expected += np.asarray(t, "<f8").tobytes()
+    assert (tmp_path / "views.lczm").read_bytes() == expected
+
+
 def test_model_version_1_rejected(tmp_path):
     # version 1 stored a float32 payload; it is refused, not converted
     path = tmp_path / "v1.lczm"

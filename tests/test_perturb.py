@@ -256,9 +256,9 @@ def test_network_calls_are_whole_batch(steps, monkeypatch):
     def counted(mod, name):
         fn = getattr(mod, name)
 
-        def wrapper(model, rows):
+        def wrapper(model, rows, **kwargs):
             calls.setdefault(name, []).append(len(rows))
-            return fn(model, rows)
+            return fn(model, rows, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
 
     for mod, name in ((vae_mod, "encode_mean"), (vae_mod, "decode"),
@@ -301,8 +301,8 @@ def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
     rng = np.random.default_rng(28)
     decode = vae_mod.decode
 
-    def decode_inf_far_out(model, code):  # poison only the rows of large latent steps
-        out = decode(model, code)
+    def decode_inf_far_out(model, code, out=None):  # poison only the rows of large latent steps
+        out = decode(model, code, out=out)
         out[np.linalg.norm(code, axis=-1) >= 1e3] = np.inf
         return out
 
@@ -375,3 +375,50 @@ def test_perturbation_validation():
         batch_perturb(vae, reg, scenes, [1.0], ["a"], steps=0)
     with pytest.raises(UsageError):
         batch_perturb(vae, reg, scenes, [1.0], ["a"], g_floor=0.0)
+
+
+def test_batch_refuses_a_repeated_scene_id_before_any_network_call(monkeypatch):
+    import lczkit.regressor as reg_mod
+    import lczkit.vae as vae_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("a network was called")
+
+    for mod, name in ((vae_mod, "encode_mean"), (vae_mod, "decode"),
+                      (reg_mod, "predict"), (reg_mod, "grad_wrt_code")):
+        monkeypatch.setattr(mod, name, never)
+    vae, reg = _models(seed=37)
+    scenes = np.random.default_rng(38).standard_normal((3, *SHAPE))
+    # adjacent or not, two scenes under one id would share one cf file and one baseline
+    for ids in (["a", "a", "b"], ["a", "b", "a"]):
+        with pytest.raises(UsageError, match="'a' repeats"):
+            batch_perturb(vae, reg, scenes, [0.0, 1.0], ids)
+
+
+def test_decoded_rows_live_in_one_array_and_the_call_allocates_it_once():
+    import tracemalloc
+
+    shape = (13, 16, 16)  # rows large enough that the arrays, not Python objects, set the peak
+    rng = np.random.default_rng(39)
+    vae = init_vae(shape, VaeConfig(latent_dim=8, hidden=16), rng)
+    reg = init_regressor(8, RegConfig(hidden=(6, 3), activation="tanh"), rng)
+    reg.t_mean, reg.t_std = 290.0, 2.0
+    n, sweep = 8, list(np.linspace(-3.0, 3.0, 31))
+    rows = n * (len(sweep) + 1)  # 256: one decode call, of more than MIN_ROWS rows
+    scenes = rng.standard_normal((n, *shape))
+    tracemalloc.start()
+    try:
+        result = batch_perturb(vae, reg, scenes, sweep, [f"s{i}" for i in range(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.scenes) == n * len(sweep) and not result.failures
+    assert result.decoded.shape == (rows, *shape)
+    for cf in result.scenes:
+        assert np.shares_memory(cf.reconstruction, result.decoded)
+        assert np.shares_memory(cf.counterfactual, result.decoded)
+    # The decoded rows plus the scenes' copy and the finiteness masks: about
+    # 1.17x the payload. A decode that returns a new array per call, copied
+    # once more, peaks at about 2.07x.
+    payload = rows * np.prod(shape) * 8
+    assert peak < 1.5 * payload, peak / payload

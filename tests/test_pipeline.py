@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+
+from lczkit import pipeline as pl
+from lczkit.config import RunConfig
+from lczkit.io import CF_INDEX, read_table, save_model, write_table
+from lczkit.perturb import batch_perturb
+from lczkit.rasterizer import N_CHANNELS, NormStats, norm_stats_tensors
+from lczkit.regressor import RegConfig, init_regressor
+from lczkit.vae import VaeConfig, init_vae
+
+SHAPE = (N_CHANNELS, 4, 4)
+IDS = ["s0", "s1", "s2"]
+
+
+@pytest.fixture
+def setup(tmp_path):
+    """Random-init models, three normalized scenes and norm stats on disk:
+    what staged label reads besides the counterfactuals."""
+    rng = np.random.default_rng(40)
+    vae = init_vae(SHAPE, VaeConfig(latent_dim=4, hidden=8), rng)
+    reg = init_regressor(4, RegConfig(hidden=(6, 3), activation="tanh"), rng)
+    reg.t_mean, reg.t_std = 290.0, 2.0
+    norm = NormStats(rng.uniform(0.0, 1.5, N_CHANNELS), rng.uniform(0.2, 1.0, N_CHANNELS))
+    save_model(norm_stats_tensors(norm), tmp_path / pl.MODEL_DIR / "norm.lczm")
+    return vae, reg, rng.standard_normal((len(IDS), *SHAPE)), norm, tmp_path
+
+
+def _rows(records):
+    return [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime, r.v_baseline) for r in records]
+
+
+def _label_both_ways(batch, norm, out, edit_index=lambda rows: rows):
+    """Records of labeling the batch in memory, and of labeling its files
+    from disk after edit_index has rewritten index.csv's rows."""
+    cfg = RunConfig()
+    in_memory = _rows(pl.run_label(cfg, str(out), batch, norm))
+    pl._write_batch(batch, str(out))
+    index = out / pl.CF_DIR / "index.csv"
+    write_table(index, CF_INDEX, edit_index(read_table(index, CF_INDEX)))
+    return in_memory, _rows(pl.run_label(cfg, str(out)))
+
+
+def test_staged_label_equals_in_memory_label_with_slots_out_of_order(setup):
+    vae, reg, scenes, norm, out = setup
+    sweep = [0.0, 0.5, -1.0, 2.0]
+    batch = batch_perturb(vae, reg, scenes, sweep, IDS)
+
+    def reverse_second_file(rows):
+        k = len(sweep)
+        return rows[:k] + rows[k:2 * k][::-1] + rows[2 * k:]
+
+    in_memory, staged = _label_both_ways(batch, norm, out, reverse_second_file)
+    k = len(sweep)
+    assert staged == in_memory[:k] + in_memory[k:2 * k][::-1] + in_memory[2 * k:]
+    assert len({v for *_, v, _ in staged}) > 1  # the labels differ from pair to pair
+
+
+def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, monkeypatch):
+    import lczkit.vae as vae_mod
+
+    vae, reg, scenes, norm, out = setup
+    decode = vae_mod.decode
+
+    def decode_inf_far_out(model, code, out=None):  # poison only the rows of huge latent steps
+        out = decode(model, code, out=out)
+        out[np.linalg.norm(code, axis=-1) >= 1e3] = np.inf
+        return out
+
+    monkeypatch.setattr(vae_mod, "decode", decode_inf_far_out)
+    batch = batch_perturb(vae, reg, scenes, [0.0, 0.5, 1e9, -1.0], IDS)
+    assert [(sid, dt) for sid, dt, *_ in batch.failures] == [(sid, 1e9) for sid in IDS]
+    in_memory, staged = _label_both_ways(batch, norm, out)
+    assert staged == in_memory
+    slots = [slot for *_, slot in read_table(out / pl.CF_DIR / "index.csv", CF_INDEX)]
+    assert slots == [0, 1, 2] * len(IDS)  # each file holds the three pairs that passed
+    # the failed row left no gap: the kept rows are those of the sweep without it
+    clean = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0], IDS)
+    assert batch.decoded.tobytes() == clean.decoded.tobytes()
+    assert batch.steps.tobytes() == clean.steps.tobytes()
+    assert in_memory == _rows(pl.run_label(RunConfig(), str(out), clean, norm))

@@ -279,6 +279,22 @@ for name, (fn, rows) in calls.items():
 """
 
 
+@pytest.mark.parametrize("arch", ["mlp", "patch"])
+@pytest.mark.parametrize("rows", [5, 70])  # padded, and not
+def test_decode_into_rows_of_a_larger_array(arch, rows):
+    model, shape = _model(arch)
+    codes = np.random.default_rng(3).standard_normal((rows, model.latent_dim))
+    whole = np.full((rows + 3, *shape), 7.0)
+    out = decode(model, codes, out=whole[2:2 + rows])
+    assert np.shares_memory(out, whole) and out.shape == (rows, *shape)
+    assert out.tobytes() == decode(model, codes).tobytes()
+    assert (whole[:2] == 7.0).all() and (whole[2 + rows:] == 7.0).all()
+    for bad in (whole[:rows + 1], whole[2:2 + rows].astype(np.float32),
+                np.empty((*shape, rows)).transpose(3, 0, 1, 2)):
+        with pytest.raises(UsageError):
+            decode(model, codes, out=bad)
+
+
 def test_a_row_encodes_and_decodes_alike_in_any_batch(run_under_blas_threads):
     # ad.MIN_ROWS pads a small batch: a 1-row encode or decode rounds otherwise
     out1, out2 = run_under_blas_threads(_ROW_INVARIANCE)
