@@ -1,91 +1,46 @@
 """Ordinary least squares with confidence intervals and a slope p-value.
 
 The slope test is two-sided, from the t-statistic a / SE(a) against the
-Student-t distribution with n - 2 degrees of freedom; the t CDF is
-evaluated through the regularized incomplete beta function (continued
-fraction, Lentz's method). The cooling hypothesis additionally requires a
-negative slope, so the decision combines the two-sided p with a sign
-check; that convention is recorded in the decision record.
+Student-t distribution with n - 2 degrees of freedom. At integer degrees
+of freedom the t CDF is an exact finite sum in atan(|t| / sqrt(dof))
+(Abramowitz & Stegun, Handbook of Mathematical Functions, 26.7.3-26.7.4),
+so nothing is truncated and nothing can fail to converge. The cooling
+hypothesis additionally requires a negative slope, so the decision
+combines the two-sided p with a sign check; that convention is recorded
+in the decision record.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, UsageError
 
-_BETA_TOL = 1e-10
-_BETA_MAX_ITER = 500
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_TOL:
-            return h
-    raise DataError("incomplete beta continued fraction failed to converge")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise UsageError("incomplete beta needs a, b > 0")
-    if not 0.0 <= x <= 1.0:
-        raise UsageError("incomplete beta needs x in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
 
 def student_t_cdf(t: float, dof: int) -> float:
-    """P(T <= t) for Student-t with `dof` degrees of freedom."""
-    if dof < 1:
-        raise UsageError("dof must be >= 1")
+    """P(T <= t) for Student-t with an integer `dof` >= 1 degrees of freedom.
+
+    A&S 26.7.3-26.7.4: with theta = atan(|t| / sqrt(dof)), P(|T| <= |t|) is
+    (2/pi)(theta + sin cos S) for odd dof and sin S for even dof, where S is
+    a sum of dof // 2 terms in cos^2 theta.
+    """
+    if not isinstance(dof, numbers.Integral) or dof < 1:
+        raise UsageError(f"dof must be an integer >= 1, got {dof!r}")
     if not math.isfinite(t):
         return 1.0 if t > 0 else 0.0
-    x = dof / (dof + t * t)
-    tail = 0.5 * regularized_incomplete_beta(dof / 2.0, 0.5, x)
-    return 1.0 - tail if t >= 0 else tail
+    theta = math.atan(abs(t) / math.sqrt(dof))
+    sin, cos = math.sin(theta), math.cos(theta)
+    odd = dof % 2
+    term, total = 1.0, 0.0
+    for k in range(dof // 2):
+        total += term
+        term *= (2 * k + 1 + odd) / (2 * k + 2 + odd) * cos * cos
+    inner = 2.0 / math.pi * (theta + sin * cos * total) if odd else sin * total
+    return 0.5 + 0.5 * inner if t >= 0 else 0.5 - 0.5 * inner
 
 
 def student_t_quantile(p: float, dof: int, tol: float = 1e-10) -> float:

@@ -60,7 +60,8 @@ def run(argv) -> int:
         errors = pl.run_check(cfg["seed"])
         for name, value in errors.items():
             print(f"{name} = {value:.3e}")
-        ok = errors["grad_max_rel_err"] <= 1e-5 and errors["eq_dot_rel_err"] <= 1e-9
+        ok = (errors["grad_max_rel_err"] <= 1e-5 and errors["eq_dot_rel_err"] <= 1e-9
+              and errors["eq_cos_err"] <= 1e-9)
         print("check:", "OK" if ok else "FAILED")
         if not ok:
             raise DataError("numeric self-check failed")

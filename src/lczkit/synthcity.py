@@ -217,7 +217,9 @@ def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
 
     ids = [f"scene_{i:05d}" for i in range(n_scenes)]
     paths = [os.path.join("scenes", f"{scene_id}.lczm") for scene_id in ids]
-    workers = len(os.sched_getaffinity(0))
+    # sched_getaffinity is missing on macOS.
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     # fork, not spawn: a spawned worker would import numpy and lczkit again
     # before its first scene. A few chunks per worker: one message per scene
     # costs more than the finer balance saves.

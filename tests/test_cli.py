@@ -183,6 +183,23 @@ def test_check_exits_zero(tmp_path, capsys):
     assert "check: OK" in out
 
 
+def test_check_fails_off_gradient_direction(tmp_path, capsys, monkeypatch):
+    """A step with the right dot product but an orthogonal component of
+    equal norm leaves the gradient direction, so the check must fail."""
+    exact = lczkit.perturb.delta_c
+
+    def skewed(g, dt):
+        step = exact(g, dt)
+        other = np.roll(g, 1)
+        other -= (other @ g) / (g @ g) * g
+        return step + other * (np.linalg.norm(step) / np.linalg.norm(other))
+
+    monkeypatch.setattr(lczkit.perturb, "delta_c", skewed)
+    assert main(["check", "--seed", "3", "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "eq_cos_err = 2.929e-01" in out and "check: FAILED" in out
+
+
 def test_rasterize_subcommand(tmp_path, capsys):
     points = tmp_path / "pts.txt"
     points.write_text(

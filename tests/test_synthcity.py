@@ -161,9 +161,13 @@ def test_corpus_deterministic(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     b = generate_corpus(12, params, law, seed=5, out_dir=str(tmp_path / "b"))
     assert not multiprocessing.active_children()
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
+    c = generate_corpus(12, params, law, seed=5, out_dir=str(tmp_path / "c"))
+    assert not multiprocessing.active_children()
     assert _tree_bytes(tmp_path / "a") == expected
     assert _tree_bytes(tmp_path / "b") == expected
-    assert a.train_ids == b.train_ids
+    assert _tree_bytes(tmp_path / "c") == expected
+    assert a.train_ids == b.train_ids == c.train_ids
 
 
 def test_corpus_requires_scenes(tmp_path):
