@@ -3,11 +3,12 @@
 The slope test is two-sided, from the t-statistic a / SE(a) against the
 Student-t distribution with n - 2 degrees of freedom. At integer degrees
 of freedom the t CDF is an exact finite sum in atan(|t| / sqrt(dof))
-(Abramowitz & Stegun, Handbook of Mathematical Functions, 26.7.3-26.7.4),
-so nothing is truncated and nothing can fail to converge. The cooling
-hypothesis additionally requires a negative slope, so the decision
-combines the two-sided p with a sign check; that convention is recorded
-in the decision record.
+(Abramowitz & Stegun, Handbook of Mathematical Functions, 26.7.3-26.7.4).
+A p below 0.1 sums the tail of the same series, until a term is below
+1e-17 of the sum; each term is at most cos^2 theta times the one before.
+The cooling hypothesis additionally requires a negative slope, so the
+decision combines the two-sided p with a sign check; that convention is
+recorded in the decision record.
 """
 
 from __future__ import annotations
@@ -41,6 +42,28 @@ def student_t_cdf(t: float, dof: int) -> float:
         term *= (2 * k + 1 + odd) / (2 * k + 2 + odd) * cos * cos
     inner = 2.0 / math.pi * (theta + sin * cos * total) if odd else sin * total
     return 0.5 + 0.5 * inner if t >= 0 else 0.5 - 0.5 * inner
+
+
+def two_sided_p(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for Student-t at an integer `dof` >= 1.
+
+    Below 0.1 it is the A&S series past its dof // 2 terms, not 1 - P(|T| <= |t|),
+    whose precision is only absolute: the whole series sums to 1 / sin for even
+    dof and to (pi/2 - theta) / (sin cos) for odd. sin and cos come from t; at
+    dof 1, theta lies so near pi/2 that cos(theta) would lose digits."""
+    p = 2.0 * (1.0 - student_t_cdf(abs(t), dof))
+    if p >= 0.1 or math.isinf(t):
+        return p
+    hyp = math.hypot(t, math.sqrt(dof))
+    sin, cos = abs(t) / hyp, math.sqrt(dof) / hyp
+    odd = dof % 2
+    term, total, k = 1.0, 0.0, 0
+    while k < dof // 2 or term > 1e-17 * total:
+        if k >= dof // 2:
+            total += term
+        term *= (2 * k + 1 + odd) / (2 * k + 2 + odd) * cos * cos
+        k += 1
+    return 2.0 / math.pi * sin * cos * total if odd else sin * total
 
 
 def student_t_quantile(p: float, dof: int, tol: float = 1e-10) -> float:
@@ -103,9 +126,7 @@ def ols_fit(xs, ys) -> OlsFit:
     se_a = resid_std / math.sqrt(sxx)
     se_b = resid_std * math.sqrt(1.0 / n + x_mean * x_mean / sxx)
     if se_a > 0.0:
-        t_stat = a / se_a
-        p_a = 2.0 * (1.0 - student_t_cdf(abs(t_stat), dof))
-        p_a = min(max(p_a, 0.0), 1.0)
+        p_a = two_sided_p(a / se_a, dof)
     else:
         p_a = 0.0 if a != 0.0 else 1.0
     t975 = student_t_quantile(0.975, dof)

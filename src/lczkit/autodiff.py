@@ -2,20 +2,22 @@
 
 Op vocabulary: elementwise add/sub/mul, scalar scale/shift, matmul, affine
 (matmul plus row-broadcast bias), relu, tanh, exp, square, abs,
-mean/sum reductions, reshape/transpose, and stop_gradient for freezing.
-No general broadcasting: elementwise ops require equal shapes, the only
-broadcast is the bias row in `affine`. A product with a one-column matrix is
-a row-wise multiply and sum, so each row of it rounds alike in any batch.
+mean/sum reductions, reshape/transpose. No general broadcasting:
+elementwise ops require equal shapes, the only broadcast is the bias row in
+`affine`. A product with a one-column matrix is a row-wise multiply and
+sum, so each row of it rounds alike in any batch.
 
 Each op records one vjp per parent, so the backward pass can be pruned by
-activity analysis (Griewank & Walther, *Evaluating Derivatives*): a node is
-active if it requires a gradient or any parent is active, and only the
-terms of active parents are computed. Data inputs, reparameterization
-noise and stop_gradient copies thus cost no adjoint work. `Adam` keeps
-its parameters' values and moments in flat buffers and updates them in
-place, a cache-sized block at a time, in ten passes with one division:
-Kingma & Ba's pre-scaled ordering of the update, equal to the textbook
-formula up to rounding.
+activity analysis (Griewank & Walther, *Evaluating Derivatives*): the
+independent variables are an argument of `backward(root, wrt)`, not a
+property of a tensor. A node is active if it is in `wrt` or any parent is
+active, and only the terms of active parents are computed. Data inputs,
+reparameterization noise and the weights of a network differentiated in
+its input thus cost no adjoint work. `Adam` keeps its parameters' values
+and moments in flat buffers and updates them in place, a cache-sized
+block at a time, in ten passes with one division: Kingma & Ba's
+pre-scaled ordering of the update, equal to the textbook formula up to
+rounding.
 """
 
 from __future__ import annotations
@@ -45,12 +47,11 @@ class Tensor:
     """Node in the reverse-mode graph: value, adjoint, parents, and one
     local vjp per parent (g -> that parent's adjoint contribution)."""
 
-    __slots__ = ("value", "grad", "requires_grad", "op", "parents", "_vjps")
+    __slots__ = ("value", "grad", "op", "parents", "_vjps")
 
-    def __init__(self, value, requires_grad=False, op="leaf", parents=(), vjps=()):
+    def __init__(self, value, op="leaf", parents=(), vjps=()):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
         self.op = op
         self.parents = tuple(parents)
         self._vjps = tuple(vjps)
@@ -67,12 +68,12 @@ def he_params(layout, rng) -> dict:
     """Trainable parameters of a layout [(name, shape, gain)], drawn in order: a weight
     from N(0, 2 / shape[0]) times gain (He et al., arXiv:1502.01852), a gain-0 entry zeros."""
     return {name: Tensor(rng.standard_normal(shape) * np.sqrt(2.0 / shape[0]) * gain
-                         if gain else np.zeros(shape), requires_grad=True)
+                         if gain else np.zeros(shape))
             for name, shape, gain in layout}
 
 
 def _node(value, op, parents, vjps):
-    return Tensor(value, requires_grad=False, op=op, parents=parents, vjps=vjps)
+    return Tensor(value, op, parents, vjps)
 
 
 def _identity(g):
@@ -194,11 +195,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _node(a.value.transpose(axes), "transpose", (a,), (lambda g: g.transpose(inv),))
 
 
-def stop_gradient(a: Tensor) -> Tensor:
-    """Detach: value flows forward, no adjoint flows back."""
-    return Tensor(a.value.copy(), requires_grad=False, op="stop_gradient")
-
-
 def topo_order(root: Tensor):
     """Parents-before-children order of the subgraph reachable from root."""
     order, seen = [], set()
@@ -217,23 +213,28 @@ def topo_order(root: Tensor):
     return order
 
 
-def backward(root: Tensor) -> None:
-    """Populate the adjoints of the active nodes reachable from a scalar root.
+def backward(root: Tensor, wrt) -> None:
+    """Populate the adjoints of the leaves in wrt, and of the nodes between
+    them and a scalar root.
 
-    A node is active if it requires a gradient or any of its parents is
+    Each leaf of wrt starts at `grad = None`, and keeps it if root does not
+    depend on it. A node is active if it is in wrt or any of its parents is
     active; the vjp terms of inactive parents are never computed, and every
-    inactive node is left with `grad = None`. A node's first adjoint
-    contribution is taken as is and later ones are added to it, in the
-    same order as summing all of them onto zeros, so adjoints are
-    bit-identical to the unpruned sweep up to the sign of a zero.
+    inactive node reachable from root is left with `grad = None`. A node's
+    first adjoint contribution is taken as is and later ones are added to
+    it, in the same order as summing all of them onto zeros, so adjoints
+    are bit-identical to the unpruned sweep up to the sign of a zero.
     """
     if root.value.shape != ():
         raise UsageError(f"backward: root must be scalar, got shape {root.value.shape}")
-    order = topo_order(root)
     active = set()
+    for leaf in wrt:
+        leaf.grad = None
+        active.add(id(leaf))
+    order = topo_order(root)
     for node in order:  # parents before children
         node.grad = None
-        if node.requires_grad or any(id(p) in active for p in node.parents):
+        if id(node) in active or any(id(p) in active for p in node.parents):
             active.add(id(node))
     root.grad = np.ones(())
     for node in reversed(order):
@@ -252,11 +253,11 @@ def check_gradient(function, point, h=1e-5) -> float:
     from the engine, the reference from central finite differences.
     """
     point = np.asarray(point, dtype=float)
-    leaf = Tensor(point.copy(), requires_grad=True)
+    leaf = Tensor(point.copy())
     out = function(leaf)
     if not np.isfinite(out.value):
         raise NumericError("check_gradient: non-finite function value")
-    backward(out)
+    backward(out, [leaf])
     analytic = leaf.grad.reshape(-1)
     flat = point.reshape(-1)
     numeric = np.empty_like(flat)
@@ -351,7 +352,3 @@ class Adam:
             np.divide(m, t, out=t)
             np.multiply(t, alpha, out=t)
             np.subtract(x, t, out=x)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None

@@ -88,12 +88,10 @@ def init_regressor(latent_dim, config: RegConfig, rng) -> RegressorModel:
     return model
 
 
-def forward_graph(model: RegressorModel, code: Tensor, frozen: bool = False) -> Tensor:
+def forward_graph(model: RegressorModel, code: Tensor) -> Tensor:
     """(B, n) codes -> (B, 1) standardized predictions."""
     act = _ACTIVATIONS[model.activation]
     pr = model.params
-    if frozen:
-        pr = {k: ad.stop_gradient(v) for k, v in pr.items()}
     h1 = act(ad.affine(code, pr["W1"], pr["b1"]))
     h2 = act(ad.affine(h1, pr["W2"], pr["b2"]))
     return ad.affine(h2, pr["W3"], pr["b3"])
@@ -120,12 +118,11 @@ def predict(model: RegressorModel, code) -> np.ndarray:
 
 def grad_wrt_code(model: RegressorModel, code) -> np.ndarray:
     """g = dR/dc in kelvin per latent unit, (B, n) for a (B, n) batch of
-    codes; model weights stay frozen."""
+    codes; differentiated in the code leaf only, so no weight gets an adjoint."""
     arr = _check_code(model, code)
-    leaf = Tensor(ad.pad_rows(arr), requires_grad=True)
-    out = forward_graph(model, leaf, frozen=True)
-    root = ad.sum_all(out)  # scalar; rows are independent so per-row grads are exact
-    ad.backward(root)
+    leaf = Tensor(ad.pad_rows(arr))
+    root = ad.sum_all(forward_graph(model, leaf))  # rows are independent: per-row grads exact
+    ad.backward(root, [leaf])
     g = leaf.grad[:len(arr)] * model.t_std
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient")
@@ -174,8 +171,7 @@ def train_regressor(codes, temps, config: RegConfig):
             loss = l1_loss_graph(pred, Tensor(targets[idx][:, None]))
             if not np.isfinite(loss.value):
                 raise DivergenceError("regression loss non-finite", epoch=epoch)
-            opt.zero_grad()
-            ad.backward(loss)
+            ad.backward(loss, opt.params)
             opt.step()
 
     errors = predict(model, val_codes) - val_temps
@@ -211,6 +207,5 @@ def regressor_from_tensors(tensors) -> RegressorModel:
     model.t_mean, model.t_std = float(t_mean[0]), float(t_std[0])
     if not (np.isfinite(model.t_mean) and np.isfinite(model.t_std) and model.t_std > 0):
         raise FormatError(f"reg/t_mean {model.t_mean} or reg/t_std {model.t_std} unusable")
-    model.params = {name: Tensor(arr, requires_grad=True)
-                    for (name, _, _), arr in zip(layout, weights)}
+    model.params = {name: Tensor(arr) for (name, _, _), arr in zip(layout, weights)}
     return model

@@ -113,25 +113,17 @@ def init_vae(input_shape, config: VaeConfig, rng) -> VaeModel:
     return model
 
 
-def _patchify(x: Tensor, p: int, channels_first: bool) -> Tensor:
-    """(B,C,H,W) or (B,H,W,F) -> (B*Hp*Wp, p*p*C) rows of flattened patches."""
-    if channels_first:
-        b, c, h, w = x.shape
-        x = ad.reshape(x, (b, c, h // p, p, w // p, p))
-        x = ad.transpose(x, (0, 2, 4, 3, 5, 1))  # (B,Hp,Wp,p,p,C)
-        return ad.reshape(x, (b * (h // p) * (w // p), p * p * c))
+def _patchify(x: Tensor, p: int) -> Tensor:
+    """(B,H,W,F) -> (B*Hp*Wp, p*p*F) rows of flattened patches."""
     b, h, w, f = x.shape
     x = ad.reshape(x, (b, h // p, p, w // p, p, f))
     x = ad.transpose(x, (0, 1, 3, 2, 4, 5))  # (B,Hp,Wp,p,p,F)
     return ad.reshape(x, (b * (h // p) * (w // p), p * p * f))
 
 
-def _unpatchify(rows: Tensor, b, hp, wp, p, f, channels_first: bool) -> Tensor:
+def _unpatchify(rows: Tensor, b, hp, wp, p, f) -> Tensor:
     """Inverse of _patchify for rows shaped (B*hp*wp, p*p*f)."""
     x = ad.reshape(rows, (b, hp, wp, p, p, f))
-    if channels_first:
-        x = ad.transpose(x, tuple(np.argsort((0, 2, 4, 3, 5, 1))))
-        return ad.reshape(x, (b, f, hp * p, wp * p))
     x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
     return ad.reshape(x, (b, hp * p, wp * p, f))
 
@@ -148,10 +140,10 @@ def encode_graph(model: VaeModel, x: Tensor):
     else:
         p1, p2 = VaeModel.PATCH_SIZES
         f1, f2 = model.patch_features
-        rows = _patchify(x, p1, channels_first=True)
+        rows = _patchify(ad.transpose(x, (0, 2, 3, 1)), p1)  # channels last
         l1 = ad.relu(ad.affine(rows, pr["enc/P1"], pr["enc/pb1"]))
         grid1 = ad.reshape(l1, (b, h // p1, w // p1, f1))
-        rows2 = _patchify(grid1, p2, channels_first=False)
+        rows2 = _patchify(grid1, p2)
         l2 = ad.relu(ad.affine(rows2, pr["enc/P2"], pr["enc/pb2"]))
         h2 = ad.reshape(l2, (b, (h // (p1 * p2)) * (w // (p1 * p2)) * f2))
     mu = ad.affine(h2, pr["enc/Wmu"], pr["enc/bmu"])
@@ -179,10 +171,10 @@ def decode_graph(model: VaeModel, code: Tensor, out=None) -> Tensor:
     base = ad.relu(ad.affine(code, pr["dec/W"], pr["dec/b"]))
     rows2 = ad.reshape(base, (b * h2g * w2g, f2))
     up2 = ad.relu(ad.affine(rows2, pr["dec/U2"], pr["dec/ub2"]))
-    grid1 = _unpatchify(up2, b, h2g, w2g, p2, f1, channels_first=False)
+    grid1 = _unpatchify(up2, b, h2g, w2g, p2, f1)
     rows1 = ad.reshape(grid1, (b * (h // p1) * (w // p1), f1))
     up1 = ad.affine(rows1, pr["dec/U1"], pr["dec/ub1"])
-    return _unpatchify(up1, b, h // p1, w // p1, p1, c, channels_first=True)
+    return ad.transpose(_unpatchify(up1, b, h // p1, w // p1, p1, c), (0, 3, 1, 2))
 
 
 def encode(model: VaeModel, channels):
@@ -229,11 +221,7 @@ def decode(model: VaeModel, code, out=None) -> np.ndarray:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=float))
-
-
-def elbo_loss(s, s_hat, mu, logvar, lam) -> Tensor:
+def elbo_loss(s: Tensor, s_hat: Tensor, mu: Tensor, logvar: Tensor, lam) -> Tensor:
     """Mean squared reconstruction error plus lam * KLD.
 
     KLD = -1/2 sum_i (1 + logvar_i - mu_i^2 - exp(logvar_i)), summed over
@@ -241,7 +229,6 @@ def elbo_loss(s, s_hat, mu, logvar, lam) -> Tensor:
     """
     if lam < 0:
         raise UsageError("lambda must be >= 0")
-    s, s_hat, mu, logvar = _as_tensor(s), _as_tensor(s_hat), _as_tensor(mu), _as_tensor(logvar)
     if mu.value.ndim != 2:
         raise UsageError(f"elbo_loss: expected (B, n) codes, got shape {mu.shape}")
     rec = ad.mean_all(ad.square(ad.sub(s_hat, s)))
@@ -279,8 +266,7 @@ def train_vae(corpus, config: VaeConfig):
             loss = elbo_loss(x, s_hat, mu, logvar, lam)
             if not np.isfinite(loss.value):
                 raise DivergenceError("vae loss non-finite", epoch=epoch)
-            opt.zero_grad()
-            ad.backward(loss)
+            ad.backward(loss, opt.params)
             opt.step()
             total += float(loss.value) * len(idx)
             seen += len(idx)
@@ -313,6 +299,5 @@ def vae_from_tensors(tensors) -> VaeModel:
         raise FormatError(f"vae/meta: {exc}") from None
     _, *weights = layout_arrays(
         tensors, [("vae/meta", (8,))] + [(f"vae/{name}", shape) for name, shape, _ in layout])
-    model.params = {name: Tensor(arr, requires_grad=True)
-                    for (name, _, _), arr in zip(layout, weights)}
+    model.params = {name: Tensor(arr) for (name, _, _), arr in zip(layout, weights)}
     return model

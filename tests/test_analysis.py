@@ -14,6 +14,7 @@ from lczkit.analysis import (
     report_figure_data,
     student_t_cdf,
     student_t_quantile,
+    two_sided_p,
 )
 from lczkit.errors import DataError, UsageError
 
@@ -64,6 +65,21 @@ def test_ols_p_matches_linregress():
         ys = rng.uniform(-2, 2) * xs + rng.uniform(-5, 5) + rng.normal(0, 1.0, n)
         ref = scipy.stats.linregress(xs, ys)
         assert ols_fit(xs, ys).p_a == pytest.approx(ref.pvalue, abs=1e-13)
+
+
+def test_two_sided_p_keeps_its_digits_in_the_tail():
+    """Relative, not absolute, precision down to p = 1e-15: 2 * (1 - cdf)
+    would keep only ~1e-16 of p, four digits at p = 1e-12."""
+    for dof in range(1, 41):
+        for p in np.logspace(-15, math.log10(0.5), 50):
+            t = scipy.stats.t.isf(p / 2, dof)
+            ref = 2 * scipy.stats.t.sf(t, dof)
+            assert two_sided_p(t, dof) == pytest.approx(ref, rel=1e-12, abs=0), (dof, p)
+            assert two_sided_p(-t, dof) == two_sided_p(t, dof)
+    xs = np.arange(12.0)
+    ys = -0.5 * xs + np.random.default_rng(1).normal(0, 0.05, 12)
+    ref = scipy.stats.linregress(xs, ys).pvalue  # 4.8e-19, where 1 - cdf rounds to 0
+    assert ref < 1e-18 and ols_fit(xs, ys).p_a == pytest.approx(ref, rel=1e-10)
 
 
 def test_t_quantile_inverts_cdf():

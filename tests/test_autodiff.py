@@ -24,22 +24,22 @@ def test_forward_relu_negative():
 
 
 def test_backward_linear():
-    x = Tensor(np.array(2.0), requires_grad=True)
+    x = Tensor(np.array(2.0))
     y = ad.scale(x, 3.0)
-    backward(y)
+    backward(y, [x])
     assert x.grad == 3.0
 
 
 def test_backward_square_at_zero():
-    x = Tensor(np.array(0.0), requires_grad=True)
-    backward(ad.square(x))
+    x = Tensor(np.array(0.0))
+    backward(ad.square(x), [x])
     assert x.grad == 0.0
 
 
 def test_backward_requires_scalar_root():
-    x = Tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones(3))
     with pytest.raises(UsageError):
-        backward(ad.scale(x, 2.0))
+        backward(ad.scale(x, 2.0), [x])
 
 
 def test_shape_mismatch_names_op():
@@ -107,37 +107,37 @@ def test_backward_linearity():
         return ad.mean_all(ad.tanh(x))
 
     a, b = 2.5, -1.25
-    leaf = Tensor(x0.copy(), requires_grad=True)
+    leaf = Tensor(x0.copy())
     combo = ad.add(ad.scale(f(leaf), a), ad.scale(g(leaf), b))
-    backward(combo)
+    backward(combo, [leaf])
     combined = leaf.grad.copy()
-    lf = Tensor(x0.copy(), requires_grad=True)
-    backward(f(lf))
-    lg = Tensor(x0.copy(), requires_grad=True)
-    backward(g(lg))
+    lf = Tensor(x0.copy())
+    backward(f(lf), [lf])
+    lg = Tensor(x0.copy())
+    backward(g(lg), [lg])
     assert np.allclose(combined, a * lf.grad + b * lg.grad, rtol=1e-12, atol=1e-12)
 
 
-def test_stop_gradient_freezes_leaf():
-    w = Tensor(RNG.standard_normal(3), requires_grad=True)
-    x = Tensor(RNG.standard_normal(3), requires_grad=True)
-    y = ad.sum_all(ad.mul(x, ad.stop_gradient(w)))
-    backward(y)
-    assert w.grad is None  # frozen leaf never receives an adjoint
-    assert np.allclose(x.grad, w.value)
+def test_leaf_not_in_wrt_gets_no_adjoint():
+    w, x, unused = (Tensor(RNG.standard_normal(3)) for _ in range(3))
+    w.grad = unused.grad = np.ones(3)  # stale adjoints of an earlier sweep
+    y = ad.sum_all(ad.mul(x, w))
+    backward(y, [x, unused])
+    assert w.grad is None  # reachable from y, but not in wrt
+    assert unused.grad is None  # in wrt, but y does not depend on it
+    assert np.array_equal(x.grad, w.value)
 
 
 def test_optimizer_only_touches_marked_params():
-    w = Tensor(np.ones(2), requires_grad=True)
-    frozen = Tensor(np.ones(2), requires_grad=False)
-    before = frozen.value.copy()
-    y = ad.sum_all(ad.add(ad.square(w), ad.square(frozen)))
+    w = Tensor(np.ones(2))
+    data = Tensor(np.ones(2))
+    before = data.value.copy()
+    y = ad.sum_all(ad.add(ad.square(w), ad.square(data)))
     opt = Adam([w], lr=0.1)
-    opt.zero_grad()
-    backward(y)
+    backward(y, opt.params)
     opt.step()
-    assert np.array_equal(frozen.value, before)
-    assert frozen.grad is None  # inactive: no adjoint computed
+    assert np.array_equal(data.value, before)
+    assert data.grad is None  # inactive: no adjoint computed
     # first Adam step moves each coordinate by lr * g / (|g| + eps) with g = 2
     assert np.allclose(w.value, 1.0 - 0.1 * 2.0 / (2.0 + 1e-8), rtol=1e-12, atol=0)
 
@@ -170,19 +170,20 @@ def test_pruned_backward_matches_unpruned_reference():
     rng = np.random.default_rng(5)
     x, noise = rng.standard_normal((8, 6)), rng.standard_normal((8, 4))
     values = [rng.standard_normal(s) for s in ((6, 5), (5,), (4, 2), (2,), (5, 4))]
-    trained = (False, True, True, False, True)  # w1 and b2 are frozen
-    params = [Tensor(v, requires_grad=t) for v, t in zip(values, trained)]
+    trained = (False, True, True, False, True)  # w1 and b2 are not in wrt
+    params = [Tensor(v) for v in values]
+    wrt = [p for p, t in zip(params, trained) if t]
     root = _mlp_loss(params, x, noise)
-    backward(root)
-    backward(root)  # a second sweep starts afresh instead of summing onto the first
+    backward(root, wrt)
+    backward(root, wrt)  # a second sweep starts afresh instead of summing onto the first
     nodes = ad.topo_order(root)
     pruned = [None if n.grad is None else np.array(n.grad) for n in nodes]
     assert [p.grad is not None for p in params] == list(trained)
     assert sum(g is None for g in pruned) == 5  # x, its target slice, noise, w1, b2
     _backward_unpruned(root)
     for node, g in zip(nodes, pruned):
-        if g is None:  # inactive: a leaf without requires_grad, or only such parents
-            assert not node.requires_grad and all(
+        if g is None:  # inactive: a leaf not in wrt, or only such parents
+            assert all(node is not p for p in wrt) and all(
                 pruned[nodes.index(p)] is None for p in node.parents)
         else:
             assert g.shape == node.grad.shape
@@ -195,8 +196,8 @@ def test_backward_skips_nodes_with_only_inactive_parents():
 
     data = Tensor(RNG.standard_normal(3))
     inactive = Tensor(data.value * 2.0, op="custom", parents=(data,), vjps=(explode,))
-    w = Tensor(RNG.standard_normal(3), requires_grad=True)
-    backward(ad.sum_all(ad.mul(ad.tanh(inactive), w)))
+    w = Tensor(RNG.standard_normal(3))
+    backward(ad.sum_all(ad.mul(ad.tanh(inactive), w)), [w])
     assert np.array_equal(w.grad, np.tanh(inactive.value))
     assert inactive.grad is None and data.grad is None
 
@@ -215,7 +216,7 @@ def _adam_grads(rng, shapes):
 def test_blocked_adam_equals_its_formula_on_whole_arrays():
     rng = np.random.default_rng(3)
     x = [rng.standard_normal(s) for s in _ADAM_SHAPES]
-    params = [Tensor(a.copy(), requires_grad=True) for a in x]
+    params = [Tensor(a.copy()) for a in x]
     opt = Adam(params, lr=3e-3)
     assert [len(block[-1]) for block in opt._blocks] == [1, 1, 1, 2, 3, 1]
     b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
@@ -242,7 +243,7 @@ def test_blocked_adam_equals_its_formula_on_whole_arrays():
 def test_adam_matches_textbook_formula():
     rng = np.random.default_rng(4)
     x = [rng.standard_normal(s) for s in _ADAM_SHAPES]
-    params = [Tensor(a.copy(), requires_grad=True) for a in x]
+    params = [Tensor(a.copy()) for a in x]
     opt = Adam(params, lr=3e-3)
     m, v = [np.zeros(s) for s in _ADAM_SHAPES], [np.zeros(s) for s in _ADAM_SHAPES]
     for t in range(1, 7):
@@ -263,7 +264,7 @@ def test_adam_matches_textbook_formula():
 
 def test_adam_refuses_a_missing_gradient_and_keeps_its_state():
     rng = np.random.default_rng(5)
-    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, 3), (3,))]
+    params = [Tensor(rng.standard_normal(s)) for s in ((4, 3), (3,))]
     opt = Adam(params, lr=1e-2)
     for p in params:
         p.grad = rng.standard_normal(p.shape)
@@ -282,9 +283,9 @@ def test_determinism_bit_exact():
     x = RNG.standard_normal((4, 4))
 
     def run():
-        leaf = Tensor(x.copy(), requires_grad=True)
+        leaf = Tensor(x.copy())
         y = ad.mean_all(ad.square(ad.tanh(ad.matmul(leaf, Tensor(x.T.copy())))))
-        backward(y)
+        backward(y, [leaf])
         return y.value.tobytes(), leaf.grad.tobytes()
 
     assert run() == run()
@@ -292,12 +293,11 @@ def test_determinism_bit_exact():
 
 def test_adam_deterministic():
     def run():
-        w = Tensor(np.ones(3), requires_grad=True)
+        w = Tensor(np.ones(3))
         opt = Adam([w], lr=0.01)
         for _ in range(20):
             y = ad.sum_all(ad.square(ad.shift(w, -0.5)))
-            opt.zero_grad()
-            backward(y)
+            backward(y, opt.params)
             opt.step()
         return w.value.tobytes()
 
@@ -327,6 +327,6 @@ def test_check_gradient_quadratic_form():
     point = RNG.standard_normal(5)
     assert check_gradient(quad, point, h=1e-5) <= 1e-6
     # analytic gradient of the symmetric form is A x
-    leaf = Tensor(point.copy(), requires_grad=True)
-    backward(quad(leaf))
+    leaf = Tensor(point.copy())
+    backward(quad(leaf), [leaf])
     assert np.allclose(leaf.grad, a @ point, rtol=1e-10, atol=1e-10)

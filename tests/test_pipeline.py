@@ -79,3 +79,27 @@ def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, mo
     assert batch.decoded.tobytes() == clean.decoded.tobytes()
     assert batch.steps.tobytes() == clean.steps.tobytes()
     assert in_memory == _rows(pl.run_label(RunConfig(), str(out), clean, norm))
+
+
+# A whole `lcz pipeline` run at small sizes (those of perfbench's TINY set),
+# printing the path and sha256 of every file of its run directory.
+_TINY_RUN = """
+import hashlib, pathlib, tempfile
+from lczkit import pipeline
+from lczkit.config import RunConfig
+cfg = RunConfig.from_file(None, {"seed": 0, "synth.n_scenes": 60, "vae.epochs": 2,
+                                 "vae.hidden": 32, "reg.epochs": 20, "perturb.n_scenes": 12})
+with tempfile.TemporaryDirectory() as out:
+    pipeline.run_pipeline(cfg, out)
+    for path in sorted(pathlib.Path(out).rglob("*")):
+        if path.is_file():
+            print(path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+def test_whole_run_is_byte_identical_under_one_and_two_blas_threads(run_under_blas_threads):
+    out1, out2 = run_under_blas_threads(_TINY_RUN)
+    names = out1[::2]
+    assert {"models/vae.lczm", "models/reg.lczm", "figure.csv", "report.txt"} <= set(names)
+    assert sum(name.startswith("counterfactuals/cf_") for name in names) == 12
+    assert out1 == out2
