@@ -7,9 +7,9 @@ minimum) and the building thresholds (height minimum, z_std maximum) over
 a grid of candidate values, scores each candidate on cell-level accuracy
 and on the per-scene vegetation-fraction error, and prints the winners.
 The shipped thresholds were frozen from a run of this script; re-run it
-after changing the scene generator. A run takes its thresholds from the
-`labels.*` keys of `lczkit.config.DEFAULTS`, so adopting new ones means
-editing both those keys and the `lczkit.autogeolabel.LabelRules` defaults;
+after changing the scene generator. The `labels.*` keys of
+`lczkit.config.DEFAULTS` read the `lczkit.autogeolabel.LabelRules`
+defaults, so adopting new thresholds means editing those defaults only;
 to try them on one run, pass `--labels.<name>=<value>` flags instead.
 
 Usage:
@@ -125,8 +125,7 @@ def main(argv=None):
     if (zs, mr, bh, bz) != (defaults.veg_zstd_min, defaults.veg_multiret_min,
                             defaults.bld_height_min, defaults.bld_zstd_max):
         print("\nNOTE: winner differs from the shipped defaults "
-              f"({defaults}). To adopt it, update both the labels.* keys of "
-              "lczkit.config.DEFAULTS and the LabelRules defaults in "
+              f"({defaults}). To adopt it, update the LabelRules defaults in "
               "lczkit/autogeolabel.py; to try it on one run, pass "
               f"--labels.veg_zstd_min={zs} --labels.veg_multiret_min={mr} "
               f"--labels.bld_height_min={bh} --labels.bld_zstd_max={bz}.")

@@ -1,14 +1,17 @@
 """Flat key=value run configuration with typo-safe keys and seeded
 determinism.
 
-Every key has a default; unknown keys raise. One master seed fans out to
-per-stage seeds via sha256(master:stage), so a single --seed reproduces
-the whole run.
+Every key has a default; unknown keys raise. The defaults live in the
+typed views' dataclasses: DEFAULTS lists the keys, reads each field's
+default, and states a literal only for a key no field backs. One master
+seed fans out to per-stage seeds via sha256(master:stage), so a single
+--seed reproduces the whole run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 from .autogeolabel import LabelRules
 from .errors import ParseError, UsageError
@@ -18,41 +21,26 @@ from .report import check_sweep
 from .synthcity import SceneParams, TemperatureLaw, split_sizes
 from .vae import KldSchedule, VaeConfig, VaeModel
 
+
+def _fields(section: str, view, names: str) -> dict:
+    """{section.name: the default of view's field name} for each name."""
+    return {f"{section}.{name}": getattr(view, name) for name in names.split()}
+
+
 DEFAULTS = {
     "seed": 0,
-    "grid.width": 16,
-    "grid.height": 16,
-    "grid.cell_size": 1.0,
-    "vae.latent_dim": 32,
-    "vae.hidden": 256,
-    "vae.arch": "mlp",
-    "vae.epochs": 40,
-    "vae.lr": 1e-3,
-    "vae.batch_size": 32,
-    "vae.ramp_epochs": 50,
-    "vae.lambda_max": 1e-5,
-    "reg.hidden1": 128,
-    "reg.hidden2": 32,
-    "reg.activation": "relu",
-    "reg.epochs": 400,
-    "reg.lr": 1e-3,
-    "reg.batch_size": 32,
-    "reg.holdout_fraction": 0.2,
+    **_fields("grid", GridSpec(), "width height cell_size"),
+    **_fields("vae", VaeConfig(), "latent_dim hidden arch epochs lr batch_size"),
+    **_fields("vae", KldSchedule(), "ramp_epochs lambda_max"),
+    **dict(zip(("reg.hidden1", "reg.hidden2"), RegConfig().hidden)),
+    **_fields("reg", RegConfig(), "activation epochs lr batch_size holdout_fraction"),
     "perturb.dt_sweep": "0,1,3,5,10,-1,-3,-5,-10",
-    "perturb.g_floor": 1e-8,
     "perturb.steps": 1,        # closed-form steps on the remaining delta_t
     "perturb.n_scenes": 30,    # held-out scenes to perturb
-    "labels.veg_zstd_min": 0.5,
-    "labels.veg_multiret_min": 0.3,
-    "labels.bld_height_min": 3.0,
-    "labels.bld_zstd_max": 0.4,
+    **_fields("labels", LabelRules(), "veg_zstd_min veg_multiret_min bld_height_min bld_zstd_max"),
     "synth.n_scenes": 500,
-    "synth.tree_density": 0.05,
-    "synth.building_density": 0.008,
-    "synth.points_per_m2": 8.0,
-    "synth.t_base": 295.0,
-    "synth.k_veg": 8.0,
-    "synth.noise_sigma": 0.5,
+    **_fields("synth", SceneParams(), "tree_density building_density points_per_m2"),
+    **_fields("synth", TemperatureLaw(), "t_base k_veg noise_sigma"),
     "analysis.alpha": 0.05,
 }
 
@@ -80,6 +68,8 @@ class RunConfig:
         for key, val in (values or {}).items():
             if key not in DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
+            if isinstance(DEFAULTS[key], float) and not math.isfinite(val):
+                raise UsageError(f"bad {key} {val!r}: must be finite")
             self.values[key] = val
         # A setting no stage can run with is refused before any stage runs.
         # Each typed view checks its own fields, named as the keys after
@@ -92,11 +82,13 @@ class RunConfig:
                 view()
             except UsageError as exc:
                 raise UsageError(f"{section}.{exc}") from None
-        tile = VaeModel.PATCH_SIZES[0] * VaeModel.PATCH_SIZES[1]
-        if self["vae.arch"] == "patch" and (self["grid.width"] % tile or self["grid.height"] % tile):
-            raise UsageError(f"bad grid.width/grid.height {self['grid.width']}x"
-                             f"{self['grid.height']}: vae.arch 'patch' needs both divisible "
-                             f"by {tile}")
+        if self["vae.arch"] == "patch":
+            w, h = self["grid.width"], self["grid.height"]
+            try:
+                VaeModel({}, (1, h, w), 1, "patch", 1, VaeModel.PATCH_FEATURES).layout()
+            except UsageError as exc:
+                raise UsageError(f"bad grid.width/grid.height {w}x{h} for vae.arch 'patch': "
+                                 f"{exc}") from None
         self.dt_sweep()
         for key in ("synth.n_scenes", "perturb.n_scenes", "perturb.steps"):
             if not self[key] >= 1:
@@ -108,8 +100,6 @@ class RunConfig:
                              f"leaves {n_test} test scenes and, after the reg.holdout_fraction "
                              f"{self['reg.holdout_fraction']!r}, {n_fit} regressor training "
                              f"scenes; needs at least 1 and 2")
-        if not self["perturb.g_floor"] > 0:
-            raise UsageError(f"bad perturb.g_floor {self['perturb.g_floor']!r}: must be > 0")
         if not 0 < self["analysis.alpha"] < 1:
             raise UsageError(f"bad analysis.alpha {self['analysis.alpha']!r}: must be in (0, 1)")
 
@@ -196,6 +186,8 @@ class RunConfig:
         try:
             sweep = [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
             check_sweep(sweep)
+            if len(set(sweep)) < len(sweep):  # 0.0 and -0.0 are one value
+                raise UsageError("a delta_t value repeats")
         except (ValueError, UsageError) as exc:
             raise UsageError(f"bad perturb.dt_sweep {raw!r}: {exc}") from None
         return sweep

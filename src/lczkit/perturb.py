@@ -6,18 +6,18 @@ which satisfies delta_c . g = delta_t and has minimal norm among all steps
 doing so. With steps > 1 the same closed form is applied again, at the
 stepped code, to what is still missing of delta_t; a repetition is kept only
 if it brings the regressor's change closer to the request, and a flat
-gradient ends the walk with what was achieved. One step is the closed form.
-Note this is NOT a function inverse of the regressor.
+gradient (norm below G_FLOOR) ends the walk with what was achieved. One step
+is the closed form. Note this is NOT a function inverse of the regressor.
 
-batch_perturb is the one entry point: it takes the scenes as one
-(N, C, H, W) array with their ids and works on the whole batch. It makes
-one encode of the finite scenes, one predict and one gradient over their
-codes, one predict over all stepped codes, and per further walk step one
-gradient and one predict over the pairs still walking. The codes and every
-stepped code are then decoded into one (rows, C, H, W) array, each scene's
-reconstruction followed by its counterfactuals, DECODE_ROWS rows a call,
-each call writing its rows in place. If a decoded row fails, the rows after
-it move up, so a scene's rows stay consecutive: every reconstruction and
+batch_perturb is the one entry point: it takes the scenes as one (N, C, H, W)
+array with their distinct ids, and distinct delta_t values, and works on the
+whole batch. It makes one encode of the finite scenes, one predict and one
+gradient over their codes, one predict over all stepped codes, and per further
+walk step one gradient and one predict over the pairs still walking. The codes
+and every stepped code are then decoded into one (rows, C, H, W) array, each
+scene's reconstruction followed by its counterfactuals, DECODE_ROWS rows a
+call, each call writing its rows in place. If a decoded row fails, the rows
+after it move up, so a scene's rows stay consecutive: every reconstruction and
 counterfactual of the result is a view of that array, and a scene's
 counterfactuals are one slice of it. Every network call runs on at least
 autodiff.MIN_ROWS rows, so a row has the same bits in any batch: a batched
@@ -36,7 +36,7 @@ from . import regressor as reg
 from . import vae as vae_mod
 from .errors import DataError, DegenerateGradientError, NumericError, UsageError
 
-DEFAULT_G_FLOOR = 1e-8
+G_FLOOR = 1e-8  # a gradient norm below it is flat: no step is taken along it
 DECODE_ROWS = 256  # rows per decode call, each call filling its rows of the batch's one array
 
 
@@ -71,25 +71,25 @@ class BatchResult:
             start = stop
 
 
-def _steps(g, delta_t, g_floor):
+def _steps(g, delta_t):
     """delta_c of each row of a (B, n) gradient for (B,) delta_t values: the
     (B, n) steps and the rows' gradient norms. A row whose norm is below
-    g_floor gets a zero step."""
+    G_FLOOR gets a zero step."""
     norm = np.linalg.norm(g, axis=1)
-    scale = np.divide(delta_t, norm * norm, out=np.zeros(len(g)), where=~(norm < g_floor))
+    scale = np.divide(delta_t, norm * norm, out=np.zeros(len(g)), where=~(norm < G_FLOOR))
     return scale[:, None] * g, norm
 
 
-def _flat(norm, g_floor) -> DegenerateGradientError:
-    return DegenerateGradientError(f"gradient norm {norm:.3e} below floor {g_floor:.3e}; "
+def _flat(norm) -> DegenerateGradientError:
+    return DegenerateGradientError(f"gradient norm {norm:.3e} below floor {G_FLOOR:.3e}; "
                                    f"regressor is locally insensitive")
 
 
-def delta_c(g, delta_t, g_floor=DEFAULT_G_FLOOR) -> np.ndarray:
+def delta_c(g, delta_t) -> np.ndarray:
     """Gradient-parallel latent step: (delta_t / ||g||^2) * g."""
-    [step], [norm] = _steps(np.asarray(g, dtype=float)[None], np.array([float(delta_t)]), g_floor)
-    if norm < g_floor:
-        raise _flat(norm, g_floor)
+    [step], [norm] = _steps(np.asarray(g, dtype=float)[None], np.array([float(delta_t)]))
+    if norm < G_FLOOR:
+        raise _flat(norm)
     return step
 
 
@@ -114,7 +114,7 @@ def _apply(fn, model, rows, errors, shape) -> np.ndarray:
     return out
 
 
-def _walk(regressor, codes, t0, dts, step, achieved, errors, steps, g_floor):
+def _walk(regressor, codes, t0, dts, step, achieved, errors, steps):
     """Up to steps - 1 more closed-form steps on what each pair still misses,
     updating step, achieved and errors in place. A pair walks on while a step
     brings it closer to its delta_t; a flat gradient stops it with what it
@@ -127,11 +127,11 @@ def _walk(regressor, codes, t0, dts, step, achieved, errors, steps, g_floor):
         new_errors = [None] * len(idx)
         g = _apply(reg.grad_wrt_code, regressor, codes[idx] + step[idx], new_errors,
                    codes.shape[1:])
-        more, norm = _steps(g, dts[idx] - achieved[idx], g_floor)
+        more, norm = _steps(g, dts[idx] - achieved[idx])
         candidate = step[idx] + more
         reached = _apply(reg.predict, regressor, codes[idx] + candidate, new_errors, ()) - t0[idx]
         # NaN, from a failed row, is never better
-        better = (np.abs(dts[idx] - reached) < np.abs(dts[idx] - achieved[idx])) & ~(norm < g_floor)
+        better = (np.abs(dts[idx] - reached) < np.abs(dts[idx] - achieved[idx])) & ~(norm < G_FLOOR)
         for r, err in enumerate(new_errors):
             if err is not None:
                 errors[idx[r]] = err
@@ -139,8 +139,7 @@ def _walk(regressor, codes, t0, dts, step, achieved, errors, steps, g_floor):
         walking[idx[~better]] = False
 
 
-def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G_FLOOR,
-                  steps=1) -> BatchResult:
+def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> BatchResult:
     """All scenes x all delta_t values: scenes is a normalized (N, C, H, W)
     array and scene_ids its N distinct ids. Each scene is encoded, predicted and
     differentiated once and stepped per delta_t, by at most `steps`
@@ -162,11 +161,10 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G
         raise UsageError(f"batch_perturb: delta_t values must be finite, got {delta_ts}")
     if steps < 1:
         raise UsageError(f"batch_perturb: steps must be >= 1, got {steps}")
-    if not g_floor > 0:
-        raise UsageError(f"batch_perturb: g_floor must be > 0, got {g_floor}")
-    repeated = [sid for sid, count in Counter(scene_ids).items() if count > 1]
-    if repeated:
-        raise UsageError(f"batch_perturb: scene ids must be distinct, {repeated[0]!r} repeats")
+    for name, values in (("scene ids", scene_ids), ("delta_t values", delta_ts)):
+        repeated = [v for v, count in Counter(values).items() if count > 1]  # -0.0 == 0.0
+        if repeated:
+            raise UsageError(f"batch_perturb: {name} must be distinct, {repeated[0]!r} repeats")
     n, k, latent = len(scenes), len(delta_ts), (vae.latent_dim,)
     # A scene error fails all the scene's pairs and skips its decode; a
     # gradient error fails them too, but a non-finite reconstruction comes first.
@@ -179,13 +177,13 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, g_floor=DEFAULT_G
 
     owner = np.repeat(np.arange(n), k)  # pair p = i * k + j is scene i at delta_ts[j]
     dts = np.tile(np.array(delta_ts), n)
-    step, norm = _steps(grads[owner], dts, g_floor)
+    step, norm = _steps(grads[owner], dts)
     errors = [grad_errors[i] if grad_errors[i] is not None
-              else _flat(norm[p], g_floor) if norm[p] < g_floor else None
+              else _flat(norm[p]) if norm[p] < G_FLOOR else None
               for p, i in enumerate(owner)]
     pair_codes = codes[owner]
     achieved = _apply(reg.predict, regressor, pair_codes + step, errors, ()) - t0[owner]
-    _walk(regressor, pair_codes, t0[owner], dts, step, achieved, errors, steps, g_floor)
+    _walk(regressor, pair_codes, t0[owner], dts, step, achieved, errors, steps)
 
     rows = []  # rows of [codes; stepped codes] to decode: each scene's code, then its pairs'
     for i in np.flatnonzero([err is None for err in scene_errors]):

@@ -99,8 +99,7 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
         vae_model, norm, reg_model = load_models(out_dir, "vae", "norm", "reg")
     test_ids, channels, _ = load_split(out_dir, "test", cfg["perturb.n_scenes"])
     result = perturb.batch_perturb(vae_model, reg_model, rasterizer.normalize(channels, norm),
-                                   cfg.dt_sweep(), test_ids, g_floor=cfg["perturb.g_floor"],
-                                   steps=cfg["perturb.steps"])
+                                   cfg.dt_sweep(), test_ids, steps=cfg["perturb.steps"])
     _write_batch(result, out_dir)
     return result
 

@@ -42,6 +42,8 @@ class RegConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be at least 1")
+        if self.lr <= 0:
+            raise UsageError("lr must be > 0")
         if self.activation not in _ACTIVATIONS:
             raise UsageError(f"activation {self.activation!r} is not one of "
                              f"{', '.join(_ACTIVATIONS)}")

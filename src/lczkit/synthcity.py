@@ -48,6 +48,8 @@ class SceneParams:
         for name in ("tree_density", "building_density"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0")
+        if self.points_per_m2 <= 0:
+            raise UsageError("points_per_m2 must be > 0")
 
 
 @dataclass
@@ -60,6 +62,8 @@ class TemperatureLaw:
     def __post_init__(self):
         if self.k_veg <= 0:
             raise UsageError("k_veg must be > 0 (vegetation cools)")
+        if self.noise_sigma < 0:
+            raise UsageError("noise_sigma must be >= 0")
 
 
 @dataclass

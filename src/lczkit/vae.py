@@ -30,8 +30,9 @@ class KldSchedule:
     lambda_max: float = 1e-5
 
     def __post_init__(self):
-        if self.lambda_max < 0:
-            raise UsageError("lambda_max must be >= 0")
+        for name in ("ramp_epochs", "lambda_max"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0")
 
 
 def kld_weight(schedule: KldSchedule, epoch: int) -> float:
@@ -47,7 +48,6 @@ class VaeConfig:
     latent_dim: int = 32
     hidden: int = 256          # mlp hidden width
     arch: str = "mlp"          # "mlp" | "patch"
-    patch_features: tuple = (32, 64)
     epochs: int = 40
     lr: float = 1e-3
     batch_size: int = 32
@@ -58,6 +58,8 @@ class VaeConfig:
         for name in ("latent_dim", "hidden", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be at least 1")
+        if self.lr <= 0:
+            raise UsageError("lr must be > 0")
         if self.arch not in _ARCHS:
             raise UsageError(f"arch {self.arch!r} is not one of {', '.join(_ARCHS)}")
 
@@ -69,9 +71,10 @@ class VaeModel:
     latent_dim: int
     arch: str
     hidden: int
-    patch_features: tuple = (32, 64)
+    patch_features: tuple      # (f1, f2) patch arch widths, stored in vae/meta
 
     PATCH_SIZES = (4, 2)
+    PATCH_FEATURES = (32, 64)  # the widths init_vae gives a patch arch
 
     def layout(self) -> list:
         """(name, shape, init gain) of each parameter, in draw order."""
@@ -89,7 +92,7 @@ class VaeModel:
         if self.arch == "patch":
             p1, p2 = self.PATCH_SIZES
             if h % (p1 * p2) or w % (p1 * p2):
-                raise UsageError(f"patch arch needs H and W divisible by {p1 * p2}, got {h}x{w}")
+                raise UsageError(f"patch arch needs H and W divisible by {p1 * p2}, got HxW {h}x{w}")
             f1, f2 = self.patch_features
             flat = (h // (p1 * p2)) * (w // (p1 * p2)) * f2
             return [*_layer("enc/P1", "enc/pb1", p1 * p1 * c, f1),
@@ -108,7 +111,7 @@ def _layer(weight, bias, n_in, n_out, gain=1.0):
 
 def init_vae(input_shape, config: VaeConfig, rng) -> VaeModel:
     model = VaeModel({}, tuple(input_shape), config.latent_dim, config.arch, config.hidden,
-                     tuple(config.patch_features))
+                     VaeModel.PATCH_FEATURES)
     model.params = ad.he_params(model.layout(), rng)
     return model
 

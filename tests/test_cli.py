@@ -79,15 +79,16 @@ def test_config_resolved_text_round_trips(tmp_path):
 def test_dt_sweep_parsing():
     cfg = RunConfig({"perturb.dt_sweep": "0, 1.5, -2"})
     assert cfg.dt_sweep() == [0.0, 1.5, -2.0]
-    for bad in ("0,oops", "1,2,-2", "0,1", "0,1,1,0", "0,1,nan", "0,1,-inf", ""):
+    for bad in ("0,oops", "1,2,-2", "0,1", "0,1,1,0", "0,1,nan", "0,1,-inf", "",
+                "0,1,1,-1", "0,-0,1,-1"):
         with pytest.raises(UsageError, match="perturb.dt_sweep"):
             RunConfig({"perturb.dt_sweep": bad})
 
 
 def test_patch_arch_refuses_a_grid_it_cannot_tile():
     assert RunConfig({"vae.arch": "patch", "grid.width": 24}).vae_config().arch == "patch"
-    for key in ("grid.width", "grid.height"):
-        with pytest.raises(UsageError, match="grid.width/grid.height"):
+    for key, grid in (("grid.width", "12x16"), ("grid.height", "16x12")):  # width x height
+        with pytest.raises(UsageError, match=f"grid.width/grid.height {grid} "):
             RunConfig({"vae.arch": "patch", key: 12})
 
 
@@ -100,9 +101,7 @@ def test_run_config_views_equal_the_dataclass_defaults():
         if hasattr(view, "seed"):  # stage seeds come from the master seed
             view = dataclasses.replace(view, seed=cls().seed)
         assert view == cls(), cls.__name__
-    defaults = inspect.signature(batch_perturb).parameters
-    assert (defaults["steps"].default, defaults["g_floor"].default) == (
-        cfg["perturb.steps"], cfg["perturb.g_floor"])
+    assert inspect.signature(batch_perturb).parameters["steps"].default == cfg["perturb.steps"]
 
 
 def test_every_config_key_is_read_by_a_stage():
@@ -132,7 +131,7 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("vae.latent=8\n")
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    for flag in ("--perturb.mode=iterative", "--perturb.zeta=0.1"):
+    for flag in ("--perturb.mode=iterative", "--perturb.zeta=0.1", "--perturb.g_floor=1e-8"):
         capsys.readouterr()
         assert main(["perturb", flag, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -158,14 +157,17 @@ def test_pipeline_refuses_a_perturb_count_below_one_before_any_stage(
     assert flag[2:flag.index("=")] in err and not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--perturb.g_floor=0",
-                                  "--reg.activation=foo", "--vae.arch=foo",
+@pytest.mark.parametrize("flag", ["--reg.activation=foo", "--vae.arch=foo",
                                   "--labels.veg_zstd_min=-1", "--analysis.alpha=0",
                                   "--reg.holdout_fraction=1.5", "--vae.batch_size=0",
                                   "--reg.batch_size=0", "--vae.latent_dim=0",
                                   "--vae.epochs=0", "--vae.lambda_max=-1",
                                   "--synth.n_scenes=0", "--synth.n_scenes=1",
-                                  "--synth.n_scenes=2"])
+                                  "--synth.n_scenes=2", "--synth.points_per_m2=-1",
+                                  "--synth.noise_sigma=-1", "--vae.ramp_epochs=-5",
+                                  "--vae.lr=0", "--reg.lr=-1", "--synth.k_veg=nan",
+                                  "--grid.cell_size=nan", "--labels.veg_zstd_min=nan",
+                                  "--vae.lr=nan"])
 def test_pipeline_refuses_an_unusable_setting_before_any_stage(
         flag, tmp_path, small_config, capsys):
     out = tmp_path / "run"

@@ -373,8 +373,9 @@ def test_perturbation_validation():
         batch_perturb(vae, reg, scenes, [1.0, float("nan")], ["a"])
     with pytest.raises(UsageError):
         batch_perturb(vae, reg, scenes, [1.0], ["a"], steps=0)
-    with pytest.raises(UsageError):
-        batch_perturb(vae, reg, scenes, [1.0], ["a"], g_floor=0.0)
+    for sweep in ([0.0, 1.0, 1.0, -1.0], [0.0, -0.0, 1.0]):  # -0.0 is 0.0
+        with pytest.raises(UsageError, match="delta_t values must be distinct"):
+            batch_perturb(vae, reg, scenes, sweep, ["a"])
 
 
 def test_batch_refuses_a_repeated_scene_id_before_any_network_call(monkeypatch):

@@ -1,9 +1,16 @@
+import hashlib
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lczkit import pipeline as pl
 from lczkit.config import RunConfig
-from lczkit.io import CF_INDEX, read_table, save_model, write_table
+from lczkit.io import CF_INDEX, FRACTIONS, load_model, read_table, save_model, write_table
 from lczkit.perturb import batch_perturb
 from lczkit.rasterizer import N_CHANNELS, NormStats, norm_stats_tensors
 from lczkit.regressor import RegConfig, init_regressor
@@ -81,20 +88,48 @@ def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, mo
     assert in_memory == _rows(pl.run_label(RunConfig(), str(out), clean, norm))
 
 
-# A whole `lcz pipeline` run at small sizes (those of perfbench's TINY set),
-# printing the path and sha256 of every file of its run directory.
-_TINY_RUN = """
-import hashlib, pathlib, tempfile
+# A whole `lcz pipeline` run at small sizes (those of perfbench's TINY set).
+_TINY_CHAIN = """
 from lczkit import pipeline
 from lczkit.config import RunConfig
 cfg = RunConfig.from_file(None, {"seed": 0, "synth.n_scenes": 60, "vae.epochs": 2,
                                  "vae.hidden": 32, "reg.epochs": 20, "perturb.n_scenes": 12})
+"""
+
+# The chain into a temporary directory, printing the path and sha256 of
+# every file of its run directory.
+_TINY_RUN = _TINY_CHAIN + """
+import hashlib, pathlib, tempfile
 with tempfile.TemporaryDirectory() as out:
     pipeline.run_pipeline(cfg, out)
     for path in sorted(pathlib.Path(out).rglob("*")):
         if path.is_file():
             print(path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
 """
+
+# The chain into the directory of its first argument, printing the name of
+# the OpenBLAS kernel set that ran it, or "unknown" where it cannot be read.
+_TINY_RUN_IN = _TINY_CHAIN + """
+import ctypes, sys
+pipeline.run_pipeline(cfg, sys.argv[1])
+try:
+    with open("/proc/self/maps") as maps:
+        lib = ctypes.CDLL(next(line.split()[-1] for line in maps if "openblas" in line))
+except (OSError, StopIteration):
+    lib = None
+core = "unknown"
+for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+             "openblas_get_corename64_", "openblas_get_corename"):
+    if hasattr(lib, name):
+        getattr(lib, name).restype = ctypes.c_char_p
+        core = getattr(lib, name)().decode()
+        break
+print(core)
+"""
+
+# figure.csv and report.txt of the seed-0 tiny chain, which hold across
+# BLAS kernels; a change that moves them updates these files.
+_REFERENCE = Path(__file__).parent / "data" / "tiny"
 
 
 def test_whole_run_is_byte_identical_under_one_and_two_blas_threads(run_under_blas_threads):
@@ -103,3 +138,53 @@ def test_whole_run_is_byte_identical_under_one_and_two_blas_threads(run_under_bl
     assert {"models/vae.lczm", "models/reg.lczm", "figure.csv", "report.txt"} <= set(names)
     assert sum(name.startswith("counterfactuals/cf_") for name in names) == 12
     assert out1 == out2
+    digests = dict(zip(out1[::2], out1[1::2]))
+    for name in ("figure.csv", "report.txt"):
+        assert digests[name] == hashlib.sha256((_REFERENCE / name).read_bytes()).hexdigest(), name
+
+
+def _dynamic_arch_openblas() -> bool:
+    try:  # numpy 1.25 and later report their build configuration as a dict
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="needs numpy's BLAS to be a DYNAMIC_ARCH OpenBLAS on x86-64, "
+                           "the one whose kernels OPENBLAS_CORETYPE picks")
+def test_whole_run_gives_the_same_results_under_the_haswell_blas_kernels(tmp_path):
+    """The tiny chain under the host's own OpenBLAS kernels and under the
+    Haswell ones. Bytes hold per kernel set, results across them: the
+    figure, the report and every labeled fraction are identical, and the
+    model tensors and achieved delta_t agree to rounding. Measured on an
+    AVX-512 Xeon, native (SkylakeX) against Haswell: vae.lczm differed by
+    at most 2.9e-14, reg.lczm by 3.5e-15 and achieved_dt by 5.7e-14; the
+    bound is 1e-12."""
+    src = str(Path(pl.__file__).resolve().parents[1])
+    runs, cores = [], []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Haswell"}):
+        out = tmp_path / extra.get("OPENBLAS_CORETYPE", "native")
+        env = dict(os.environ, **extra,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _TINY_RUN_IN, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        runs.append(out)
+        cores.append(proc.stdout.split()[-1])
+    native, haswell = runs
+    assert cores[1] in ("Haswell", "unknown"), cores  # the kernel setting took effect
+    for name in ("figure.csv", "report.txt"):
+        assert (native / name).read_bytes() == (haswell / name).read_bytes(), name
+        assert (native / name).read_bytes() == (_REFERENCE / name).read_bytes(), name
+    fractions = [read_table(run / "fractions.csv", FRACTIONS) for run in runs]
+    assert [row[:2] + row[3:] for row in fractions[0]] == [row[:2] + row[3:] for row in fractions[1]]
+    achieved = [[row[2] for row in read_table(run / pl.CF_DIR / "index.csv", CF_INDEX)]
+                for run in runs]
+    assert np.abs(np.subtract(*achieved)).max() <= 1e-12
+    for name in ("vae", "reg"):
+        a, b = (load_model(run / pl.MODEL_DIR / f"{name}.lczm") for run in runs)
+        assert [n for n, _ in a] == [n for n, _ in b]
+        assert max(np.abs(x - y).max() for (_, x), (_, y) in zip(a, b)) <= 1e-12, name

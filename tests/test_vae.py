@@ -26,9 +26,11 @@ SHAPE = (2, 4, 4)
 
 
 def _model(arch="mlp", latent=3, hidden=8, seed=0):
-    cfg = VaeConfig(latent_dim=latent, hidden=hidden, arch=arch, patch_features=(3, 4))
+    """A small model: the patch arch with widths (3, 4), not init_vae's."""
     shape = SHAPE if arch == "mlp" else (2, 8, 8)
-    return init_vae(shape, cfg, np.random.default_rng(seed)), shape
+    model = vae.VaeModel({}, shape, latent, arch, hidden, (3, 4))
+    model.params = ad.he_params(model.layout(), np.random.default_rng(seed))
+    return model, shape
 
 
 def test_encode_deterministic():
