@@ -184,7 +184,8 @@ class RunConfig:
     def dt_sweep(self) -> list:
         raw = self["perturb.dt_sweep"]
         try:
-            sweep = [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+            # + 0.0 folds -0 into 0, so "-0,1,-1" writes what "0,1,-1" writes
+            sweep = [float(tok) + 0.0 for tok in str(raw).split(",") if tok.strip() != ""]
             check_sweep(sweep)
             if len(set(sweep)) < len(sweep):  # 0.0 and -0.0 are one value
                 raise UsageError("a delta_t value repeats")

@@ -64,20 +64,6 @@ class PointCloud:
             raise UsageError("point cloud arrays must share one length")
         return cls(arrs[0], arrs[1], arrs[2], arrs[3], rn, nr)
 
-    @classmethod
-    def concatenate(cls, clouds) -> "PointCloud":
-        clouds = list(clouds)
-        if not clouds:
-            return cls()
-        return cls.from_arrays(
-            np.concatenate([c.x for c in clouds]),
-            np.concatenate([c.y for c in clouds]),
-            np.concatenate([c.z for c in clouds]),
-            np.concatenate([c.intensity for c in clouds]),
-            np.concatenate([c.return_number for c in clouds]),
-            np.concatenate([c.num_returns for c in clouds]),
-        )
-
 
 @dataclass
 class SceneManifest:
@@ -241,9 +227,33 @@ def read_table(path, schema) -> list:
         try:
             if next(reader, None) != names:
                 raise ValueError(f"header is not {','.join(names)}")
-            return [_typed_row(row, schema) for row in reader]
+            rows = list(reader)
+            with contextlib.suppress(ValueError):
+                return _typed_columns(rows, schema)
+            # A field is bad: type row by row to the first bad one, reading
+            # the file again alongside for the line that row ends on.
+            fh.seek(0)
+            reader = csv.reader(fh, strict=True)
+            next(reader)
+            typed = []
+            for row in rows:
+                next(reader)
+                typed.append(_typed_row(row, schema))
+            return typed
         except (csv.Error, ValueError) as exc:
             raise ParseError(str(exc), line=max(reader.line_num, 1), path=path) from None
+
+
+def _typed_columns(rows, schema) -> list:
+    """rows as tuples typed by schema, converted a column at a time;
+    ValueError when any field is bad."""
+    if not set(map(len, rows)) <= {len(schema)}:
+        raise ValueError("a row has the wrong field count")
+    columns = [list(map(typ, column)) for column, (_, typ) in zip(zip(*rows), schema)]
+    if not all(all(map(math.isfinite, column))
+               for column, (_, typ) in zip(columns, schema) if typ is float):
+        raise ValueError("a float is not finite")
+    return list(zip(*columns))
 
 
 def _typed_row(row, schema) -> tuple:

@@ -121,9 +121,9 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
     if np.any((xs[1:] == xs[:-1]) & (cs[1:] == cs[:-1])):
         order = np.lexsort((inten, zz, y, x, cell))
     cell, zz, inten, rn, nr = cell[order], zz[order], inten[order], rn[order], nr[order]
-    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
     cells = cell[starts]
-    counts = np.diff(np.r_[starts, len(cell)])
+    counts = np.diff(starts, append=len(cell))
 
     def seg_sum(a):
         return np.add.reduceat(a, starts)
@@ -141,7 +141,6 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
     z_mean = seg_sum(zz) / counts
     i_mean = seg_sum(inten) / counts
     z_min, z_max = seg_min(zz), seg_max(zz)
-    rows, cols = cells // w, cells % w
     stats = {
         "z_min": z_min,
         "z_max": z_max,
@@ -157,8 +156,7 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
         "multi_return_fraction": seg_sum((nr > 1).astype(float)) / counts,
         "last_return_fraction": seg_sum((rn == nr).astype(float)) / counts,
     }
-    for ci, name in enumerate(CHANNEL_NAMES):
-        channels[ci, rows, cols] = stats[name]
+    channels.reshape(N_CHANNELS, h * w)[:, cells] = [stats[name] for name in CHANNEL_NAMES]
     return RasterStack(spec, channels, n_outside=n_outside)
 
 

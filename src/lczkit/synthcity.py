@@ -5,6 +5,15 @@ blunt-cone canopies of multi-return points with high local elevation
 variance; buildings are axis-aligned boxes sampled on the roof plane with
 single returns. The planted law t = t_base - k_veg * v + noise gives the
 end-to-end pipeline an unambiguous sign to recover.
+
+A scene draws from one generator, seeded by the scene, in a fixed order.
+numpy's Generator.uniform(low, high) is low + (high - low) * u and
+normal(loc, scale) is loc + scale * z, with u = random() and
+z = standard_normal() the next raw draws, in those two roundings; so the
+scene draws raw blocks and scales them as arrays, with the bits and the
+stream position of the scalar draws. Disc placement draws all its
+candidates in one block, then rewinds the stream to just past the
+candidates it tried.
 """
 
 from __future__ import annotations
@@ -75,20 +84,74 @@ class SceneTruth:
 
 
 def _place_discs(rng, n_target, extent_x, extent_y, radius_range, max_tries=2000):
-    """Dart-throwing Poisson-disc placement; discs stay inside the extent."""
-    centers, radii = [], []
-    tries = 0
-    while len(centers) < n_target and tries < max_tries:
-        tries += 1
-        r = rng.uniform(*radius_range)
-        cx = rng.uniform(r, max(r, extent_x - r))
-        cy = rng.uniform(r, max(r, extent_y - r))
-        ok = all((cx - px) ** 2 + (cy - py) ** 2 >= (0.8 * (r + pr)) ** 2
-                 for (px, py), pr in zip(centers, radii))
-        if ok:
-            centers.append((cx, cy))
-            radii.append(r)
-    return centers, radii
+    """Dart-throwing Poisson-disc placement; discs stay inside the extent.
+
+    Candidate k is a radius r ~ U(radius_range) and a centre
+    ~ U(r, max(r, extent - r)) per axis. Candidates are tried in order, and
+    one is kept when its centre is at least 0.8 (r + r') from that of
+    every disc kept before it, until n_target are kept or max_tries are
+    tried. All max_tries candidates are drawn in one block; rng is then
+    rewound and advanced by the draws of the candidates tried, so it ends
+    where drawing them one by one would leave it. Returns the kept
+    centres' x and y and the radii.
+    """
+    if n_target <= 0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    start = rng.bit_generator.state
+    u = rng.random((max_tries, 3))
+    lo, hi = map(float, radius_range)
+    r = lo + (hi - lo) * u[:, 0]
+    cx = r + (np.maximum(r, extent_x - r) - r) * u[:, 1]
+    cy = r + (np.maximum(r, extent_y - r) - r) * u[:, 2]
+    free = np.ones(max_tries, dtype=bool)  # clear of every disc kept so far
+    kept = []
+    k = 0  # candidates tried
+    while len(kept) < n_target and k < max_tries:
+        k += int(free[k:].argmax())
+        if not free[k]:  # no candidate left is free: all of them get tried
+            k = max_tries
+            break
+        kept.append(k)
+        later = slice(k + 1, None)
+        free[later] &= ((cx[later] - cx[k]) ** 2 + (cy[later] - cy[k]) ** 2
+                        >= (0.8 * (r[later] + r[k])) ** 2)
+        k += 1
+    rng.bit_generator.state = start
+    rng.random(3 * k)
+    return cx[kept], cy[kept], r[kept]
+
+
+def _crown_points(rng, cx, cy, r, h, points_per_m2) -> tuple:
+    """Point columns (x, y, z, intensity, return_number, num_returns) of
+    the tree crowns: blunt cones of volumetric multi-return scatter.
+
+    Tree by tree, the stream gives the n points' radius, angle and height
+    fractions (for uniform(0, 1), uniform(0, 2 pi) and uniform(0.3 h, top)),
+    their standard normals (for normal(15000, 3000)), then their return
+    counts; the points of all trees are computed from these at once.
+    """
+    counts = np.maximum(4, np.round(
+        CANOPY_DENSITY_FACTOR * points_per_m2 * np.pi * r * r).astype(np.int64))
+    ends = np.cumsum(counts)
+    u = np.empty((3, counts.sum()))
+    normals = np.empty(u.shape[1])
+    num_returns = np.empty(u.shape[1], dtype=np.int64)
+    return_numbers = np.empty_like(num_returns)
+    for a, b in zip((ends - counts).tolist(), ends.tolist()):
+        u[:, a:b] = rng.random((3, b - a))
+        rng.standard_normal(out=normals[a:b])
+        num_returns[a:b] = rng.integers(2, 4, b - a)
+        return_numbers[a:b] = rng.integers(1, num_returns[a:b] + 1)
+    u_radius, u_angle, u_height = u
+    cx, cy, r, h = (np.repeat(a, counts) for a in (cx, cy, r, h))
+    frac = np.sqrt(u_radius)  # uniform over the disc
+    theta = 2.0 * np.pi * u_angle
+    x = cx + frac * r * np.cos(theta)
+    y = cy + frac * r * np.sin(theta)
+    top = h * (1.0 - 0.25 * frac * frac)  # mild taper keeps edge cells rough
+    low = 0.3 * h
+    z = low + (top - low) * u_height
+    return x, y, z, 15000.0 + 3000.0 * normals, return_numbers, num_returns
 
 
 def generate_scene(params: SceneParams, scene_seed: int) -> SceneTruth:
@@ -97,68 +160,52 @@ def generate_scene(params: SceneParams, scene_seed: int) -> SceneTruth:
     ex = params.grid.extent_x
     ey = params.grid.extent_y
     area = ex * ey
-    parts = []
 
     # ground plane
     n_ground = max(1, int(round(params.points_per_m2 * area)))
-    gx = rng.uniform(0.0, ex, n_ground)
-    gy = rng.uniform(0.0, ey, n_ground)
-    gz = rng.normal(0.0, 0.05, n_ground)
-    gi = np.clip(rng.normal(20000.0, 2000.0, n_ground), 0.0, 65535.0)
-    parts.append(PointCloud.from_arrays(gx, gy, gz, gi,
-                                        np.ones(n_ground, dtype=np.int64),
-                                        np.ones(n_ground, dtype=np.int64)))
+    ones = np.ones(n_ground, dtype=np.int64)
+    parts = [(rng.uniform(0.0, ex, n_ground), rng.uniform(0.0, ey, n_ground),
+              rng.normal(0.0, 0.05, n_ground), rng.normal(20000.0, 2000.0, n_ground),
+              ones, ones)]
 
-    # trees: blunt cones of volumetric multi-return scatter
+    # trees: crowns placed by dart throwing
     n_trees = rng.poisson(params.tree_density * area)
-    centers, radii = _place_discs(rng, n_trees, ex, ey, params.crown_radius_range)
-    heights = rng.uniform(*params.tree_height_range, len(centers))
-    for (cx, cy), r, h in zip(centers, radii, heights):
-        n_pts = max(4, int(round(CANOPY_DENSITY_FACTOR * params.points_per_m2 * np.pi * r * r)))
-        frac = np.sqrt(rng.uniform(0.0, 1.0, n_pts))  # uniform over the disc
-        theta = rng.uniform(0.0, 2.0 * np.pi, n_pts)
-        px = cx + frac * r * np.cos(theta)
-        py = cy + frac * r * np.sin(theta)
-        top = h * (1.0 - 0.25 * frac * frac)  # mild taper keeps edge cells rough
-        pz = rng.uniform(0.3 * h, top)
-        pi = np.clip(rng.normal(15000.0, 3000.0, n_pts), 0.0, 65535.0)
-        nr = rng.integers(2, 4, n_pts)
-        rn = rng.integers(1, nr + 1)
-        parts.append(PointCloud.from_arrays(px, py, pz, pi, rn, nr))
+    tx, ty, tr = _place_discs(rng, n_trees, ex, ey, params.crown_radius_range)
+    heights = rng.uniform(*params.tree_height_range, len(tr))
+    parts.append(_crown_points(rng, tx, ty, tr, heights, params.points_per_m2))
 
     # buildings: roof-plane samples, single return, smooth
     n_bld = rng.poisson(params.building_density * area)
-    buildings = []
-    for _ in range(n_bld):
+    boxes = np.empty((n_bld, 4))
+    for k in range(n_bld):
         w = rng.uniform(*params.building_side_range)
         l = rng.uniform(*params.building_side_range)
         x0 = rng.uniform(0.0, max(1e-9, ex - w))
         y0 = rng.uniform(0.0, max(1e-9, ey - l))
         bh = rng.uniform(*params.building_height_range)
-        buildings.append((x0, y0, w, l))
+        boxes[k] = x0, y0, x0 + w, y0 + l
         n_pts = max(4, int(round(params.points_per_m2 * w * l)))
-        bx = rng.uniform(x0, x0 + w, n_pts)
-        by = rng.uniform(y0, y0 + l, n_pts)
-        bz = bh + rng.normal(0.0, 0.02, n_pts)
-        bi = np.clip(rng.normal(40000.0, 3000.0, n_pts), 0.0, 65535.0)
-        parts.append(PointCloud.from_arrays(bx, by, bz, bi,
-                                            np.ones(n_pts, dtype=np.int64),
-                                            np.ones(n_pts, dtype=np.int64)))
+        ones = np.ones(n_pts, dtype=np.int64)
+        parts.append((rng.uniform(x0, x0 + w, n_pts), rng.uniform(y0, y0 + l, n_pts),
+                      bh + rng.normal(0.0, 0.02, n_pts), rng.normal(40000.0, 3000.0, n_pts),
+                      ones, ones))
 
-    cloud = PointCloud.concatenate(parts)
+    x, y, z, intensity, return_number, num_returns = (np.concatenate(c) for c in zip(*parts))
+    cloud = PointCloud.from_arrays(x, y, z, np.clip(intensity, 0.0, 65535.0),
+                                   return_number, num_returns)
 
-    # per-cell ground truth on the rasterization grid, vegetation precedence
+    # per-cell ground truth on the rasterization grid, vegetation precedence;
+    # one (tree or building, row, column) broadcast per mask
     spec = params.grid
     cols = (np.arange(spec.width) + 0.5) * spec.cell_size + spec.origin_x
     rows = (np.arange(spec.height) + 0.5) * spec.cell_size + spec.origin_y
-    cxs, cys = np.meshgrid(cols, rows)
-    veg_mask = np.zeros((spec.height, spec.width), dtype=bool)
-    for (cx, cy), r in zip(centers, radii):
-        veg_mask |= (cxs - cx) ** 2 + (cys - cy) ** 2 <= r * r
-    bld_mask = np.zeros_like(veg_mask)
-    for x0, y0, w, l in buildings:
-        bld_mask |= (cxs >= x0) & (cxs <= x0 + w) & (cys >= y0) & (cys <= y0 + l)
-    bld_mask &= ~veg_mask
+    dx2 = (cols - tx[:, None]) ** 2
+    dy2 = (rows - ty[:, None]) ** 2
+    veg_mask = (dx2[:, None, :] + dy2[:, :, None] <= (tr * tr)[:, None, None]).any(axis=0)
+    x0, y0, x1, y1 = boxes.T[:, :, None]
+    in_x = (cols >= x0) & (cols <= x1)
+    in_y = (rows >= y0) & (rows <= y1)
+    bld_mask = (in_y[:, :, None] & in_x[:, None, :]).any(axis=0) & ~veg_mask
     return SceneTruth(cloud, veg_mask, bld_mask, float(veg_mask.mean()))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import multiprocessing
 import shutil
 from pathlib import Path
@@ -79,6 +80,8 @@ def test_config_resolved_text_round_trips(tmp_path):
 def test_dt_sweep_parsing():
     cfg = RunConfig({"perturb.dt_sweep": "0, 1.5, -2"})
     assert cfg.dt_sweep() == [0.0, 1.5, -2.0]
+    baseline, *_ = RunConfig({"perturb.dt_sweep": "-0,1,-1"}).dt_sweep()
+    assert baseline == 0.0 and math.copysign(1.0, baseline) == 1.0
     for bad in ("0,oops", "1,2,-2", "0,1", "0,1,1,0", "0,1,nan", "0,1,-inf", "",
                 "0,1,1,-1", "0,-0,1,-1"):
         with pytest.raises(UsageError, match="perturb.dt_sweep"):

@@ -213,6 +213,31 @@ def test_read_table_error_names_file_and_line(tmp_path, text, line):
     assert exc.value.line == line and str(path) in str(exc.value)
 
 
+# 2000 failure rows; those of index 5 mod 10 have a message over two lines,
+# so a one-line row i whose index is 0 mod 10 ends on line 2 + i + i // 10.
+_FAILURES = [(f"s{i}", i / 4, "non_finite", "two\nlines" if i % 10 == 5 else "one")
+             for i in range(2000)]
+
+
+@pytest.mark.parametrize("edits, line, message", [
+    ({1500: ("s", "x1", "non_finite", "one")}, 1500, "could not convert string to float: 'x1'"),
+    ({1500: ("s", float("nan"), "non_finite", "one")}, 1500, "'nan' is not a finite float"),
+    ({1500: ("s", 1.0, "non_finite")}, 1500, "expected 4 fields, found 3"),
+    ({1800: ("s", "x1", "non_finite", "one"), 1500: ("s", 1.0, "non_finite")}, 1500,
+     "expected 4 fields, found 3"),
+])
+def test_read_table_names_the_first_bad_row_deep_in_a_table(tmp_path, edits, line, message):
+    """Fields are typed a column at a time, yet the error names the line of
+    the first bad row, counting the lines of quoted fields before it."""
+    path = tmp_path / "failures.csv"
+    write_table(path, CF_FAILURES, [edits.get(i, row) for i, row in enumerate(_FAILURES)])
+    with pytest.raises(ParseError, match=message) as exc:
+        read_table(path, CF_FAILURES)
+    assert exc.value.line == 2 + line + line // 10 and str(path) in str(exc.value)
+    write_table(path, CF_FAILURES, _FAILURES)
+    assert read_table(path, CF_FAILURES) == _FAILURES
+
+
 def test_interrupted_write_keeps_the_old_file_and_no_temp_file(tmp_path):
     path = tmp_path / "m.lczm"
     save_model([("w", np.ones(3))], path)

@@ -128,7 +128,9 @@ print(core)
 """
 
 # figure.csv and report.txt of the seed-0 tiny chain, which hold across
-# BLAS kernels; a change that moves them updates these files.
+# BLAS kernels, and corpus.sha256, the digest of each file its synth stage
+# writes (no BLAS call reaches them); a change that moves them updates
+# these files.
 _REFERENCE = Path(__file__).parent / "data" / "tiny"
 
 
@@ -139,6 +141,10 @@ def test_whole_run_is_byte_identical_under_one_and_two_blas_threads(run_under_bl
     assert sum(name.startswith("counterfactuals/cf_") for name in names) == 12
     assert out1 == out2
     digests = dict(zip(out1[::2], out1[1::2]))
+    corpus = dict(line.split()[::-1] for line in
+                  (_REFERENCE / "corpus.sha256").read_text().splitlines())
+    assert len(corpus) == 63
+    assert {name: d for name, d in digests.items() if name.startswith("corpus/")} == corpus
     for name in ("figure.csv", "report.txt"):
         assert digests[name] == hashlib.sha256((_REFERENCE / name).read_bytes()).hexdigest(), name
 

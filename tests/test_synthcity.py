@@ -13,6 +13,7 @@ from lczkit.rasterizer import load_stack, rasterize, save_stack
 from lczkit.synthcity import (
     SceneParams,
     TemperatureLaw,
+    _place_discs,
     generate_corpus,
     generate_scene,
     scene_temperature,
@@ -67,6 +68,49 @@ def test_rooftop_points_are_single_return_and_smooth():
     roof = truth.cloud.z > 1.0
     assert roof.any()
     assert truth.cloud.z[roof].std() < 2.5  # flat roofs, not volumetric scatter
+
+
+def _place_discs_one_by_one(rng, n_target, extent_x, extent_y, radius_range, max_tries):
+    """The dart thrower _place_discs must match: one candidate drawn and
+    tried at a time."""
+    centers, radii = [], []
+    tries = 0
+    while len(centers) < n_target and tries < max_tries:
+        tries += 1
+        r = rng.uniform(*radius_range)
+        cx = rng.uniform(r, max(r, extent_x - r))
+        cy = rng.uniform(r, max(r, extent_y - r))
+        if all((cx - px) ** 2 + (cy - py) ** 2 >= (0.8 * (r + pr)) ** 2
+               for (px, py), pr in zip(centers, radii)):
+            centers.append((cx, cy))
+            radii.append(r)
+    return centers, radii
+
+
+def test_place_discs_keeps_the_discs_and_stream_of_one_by_one_draws():
+    """The same discs, bit for bit, and the generator left in the same
+    state, on random cases that include targets of 0, targets the tries
+    cannot reach, a single try and extents narrower than a disc."""
+    cases = np.random.default_rng(2024)
+    edges = {"no target": 0, "target not reached": 0, "one try": 0, "narrow": 0}
+    for case in range(300):
+        lo = cases.uniform(0.2, 4.0)
+        radius_range = (lo, lo + cases.choice([0.0, cases.uniform(0.0, 3.0)]))
+        extent_x, extent_y = cases.uniform(1.0, 40.0, 2).tolist()
+        n_target = int(cases.integers(0, 40))
+        max_tries = int(cases.choice([1, 5, 50, 2000]))
+        a, b = np.random.default_rng(case), np.random.default_rng(case)
+        centers, radii = _place_discs_one_by_one(a, n_target, extent_x, extent_y,
+                                                 radius_range, max_tries)
+        x, y, r = _place_discs(b, n_target, extent_x, extent_y, radius_range, max_tries)
+        assert list(zip(x.tolist(), y.tolist())) == centers, case
+        assert r.tolist() == radii, case
+        assert a.bit_generator.state == b.bit_generator.state, case
+        edges["no target"] += n_target == 0
+        edges["target not reached"] += len(radii) < n_target
+        edges["one try"] += max_tries == 1
+        edges["narrow"] += min(extent_x, extent_y) < 2 * lo
+    assert min(edges.values()) >= 3, edges
 
 
 def test_scene_params_validation():
