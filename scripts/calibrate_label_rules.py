@@ -34,12 +34,13 @@ BLD_ZSTD_GRID = (0.2, 0.3, 0.4)
 
 def build_scenes(n_scenes, seed):
     rng = np.random.default_rng(seed)
+    generator = SceneParams()  # the densities the generator draws scenes around
     scenes = []
     for i in range(n_scenes):
         params = SceneParams(
             seed=seed,
-            tree_density=0.05 * rng.uniform(0.02, 1.0),
-            building_density=0.008 * rng.uniform(0.3, 1.0),
+            tree_density=generator.tree_density * rng.uniform(0.02, 1.0),
+            building_density=generator.building_density * rng.uniform(0.3, 1.0),
         )
         truth = generate_scene(params, i)
         scenes.append((rasterize(truth.cloud, params.grid), truth))

@@ -3,9 +3,10 @@ determinism.
 
 Every key has a default; unknown keys raise. The defaults live in the
 typed views' dataclasses: DEFAULTS lists the keys, reads each field's
-default, and states a literal only for a key no field backs. One master
-seed fans out to per-stage seeds via sha256(master:stage), so a single
---seed reproduces the whole run.
+default, and states a literal only for a key no field backs. A field no
+run varies has no key, and its view takes the dataclass default. One
+master seed fans out to per-stage seeds via sha256(master:stage), so a
+single --seed reproduces the whole run.
 """
 
 from __future__ import annotations
@@ -30,18 +31,15 @@ def _fields(section: str, view, names: str) -> dict:
 DEFAULTS = {
     "seed": 0,
     **_fields("grid", GridSpec(), "width height cell_size"),
-    **_fields("vae", VaeConfig(), "latent_dim hidden arch epochs lr batch_size"),
+    **_fields("vae", VaeConfig(), "latent_dim hidden arch epochs"),
     **_fields("vae", KldSchedule(), "ramp_epochs lambda_max"),
-    **dict(zip(("reg.hidden1", "reg.hidden2"), RegConfig().hidden)),
-    **_fields("reg", RegConfig(), "activation epochs lr batch_size holdout_fraction"),
+    **_fields("reg", RegConfig(), "epochs"),
     "perturb.dt_sweep": "0,1,3,5,10,-1,-3,-5,-10",
     "perturb.steps": 1,        # closed-form steps on the remaining delta_t
     "perturb.n_scenes": 30,    # held-out scenes to perturb
     **_fields("labels", LabelRules(), "veg_zstd_min veg_multiret_min bld_height_min bld_zstd_max"),
     "synth.n_scenes": 500,
-    **_fields("synth", SceneParams(), "tree_density building_density points_per_m2"),
-    **_fields("synth", TemperatureLaw(), "t_base k_veg noise_sigma"),
-    "analysis.alpha": 0.05,
+    **_fields("synth", TemperatureLaw(), "k_veg noise_sigma"),
 }
 
 
@@ -74,9 +72,10 @@ class RunConfig:
         # A setting no stage can run with is refused before any stage runs.
         # Each typed view checks its own fields, named as the keys after
         # their section.
+        if not self["seed"] >= 0:  # numpy seeds only non-negative integers
+            raise UsageError(f"bad seed {self['seed']!r}: must be at least 0")
         views = (("grid", self.grid_spec), ("vae", self.vae_config), ("reg", self.reg_config),
-                 ("labels", self.label_rules), ("synth", self.scene_params),
-                 ("synth", self.temperature_law))
+                 ("labels", self.label_rules), ("synth", self.temperature_law))
         for section, view in views:
             try:
                 view()
@@ -94,14 +93,12 @@ class RunConfig:
             if not self[key] >= 1:
                 raise UsageError(f"bad {key} {self[key]!r}: must be at least 1")
         n_train, n_test = split_sizes(self["synth.n_scenes"])
-        n_fit = n_train - self.reg_config().n_holdout(n_train)
-        if n_test < 1 or n_fit < 2:
+        n_hold = self.reg_config().n_holdout(n_train)
+        if n_test < 1 or n_hold < 1 or n_train - n_hold < 2:
             raise UsageError(f"bad synth.n_scenes {self['synth.n_scenes']!r}: the 80/20 split "
-                             f"leaves {n_test} test scenes and, after the reg.holdout_fraction "
-                             f"{self['reg.holdout_fraction']!r}, {n_fit} regressor training "
-                             f"scenes; needs at least 1 and 2")
-        if not 0 < self["analysis.alpha"] < 1:
-            raise UsageError(f"bad analysis.alpha {self['analysis.alpha']!r}: must be in (0, 1)")
+                             f"leaves {n_test} test scenes and {n_train} training scenes, of "
+                             f"which the regressor holds out {n_hold} and fits "
+                             f"{n_train - n_hold}; needs at least 1, 1 and 2")
 
     @classmethod
     def from_file(cls, path=None, overrides=None) -> "RunConfig":
@@ -142,20 +139,13 @@ class RunConfig:
     def vae_config(self) -> VaeConfig:
         return VaeConfig(
             latent_dim=self["vae.latent_dim"], hidden=self["vae.hidden"],
-            arch=self["vae.arch"], epochs=self["vae.epochs"], lr=self["vae.lr"],
-            batch_size=self["vae.batch_size"],
+            arch=self["vae.arch"], epochs=self["vae.epochs"],
             schedule=KldSchedule(self["vae.ramp_epochs"], self["vae.lambda_max"]),
             seed=stage_seed(self["seed"], "vae"),
         )
 
     def reg_config(self) -> RegConfig:
-        return RegConfig(
-            hidden=(self["reg.hidden1"], self["reg.hidden2"]),
-            activation=self["reg.activation"], epochs=self["reg.epochs"],
-            lr=self["reg.lr"], batch_size=self["reg.batch_size"],
-            holdout_fraction=self["reg.holdout_fraction"],
-            seed=stage_seed(self["seed"], "reg"),
-        )
+        return RegConfig(epochs=self["reg.epochs"], seed=stage_seed(self["seed"], "reg"))
 
     def label_rules(self) -> LabelRules:
         return LabelRules(
@@ -166,18 +156,11 @@ class RunConfig:
         )
 
     def scene_params(self) -> SceneParams:
-        return SceneParams(
-            grid=self.grid_spec(),
-            tree_density=self["synth.tree_density"],
-            building_density=self["synth.building_density"],
-            points_per_m2=self["synth.points_per_m2"],
-            seed=stage_seed(self["seed"], "synth"),
-        )
+        return SceneParams(grid=self.grid_spec(), seed=stage_seed(self["seed"], "synth"))
 
     def temperature_law(self) -> TemperatureLaw:
         return TemperatureLaw(
-            t_base=self["synth.t_base"], k_veg=self["synth.k_veg"],
-            noise_sigma=self["synth.noise_sigma"],
+            k_veg=self["synth.k_veg"], noise_sigma=self["synth.noise_sigma"],
             seed=stage_seed(self["seed"], "law"),
         )
 

@@ -196,7 +196,7 @@ def run_analyze(cfg: RunConfig, out_dir: str, records=None, n_excluded=0) -> rep
         except UsageError as exc:  # a value that parses but breaks a rule
             raise ValidationError(str(exc), path=path) from None
         n_excluded = len(read_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES))
-    bundle = report.build_report(records, cfg["analysis.alpha"], n_excluded=n_excluded)
+    bundle = report.build_report(records, n_excluded=n_excluded)
     write_text(os.path.join(out_dir, "figure.csv"), bundle.figure_csv)
     write_text(os.path.join(out_dir, "report.txt"), bundle.summary)
     return bundle

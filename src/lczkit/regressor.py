@@ -8,9 +8,10 @@ one code is a batch of one row. Both pad a batch of fewer than
 autodiff.MIN_ROWS rows with copies of its first row and drop them from the
 result, and the one-output layer is a row-wise product and sum, not a GEMV,
 so a code's temperature and gradient have the same bits in any batch.
-Activation is relu by default; a tanh variant gives a smoother gradient
-field for the perturbation stage, and "identity" yields a purely linear
-model (useful for exactness checks).
+Activation is relu by default. tanh (a smoother gradient field for the
+perturbation stage) and "identity" (a purely linear model, for exactness
+checks) are RegConfig choices for callers that build one; no config key
+sets them.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class RegConfig:
         if self.activation not in _ACTIVATIONS:
             raise UsageError(f"activation {self.activation!r} is not one of "
                              f"{', '.join(_ACTIVATIONS)}")
-        if not 0 <= self.holdout_fraction < 1:
-            raise UsageError(f"holdout_fraction {self.holdout_fraction!r} is not in [0, 1)")
+        if not 0 < self.holdout_fraction < 1:
+            raise UsageError(f"holdout_fraction {self.holdout_fraction!r} is not in (0, 1)")
 
     def n_holdout(self, n: int) -> int:
         """Scenes held out of n training scenes."""
@@ -138,25 +139,24 @@ def l1_loss_graph(pred: Tensor, target: Tensor) -> Tensor:
 def train_regressor(codes, temps, config: RegConfig):
     """Fit on L1 loss; returns (model, ErrorReport on the held-out split).
 
-    The held-out split is a seeded holdout_fraction of the input; when that
-    rounds to no scene, the report is on the training set.
+    The held-out split is a seeded holdout_fraction of the input; a split
+    that rounds to no held-out sample, or leaves fewer than 2 to fit, is a
+    UsageError.
     """
     codes = np.asarray(codes, dtype=float)
     temps = np.asarray(temps, dtype=float)
     if codes.ndim != 2 or len(codes) != len(temps):
         raise UsageError("codes must be (N, n) with matching temps")
-    if len(codes) < 2:
-        raise UsageError("need at least 2 training samples")
+    n_hold = config.n_holdout(len(codes))
+    if n_hold < 1 or len(codes) - n_hold < 2:
+        raise UsageError(f"holdout_fraction {config.holdout_fraction!r} of {len(codes)} samples "
+                         f"holds out {n_hold} and fits {len(codes) - n_hold}; "
+                         f"needs at least 1 and 2")
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(codes))
-    n_hold = config.n_holdout(len(codes))
     hold, keep = perm[:n_hold], perm[n_hold:]
-    if len(keep) < 2:
-        raise UsageError("holdout fraction leaves fewer than 2 training samples")
     val_codes, val_temps = codes[hold], temps[hold]
     codes, temps = codes[keep], temps[keep]
-    if len(hold) == 0:
-        val_codes, val_temps = codes, temps
 
     model = init_regressor(codes.shape[1], config, rng)
     model.t_mean = float(temps.mean())

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import multiprocessing
+import re
 import shutil
 from pathlib import Path
 
@@ -26,8 +27,6 @@ synth.n_scenes = 60
 vae.latent_dim = 8
 vae.hidden = 64
 vae.epochs = 12
-reg.hidden1 = 32
-reg.hidden2 = 8
 reg.epochs = 60
 perturb.n_scenes = 4
 """
@@ -112,6 +111,13 @@ def test_every_config_key_is_read_by_a_stage():
     assert [key for key in DEFAULTS if f'["{key}"]' not in source] == []
 
 
+def test_readme_lists_exactly_the_config_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration keys\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^- `([^`]+)`", section, flags=re.M)
+    assert sorted(listed) == sorted(DEFAULTS)
+
+
 def test_stage_seeds_distinct_and_stable():
     assert stage_seed(0, "vae") == stage_seed(0, "vae")
     assert stage_seed(0, "vae") != stage_seed(0, "reg")
@@ -130,8 +136,16 @@ def test_unknown_flag_exits_one(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+# dataclass fields that no caller varies: they have no config key
+REMOVED_KEYS = ("vae.lr", "vae.batch_size", "reg.hidden1", "reg.hidden2", "reg.activation",
+                "reg.lr", "reg.batch_size", "reg.holdout_fraction", "synth.tree_density",
+                "synth.building_density", "synth.points_per_m2", "synth.t_base",
+                "analysis.alpha")
+
+
 def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
+    out = tmp_path / "run"
     cfg.write_text("vae.latent=8\n")
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     for flag in ("--perturb.mode=iterative", "--perturb.zeta=0.1", "--perturb.g_floor=1e-8"):
@@ -139,6 +153,14 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
         assert main(["perturb", flag, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and flag[2:flag.index("=")] in err, err
+    for key in REMOVED_KEYS:
+        cfg.write_text(f"seed = 1\n{key} = 1\n")
+        for given, named in (([f"--{key}=1"], f"{key!r} (from flag"),
+                             (["--config", str(cfg)], f"{key!r} (line 2)")):
+            assert main(["pipeline", *given, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and named in err, err
+            assert not out.exists()
 
 
 def test_pipeline_refuses_an_unusable_sweep_before_any_stage(tmp_path, small_config, capsys):
@@ -160,17 +182,19 @@ def test_pipeline_refuses_a_perturb_count_below_one_before_any_stage(
     assert flag[2:flag.index("=")] in err and not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--reg.activation=foo", "--vae.arch=foo",
-                                  "--labels.veg_zstd_min=-1", "--analysis.alpha=0",
-                                  "--reg.holdout_fraction=1.5", "--vae.batch_size=0",
-                                  "--reg.batch_size=0", "--vae.latent_dim=0",
-                                  "--vae.epochs=0", "--vae.lambda_max=-1",
-                                  "--synth.n_scenes=0", "--synth.n_scenes=1",
-                                  "--synth.n_scenes=2", "--synth.points_per_m2=-1",
-                                  "--synth.noise_sigma=-1", "--vae.ramp_epochs=-5",
-                                  "--vae.lr=0", "--reg.lr=-1", "--synth.k_veg=nan",
+@pytest.mark.parametrize("flag", ["--vae.arch=foo", "--labels.veg_zstd_min=-1",
+                                  "--vae.latent_dim=0", "--vae.epochs=0",
+                                  "--vae.lambda_max=-1", "--synth.n_scenes=0",
+                                  "--synth.n_scenes=1", "--synth.n_scenes=2",
+                                  "--synth.n_scenes=3", "--synth.noise_sigma=-1",
+                                  "--vae.ramp_epochs=-5", "--synth.k_veg=nan",
                                   "--grid.cell_size=nan", "--labels.veg_zstd_min=nan",
-                                  "--vae.lr=nan"])
+                                  "--seed=-1",
+                                  # settings of deleted keys, refused as unknown keys
+                                  "--reg.activation=foo", "--analysis.alpha=0",
+                                  "--reg.holdout_fraction=1.5", "--vae.batch_size=0",
+                                  "--reg.batch_size=0", "--synth.points_per_m2=-1",
+                                  "--vae.lr=0", "--reg.lr=-1", "--vae.lr=nan"])
 def test_pipeline_refuses_an_unusable_setting_before_any_stage(
         flag, tmp_path, small_config, capsys):
     out = tmp_path / "run"

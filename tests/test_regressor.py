@@ -194,6 +194,17 @@ def test_train_length_mismatch():
         train_regressor(np.zeros((3, LATENT)), np.zeros(4), RegConfig())
 
 
+def test_train_refuses_a_split_that_holds_out_no_sample():
+    for fraction in (0.0, 1.0, -0.1):
+        with pytest.raises(UsageError, match="holdout_fraction"):
+            RegConfig(holdout_fraction=fraction)
+    # round(0.2 * 2) = 0: the MAE would be a training error, so it is refused
+    with pytest.raises(UsageError, match="holds out 0 and fits 2"):
+        train_regressor(np.zeros((2, LATENT)), np.zeros(2), RegConfig())
+    with pytest.raises(UsageError, match="holds out 2 and fits 1"):
+        train_regressor(np.zeros((3, LATENT)), np.zeros(3), RegConfig(holdout_fraction=0.6))
+
+
 def test_persistence_round_trip(tmp_path):
     model = _model(seed=11)
     model.t_mean, model.t_std = 291.5, 2.25
