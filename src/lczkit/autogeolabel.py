@@ -38,22 +38,17 @@ class LabelRules:
             raise UsageError("bld_zstd_max must be < veg_zstd_min (disjointness guard)")
 
 
-def label_channels(parts, norm) -> np.ndarray:
-    """The LABEL_CHANNELS of normalized (k, 13, H, W) arrays, de-normalized
-    as rasterizer.denormalize does it and stacked in order into one
-    (sum of k, 3, H, W) array, which segment takes as it takes whole scenes."""
-    if any(p.ndim != 4 or p.shape[1:] != parts[0].shape[1:] or p.shape[1] != N_CHANNELS
-           for p in parts):
-        raise UsageError(f"label_channels needs (k, {N_CHANNELS}, H, W) arrays of one grid, "
-                         f"got shapes {[p.shape for p in parts]}")
-    out = np.empty((sum(len(p) for p in parts), len(LABEL_CHANNELS), *parts[0].shape[2:]))
-    start = 0
-    for part in parts:
-        rows = out[start:start + len(part)]
-        for c, i in enumerate(_LABEL_INDEX):
-            np.multiply(part[:, i], norm.std[i], out=rows[:, c])
-            np.add(rows[:, c], norm.mean[i], out=rows[:, c])
-        start += len(part)
+def label_channels(scenes, norm) -> np.ndarray:
+    """The LABEL_CHANNELS of a normalized (K, 13, H, W) array, de-normalized
+    as rasterizer.denormalize does it, as one (K, 3, H, W) array, which
+    segment takes as it takes whole scenes."""
+    if scenes.ndim != 4 or scenes.shape[1] != N_CHANNELS:
+        raise UsageError(f"label_channels needs a (K, {N_CHANNELS}, H, W) array, "
+                         f"got shape {scenes.shape}")
+    out = np.empty((len(scenes), len(LABEL_CHANNELS), *scenes.shape[2:]))
+    for c, i in enumerate(_LABEL_INDEX):
+        np.multiply(scenes[:, i], norm.std[i], out=out[:, c])
+        np.add(out[:, c], norm.mean[i], out=out[:, c])
     return out
 
 

@@ -37,8 +37,13 @@ def _split_overrides(extra):
     return overrides
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad built-in flag is a usage error like any other
+        raise UsageError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="lcz", description=__doc__)
+    parser = _Parser(prog="lcz", description=__doc__)
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed")

@@ -45,7 +45,7 @@ class NumericError(DataError):
 
 
 class DegenerateGradientError(NumericError):
-    """Gradient norm below the configured floor; no safe latent step exists."""
+    """Gradient norm below the floor perturb.G_FLOOR; no safe latent step exists."""
 
     kind = "degenerate_gradient"
 

@@ -10,18 +10,19 @@ gradient (norm below G_FLOOR) ends the walk with what was achieved. One step
 is the closed form. Note this is NOT a function inverse of the regressor.
 
 batch_perturb is the one entry point: it takes the scenes as one (N, C, H, W)
-array with their distinct ids, and distinct delta_t values, and works on the
-whole batch. It makes one encode of the finite scenes, one predict and one
-gradient over their codes, one predict over all stepped codes, and per further
-walk step one gradient and one predict over the pairs still walking. The codes
-and every stepped code are then decoded into one (rows, C, H, W) array, each
-scene's reconstruction followed by its counterfactuals, DECODE_ROWS rows a
-call, each call writing its rows in place. If a decoded row fails, the rows
-after it move up, so a scene's rows stay consecutive: every reconstruction and
-counterfactual of the result is a view of that array, and a scene's
-counterfactuals are one slice of it. Every network call runs on at least
-autodiff.MIN_ROWS rows, so a row has the same bits in any batch: a batched
-result equals the result of the scene, or the pair, alone.
+array with their distinct ids, and distinct delta_t values that hold 0, and
+works on the whole batch. It makes one encode of the finite scenes, one
+predict and one gradient over their codes, one predict over all stepped codes,
+and per further walk step one gradient and one predict over the pairs still
+walking. The stepped codes are then decoded into one (rows, C, H, W) array,
+each scene's counterfactuals in sweep order, DECODE_ROWS rows a call, each
+call writing its rows in place. A scene's delta_t = 0 step is zero, so that
+row is its reconstruction D(E(s)). If a decoded row fails, the rows after it
+move up, so a scene's rows stay consecutive: every counterfactual of the
+result is a view of that array, and a scene's counterfactuals are one slice
+of it. Every network call runs on at least autodiff.MIN_ROWS rows, so a row
+has the same bits in any batch: a batched result equals the result of the
+scene, or the pair, alone.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ DECODE_ROWS = 256  # rows per decode call, each call filling its rows of the bat
 @dataclass
 class CounterfactualScene:
     original: np.ndarray          # normalized input scene (C, H, W)
-    reconstruction: np.ndarray    # D(E(s)) at delta_t = 0
+    reconstruction: np.ndarray    # D(E(s)): the scene's delta_t = 0 counterfactual
     counterfactual: np.ndarray    # D(c + delta_c)
     delta_c: np.ndarray
     achieved_dt: float            # R(c + delta_c) - R(c), reported honestly
@@ -55,18 +56,18 @@ class CounterfactualScene:
 class BatchResult:
     scenes: list                  # CounterfactualScene, scene-major order
     failures: list                # (scene_id, delta_t, kind, message)
-    decoded: np.ndarray           # (R, C, H, W): per scene with a pair, its reconstruction,
-                                  # then its counterfactuals, which are views of it
-    steps: np.ndarray             # (R, n): each decoded row's delta_c, zeros for a reconstruction
+    decoded: np.ndarray           # (R, C, H, W): per scene with a pair, its counterfactuals,
+                                  # which are views of it
+    steps: np.ndarray             # (R, n): each decoded row's delta_c
 
     def by_scene(self):
         """Per scene with a pair, in order: its CounterfactualScenes, its
-        decoded rows (the reconstruction, then the counterfactuals) and
-        their latent steps, the rows as views of decoded and steps."""
+        decoded rows and their latent steps, the rows as views of decoded
+        and steps."""
         start = 0
         for _, group in itertools.groupby(self.scenes, lambda cf: cf.scene_id):
             group = list(group)
-            stop = start + 1 + len(group)
+            stop = start + len(group)
             yield group, self.decoded[start:stop], self.steps[start:stop]
             start = stop
 
@@ -141,11 +142,11 @@ def _walk(regressor, codes, t0, dts, step, achieved, errors, steps):
 
 def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> BatchResult:
     """All scenes x all delta_t values: scenes is a normalized (N, C, H, W)
-    array and scene_ids its N distinct ids. Each scene is encoded, predicted and
-    differentiated once and stepped per delta_t, by at most `steps`
-    closed-form steps; its reconstruction and all its counterfactuals are
-    decoded with the other scenes' into the result's one array, DECODE_ROWS
-    rows a call.
+    array and scene_ids its N distinct ids; delta_ts must hold 0. Each scene
+    is encoded, predicted and differentiated once and stepped per delta_t, by
+    at most `steps` closed-form steps; all its counterfactuals are decoded
+    with the other scenes' into the result's one array, DECODE_ROWS rows a
+    call, and its delta_t = 0 row is its reconstruction.
 
     A NumericError fails only the pairs it reaches (all of a scene's pairs
     if it comes from the scene's input, code, prediction, gradient or
@@ -157,8 +158,9 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> Batch
         raise UsageError(f"batch_perturb: needs a non-empty (N, C, H, W) array and its N ids, "
                          f"got shape {scenes.shape} and {len(scene_ids)} ids")
     delta_ts = [float(dt) for dt in delta_ts]
-    if not np.all(np.isfinite(delta_ts)):
-        raise UsageError(f"batch_perturb: delta_t values must be finite, got {delta_ts}")
+    if not np.all(np.isfinite(delta_ts)) or 0.0 not in delta_ts:
+        raise UsageError(f"batch_perturb: delta_t values must be finite and hold 0, "
+                         f"got {delta_ts}")
     if steps < 1:
         raise UsageError(f"batch_perturb: steps must be >= 1, got {steps}")
     for name, values in (("scene ids", scene_ids), ("delta_t values", delta_ts)):
@@ -166,8 +168,8 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> Batch
         if repeated:
             raise UsageError(f"batch_perturb: {name} must be distinct, {repeated[0]!r} repeats")
     n, k, latent = len(scenes), len(delta_ts), (vae.latent_dim,)
-    # A scene error fails all the scene's pairs and skips its decode; a
-    # gradient error fails them too, but a non-finite reconstruction comes first.
+    zero = delta_ts.index(0.0)
+    # A scene or gradient error fails all the scene's pairs and skips its decode.
     scene_errors = [None if ok else NumericError("encoder input is non-finite")
                     for ok in np.isfinite(scenes).all(axis=(1, 2, 3))]
     codes = _apply(vae_mod.encode_mean, vae, scenes, scene_errors, latent)
@@ -185,47 +187,47 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> Batch
     achieved = _apply(reg.predict, regressor, pair_codes + step, errors, ()) - t0[owner]
     _walk(regressor, pair_codes, t0[owner], dts, step, achieved, errors, steps)
 
-    rows = []  # rows of [codes; stepped codes] to decode: each scene's code, then its pairs'
-    for i in np.flatnonzero([err is None for err in scene_errors]):
-        rows += [i] + [n + p for p in range(i * k, i * k + k) if errors[p] is None]
-    table = np.concatenate([codes, pair_codes + step])[rows]
+    rows = [p for p, err in enumerate(errors) if err is None]  # pairs to decode, scene-major
+    table = (pair_codes + step)[rows]
     decoded, finite = np.empty((len(rows), *scenes.shape[1:])), np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), DECODE_ROWS):
         chunk = decoded[start:start + DECODE_ROWS]
         vae_mod.decode(vae, table[start:start + DECODE_ROWS], out=chunk)
         finite[start:start + len(chunk)] = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
-    at = dict(zip(rows, range(len(rows))))  # row of table -> row of decoded
+    at = dict(zip(rows, range(len(rows))))  # pair -> row of decoded
 
     keep, passed, failures = [], [], []  # keep: decoded rows; passed: (scene, its pairs)
     for i, scene_id in enumerate(scene_ids):
+        base = i * k + zero  # the scene's reconstruction: its failure fails all the scene's pairs
+        scene_err = errors[base] or (None if finite[at[base]] else
+                                     NumericError("decoded reconstruction is non-finite"))
         ok = []
         for j, dt in enumerate(delta_ts):
             p = i * k + j
-            err = (NumericError("decoded reconstruction is non-finite")
-                   if i in at and not finite[at[i]] else errors[p])
-            if err is None and not finite[at[n + p]]:
+            err = scene_err or errors[p]
+            if err is None and not finite[at[p]]:
                 err = NumericError("decoded counterfactual is non-finite")
             if err is None:
                 ok.append(p)
             else:
                 failures.append((scene_id, dt, err.kind, str(err)))
         if ok:
-            keep += [at[i]] + [at[n + p] for p in ok]
+            keep += [at[p] for p in ok]
             passed.append((i, ok))
-    if failures and not keep:
+    if not keep:
         raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
                         f"first: {failures[0][2]}: {failures[0][3]}")
     if len(keep) < len(rows):  # close the gaps the failed rows left
         decoded[:len(keep)] = decoded[keep]
         decoded = decoded[:len(keep)]
-    row_steps = np.concatenate([np.zeros_like(codes), step])[np.array(rows, dtype=int)[keep]]
+    row_steps = step[np.array(rows)[keep]]
 
     results, start = [], 0
     for i, ok in passed:
-        original, reconstruction = scenes[i], decoded[start]
+        original, reconstruction = scenes[i], decoded[start + ok.index(i * k + zero)]
         results += [CounterfactualScene(
             original=original, reconstruction=reconstruction, counterfactual=decoded[r],
             delta_c=row_steps[r], achieved_dt=float(achieved[p]), requested_dt=delta_ts[p % k],
-            scene_id=scene_ids[i]) for r, p in enumerate(ok, start=start + 1)]
-        start += 1 + len(ok)
+            scene_id=scene_ids[i]) for r, p in enumerate(ok, start=start)]
+        start += len(ok)
     return BatchResult(results, failures, decoded, row_steps)

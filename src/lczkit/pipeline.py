@@ -105,52 +105,51 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
 
 
 def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
-    """One LCZM file per scene: its original and reconstruction once, then
-    its counterfactuals and latent steps stacked along a slot axis, each
-    written from its rows of the batch's arrays. index.csv maps each
-    (scene, delta_t) pair to its file and slot; failures.csv lists the
-    pairs that failed."""
+    """One LCZM file per scene: its original once, then its counterfactuals
+    and latent steps stacked along a slot axis, each written from its rows
+    of the batch's arrays. index.csv maps each (scene, delta_t) pair to its
+    file and slot; failures.csv lists the pairs that failed."""
     index = []
     for i, (group, rows, steps) in enumerate(batch.by_scene()):
         rel = f"cf_{i:05d}.lczm"
-        save_model([("cf/original", group[0].original), ("cf/reconstruction", rows[0]),
-                    ("cf/counterfactual", rows[1:]), ("cf/delta_c", steps[1:])],
-                   os.path.join(out_dir, CF_DIR, rel))
+        save_model([("cf/original", group[0].original), ("cf/counterfactual", rows),
+                    ("cf/delta_c", steps)], os.path.join(out_dir, CF_DIR, rel))
         index += [(cf.scene_id, cf.requested_dt, cf.achieved_dt, rel, slot)
                   for slot, cf in enumerate(group)]
     write_table(os.path.join(out_dir, CF_DIR, "index.csv"), CF_INDEX, index)
     write_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES, batch.failures)
 
 
-def _scene_records(scene_ids, parts, pairs, norm: NormStats, rules) -> list:
-    """The ExperimentRecords of one scene's K pairs: parts hold its
-    normalized reconstruction and K counterfactuals, in that order, as
-    (k, 13, H, W) arrays; only the channels segment reads are de-normalized,
-    into one (K + 1, 3, H, W) array. scene_ids and pairs are the K pairs'
-    ids and (requested, achieved) delta_t."""
+def _scene_records(scene_ids, cfs, pairs, norm: NormStats, rules) -> list:
+    """The ExperimentRecords of one scene's K pairs: cfs holds its K
+    normalized counterfactuals as a (K, 13, H, W) array; only the channels
+    segment reads are de-normalized, into one (K, 3, H, W) array. scene_ids
+    and pairs are the K pairs' ids and (requested, achieved) delta_t; the
+    delta_t = 0 pair, the scene's reconstruction, gives the baseline."""
     fractions = autogeolabel.vegetation_fraction(
-        autogeolabel.segment(autogeolabel.label_channels(parts, norm), rules))
+        autogeolabel.segment(autogeolabel.label_channels(cfs, norm), rules))
+    baseline = float(fractions[[dt for dt, _ in pairs].index(0.0)])
     return [report.ExperimentRecord(scene_id=sid, delta_t=dt, achieved_dt=adt,
-                                    v_prime=float(v), v_baseline=float(fractions[0]))
-            for sid, (dt, adt), v in zip(scene_ids, pairs, fractions[1:])]
+                                    v_prime=float(v), v_baseline=baseline)
+            for sid, (dt, adt), v in zip(scene_ids, pairs, fractions)]
 
 
 def _batch_scenes(batch: perturb.BatchResult):
     """Per scene of an in-memory batch, the arguments of _scene_records."""
     for group, rows, _ in batch.by_scene():
-        yield ([cf.scene_id for cf in group], [rows],
+        yield ([cf.scene_id for cf in group], rows,
                [(cf.requested_dt, cf.achieved_dt) for cf in group])
 
 
 def _cf_arrays(tensors) -> list:
-    """A cf file's original and reconstruction (13, H, W), counterfactuals
-    (K, 13, H, W) and latent steps (K, n); the file sets H, W, K and n."""
+    """A cf file's original (13, H, W), counterfactuals (K, 13, H, W) and
+    latent steps (K, n); the file sets H, W, K and n."""
     by_name = dict(tensors)
     scene = (rasterizer.N_CHANNELS, *np.shape(by_name.get("cf/original"))[-2:])
     k = (np.shape(by_name.get("cf/counterfactual")) or (-1,))[0]
     n = (np.shape(by_name.get("cf/delta_c")) or (-1,))[-1]
-    return layout_arrays(tensors, [("cf/original", scene), ("cf/reconstruction", scene),
-                                   ("cf/counterfactual", (k, *scene)), ("cf/delta_c", (k, n))])
+    return layout_arrays(tensors, [("cf/original", scene), ("cf/counterfactual", (k, *scene)),
+                                   ("cf/delta_c", (k, n))])
 
 
 def _file_scenes(out_dir: str):
@@ -161,14 +160,20 @@ def _file_scenes(out_dir: str):
     for rel, group in itertools.groupby(rows, lambda row: row[1][3]):
         lines, entries = zip(*group)
         scene_ids, dts, achieved, _, slots = zip(*entries)
-        _, reconstruction, cfs, _ = load_model(os.path.join(out_dir, CF_DIR, rel), _cf_arrays)
-        for line, slot in zip(lines, slots):
+        _, cfs, _ = load_model(os.path.join(out_dir, CF_DIR, rel), _cf_arrays)
+        for j, (line, slot) in enumerate(zip(lines, slots)):
             if not 0 <= slot < len(cfs):
                 raise ParseError(f"slot {slot} is not one of the {len(cfs)} in {rel}",
                                  line=line, path=index)
+            if slot in slots[:j]:
+                raise ParseError(f"slot {slot} of {rel} repeats", line=line, path=index)
+        zeros = [line for line, dt in zip(lines, dts) if dt == 0.0]
+        if len(zeros) != 1:  # the scene's baseline
+            raise ParseError(f"{rel} has {len(zeros)} delta_t = 0 rows, not 1",
+                             line=zeros[1] if len(zeros) > 1 else None, path=index)
         if slots != tuple(range(len(cfs))):
             cfs = cfs[list(slots)]
-        yield scene_ids, [reconstruction[None], cfs], list(zip(dts, achieved))
+        yield scene_ids, cfs, list(zip(dts, achieved))
 
 
 def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:

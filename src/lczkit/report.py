@@ -1,6 +1,6 @@
 """Assemble the final statistical artifact: the (delta_t, mean v') table,
 the OLS fit, and the hypothesis decision, including the delta_t = 0
-baseline row taken from the reconstructed (unperturbed) scenes.
+baseline row: the scenes' delta_t = 0 counterfactuals, their reconstructions.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class ExperimentRecord:
     delta_t: float         # requested temperature variation, kelvin
     achieved_dt: float
     v_prime: float         # vegetation fraction of the counterfactual
-    v_baseline: float      # fraction of the delta_t = 0 reconstruction
+    v_baseline: float      # fraction of the scene's delta_t = 0 counterfactual
 
     def __post_init__(self):
         if not 0.0 <= self.v_prime <= 1.0 or not 0.0 <= self.v_baseline <= 1.0:

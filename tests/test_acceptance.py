@@ -174,13 +174,13 @@ def test_criterion_04_linear_regressor_exactness():
     vae = init_vae(shape, VaeConfig(latent_dim=4, hidden=8), rng)
     reg = init_regressor(4, RegConfig(hidden=(6, 3), activation="identity"), rng)
     reg.t_mean, reg.t_std = 290.0, 2.0
-    sweep = (1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0)
+    sweep = (0.0, 1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0)
     scenes = np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in range(3)])
     result = batch_perturb(vae, reg, scenes, sweep, [f"seed_{seed}" for seed in range(3)])
     worst = max(abs(cf.achieved_dt - cf.requested_dt) for cf in result.scenes)
     ok = not result.failures and len(result.scenes) == len(sweep) * len(scenes) and worst <= 1e-6
     _verdict(4, ok, f"linear model achieved-vs-requested max err {worst:.2e} (<=1e-6) "
-                    f"over the ±1/±3/±5/±10 sweep")
+                    f"over the 0/±1/±3/±5/±10 sweep")
 
 
 def test_criterion_05_ols_and_t_distribution():

@@ -149,9 +149,7 @@ def test_three_label_channels_label_as_the_whole_denormalized_stack(seed, k, h, 
     rules = LabelRules(veg_zstd_min=veg_zstd_min, bld_zstd_max=bld_zstd_max,
                        veg_multiret_min=_on_a_value(multiret, rng)[1],
                        bld_height_min=_on_a_value(z_mean, rng)[1])
-    split = rng.integers(0, k + 2)  # the reconstruction and the counterfactuals may come apart
-    parts = [p for p in (stack[:split], stack[split:]) if len(p)]
-    three = label_channels(parts, norm)
+    three = label_channels(stack, norm)
     assert three.shape == (k + 1, 3, h, w)
     assert np.array_equal(three, whole[:, index])
     for c, threshold in ((1, rules.veg_zstd_min), (1, rules.bld_zstd_max),
@@ -167,8 +165,8 @@ def test_three_label_channels_label_as_the_whole_denormalized_stack(seed, k, h, 
 def test_label_channels_and_segment_refuse_other_shapes():
     norm = NormStats(np.zeros(N_CHANNELS), np.ones(N_CHANNELS))
     with pytest.raises(UsageError):
-        label_channels([np.zeros((2, 3, 4, 4))], norm)
+        label_channels(np.zeros((2, 3, 4, 4)), norm)
     with pytest.raises(UsageError):
-        label_channels([np.zeros((2, N_CHANNELS, 4, 4)), np.zeros((1, N_CHANNELS, 4, 5))], norm)
+        label_channels(np.zeros((N_CHANNELS, 4, 4)), norm)
     with pytest.raises(UsageError):
         segment(np.zeros((2, 4, 4, 4)), RULES)

@@ -136,6 +136,23 @@ def test_unknown_flag_exits_one(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["pipeline", "--seed", "abc"], ["check", "--seed", "1.5"],
+                                  ["pipelin"], []])
+def test_bad_built_in_flag_or_subcommand_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lcz")
+
+
 # dataclass fields that no caller varies: they have no config key
 REMOVED_KEYS = ("vae.lr", "vae.batch_size", "reg.hidden1", "reg.hidden2", "reg.activation",
                 "reg.lr", "reg.batch_size", "reg.holdout_fraction", "synth.tree_density",
@@ -423,6 +440,11 @@ def _grid_width(value):
     return edit
 
 
+def _old_layout(tensors):  # a separate reconstruction between the original and the stacks
+    original, (name, cfs), steps = tensors
+    return [original, ("cf/reconstruction", cfs[0]), (name, cfs), steps]
+
+
 FRACTIONS = ("analyze", lambda out: out / "fractions.csv")
 FAILURES = ("analyze", lambda out: out / "counterfactuals" / "failures.csv")
 INDEX = ("label", lambda out: out / "counterfactuals" / "index.csv")
@@ -444,7 +466,12 @@ CORRUPTIONS = {
     "index_slot_past_end": (INDEX, lambda p: _set_field(p, 1, 4, "99")),
     "index_slot_negative": (INDEX, lambda p: _set_field(p, 1, 4, "-1")),
     "index_path_to_a_non_cf_file": (INDEX, lambda p: _set_field(p, 1, 3, "../models/norm.lczm")),
+    # a scene's file needs its slots once each and one delta_t = 0 row, its baseline
+    "index_slot_repeated": (INDEX, lambda p: _set_field(p, 2, 4, "0")),
+    "index_no_baseline_row": (INDEX, lambda p: _keep_rows(p, lambda dt: dt != 0.0)),
+    "index_two_baseline_rows": (INDEX, lambda p: _set_field(p, 2, 1, "0.0")),
     "cf_file_missing_a_tensor": (CF_FILE, lambda p: _edit_tensors(p, lambda t: t[:-1])),
+    "cf_file_with_a_reconstruction": (CF_FILE, lambda p: _edit_tensors(p, _old_layout)),
     "stack_missing_channel": (STACK, lambda p: _edit_tensors(
         p, lambda t: [(n, a) for n, a in t if n != "channel/z_std"])),
     "stack_wrong_shape_channel": (STACK, lambda p: _edit_tensors(

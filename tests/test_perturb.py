@@ -19,11 +19,12 @@ def _models(activation="tanh", seed=0):
 
 
 def _one(vae, reg, scene, dt, **kwargs):
-    """The counterfactual of one (C, H, W) scene at one delta_t."""
-    result = batch_perturb(vae, reg, scene[None], [dt], ["s"], **kwargs)
-    assert not result.failures
-    [cf] = result.scenes
-    return cf
+    """The counterfactual of one (C, H, W) scene at one delta_t, swept with
+    the 0 that every sweep holds."""
+    sweep = [0.0, dt] if dt != 0.0 else [0.0]
+    result = batch_perturb(vae, reg, scene[None], sweep, ["s"], **kwargs)
+    assert not result.failures and len(result.scenes) == len(sweep)
+    return result.scenes[-1]
 
 
 def test_delta_c_hand_example():
@@ -126,7 +127,7 @@ def test_more_steps_never_move_away_from_the_request(activation):
     vae, reg = _models(activation=activation, seed=29)
     rng = np.random.default_rng(30)
     scenes, ids = rng.standard_normal((4, *SHAPE)), [f"s{i}" for i in range(4)]
-    sweep = [0.5, -1.0, 3.0, -5.0]
+    sweep = [0.0, 0.5, -1.0, 3.0, -5.0]
     runs = [batch_perturb(vae, reg, scenes, sweep, ids, steps=k) for k in range(1, 6)]
     for run in runs[1:]:  # a pair fails, or not, at the first step
         assert run.failures == runs[0].failures
@@ -153,14 +154,14 @@ def test_flat_gradient_fails_the_pair_only_at_the_first_step(monkeypatch):
         return patched
 
     monkeypatch.setattr(reg_mod, "grad_wrt_code", flat_after(1))  # flat after the first step
-    kept = batch_perturb(vae, reg, s[None], [2.0], ["s"], steps=5)
+    kept = batch_perturb(vae, reg, s[None], [0.0, 2.0], ["s"], steps=5)
     assert not kept.failures
-    assert kept.scenes[0].delta_c.tobytes() == closed_form.delta_c.tobytes()
-    assert kept.scenes[0].achieved_dt == closed_form.achieved_dt
+    assert kept.scenes[1].delta_c.tobytes() == closed_form.delta_c.tobytes()
+    assert kept.scenes[1].achieved_dt == closed_form.achieved_dt
 
     monkeypatch.setattr(reg_mod, "grad_wrt_code", flat_after(0))  # flat at the scene's code
     with pytest.raises(DataError, match="first: degenerate_gradient"):
-        batch_perturb(vae, reg, s[None], [2.0], ["s"], steps=5)
+        batch_perturb(vae, reg, s[None], [0.0, 2.0], ["s"], steps=5)
 
 
 def test_perturb_freezes_all_weights():
@@ -177,24 +178,18 @@ def test_batch_cardinality():
     vae, reg = _models(seed=16)
     rng = np.random.default_rng(17)
     scenes = rng.standard_normal((2, *SHAPE))
-    sweep = [1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0]
+    sweep = [0.0, 1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0]
     result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
-    assert len(result.scenes) == 16
+    assert len(result.scenes) == 18
     assert not result.failures
-
-
-def test_batch_empty_sweep():
-    vae, reg = _models(seed=18)
-    result = batch_perturb(vae, reg, np.zeros((1, *SHAPE)), [], ["a"])
-    assert result.scenes == []
 
 
 def test_batch_order_independence():
     vae, reg = _models(seed=19)
     rng = np.random.default_rng(20)
     scenes, ids = rng.standard_normal((4, *SHAPE)), [f"s{i}" for i in range(4)]
-    fwd = batch_perturb(vae, reg, scenes, [1.0, -2.0], ids)
-    rev = batch_perturb(vae, reg, scenes[::-1], [1.0, -2.0], ids[::-1])
+    fwd = batch_perturb(vae, reg, scenes, [0.0, 1.0, -2.0], ids)
+    rev = batch_perturb(vae, reg, scenes[::-1], [0.0, 1.0, -2.0], ids[::-1])
     by_key_fwd = {(c.scene_id, c.requested_dt): c.counterfactual.tobytes() for c in fwd.scenes}
     by_key_rev = {(c.scene_id, c.requested_dt): c.counterfactual.tobytes() for c in rev.scenes}
     assert by_key_fwd == by_key_rev
@@ -205,7 +200,7 @@ def test_batch_all_degenerate_raises():
     for t in reg.params.values():
         t.value[:] = 0.0  # gradient identically zero
     with pytest.raises(DataError):
-        batch_perturb(vae, reg, np.zeros((1, *SHAPE)), [1.0], ["a"])
+        batch_perturb(vae, reg, np.zeros((1, *SHAPE)), [0.0, 1.0], ["a"])
 
 
 @pytest.mark.parametrize("steps", [1, 20])
@@ -228,7 +223,7 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
     monkeypatch.setattr(vae_mod, "decode", counted(vae_mod.decode))
     result = batch_perturb(vae, reg, scenes, sweep, ids, steps=steps)
     assert calls.count("encode_mean") == 1  # the whole batch at once
-    assert calls.count("decode") == 1  # 3 reconstructions and 12 counterfactuals in one call
+    assert calls.count("decode") == 1  # the 12 counterfactuals in one call
     assert len(result.scenes) == len(scenes) * len(sweep) and not result.failures
     pairs = [(sid, s, dt) for sid, s in zip(ids, scenes) for dt in sweep]
     for cf, (sid, s, dt) in zip(result.scenes, pairs):
@@ -241,6 +236,7 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
     for group in by_scene:  # a scene's pairs share one original and reconstruction
         assert all(cf.original is group[0].original for cf in group)
         assert all(cf.reconstruction is group[0].reconstruction for cf in group)
+        assert np.shares_memory(group[0].reconstruction, group[0].counterfactual)  # delta_t = 0
 
 
 @pytest.mark.parametrize("steps", [1, 3])
@@ -274,7 +270,7 @@ def test_network_calls_are_whole_batch(steps, monkeypatch):
     else:
         assert 2 < len(calls["predict"]) <= 2 + steps - 1
         assert len(calls["grad_wrt_code"]) == len(calls["predict"]) - 1
-    rows = 30 + 300  # each scene's reconstruction and its counterfactuals
+    rows = 300  # each scene's counterfactuals, its reconstruction the delta_t = 0 one
     assert sum(calls["decode"]) == rows and len(calls["decode"]) <= -(-rows // 256)
 
 
@@ -312,6 +308,30 @@ def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
     [(sid, dt, kind, message)] = result.failures
     assert (sid, dt, kind) == ("s", 1e9, "non_finite")
     assert "counterfactual" in message
+
+
+def test_non_finite_reconstruction_fails_all_the_scene_s_pairs(monkeypatch):
+    import lczkit.vae as vae_mod
+
+    vae, reg = _models(seed=41)
+    scenes = np.random.default_rng(42).standard_normal((2, *SHAPE))
+    sweep = [1.0, 0.0, -2.0]
+    clean = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+    code = vae_mod.encode_mean(vae, scenes[1:])[0]
+    decode = vae_mod.decode
+
+    def decode_inf_at_the_code(model, codes, out=None):  # b's delta_t = 0 row only
+        out = decode(model, codes, out=out)
+        out[(codes == code).all(axis=1)] = np.inf
+        return out
+
+    monkeypatch.setattr(vae_mod, "decode", decode_inf_at_the_code)
+    result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+    assert result.failures == [("b", dt, "non_finite", "decoded reconstruction is non-finite")
+                               for dt in sweep]
+    assert result.decoded.tobytes() == clean.decoded[:len(sweep)].tobytes()
+    assert len({id(cf.reconstruction) for cf in result.scenes}) == 1  # a's, shared
+    assert result.scenes[0].reconstruction.tobytes() == result.scenes[1].counterfactual.tobytes()
 
 
 def test_batch_records_non_finite_step_per_pair():
@@ -371,8 +391,8 @@ def test_perturbation_validation():
     scenes = np.zeros((1, *SHAPE))
     with pytest.raises(UsageError):
         batch_perturb(vae, reg, scenes, [1.0, float("nan")], ["a"])
-    with pytest.raises(UsageError):
-        batch_perturb(vae, reg, scenes, [1.0], ["a"], steps=0)
+    with pytest.raises(UsageError, match="steps must be >= 1"):
+        batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a"], steps=0)
     for sweep in ([0.0, 1.0, 1.0, -1.0], [0.0, -0.0, 1.0]):  # -0.0 is 0.0
         with pytest.raises(UsageError, match="delta_t values must be distinct"):
             batch_perturb(vae, reg, scenes, sweep, ["a"])
@@ -396,6 +416,30 @@ def test_batch_refuses_a_repeated_scene_id_before_any_network_call(monkeypatch):
             batch_perturb(vae, reg, scenes, [0.0, 1.0], ids)
 
 
+def test_batch_refuses_a_sweep_without_zero_before_any_network_call(monkeypatch):
+    import lczkit.regressor as reg_mod
+    import lczkit.vae as vae_mod
+
+    calls = []
+
+    def counted(name):
+        def never(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+        return never
+
+    for mod, name in ((vae_mod, "encode_mean"), (vae_mod, "decode"),
+                      (reg_mod, "predict"), (reg_mod, "grad_wrt_code")):
+        monkeypatch.setattr(mod, name, counted(name))
+    vae, reg = _models(seed=18)
+    scenes = np.random.default_rng(40).standard_normal((2, *SHAPE))
+    # the delta_t = 0 pair is each scene's reconstruction and baseline
+    for sweep in ([], [1.0], [1.0, -2.0, 3.0]):
+        with pytest.raises(UsageError, match="hold 0"):
+            batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+    assert calls == []
+
+
 def test_decoded_rows_live_in_one_array_and_the_call_allocates_it_once():
     import tracemalloc
 
@@ -405,7 +449,7 @@ def test_decoded_rows_live_in_one_array_and_the_call_allocates_it_once():
     reg = init_regressor(8, RegConfig(hidden=(6, 3), activation="tanh"), rng)
     reg.t_mean, reg.t_std = 290.0, 2.0
     n, sweep = 8, list(np.linspace(-3.0, 3.0, 31))
-    rows = n * (len(sweep) + 1)  # 256: one decode call, of more than MIN_ROWS rows
+    rows = n * len(sweep)  # 248, 0 among them: one decode call, of more than MIN_ROWS rows
     scenes = rng.standard_normal((n, *shape))
     tracemalloc.start()
     try:
