@@ -18,6 +18,7 @@ candidates it tried.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -64,13 +65,15 @@ class SceneParams:
 @dataclass
 class TemperatureLaw:
     t_base: float = 295.0   # kelvin
-    k_veg: float = 8.0      # kelvin per unit vegetation fraction (cooling)
+    # kelvin per unit vegetation fraction: > 0 cools; 0 (the null law) and
+    # < 0 (the reversed law) are negative controls
+    k_veg: float = 8.0
     noise_sigma: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_veg <= 0:
-            raise UsageError("k_veg must be > 0 (vegetation cools)")
+        if not math.isfinite(self.k_veg):
+            raise UsageError("k_veg must be finite")
         if self.noise_sigma < 0:
             raise UsageError("noise_sigma must be >= 0")
 

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 from dataclasses import replace
@@ -121,10 +122,17 @@ def test_scene_params_validation():
 
 
 def test_temperature_law_validation():
-    with pytest.raises(UsageError):
-        TemperatureLaw(k_veg=0.0)
+    for k_veg in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError, match="k_veg must be finite"):
+            TemperatureLaw(k_veg=k_veg)
     with pytest.raises(UsageError):
         scene_temperature(TemperatureLaw(), 1.5, 0)
+
+
+def test_temperature_law_takes_the_null_and_reversed_laws():
+    # Negative controls: no vegetation effect (0) and warming vegetation (-8).
+    assert scene_temperature(TemperatureLaw(k_veg=0.0, noise_sigma=0.0), 0.75, 0) == 295.0
+    assert scene_temperature(TemperatureLaw(k_veg=-8.0, noise_sigma=0.0), 0.5, 0) == 299.0
 
 
 def test_temperature_noiseless_examples():
