@@ -19,7 +19,9 @@ with the cell's values set. Each run adds one row to the CSV table at
 
 The table is rewritten after every run. A (seed, cell) that it already
 holds is not run again, so a cut sweep resumes where it stopped, and a
-table gains rows from another grid over the same keys.
+table gains rows from another grid over the same keys. A run that ends in
+an LczError prints one line naming its seed, cell and error, adds no row
+and does not stop the sweep; the exit status is then 1.
 
 Usage:
     python3 scripts/sweep.py --seeds 0-9 --grid synth.k_veg=8,4 \\
@@ -92,6 +94,7 @@ def main(argv=None):
 
     keys = [key for key, _ in grid]
     schema = (("seed", int), *((key, type(DEFAULTS[key])) for key in keys), *RESULTS)
+    failed = 0
     try:
         rows = read_table(args.out, schema) if os.path.exists(args.out) else []
         done = {row[:1 + len(keys)] for row in rows}
@@ -101,16 +104,22 @@ def main(argv=None):
             if head in done:
                 continue
             done.add(head)
-            rows.append(head + run_row(cfg))
-            write_table(args.out, schema, rows)
-            slope, rho, p, reject, _, mae_pct, _, wall = rows[-1][len(head):]
             cell_text = " ".join(f"{k}={v}" for k, v in zip(("seed", *keys), head))
+            try:
+                results = run_row(cfg)
+            except LczError as exc:
+                failed += 1
+                print(f"sweep: {cell_text}: {exc}", file=sys.stderr, flush=True)
+                continue
+            rows.append(head + results)
+            write_table(args.out, schema, rows)
+            slope, rho, p, reject, _, mae_pct, _, wall = results
             print(f"{cell_text}: slope {slope:.6g} rho {rho:.3f} p {p:.3g} reject {reject} "
                   f"MAE {mae_pct:.2f}% {wall:.1f} s", flush=True)
     except LczError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

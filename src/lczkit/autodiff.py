@@ -344,7 +344,7 @@ class Adam:
                 g = np.concatenate([grads[i][lo:hi] for i, lo, hi in pieces], out=gather)
             np.multiply(m, b1, out=m)
             np.add(m, g, out=m)
-            np.multiply(g, g, out=t)
+            np.square(g, out=t)
             np.multiply(v, b2, out=v)
             np.add(v, t, out=v)
             np.sqrt(v, out=t)

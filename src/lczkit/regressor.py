@@ -30,9 +30,8 @@ from .io import layout_arrays, read_meta
 class RegConfig:
     hidden: tuple = (128, 32)
     activation: str = "relu"   # "relu" | "tanh" | "identity"
-    epochs: int = 400
-    lr: float = 1e-3
-    batch_size: int = 32
+    epochs: int = 100          # full-batch Adam steps
+    lr: float = 1e-2
     holdout_fraction: float = 0.2
     seed: int = 0
 
@@ -40,9 +39,8 @@ class RegConfig:
         for i, width in enumerate(self.hidden, start=1):
             if width < 1:
                 raise UsageError(f"hidden{i} must be at least 1")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be at least 1")
+        if self.epochs < 1:
+            raise UsageError("epochs must be at least 1")
         if self.lr <= 0:
             raise UsageError("lr must be > 0")
         if self.activation not in _ACTIVATIONS:
@@ -139,9 +137,10 @@ def l1_loss_graph(pred: Tensor, target: Tensor) -> Tensor:
 def train_regressor(codes, temps, config: RegConfig):
     """Fit on L1 loss; returns (model, ErrorReport on the held-out split).
 
-    The held-out split is a seeded holdout_fraction of the input; a split
-    that rounds to no held-out sample, or leaves fewer than 2 to fit, is a
-    UsageError.
+    Each epoch is one Adam step on the loss over the whole fit split, in
+    split order. The held-out split is a seeded holdout_fraction of the
+    input; a split that rounds to no held-out sample, or leaves fewer than
+    2 to fit, is a UsageError.
     """
     codes = np.asarray(codes, dtype=float)
     temps = np.asarray(temps, dtype=float)
@@ -164,17 +163,13 @@ def train_regressor(codes, temps, config: RegConfig):
     targets = (temps - model.t_mean) / model.t_std
 
     opt = ad.Adam(model.params.values(), config.lr)
-    n = len(codes)
+    inputs, target = Tensor(codes), Tensor(targets[:, None])
     for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            pred = forward_graph(model, Tensor(codes[idx]))
-            loss = l1_loss_graph(pred, Tensor(targets[idx][:, None]))
-            if not np.isfinite(loss.value):
-                raise DivergenceError("regression loss non-finite", epoch=epoch)
-            ad.backward(loss, opt.params)
-            opt.step()
+        loss = l1_loss_graph(forward_graph(model, inputs), target)
+        if not np.isfinite(loss.value):
+            raise DivergenceError("regression loss non-finite", epoch=epoch)
+        ad.backward(loss, opt.params)
+        opt.step()
 
     errors = predict(model, val_codes) - val_temps
     report = ErrorReport(

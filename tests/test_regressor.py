@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from lczkit import autodiff as ad
+from lczkit import regressor
 from lczkit.autodiff import Tensor, check_gradient
 from lczkit.errors import FormatError, NumericError, UsageError
 from lczkit.io import load_model, save_model
@@ -165,6 +168,46 @@ def test_train_seed_deterministic():
     assert r1 == r2
     for k in m1.params:
         assert np.array_equal(m1.params[k].value, m2.params[k].value)
+
+
+def test_train_holds_out_the_seeded_rows_and_steps_once_per_epoch_on_all_fit_rows(monkeypatch):
+    rng = np.random.default_rng(10)
+    codes = rng.standard_normal((20, LATENT))
+    codes[:, 0] = np.arange(20)  # each row names itself
+    temps = rng.uniform(280, 300, 20)
+    cfg = RegConfig(hidden=(6, 3), epochs=3, seed=5)
+    seen = {"inputs": [], "optimizers": []}
+    init, forward, adam = regressor.init_regressor, regressor.forward_graph, ad.Adam
+
+    def spy_init(*args):
+        model = init(*args)
+        seen["W1"] = model.params["W1"].value.copy()
+        return model
+
+    def spy_forward(model, code):
+        seen["inputs"].append(code.value[:, 0].astype(int).tolist())
+        return forward(model, code)
+
+    class SpyAdam(adam):
+        def __init__(self, *args):
+            super().__init__(*args)
+            seen["optimizers"].append(self)
+
+    monkeypatch.setattr(regressor, "init_regressor", spy_init)
+    monkeypatch.setattr(regressor, "forward_graph", spy_forward)
+    monkeypatch.setattr(ad, "Adam", SpyAdam)
+    train_regressor(codes, temps, cfg)
+    # the held-out rows and the initial W1 drawn from seed 5, pinned
+    hold = [9, 18, 3, 7]
+    assert hashlib.sha256(seen["W1"].tobytes()).hexdigest() == (
+        "84530026885992f81443bf79b97ae8c2cce5290306faf4e3fe93c0ae2f097fec")
+    fit = [i for i in np.random.default_rng(cfg.seed).permutation(20) if i not in hold]
+    (opt,) = seen["optimizers"]
+    assert opt.t == cfg.epochs
+    # epochs full-batch steps over the fit rows in split order, then one
+    # predict of the held-out rows (padded to autodiff.MIN_ROWS)
+    assert seen["inputs"][:-1] == [fit] * cfg.epochs
+    assert seen["inputs"][-1][:len(hold)] == hold
 
 
 def test_trained_model_holds_its_trained_values_through_a_round_trip(tmp_path):

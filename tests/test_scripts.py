@@ -4,6 +4,7 @@ import os
 
 from lczkit import pipeline
 from lczkit.config import RunConfig
+from lczkit.errors import DataError
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -20,10 +21,15 @@ def test_calibrate_label_rules_runs(capsys):
     assert "calibrated rules:" in capsys.readouterr().out
 
 
-def test_sweep_writes_one_row_per_cell_with_the_slope_of_its_run(tmp_path, capsys):
-    # The sizes of perfbench's TINY set, with the grid setting vae.epochs.
+def _tiny_config(tmp_path):
+    """The sizes of perfbench's TINY set, with the grid setting vae.epochs."""
     config = tmp_path / "tiny.cfg"
     config.write_text("synth.n_scenes=60\nvae.hidden=32\nreg.epochs=20\nperturb.n_scenes=12\n")
+    return config
+
+
+def test_sweep_writes_one_row_per_cell_with_the_slope_of_its_run(tmp_path, capsys):
+    config = _tiny_config(tmp_path)
     table = tmp_path / "sweep.csv"
     sweep = _load("sweep")
     argv = ["--seeds", "0-1", "--grid", "vae.epochs=1,2", "--config", str(config),
@@ -44,3 +50,26 @@ def test_sweep_writes_one_row_per_cell_with_the_slope_of_its_run(tmp_path, capsy
     capsys.readouterr()
     assert sweep.main(argv) == 0
     assert table.read_bytes() == before and capsys.readouterr().out == ""
+
+
+def test_sweep_goes_on_past_a_failed_run_and_exits_one(tmp_path, monkeypatch, capsys):
+    config = _tiny_config(tmp_path)
+    table = tmp_path / "sweep.csv"
+    sweep = _load("sweep")
+    run = sweep.run_pipeline
+
+    def failing_at_seed_one(cfg, out):
+        if cfg["seed"] == 1:
+            raise DataError("batch_perturb: all 12 pairs failed; first: degenerate_gradient")
+        return run(cfg, out)
+
+    monkeypatch.setattr(sweep, "run_pipeline", failing_at_seed_one)
+    argv = ["--seeds", "0-2", "--grid", "vae.epochs=1", "--config", str(config),
+            "--out", str(table)]
+    assert sweep.main(argv) == 1
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["seed"], r["vae.epochs"]) for r in rows] == [("0", "1"), ("2", "1")]
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep: seed=1 vae.epochs=1: batch_perturb: all 12 pairs failed; "
+        "first: degenerate_gradient"]
