@@ -15,6 +15,7 @@ with the cell's values set. Each run adds one row to the CSV table at
   mae_k      the regressor's held-out MAE (K)
   mae_pct    that MAE as a % of the corpus's temperature range
   crit8      1 if mae_pct <= 10 (acceptance criterion 8), else 0
+  failed     the perturbation pairs that failed, which the verdict omits
   wall_s     the run's wall seconds
 
 The table is rewritten after every run. A (seed, cell) that it already
@@ -41,7 +42,8 @@ from lczkit.io import read_table, write_table
 from lczkit.pipeline import run_pipeline
 
 RESULTS = (("slope", float), ("rho", float), ("p", float), ("reject_h0", int),
-           ("mae_k", float), ("mae_pct", float), ("crit8", int), ("wall_s", float))
+           ("mae_k", float), ("mae_pct", float), ("crit8", int), ("failed", int),
+           ("wall_s", float))
 
 
 def parse_seeds(text):
@@ -76,7 +78,7 @@ def run_row(cfg):
     mae = result.reg_report.mae
     mae_pct = 100.0 * mae / (max(temps) - min(temps))
     return (fit.a, -fit.a * cfg["synth.k_veg"], fit.p_a, int(result.bundle.decision.reject_h0),
-            mae, mae_pct, int(mae_pct <= 10.0), wall)
+            mae, mae_pct, int(mae_pct <= 10.0), len(result.batch.failures), wall)
 
 
 def main(argv=None):
@@ -113,9 +115,9 @@ def main(argv=None):
                 continue
             rows.append(head + results)
             write_table(args.out, schema, rows)
-            slope, rho, p, reject, _, mae_pct, _, wall = results
+            slope, rho, p, reject, _, mae_pct, _, failures, wall = results
             print(f"{cell_text}: slope {slope:.6g} rho {rho:.3f} p {p:.3g} reject {reject} "
-                  f"MAE {mae_pct:.2f}% {wall:.1f} s", flush=True)
+                  f"MAE {mae_pct:.2f}% failed {failures} {wall:.1f} s", flush=True)
     except LczError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1

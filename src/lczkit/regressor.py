@@ -31,7 +31,7 @@ class RegConfig:
     hidden: tuple = (128, 32)
     activation: str = "relu"   # "relu" | "tanh" | "identity"
     epochs: int = 100          # full-batch Adam steps
-    lr: float = 1e-2
+    lr: float = 5e-3           # at 1e-2 most layer-2 relus die: some codes get no gradient
     holdout_fraction: float = 0.2
     seed: int = 0
 

@@ -38,12 +38,14 @@ def test_sweep_writes_one_row_per_cell_with_the_slope_of_its_run(tmp_path, capsy
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["seed", "vae.epochs", "slope", "rho", "p", "reject_h0", "mae_k",
-                             "mae_pct", "crit8", "wall_s"]
+                             "mae_pct", "crit8", "failed", "wall_s"]
     assert [(r["seed"], r["vae.epochs"]) for r in rows] == [("0", "1"), ("0", "2"),
                                                             ("1", "1"), ("1", "2")]
     cfg = RunConfig.from_file(str(config), {"seed": "1", "vae.epochs": "2"})
-    fit = pipeline.run_pipeline(cfg, str(tmp_path / "run")).bundle.fit
+    result = pipeline.run_pipeline(cfg, str(tmp_path / "run"))
+    fit = result.bundle.fit
     assert float(rows[3]["slope"]) == fit.a
+    assert int(rows[3]["failed"]) == len(result.batch.failures)
     assert float(rows[3]["rho"]) == -fit.a * 8.0 and float(rows[3]["p"]) == fit.p_a
     # A second call finds every cell in the table and runs none.
     before = table.read_bytes()
