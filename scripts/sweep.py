@@ -47,11 +47,15 @@ RESULTS = (("slope", float), ("rho", float), ("p", float), ("reject_h0", int),
 
 
 def parse_seeds(text):
-    """'0-9' or '0,3,5-7' -> [0, ..., 9] or [0, 3, 5, 6, 7]."""
+    """'0-9' or '0,3,5-7' -> [0, ..., 9] or [0, 3, 5, 6, 7]; ValueError at
+    an empty or descending range."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, dash, hi = part.partition("-")
+        lo, hi = int(lo), int(hi if dash else lo)
+        if hi < lo:
+            raise ValueError(f"bad --seeds range {part!r}: it runs from {lo} down to {hi}")
+        seeds += range(lo, hi + 1)
     return seeds
 
 

@@ -15,9 +15,9 @@ active, and only the terms of active parents are computed. Data inputs,
 reparameterization noise and the weights of a network differentiated in
 its input thus cost no adjoint work. `Adam` keeps its parameters' values
 and moments in flat buffers and updates them in place, a cache-sized
-block at a time, in ten passes with one division: Kingma & Ba's
-pre-scaled ordering of the update, equal to the textbook formula up to
-rounding.
+block of one parameter at a time, in ten passes with one division:
+Kingma & Ba's pre-scaled ordering of the update, equal to the textbook
+formula up to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericError, UsageError
 
 # Elements per Adam block (256 KiB per float64 operand), so the ten passes of
-# the update over a block's value, gradient, moments and scratch rows (~1.5
+# the update over a block's value, gradient, moments and scratch row (~1.25
 # MiB together) reuse them from cache instead of streaming whole arrays from
 # memory. On a 2 MiB-L2 Xeon a step over the VAE's 1.86M parameters took
 # 13-16 ms at 16k-128k, 16 ms at 8k and 19 ms unblocked (the 14-pass
@@ -294,11 +294,11 @@ class Adam:
     / (1 - b1**t) and eps_t = eps * c_t at step t.
 
     This is the textbook update up to rounding. `step` applies it in place
-    to fixed `_ADAM_BLOCK`-element slices of the flat buffer, so all passes
-    over a block hit cache, with the same operations in the same order as
-    the formula on whole arrays. A block inside one parameter reads its
-    gradient as a view; a block across parameters gathers their gradient
-    slices into scratch first. Every parameter must have a gradient.
+    to each parameter's slices of the flat buffer, `_ADAM_BLOCK` elements
+    at most, so all passes over a block hit cache, with the same operations
+    in the same order as the formula on whole arrays. A block lies inside
+    one parameter and reads its gradient as a view. Every parameter must
+    have a gradient.
     """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -314,16 +314,15 @@ class Adam:
             flat[lo:hi] = p.value.reshape(-1)
             p.value = flat[lo:hi].reshape(p.shape)
         self.m, self.v = np.zeros(size), np.zeros(size)
-        scratch = np.empty((2, min(size, _ADAM_BLOCK)))
-        # Per block: (value, m, v, scratch row, gather row, its pieces as
-        # (parameter index, start, stop) within that parameter).
+        scratch = np.empty(min(size, _ADAM_BLOCK))
+        # Per block: (value, m, v, scratch, parameter index, start, stop
+        # within that parameter).
         self._blocks = []
-        for lo in range(0, size, _ADAM_BLOCK):
-            hi = min(lo + _ADAM_BLOCK, size)
-            pieces = [(i, max(lo, a) - a, min(hi, b) - a)
-                      for i, (a, b) in enumerate(zip(starts, ends)) if a < hi and b > lo]
-            self._blocks.append((flat[lo:hi], self.m[lo:hi], self.v[lo:hi],
-                                 *scratch[:, :hi - lo], pieces))
+        for i, (a, n) in enumerate(zip(starts, sizes)):
+            for lo in range(0, n, _ADAM_BLOCK):
+                hi = min(lo + _ADAM_BLOCK, n)
+                self._blocks.append((flat[a + lo:a + hi], self.m[a + lo:a + hi],
+                                     self.v[a + lo:a + hi], scratch[:hi - lo], i, lo, hi))
 
     def step(self):
         grads = []
@@ -336,12 +335,8 @@ class Adam:
         c = np.sqrt(1.0 - b2 ** self.t) / np.sqrt(1.0 - b2)
         alpha = self.lr * c * (1.0 - b1) / (1.0 - b1 ** self.t)
         eps = self.eps * c
-        for x, m, v, t, gather, pieces in self._blocks:
-            if len(pieces) == 1:
-                i, lo, hi = pieces[0]
-                g = grads[i][lo:hi]
-            else:
-                g = np.concatenate([grads[i][lo:hi] for i, lo, hi in pieces], out=gather)
+        for x, m, v, t, i, lo, hi in self._blocks:
+            g = grads[i][lo:hi]
             np.multiply(m, b1, out=m)
             np.add(m, g, out=m)
             np.square(g, out=t)

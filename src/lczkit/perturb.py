@@ -46,7 +46,7 @@ class CounterfactualScene:
     original: np.ndarray          # normalized input scene (C, H, W)
     reconstruction: np.ndarray    # D(E(s)): the scene's delta_t = 0 counterfactual
     counterfactual: np.ndarray    # D(c + delta_c)
-    delta_c: np.ndarray
+    delta_c: np.ndarray           # the latent step c' - c, a row of the batch's pair steps
     achieved_dt: float            # R(c + delta_c) - R(c), reported honestly
     requested_dt: float
     scene_id: str = ""
@@ -58,17 +58,15 @@ class BatchResult:
     failures: list                # (scene_id, delta_t, kind, message)
     decoded: np.ndarray           # (R, C, H, W): per scene with a pair, its counterfactuals,
                                   # which are views of it
-    steps: np.ndarray             # (R, n): each decoded row's delta_c
 
     def by_scene(self):
-        """Per scene with a pair, in order: its CounterfactualScenes, its
-        decoded rows and their latent steps, the rows as views of decoded
-        and steps."""
+        """Per scene with a pair, in order: its CounterfactualScenes and its
+        decoded rows, a view of decoded."""
         start = 0
         for _, group in itertools.groupby(self.scenes, lambda cf: cf.scene_id):
             group = list(group)
             stop = start + len(group)
-            yield group, self.decoded[start:stop], self.steps[start:stop]
+            yield group, self.decoded[start:stop]
             start = stop
 
 
@@ -220,14 +218,13 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> Batch
     if len(keep) < len(rows):  # close the gaps the failed rows left
         decoded[:len(keep)] = decoded[keep]
         decoded = decoded[:len(keep)]
-    row_steps = step[np.array(rows)[keep]]
 
     results, start = [], 0
     for i, ok in passed:
         original, reconstruction = scenes[i], decoded[start + ok.index(i * k + zero)]
         results += [CounterfactualScene(
             original=original, reconstruction=reconstruction, counterfactual=decoded[r],
-            delta_c=row_steps[r], achieved_dt=float(achieved[p]), requested_dt=delta_ts[p % k],
+            delta_c=step[p], achieved_dt=float(achieved[p]), requested_dt=delta_ts[p % k],
             scene_id=scene_ids[i]) for r, p in enumerate(ok, start=start)]
         start += len(ok)
-    return BatchResult(results, failures, decoded, row_steps)
+    return BatchResult(results, failures, decoded)

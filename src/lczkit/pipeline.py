@@ -64,13 +64,6 @@ def run_train_vae(cfg: RunConfig, out_dir: str):
     model, history = vae.train_vae(channels, cfg.vae_config())
     save_model(rasterizer.norm_stats_tensors(norm), os.path.join(out_dir, MODEL_DIR, "norm.lczm"))
     save_model(vae.vae_tensors(model), os.path.join(out_dir, MODEL_DIR, "vae.lczm"))
-    vcfg = cfg.vae_config()
-    settings = [(key, getattr(vcfg, key)) for key in
-                ("latent_dim", "hidden", "arch", "epochs", "lr", "batch_size", "seed")]
-    settings += [("ramp_epochs", vcfg.schedule.ramp_epochs),
-                 ("lambda_max", vcfg.schedule.lambda_max), ("optimizer", "adam")]
-    write_text(os.path.join(out_dir, MODEL_DIR, "vae_config.txt"),
-               "".join(f"{key}={value}\n" for key, value in settings))
     return model, norm, history
 
 
@@ -106,14 +99,14 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
 
 def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
     """One LCZM file per scene: its original once, then its counterfactuals
-    and latent steps stacked along a slot axis, each written from its rows
-    of the batch's arrays. index.csv maps each (scene, delta_t) pair to its
-    file and slot; failures.csv lists the pairs that failed."""
+    stacked along a slot axis, written from its rows of the batch's decoded
+    array. index.csv maps each (scene, delta_t) pair to its file and slot,
+    slots 0..K-1 in order; failures.csv lists the pairs that failed."""
     index = []
-    for i, (group, rows, steps) in enumerate(batch.by_scene()):
+    for i, (group, rows) in enumerate(batch.by_scene()):
         rel = f"cf_{i:05d}.lczm"
-        save_model([("cf/original", group[0].original), ("cf/counterfactual", rows),
-                    ("cf/delta_c", steps)], os.path.join(out_dir, CF_DIR, rel))
+        save_model([("cf/original", group[0].original), ("cf/counterfactual", rows)],
+                   os.path.join(out_dir, CF_DIR, rel))
         index += [(cf.scene_id, cf.requested_dt, cf.achieved_dt, rel, slot)
                   for slot, cf in enumerate(group)]
     write_table(os.path.join(out_dir, CF_DIR, "index.csv"), CF_INDEX, index)
@@ -136,43 +129,39 @@ def _scene_records(scene_ids, cfs, pairs, norm: NormStats, rules) -> list:
 
 def _batch_scenes(batch: perturb.BatchResult):
     """Per scene of an in-memory batch, the arguments of _scene_records."""
-    for group, rows, _ in batch.by_scene():
+    for group, rows in batch.by_scene():
         yield ([cf.scene_id for cf in group], rows,
                [(cf.requested_dt, cf.achieved_dt) for cf in group])
 
 
 def _cf_arrays(tensors) -> list:
-    """A cf file's original (13, H, W), counterfactuals (K, 13, H, W) and
-    latent steps (K, n); the file sets H, W, K and n."""
+    """A cf file's original (13, H, W) and counterfactuals (K, 13, H, W);
+    the file sets H, W and K."""
     by_name = dict(tensors)
     scene = (rasterizer.N_CHANNELS, *np.shape(by_name.get("cf/original"))[-2:])
     k = (np.shape(by_name.get("cf/counterfactual")) or (-1,))[0]
-    n = (np.shape(by_name.get("cf/delta_c")) or (-1,))[-1]
-    return layout_arrays(tensors, [("cf/original", scene), ("cf/counterfactual", (k, *scene)),
-                                   ("cf/delta_c", (k, n))])
+    return layout_arrays(tensors, [("cf/original", scene), ("cf/counterfactual", (k, *scene))])
 
 
 def _file_scenes(out_dir: str):
     """Per counterfactuals file, in index.csv order, the arguments of
-    _scene_records; one file is in memory at a time."""
+    _scene_records; one file is in memory at a time. A file's index rows
+    list its K slots 0..K-1, in order, as _write_batch writes them."""
     index = os.path.join(out_dir, CF_DIR, "index.csv")
     rows = enumerate(read_table(index, CF_INDEX), start=2)
     for rel, group in itertools.groupby(rows, lambda row: row[1][3]):
         lines, entries = zip(*group)
         scene_ids, dts, achieved, _, slots = zip(*entries)
-        _, cfs, _ = load_model(os.path.join(out_dir, CF_DIR, rel), _cf_arrays)
-        for j, (line, slot) in enumerate(zip(lines, slots)):
-            if not 0 <= slot < len(cfs):
-                raise ParseError(f"slot {slot} is not one of the {len(cfs)} in {rel}",
-                                 line=line, path=index)
-            if slot in slots[:j]:
-                raise ParseError(f"slot {slot} of {rel} repeats", line=line, path=index)
+        _, cfs = load_model(os.path.join(out_dir, CF_DIR, rel), _cf_arrays)
+        if slots != tuple(range(len(cfs))):
+            # name the first row off that order or, for a subset, the last row
+            j = next((j for j, slot in enumerate(slots) if slot != j or j >= len(cfs)), -1)
+            raise ParseError(f"the rows of {rel} must list its slots 0..{len(cfs) - 1} "
+                             f"once each, in order", line=lines[j], path=index)
         zeros = [line for line, dt in zip(lines, dts) if dt == 0.0]
         if len(zeros) != 1:  # the scene's baseline
             raise ParseError(f"{rel} has {len(zeros)} delta_t = 0 rows, not 1",
                              line=zeros[1] if len(zeros) > 1 else None, path=index)
-        if slots != tuple(range(len(cfs))):
-            cfs = cfs[list(slots)]
         yield scene_ids, cfs, list(zip(dts, achieved))
 
 

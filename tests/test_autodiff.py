@@ -218,7 +218,13 @@ def test_blocked_adam_equals_its_formula_on_whole_arrays():
     x = [rng.standard_normal(s) for s in _ADAM_SHAPES]
     params = [Tensor(a.copy()) for a in x]
     opt = Adam(params, lr=3e-3)
-    assert [len(block[-1]) for block in opt._blocks] == [1, 1, 1, 2, 3, 1]
+    n = ad._ADAM_BLOCK
+    assert [block[-3:] for block in opt._blocks] == [
+        (0, 0, n), (0, n, 2 * n), (0, 2 * n, 3 * n), (1, 0, n - 10), (2, 0, n), (2, n, n + 7),
+        (3, 0, 1), (4, 0, 360)]
+    for value, *_, i, lo, hi in opt._blocks:  # every block lies inside one parameter
+        assert [j for j, p in enumerate(params) if np.shares_memory(value, p.value)] == [i]
+        assert value.size == hi - lo
     b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
     m, v = [np.zeros(s) for s in _ADAM_SHAPES], [np.zeros(s) for s in _ADAM_SHAPES]
     ends = np.cumsum([a.size for a in x])

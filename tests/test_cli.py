@@ -14,7 +14,7 @@ from lczkit.autogeolabel import LabelRules
 from lczkit.cli import _split_overrides, main
 from lczkit.config import DEFAULTS, RunConfig, stage_seed
 from lczkit.errors import ParseError, UsageError
-from lczkit.io import load_model, read_manifest, save_model
+from lczkit.io import CF_INDEX, load_model, read_manifest, read_table, save_model
 from lczkit.perturb import batch_perturb
 from lczkit.rasterizer import GridSpec, load_stack, save_stack
 from lczkit.regressor import RegConfig
@@ -290,12 +290,18 @@ def test_pipeline_writes_all_artifacts(tmp_path, small_config):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", small_config, "--seed", "1",
                  "--out", str(out)]) == 0
-    for rel in ("run_config.txt", "corpus/manifest.csv", "corpus/train.csv",
-                "corpus/test.csv", "models/norm.lczm", "models/vae.lczm",
-                "models/vae_config.txt", "models/reg.lczm",
-                "counterfactuals/index.csv", "fractions.csv",
-                "figure.csv", "report.txt"):
-        assert (out / rel).exists(), rel
+    scenes = [f"corpus/{rel}" for _, rel, _ in read_manifest(out / "corpus/manifest.csv").entries]
+    cf_files = sorted({f"counterfactuals/{row[3]}"
+                       for row in read_table(out / "counterfactuals/index.csv", CF_INDEX)})
+    assert len(scenes) == 60 and len(cf_files) == 4
+    # exactly these files, so a file that nothing reads cannot come back unnoticed
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == {
+        "run_config.txt", "corpus/manifest.csv", "corpus/train.csv", "corpus/test.csv",
+        *scenes, "models/norm.lczm", "models/vae.lczm", "models/reg.lczm",
+        "counterfactuals/index.csv", "counterfactuals/failures.csv", *cf_files,
+        "fractions.csv", "figure.csv", "report.txt"}
+    for rel in cf_files:
+        assert [name for name, _ in load_model(out / rel)] == ["cf/original", "cf/counterfactual"]
     # staged reruns read the persisted artifacts back
     assert main(["label", "--config", small_config, "--seed", "1",
                  "--out", str(out)]) == 0
@@ -441,8 +447,18 @@ def _grid_width(value):
 
 
 def _old_layout(tensors):  # a separate reconstruction between the original and the stacks
-    original, (name, cfs), steps = tensors
-    return [original, ("cf/reconstruction", cfs[0]), (name, cfs), steps]
+    original, (name, cfs) = tensors
+    return [original, ("cf/reconstruction", cfs[0]), (name, cfs), _latent_steps(cfs)]
+
+
+def _latent_steps(cfs):
+    return "cf/delta_c", np.zeros((len(cfs), 16))
+
+
+def _swap_rows(path, a, b):
+    lines = path.read_text().split("\n")
+    lines[a], lines[b] = lines[b], lines[a]
+    path.write_text("\n".join(lines))
 
 
 FRACTIONS = ("analyze", lambda out: out / "fractions.csv")
@@ -468,10 +484,14 @@ CORRUPTIONS = {
     "index_path_to_a_non_cf_file": (INDEX, lambda p: _set_field(p, 1, 3, "../models/norm.lczm")),
     # a scene's file needs its slots once each and one delta_t = 0 row, its baseline
     "index_slot_repeated": (INDEX, lambda p: _set_field(p, 2, 4, "0")),
-    "index_no_baseline_row": (INDEX, lambda p: _keep_rows(p, lambda dt: dt != 0.0)),
+    "index_rows_out_of_order": (INDEX, lambda p: _swap_rows(p, 1, 2)),
+    "index_rows_a_subset": (INDEX, lambda p: _keep_rows(p, lambda dt: dt != 1.0)),
+    "index_no_baseline_row": (INDEX, lambda p: _set_field(p, 1, 1, "0.5")),
     "index_two_baseline_rows": (INDEX, lambda p: _set_field(p, 2, 1, "0.0")),
     "cf_file_missing_a_tensor": (CF_FILE, lambda p: _edit_tensors(p, lambda t: t[:-1])),
     "cf_file_with_a_reconstruction": (CF_FILE, lambda p: _edit_tensors(p, _old_layout)),
+    "cf_file_with_latent_steps": (CF_FILE, lambda p: _edit_tensors(
+        p, lambda t: [*t, _latent_steps(t[1][1])])),
     "stack_missing_channel": (STACK, lambda p: _edit_tensors(
         p, lambda t: [(n, a) for n, a in t if n != "channel/z_std"])),
     "stack_wrong_shape_channel": (STACK, lambda p: _edit_tensors(

@@ -10,6 +10,7 @@ import pytest
 
 from lczkit import pipeline as pl
 from lczkit.config import RunConfig
+from lczkit.errors import ParseError
 from lczkit.io import CF_INDEX, FRACTIONS, load_model, read_table, save_model, write_table
 from lczkit.perturb import batch_perturb
 from lczkit.rasterizer import N_CHANNELS, NormStats, norm_stats_tensors
@@ -48,19 +49,32 @@ def _label_both_ways(batch, norm, out, edit_index=lambda rows: rows):
     return in_memory, _rows(pl.run_label(cfg, str(out)))
 
 
-def test_staged_label_equals_in_memory_label_with_slots_out_of_order(setup):
+K = 4  # pairs per scene in the refusal cases
+
+
+def _set_slot(rows, r, slot):
+    return rows[:r] + [rows[r][:4] + (slot,)] + rows[r + 1:]
+
+
+# index.csv edits that list the second file's rows off its slot order, and
+# the line (the header is line 1) that the refusal names
+_OFF_ORDER = {
+    "out_of_order": (lambda rows: rows[:K] + rows[K:2 * K][::-1] + rows[2 * K:], K + 2),
+    "repeated": (lambda rows: _set_slot(rows, K + 1, 0), K + 3),
+    "out_of_range": (lambda rows: _set_slot(rows, 2 * K - 1, K), 2 * K + 1),
+    "a_subset": (lambda rows: rows[:2 * K - 1] + rows[2 * K:], 2 * K),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OFF_ORDER))
+def test_staged_label_refuses_rows_off_the_slot_order(setup, case):
     vae, reg, scenes, norm, out = setup
-    sweep = [0.0, 0.5, -1.0, 2.0]
-    batch = batch_perturb(vae, reg, scenes, sweep, IDS)
-
-    def reverse_second_file(rows):
-        k = len(sweep)
-        return rows[:k] + rows[k:2 * k][::-1] + rows[2 * k:]
-
-    in_memory, staged = _label_both_ways(batch, norm, out, reverse_second_file)
-    k = len(sweep)
-    assert staged == in_memory[:k] + in_memory[k:2 * k][::-1] + in_memory[2 * k:]
-    assert len({v for *_, v, _ in staged}) > 1  # the labels differ from pair to pair
+    edit, line = _OFF_ORDER[case]
+    batch = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0, 2.0], IDS)
+    with pytest.raises(ParseError) as exc:
+        _label_both_ways(batch, norm, out, edit)
+    assert exc.value.line == line
+    assert "index.csv" in str(exc.value) and "cf_00001.lczm" in str(exc.value)
 
 
 def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, monkeypatch):
@@ -84,7 +98,8 @@ def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, mo
     # the failed row left no gap: the kept rows are those of the sweep without it
     clean = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0], IDS)
     assert batch.decoded.tobytes() == clean.decoded.tobytes()
-    assert batch.steps.tobytes() == clean.steps.tobytes()
+    assert ([cf.delta_c.tobytes() for cf in batch.scenes] ==
+            [cf.delta_c.tobytes() for cf in clean.scenes])
     assert in_memory == _rows(pl.run_label(RunConfig(), str(out), clean, norm))
 
 

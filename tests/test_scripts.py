@@ -2,6 +2,8 @@ import csv
 import importlib.util
 import os
 
+import pytest
+
 from lczkit import pipeline
 from lczkit.config import RunConfig
 from lczkit.errors import DataError
@@ -75,3 +77,12 @@ def test_sweep_goes_on_past_a_failed_run_and_exits_one(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err.splitlines() == [
         "sweep: seed=1 vae.epochs=1: batch_perturb: all 12 pairs failed; "
         "first: degenerate_gradient"]
+
+
+@pytest.mark.parametrize("seeds", ["5-3", "0,2-1", "5-", ""])
+def test_sweep_refuses_an_empty_or_descending_seed_range(tmp_path, capsys, seeds):
+    table = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        _load("sweep").main(["--seeds", seeds, "--out", str(table)])
+    assert exc.value.code == 2 and not table.exists()
+    assert "--seeds" in capsys.readouterr().err
