@@ -201,11 +201,9 @@ class PipelineResult:
     corpus: synthcity.CorpusResult
     vae_model: object
     norm: NormStats
-    vae_history: list
     reg_model: object
     reg_report: regressor.ErrorReport
     batch: perturb.BatchResult
-    records: list
     bundle: report.ReportBundle
 
 
@@ -213,13 +211,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str) -> PipelineResult:
     """synth -> rasterize -> train-vae -> train-reg -> perturb -> label -> analyze."""
     write_run_manifest(cfg, out_dir)
     corpus = run_synth(cfg, out_dir)
-    vae_model, norm, history = run_train_vae(cfg, out_dir)
+    vae_model, norm, _ = run_train_vae(cfg, out_dir)
     reg_model, reg_report = run_train_reg(cfg, out_dir, vae_model, norm)
     batch = run_perturb(cfg, out_dir, vae_model, norm, reg_model)
     records = run_label(cfg, out_dir, batch, norm)
     bundle = run_analyze(cfg, out_dir, records, n_excluded=len(batch.failures))
-    return PipelineResult(corpus, vae_model, norm, history, reg_model,
-                          reg_report, batch, records, bundle)
+    return PipelineResult(corpus, vae_model, norm, reg_model, reg_report, batch, bundle)
 
 
 def run_check(seed: int = 0) -> dict:

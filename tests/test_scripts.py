@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from lczkit import pipeline
+from lczkit import pipeline, vae
 from lczkit.config import RunConfig
 from lczkit.errors import DataError
 
@@ -30,13 +30,18 @@ def _tiny_config(tmp_path):
     return config
 
 
-def test_sweep_writes_one_row_per_cell_with_the_slope_of_its_run(tmp_path, capsys):
+def test_sweep_writes_one_row_per_cell_with_the_slope_of_its_run(tmp_path, monkeypatch,
+                                                                 capsys):
     config = _tiny_config(tmp_path)
     table = tmp_path / "sweep.csv"
     sweep = _load("sweep")
+    trainings = []
+    train = vae.train_vae
+    monkeypatch.setattr(vae, "train_vae", lambda *args: trainings.append(args) or train(*args))
     argv = ["--seeds", "0-1", "--grid", "vae.epochs=1,2", "--config", str(config),
             "--out", str(table)]
     assert sweep.main(argv) == 0
+    assert len(trainings) == 4  # no VAE is reused across VAE settings
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["seed", "vae.epochs", "slope", "rho", "p", "reject_h0", "mae_k",
@@ -55,19 +60,41 @@ def test_sweep_writes_one_row_per_cell_with_the_slope_of_its_run(tmp_path, capsy
     assert sweep.main(argv) == 0
     assert table.read_bytes() == before and capsys.readouterr().out == ""
 
+    # The temperature law and the regressor move no training-split channel,
+    # so each seed's four runs of this grid share one VAE, and every row is
+    # the row of a fresh chain.
+    config.write_text(config.read_text() + "vae.epochs=2\n")
+    table = tmp_path / "sweep2.csv"
+    trainings.clear()
+    argv = ["--seeds", "0-1", "--grid", "synth.k_veg=8,0", "--grid", "reg.epochs=20,10",
+            "--config", str(config), "--out", str(table)]
+    assert sweep.main(argv) == 0
+    assert len(trainings) == 2
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    for i, row in enumerate(rows):
+        cell = {key: row[key] for key in ("seed", "synth.k_veg", "reg.epochs")}
+        result = pipeline.run_pipeline(RunConfig.from_file(str(config), cell),
+                                       str(tmp_path / f"run{i}"))
+        assert float(row["slope"]) == result.bundle.fit.a
+        assert float(row["p"]) == result.bundle.fit.p_a
+        assert float(row["mae_k"]) == result.reg_report.mae
+        assert int(row["failed"]) == len(result.batch.failures)
+
 
 def test_sweep_goes_on_past_a_failed_run_and_exits_one(tmp_path, monkeypatch, capsys):
     config = _tiny_config(tmp_path)
     table = tmp_path / "sweep.csv"
     sweep = _load("sweep")
-    run = sweep.run_pipeline
+    run = pipeline.run_perturb
 
-    def failing_at_seed_one(cfg, out):
+    def failing_at_seed_one(cfg, out, *models):
         if cfg["seed"] == 1:
             raise DataError("batch_perturb: all 12 pairs failed; first: degenerate_gradient")
-        return run(cfg, out)
+        return run(cfg, out, *models)
 
-    monkeypatch.setattr(sweep, "run_pipeline", failing_at_seed_one)
+    monkeypatch.setattr(pipeline, "run_perturb", failing_at_seed_one)
     argv = ["--seeds", "0-2", "--grid", "vae.epochs=1", "--config", str(config),
             "--out", str(table)]
     assert sweep.main(argv) == 1
@@ -86,3 +113,20 @@ def test_sweep_refuses_an_empty_or_descending_seed_range(tmp_path, capsys, seeds
         _load("sweep").main(["--seeds", seeds, "--out", str(table)])
     assert exc.value.code == 2 and not table.exists()
     assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, config, named", [
+    ("vae.epochs=1,abc", "tiny.cfg", "'abc'"),
+    ("vae.epochs=1,0", "tiny.cfg", "vae.epochs=0"),
+    ("vae.epochs=1", "missing.cfg", "missing.cfg"),
+])
+def test_sweep_refuses_a_bad_grid_value_or_config_file_before_any_run(tmp_path, capsys, grid,
+                                                                      config, named):
+    _tiny_config(tmp_path)
+    table = tmp_path / "t.csv"
+    argv = ["--seeds", "0", "--grid", grid, "--config", str(tmp_path / config),
+            "--out", str(table)]
+    with pytest.raises(SystemExit) as exc:
+        _load("sweep").main(argv)
+    assert exc.value.code == 2 and not table.exists()
+    assert named in capsys.readouterr().err
