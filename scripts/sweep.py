@@ -32,7 +32,7 @@ the sweep; the exit status is then 1.
 
 Usage:
     python3 scripts/sweep.py --seeds 0-9 --grid synth.k_veg=8,4 \\
-        --grid vae.epochs=40,30,20,15,10 --out sweeps/vae_epochs.csv
+        --grid vae.epochs=20,15,14,13,12,10 --out sweeps/vae_epochs_full_batch.csv
 """
 
 import argparse

@@ -102,7 +102,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path=None, overrides=None) -> "RunConfig":
-        values = {}
+        """The config of path's key=value lines with overrides set on top.
+        A refusal of a value the file sets names the file, and its line
+        where one line set it."""
+        values, lines = {}, {}  # lines: key -> the file line that set it
         if path is not None:
             with open(path) as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -110,17 +113,32 @@ class RunConfig:
                     if not stripped or stripped.startswith("#"):
                         continue
                     if "=" not in stripped:
-                        raise ParseError(f"expected key=value, got {stripped!r}", line=lineno)
+                        raise ParseError(f"expected key=value, got {stripped!r}", line=lineno,
+                                         path=path)
                     key, _, text = stripped.partition("=")
                     key = key.strip()
-                    if key not in DEFAULTS:
-                        raise UsageError(f"unknown config key {key!r} (line {lineno})")
-                    values[key] = _coerce(key, text.strip())
+                    try:
+                        if key not in DEFAULTS:
+                            raise UsageError(f"unknown config key {key!r}")
+                        values[key] = _coerce(key, text.strip())
+                    except UsageError as exc:
+                        raise UsageError(f"{path}: line {lineno}: {exc}") from None
+                    lines[key] = lineno
         for key, text in (overrides or {}).items():
             if key not in DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
             values[key] = _coerce(key, text) if isinstance(text, str) else text
-        return cls(values)
+            lines.pop(key, None)
+        try:
+            return cls(values)
+        except UsageError as exc:
+            try:  # without the file's values, is the setting still refused?
+                cls({key: val for key, val in values.items() if key not in lines})
+            except UsageError:
+                raise exc from None
+            named = [lineno for key, lineno in lines.items() if key in str(exc)]
+            where = f"line {named[0]}: " if len(named) == 1 else ""
+            raise UsageError(f"{path}: {where}{exc}") from None
 
     def __getitem__(self, key):
         if key not in self.values:

@@ -48,7 +48,7 @@ class VaeConfig:
     latent_dim: int = 32
     hidden: int = 256          # mlp hidden width
     arch: str = "mlp"          # "mlp" | "patch"
-    epochs: int = 20           # chosen on the table sweeps/vae_epochs.csv (README, Sweeps)
+    epochs: int = 13           # fewest sweeps/vae_epochs_full_batch.csv supports (README Sweeps)
     lr: float = 1e-3
     batch_size: int = 32
     schedule: KldSchedule = field(default_factory=KldSchedule)

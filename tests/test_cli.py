@@ -173,11 +173,36 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     for key in REMOVED_KEYS:
         cfg.write_text(f"seed = 1\n{key} = 1\n")
         for given, named in (([f"--{key}=1"], f"{key!r} (from flag"),
-                             (["--config", str(cfg)], f"{key!r} (line 2)")):
+                             (["--config", str(cfg)],
+                              f"{cfg}: line 2: unknown config key {key!r}")):
             assert main(["pipeline", *given, "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and named in err, err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("text, code, named", [
+    ("seed=1\nfoo\n", 2, "line 2: expected key=value, got 'foo'"),
+    ("vae.epochs=abc\n", 1, "line 1: bad value 'abc' for key 'vae.epochs'"),
+    ("vae.epoch=3\n", 1, "line 1: unknown config key 'vae.epoch'"),
+    ("seed=1\nvae.epochs=0\n", 1, "line 2: vae.epochs must be at least 1"),
+    # a refusal whose message names no one key of the file names no line
+    ("labels.veg_zstd_min=0.1\n", 1, "labels.bld_zstd_max must be < veg_zstd_min"),
+])
+def test_a_refused_config_file_is_named_in_one_line(tmp_path, capsys, text, code, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{cfg}: {named}" in err, err
+    assert not out.exists()
+
+
+def test_a_refused_override_does_not_name_the_config_file(tmp_path, small_config, capsys):
+    out = tmp_path / "run"
+    assert main(["synth", "--config", small_config, "--out", str(out), "--vae.epochs=0"]) == 1
+    assert capsys.readouterr().err == "usage error: vae.epochs must be at least 1\n"
 
 
 def test_pipeline_refuses_an_unusable_sweep_before_any_stage(tmp_path, small_config, capsys):

@@ -1,14 +1,16 @@
 import csv
 import importlib.util
+import math
 import os
 
 import pytest
 
 from lczkit import pipeline, vae
-from lczkit.config import RunConfig
+from lczkit.config import DEFAULTS, RunConfig
 from lczkit.errors import DataError
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def _load(name):
@@ -119,10 +121,14 @@ def test_sweep_refuses_an_empty_or_descending_seed_range(tmp_path, capsys, seeds
     ("vae.epochs=1,abc", "tiny.cfg", "'abc'"),
     ("vae.epochs=1,0", "tiny.cfg", "vae.epochs=0"),
     ("vae.epochs=1", "missing.cfg", "missing.cfg"),
+    ("vae.epochs=1", "bad.cfg", "bad.cfg: line 5: expected key=value, got 'foo'"),
+    ("synth.k_veg=8", "zero.cfg", "zero.cfg: line 5: vae.epochs must be at least 1"),
 ])
 def test_sweep_refuses_a_bad_grid_value_or_config_file_before_any_run(tmp_path, capsys, grid,
                                                                       config, named):
-    _tiny_config(tmp_path)
+    text = _tiny_config(tmp_path).read_text()
+    (tmp_path / "bad.cfg").write_text(text + "foo\n")
+    (tmp_path / "zero.cfg").write_text(text + "vae.epochs=0\n")
     table = tmp_path / "t.csv"
     argv = ["--seeds", "0", "--grid", grid, "--config", str(tmp_path / config),
             "--out", str(table)]
@@ -130,3 +136,48 @@ def test_sweep_refuses_a_bad_grid_value_or_config_file_before_any_run(tmp_path, 
         _load("sweep").main(argv)
     assert exc.value.code == 2 and not table.exists()
     assert named in capsys.readouterr().err
+
+
+def _sweep_rows(name):
+    """{(seed, k_veg, swept value): row} of the committed table sweeps/<name>."""
+    with open(os.path.join(ROOT, "sweeps", name), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    swept = list(rows[0])[2]
+    return {(int(r["seed"]), float(r["synth.k_veg"]), int(r[swept])): r for r in rows}
+
+
+def _rho_holds(rows, e, cells):
+    """Rule parts (b) and (d): the mean rho of E over cells is no lower than
+    E = 20's by more than one standard error of the paired differences."""
+    diffs = [float(rows[(s, k, e)]["rho"]) - float(rows[(s, k, 20)]["rho"]) for s, k in cells]
+    mean = sum(diffs) / len(diffs)
+    sd = math.sqrt(sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1))
+    return mean >= -sd / math.sqrt(len(diffs))
+
+
+def test_the_default_vae_epochs_is_the_fewest_the_committed_sweep_supports():
+    rows = _sweep_rows("vae_epochs_full_batch.csv")
+    epochs = sorted({e for _, _, e in rows})
+    cells20 = [(s, k) for s in range(10) for k in (8.0, 4.0)]
+    cells30 = [(s, 8.0) for s in range(30)]
+    planted = cells20 + cells30[10:]
+
+    def passes(e):
+        reject = all(rows[(s, k, e)]["failed"] == "0" and (rows[(s, k, e)]["reject_h0"] == "1"
+                                                           or rows[(s, k, 20)]["reject_h0"] == "0")
+                     for s, k in planted)  # (a)
+        crit8 = (sum(int(rows[(s, k, e)]["crit8"]) for s, k in cells30)
+                 >= sum(int(rows[(s, k, 20)]["crit8"]) for s, k in cells30)
+                 and rows[(0, 8.0, e)]["crit8"] == "1")  # (c)
+        return reject and _rho_holds(rows, e, cells20) and crit8 and _rho_holds(rows, e, cells30)
+
+    chosen = DEFAULTS["vae.epochs"]
+    assert chosen in epochs and passes(chosen)
+    assert not any(passes(e) for e in epochs if e < chosen)
+    # The E = 20 runs are the default runs of the full-batch regressor table.
+    reg = _sweep_rows("reg_full_batch.csv")
+    shared = [(s, k) for s, k, e in rows if e == 20 and (s, k, 100) in reg]
+    assert set(cells20) <= set(shared)
+    for s, k in shared:
+        for col in ("slope", "p", "mae_k"):
+            assert float(rows[(s, k, 20)][col]) == float(reg[(s, k, 100)][col]), (s, k, col)
