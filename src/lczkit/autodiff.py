@@ -60,9 +60,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.shape})"
-
 
 def he_params(layout, rng) -> dict:
     """Trainable parameters of a layout [(name, shape, gain)], drawn in order: a weight
@@ -70,10 +67,6 @@ def he_params(layout, rng) -> dict:
     return {name: Tensor(rng.standard_normal(shape) * np.sqrt(2.0 / shape[0]) * gain
                          if gain else np.zeros(shape))
             for name, shape, gain in layout}
-
-
-def _node(value, op, parents, vjps):
-    return Tensor(value, op, parents, vjps)
 
 
 def _identity(g):
@@ -87,27 +80,27 @@ def _check_same_shape(op, a, b):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
-    return _node(a.value + b.value, "add", (a, b), (_identity, _identity))
+    return Tensor(a.value + b.value, "add", (a, b), (_identity, _identity))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("sub", a, b)
-    return _node(a.value - b.value, "sub", (a, b), (_identity, lambda g: -g))
+    return Tensor(a.value - b.value, "sub", (a, b), (_identity, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
-    return _node(a.value * b.value, "mul", (a, b), (lambda g: g * b.value, lambda g: g * a.value))
+    return Tensor(a.value * b.value, "mul", (a, b), (lambda g: g * b.value, lambda g: g * a.value))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    return _node(a.value * k, "scale", (a,), (lambda g: g * k,))
+    return Tensor(a.value * k, "scale", (a,), (lambda g: g * k,))
 
 
 def shift(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    return _node(a.value + k, "shift", (a,), (_identity,))
+    return Tensor(a.value + k, "shift", (a,), (_identity,))
 
 
 def pad_rows(arr: np.ndarray) -> np.ndarray:
@@ -130,7 +123,7 @@ def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise UsageError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    return _node(
+    return Tensor(
         _product(a.value, b.value), "matmul", (a, b),
         (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
     )
@@ -146,7 +139,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, out=None) -> Tensor:
         raise UsageError(f"affine: bias shape {b.shape} does not match {w.shape[1]} outputs")
     value = _product(x.value, w.value, out)
     np.add(value, b.value, out=value)
-    return _node(
+    return Tensor(
         value, "affine", (x, w, b),
         (lambda g: g @ w.value.T, lambda g: x.value.T @ g, lambda g: g.sum(axis=0)),
     )
@@ -154,45 +147,45 @@ def affine(x: Tensor, w: Tensor, b: Tensor, out=None) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.value > 0
-    return _node(np.where(mask, a.value, 0.0), "relu", (a,), (lambda g: g * mask,))
+    return Tensor(np.where(mask, a.value, 0.0), "relu", (a,), (lambda g: g * mask,))
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.value)
-    return _node(t, "tanh", (a,), (lambda g: g * (1.0 - t * t),))
+    return Tensor(t, "tanh", (a,), (lambda g: g * (1.0 - t * t),))
 
 
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.value)
-    return _node(e, "exp", (a,), (lambda g: g * e,))
+    return Tensor(e, "exp", (a,), (lambda g: g * e,))
 
 
 def square(a: Tensor) -> Tensor:
-    return _node(a.value * a.value, "square", (a,), (lambda g: g * 2.0 * a.value,))
+    return Tensor(a.value * a.value, "square", (a,), (lambda g: g * 2.0 * a.value,))
 
 
 def absval(a: Tensor) -> Tensor:
-    return _node(np.abs(a.value), "abs", (a,), (lambda g: g * np.sign(a.value),))
+    return Tensor(np.abs(a.value), "abs", (a,), (lambda g: g * np.sign(a.value),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _node(a.value.sum(), "sum", (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
+    return Tensor(a.value.sum(), "sum", (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.value.size
-    return _node(a.value.mean(), "mean", (a,), (lambda g: np.broadcast_to(g / n, a.shape).copy(),))
+    return Tensor(a.value.mean(), "mean", (a,), (lambda g: np.broadcast_to(g / n, a.shape).copy(),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    return _node(a.value.reshape(shape), "reshape", (a,), (lambda g: g.reshape(a.shape),))
+    return Tensor(a.value.reshape(shape), "reshape", (a,), (lambda g: g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return _node(a.value.transpose(axes), "transpose", (a,), (lambda g: g.transpose(inv),))
+    return Tensor(a.value.transpose(axes), "transpose", (a,), (lambda g: g.transpose(inv),))
 
 
 def topo_order(root: Tensor):

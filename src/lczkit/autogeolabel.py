@@ -40,8 +40,8 @@ class LabelRules:
 
 def label_channels(scenes, norm) -> np.ndarray:
     """The LABEL_CHANNELS of a normalized (K, 13, H, W) array, de-normalized
-    as rasterizer.denormalize does it, as one (K, 3, H, W) array, which
-    segment takes as it takes whole scenes."""
+    (times the std, plus the mean), as one (K, 3, H, W) array, which segment
+    takes as it takes whole scenes."""
     if scenes.ndim != 4 or scenes.shape[1] != N_CHANNELS:
         raise UsageError(f"label_channels needs a (K, {N_CHANNELS}, H, W) array, "
                          f"got shape {scenes.shape}")

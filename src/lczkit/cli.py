@@ -16,7 +16,7 @@ from . import pipeline as pl
 from . import rasterizer
 from .config import DEFAULTS, RunConfig
 from .errors import DataError, LczError, UsageError
-from .io import parse_point_cloud
+from .io import parse_point_cloud, text_lines
 
 SUBCOMMANDS = ("synth", "rasterize", "train-vae", "train-reg", "perturb",
                "label", "analyze", "pipeline", "check")
@@ -75,8 +75,7 @@ def run(argv) -> int:
     if args.subcommand == "rasterize":
         if not args.input or not args.output:
             raise UsageError("rasterize needs --input and --output")
-        with open(args.input) as fh:
-            cloud = parse_point_cloud(fh)
+        cloud = parse_point_cloud(text_lines(args.input), path=args.input)
         stack = rasterizer.rasterize(cloud, cfg.grid_spec())
         rasterizer.save_stack(stack, args.output)
         print(f"rasterized {len(cloud)} points -> {args.output} "

@@ -16,6 +16,7 @@ import math
 
 from .autogeolabel import LabelRules
 from .errors import ParseError, UsageError
+from .io import text_lines
 from .rasterizer import GridSpec
 from .regressor import RegConfig
 from .report import check_sweep
@@ -49,6 +50,8 @@ def stage_seed(master: int, stage: str) -> int:
 
 
 def _coerce(key: str, text: str):
+    if key not in DEFAULTS:
+        raise UsageError(f"unknown config key {key!r}")
     default = DEFAULTS[key]
     try:
         if isinstance(default, int):
@@ -70,8 +73,8 @@ class RunConfig:
                 raise UsageError(f"bad {key} {val!r}: must be finite")
             self.values[key] = val
         # A setting no stage can run with is refused before any stage runs.
-        # Each typed view checks its own fields, named as the keys after
-        # their section.
+        # Each typed view checks its own fields; a field its message names
+        # is named as the key, after its section.
         if not self["seed"] >= 0:  # numpy seeds only non-negative integers
             raise UsageError(f"bad seed {self['seed']!r}: must be at least 0")
         views = (("grid", self.grid_spec), ("vae", self.vae_config), ("reg", self.reg_config),
@@ -80,7 +83,8 @@ class RunConfig:
             try:
                 view()
             except UsageError as exc:
-                raise UsageError(f"{section}.{exc}") from None
+                raise UsageError(" ".join(f"{section}.{word}" if f"{section}.{word}" in DEFAULTS
+                                          else word for word in str(exc).split(" "))) from None
         if self["vae.arch"] == "patch":
             w, h = self["grid.width"], self["grid.height"]
             try:
@@ -107,26 +111,21 @@ class RunConfig:
         where one line set it."""
         values, lines = {}, {}  # lines: key -> the file line that set it
         if path is not None:
-            with open(path) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    stripped = line.strip()
-                    if not stripped or stripped.startswith("#"):
-                        continue
-                    if "=" not in stripped:
-                        raise ParseError(f"expected key=value, got {stripped!r}", line=lineno,
-                                         path=path)
-                    key, _, text = stripped.partition("=")
-                    key = key.strip()
-                    try:
-                        if key not in DEFAULTS:
-                            raise UsageError(f"unknown config key {key!r}")
-                        values[key] = _coerce(key, text.strip())
-                    except UsageError as exc:
-                        raise UsageError(f"{path}: line {lineno}: {exc}") from None
-                    lines[key] = lineno
+            for lineno, line in enumerate(text_lines(path), start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise ParseError(f"expected key=value, got {stripped!r}", line=lineno,
+                                     path=path)
+                key, _, text = stripped.partition("=")
+                key = key.strip()
+                try:
+                    values[key] = _coerce(key, text.strip())
+                except UsageError as exc:
+                    raise UsageError(f"{path}: line {lineno}: {exc}") from None
+                lines[key] = lineno
         for key, text in (overrides or {}).items():
-            if key not in DEFAULTS:
-                raise UsageError(f"unknown config key {key!r}")
             values[key] = _coerce(key, text) if isinstance(text, str) else text
             lines.pop(key, None)
         try:

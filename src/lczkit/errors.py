@@ -52,9 +52,3 @@ class DegenerateGradientError(NumericError):
 
 class DivergenceError(NumericError):
     """Training loss became non-finite."""
-
-    def __init__(self, message, epoch=None):
-        self.epoch = epoch
-        if epoch is not None:
-            message = f"epoch {epoch}: {message}"
-        super().__init__(message)

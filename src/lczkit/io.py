@@ -33,8 +33,7 @@ LCZM_VERSION = 2
 
 # Table schemas: (column, type) in file order, for write_table and read_table.
 MANIFEST = (("scene_id", str), ("raster_path", str), ("temperature_kelvin", float))
-CF_INDEX = (("scene_id", str), ("delta_t", float), ("achieved_dt", float),
-            ("path", str), ("slot", int))
+CF_INDEX = (("scene_id", str), ("delta_t", float), ("achieved_dt", float))
 CF_FAILURES = (("scene_id", str), ("delta_t", float), ("kind", str), ("message", str))
 FRACTIONS = (("scene_id", str), ("delta_t", float), ("achieved_dt", float),
              ("v_prime", float), ("v_baseline", float))
@@ -75,8 +74,20 @@ class SceneManifest:
             raise ValidationError("duplicate scene_id in manifest")
 
 
-def parse_point_cloud(stream) -> PointCloud:
-    """Parse whitespace-separated point lines; '#' starts a comment line."""
+def text_lines(path):
+    """The lines of a UTF-8 text file; a ParseError names the file and the
+    first line that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason}", line=lineno, path=path) from None
+
+
+def parse_point_cloud(stream, path=None) -> PointCloud:
+    """Parse whitespace-separated point lines; '#' starts a comment line. A
+    ParseError names the line and, if given, the file."""
     if isinstance(stream, (str, bytes)):
         stream = _io.StringIO(stream.decode("utf-8", "replace") if isinstance(stream, bytes) else stream)
     cols = ([], [], [], [], [], [])
@@ -86,20 +97,20 @@ def parse_point_cloud(stream) -> PointCloud:
             continue
         tokens = stripped.split()
         if len(tokens) != 6:
-            raise ParseError(f"expected 6 fields, got {len(tokens)}", line=lineno)
+            raise ParseError(f"expected 6 fields, got {len(tokens)}", line=lineno, path=path)
         try:
             x, y, z, inten = (float(t) for t in tokens[:4])
             rn, nr = int(tokens[4]), int(tokens[5])
         except ValueError as exc:
-            raise ParseError(f"bad numeric token: {exc}", line=lineno) from None
+            raise ParseError(f"bad numeric token: {exc}", line=lineno, path=path) from None
         if not all(math.isfinite(v) for v in (x, y, z, inten)):
-            raise ValidationError("non-finite coordinate or intensity", line=lineno)
+            raise ValidationError("non-finite coordinate or intensity", line=lineno, path=path)
         if inten < 0:
-            raise ValidationError("negative intensity", line=lineno)
+            raise ValidationError("negative intensity", line=lineno, path=path)
         if rn < 1:
-            raise ValidationError("return_number must be >= 1", line=lineno)
+            raise ValidationError("return_number must be >= 1", line=lineno, path=path)
         if rn > nr:
-            raise ValidationError("return_number exceeds num_returns", line=lineno)
+            raise ValidationError("return_number exceeds num_returns", line=lineno, path=path)
         for col, v in zip(cols, (x, y, z, inten, rn, nr)):
             col.append(v)
     return PointCloud.from_arrays(*cols)
@@ -159,30 +170,50 @@ def write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
+def _headers(fh):
+    """(tensor count, name, dims) of each tensor of an open LCZM file, each
+    with fh at the tensor's payload, which the caller reads before the next."""
+    magic = _read_exact(fh, 4, "magic")
+    if magic != LCZM_MAGIC:
+        raise FormatError(f"bad magic {magic!r}")
+    version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
+    if version != LCZM_VERSION:
+        raise FormatError(f"unsupported format version {version}")
+    for idx in range(count):
+        (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"tensor {idx} name length"))
+        name = _read_exact(fh, name_len, f"tensor {idx} name").decode("utf-8", "replace")
+        (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"tensor {name!r} rank"))
+        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name!r} dims"))
+        yield count, name, dims
+
+
+def _payload(fh, dims, name) -> np.ndarray:
+    arr = np.empty(dims, dtype="<f8")
+    if fh.readinto(arr) != arr.nbytes:
+        raise FormatError(f"truncated file while reading tensor {name!r} payload")
+    return arr
+
+
 def load_model(path, build=list):
     """build(list of (name, float64 ndarray)) of an LCZM container; a
     FormatError, from the container or from build, names the file."""
     try:
         with open(path, "rb") as fh:
-            magic = _read_exact(fh, 4, "magic")
-            if magic != LCZM_MAGIC:
-                raise FormatError(f"bad magic {magic!r}")
-            version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
-            if version != LCZM_VERSION:
-                raise FormatError(f"unsupported format version {version}")
-            out = []
-            for idx in range(count):
-                (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"tensor {idx} name length"))
-                name = _read_exact(fh, name_len, f"tensor {idx} name").decode("utf-8", "replace")
-                (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"tensor {name!r} rank"))
-                dims = struct.unpack(
-                    f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name!r} dims")
-                )
-                arr = np.empty(dims, dtype="<f8")
-                if fh.readinto(arr) != arr.nbytes:
-                    raise FormatError(f"truncated file while reading tensor {name!r} payload")
-                out.append((name, arr))
-        return build(out)
+            return build([(name, _payload(fh, dims, name)) for _, name, dims in _headers(fh)])
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def load_row_blocks(path, sizes, check):
+    """An LCZM file's first tensor in blocks of sizes[0], sizes[1], ... rows,
+    one in memory at a time, once check(tensor count, name, dims) passes; a
+    FormatError, from the file or from check, names the file."""
+    try:
+        with open(path, "rb") as fh:
+            count, name, dims = next(_headers(fh), (0, None, ()))
+            check(count, name, dims)
+            for size in sizes:
+                yield _payload(fh, (size, *dims[1:]), name)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -230,16 +261,12 @@ def read_table(path, schema) -> list:
             rows = list(reader)
             with contextlib.suppress(ValueError):
                 return _typed_columns(rows, schema)
-            # A field is bad: type row by row to the first bad one, reading
-            # the file again alongside for the line that row ends on.
+            # A field is bad: read the file again, typing row by row, for the
+            # line that the first bad row ends on.
             fh.seek(0)
             reader = csv.reader(fh, strict=True)
             next(reader)
-            typed = []
-            for row in rows:
-                next(reader)
-                typed.append(_typed_row(row, schema))
-            return typed
+            return [_typed_row(row, schema) for row in reader]
         except (csv.Error, ValueError) as exc:
             raise ParseError(str(exc), line=max(reader.line_num, 1), path=path) from None
 

@@ -17,13 +17,15 @@ from . import analysis, autogeolabel, perturb, rasterizer, regressor, report, sy
 from .autodiff import Tensor, check_gradient
 from .config import RunConfig
 from .errors import FormatError, ParseError, UsageError, ValidationError
-from .io import (CF_FAILURES, CF_INDEX, FRACTIONS, layout_arrays, load_model, read_manifest,
+from .io import (CF_FAILURES, CF_INDEX, FRACTIONS, load_model, load_row_blocks, read_manifest,
                  read_table, save_model, write_table, write_text)
 from .rasterizer import N_CHANNELS, NormStats, load_stack
 
 MODEL_DIR = "models"
 CORPUS_DIR = "corpus"
 CF_DIR = "counterfactuals"
+CF_FILE = "cf.lczm"
+CF_TENSOR = "cf/counterfactual"
 
 
 def write_run_manifest(cfg: RunConfig, out_dir: str) -> None:
@@ -98,81 +100,72 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
 
 
 def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
-    """One LCZM file per scene: its original once, then its counterfactuals
-    stacked along a slot axis, written from its rows of the batch's decoded
-    array. index.csv maps each (scene, delta_t) pair to its file and slot,
-    slots 0..K-1 in order; failures.csv lists the pairs that failed."""
-    index = []
-    for i, (group, rows) in enumerate(batch.by_scene()):
-        rel = f"cf_{i:05d}.lczm"
-        save_model([("cf/original", group[0].original), ("cf/counterfactual", rows)],
-                   os.path.join(out_dir, CF_DIR, rel))
-        index += [(cf.scene_id, cf.requested_dt, cf.achieved_dt, rel, slot)
-                  for slot, cf in enumerate(group)]
-    write_table(os.path.join(out_dir, CF_DIR, "index.csv"), CF_INDEX, index)
-    write_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES, batch.failures)
+    """cf.lczm holds the batch's decoded array as it is, written from its own
+    buffer, and row i of index.csv is the pair of its row i; failures.csv
+    lists the pairs that failed."""
+    cf_dir = os.path.join(out_dir, CF_DIR)
+    save_model([(CF_TENSOR, batch.decoded)], os.path.join(cf_dir, CF_FILE))
+    write_table(os.path.join(cf_dir, "index.csv"), CF_INDEX, _index_rows(batch))
+    write_table(os.path.join(cf_dir, "failures.csv"), CF_FAILURES, batch.failures)
 
 
-def _scene_records(scene_ids, cfs, pairs, norm: NormStats, rules) -> list:
-    """The ExperimentRecords of one scene's K pairs: cfs holds its K
+def _index_rows(batch: perturb.BatchResult) -> list:
+    return [(cf.scene_id, cf.requested_dt, cf.achieved_dt) for cf in batch.scenes]
+
+
+def _scenes(rows, index) -> list:
+    """index.csv's rows split per scene. A ParseError names index and the
+    line unless each scene's rows are consecutive and hold one delta_t = 0
+    row, its baseline."""
+    scenes, seen = [], set()
+    for sid, group in itertools.groupby(enumerate(rows, start=2), lambda item: item[1][0]):
+        lines, group = zip(*group)
+        zeros = [line for line, (_, dt, _) in zip(lines, group) if dt == 0.0]
+        if sid in seen:
+            raise ParseError(f"the rows of scene {sid!r} are not consecutive", line=lines[0],
+                             path=index)
+        if len(zeros) != 1:  # name the second such row, or the scene's first
+            raise ParseError(f"scene {sid!r} has {len(zeros)} delta_t = 0 rows, not 1",
+                             line=(zeros[1:] or lines)[0], path=index)
+        seen.add(sid)
+        scenes.append(group)
+    return scenes
+
+
+def _scene_records(rows, cfs, norm: NormStats, rules) -> list:
+    """The ExperimentRecords of one scene's K index.csv rows: cfs holds its K
     normalized counterfactuals as a (K, 13, H, W) array; only the channels
-    segment reads are de-normalized, into one (K, 3, H, W) array. scene_ids
-    and pairs are the K pairs' ids and (requested, achieved) delta_t; the
+    segment reads are de-normalized, into one (K, 3, H, W) array. The
     delta_t = 0 pair, the scene's reconstruction, gives the baseline."""
     fractions = autogeolabel.vegetation_fraction(
         autogeolabel.segment(autogeolabel.label_channels(cfs, norm), rules))
-    baseline = float(fractions[[dt for dt, _ in pairs].index(0.0)])
+    baseline = float(fractions[[dt for _, dt, _ in rows].index(0.0)])
     return [report.ExperimentRecord(scene_id=sid, delta_t=dt, achieved_dt=adt,
                                     v_prime=float(v), v_baseline=baseline)
-            for sid, (dt, adt), v in zip(scene_ids, pairs, fractions)]
-
-
-def _batch_scenes(batch: perturb.BatchResult):
-    """Per scene of an in-memory batch, the arguments of _scene_records."""
-    for group, rows in batch.by_scene():
-        yield ([cf.scene_id for cf in group], rows,
-               [(cf.requested_dt, cf.achieved_dt) for cf in group])
-
-
-def _cf_arrays(tensors) -> list:
-    """A cf file's original (13, H, W) and counterfactuals (K, 13, H, W);
-    the file sets H, W and K."""
-    by_name = dict(tensors)
-    scene = (rasterizer.N_CHANNELS, *np.shape(by_name.get("cf/original"))[-2:])
-    k = (np.shape(by_name.get("cf/counterfactual")) or (-1,))[0]
-    return layout_arrays(tensors, [("cf/original", scene), ("cf/counterfactual", (k, *scene))])
-
-
-def _file_scenes(out_dir: str):
-    """Per counterfactuals file, in index.csv order, the arguments of
-    _scene_records; one file is in memory at a time. A file's index rows
-    list its K slots 0..K-1, in order, as _write_batch writes them."""
-    index = os.path.join(out_dir, CF_DIR, "index.csv")
-    rows = enumerate(read_table(index, CF_INDEX), start=2)
-    for rel, group in itertools.groupby(rows, lambda row: row[1][3]):
-        lines, entries = zip(*group)
-        scene_ids, dts, achieved, _, slots = zip(*entries)
-        _, cfs = load_model(os.path.join(out_dir, CF_DIR, rel), _cf_arrays)
-        if slots != tuple(range(len(cfs))):
-            # name the first row off that order or, for a subset, the last row
-            j = next((j for j, slot in enumerate(slots) if slot != j or j >= len(cfs)), -1)
-            raise ParseError(f"the rows of {rel} must list its slots 0..{len(cfs) - 1} "
-                             f"once each, in order", line=lines[j], path=index)
-        zeros = [line for line, dt in zip(lines, dts) if dt == 0.0]
-        if len(zeros) != 1:  # the scene's baseline
-            raise ParseError(f"{rel} has {len(zeros)} delta_t = 0 rows, not 1",
-                             line=zeros[1] if len(zeros) > 1 else None, path=index)
-        yield scene_ids, cfs, list(zip(dts, achieved))
+            for (sid, dt, adt), v in zip(rows, fractions)]
 
 
 def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
-    """Label every pair of the in-memory batch or, without one, of the
-    counterfactuals files, one scene at a time; write fractions.csv."""
+    """Label every pair of the in-memory batch or, without one, of cf.lczm,
+    whose row i is index.csv's row i, one scene at a time; write
+    fractions.csv."""
+    index = os.path.join(out_dir, CF_DIR, "index.csv")
+    rows = read_table(index, CF_INDEX) if batch is None else _index_rows(batch)
+    scenes = _scenes(rows, index)
     if batch is None:
         (norm,) = load_models(out_dir, "norm")
-    scenes = _file_scenes(out_dir) if batch is None else _batch_scenes(batch)
+
+        def check(count, name, dims):  # one tensor, a (13, H, W) row per index.csv row
+            if (count, name, len(dims), dims[:2]) != (1, CF_TENSOR, 4, (len(rows), N_CHANNELS)):
+                found = f"{name!r} of shape {dims}, tensor 1 of {count}" if count else "no tensor"
+                raise FormatError(f"expected one tensor, {CF_TENSOR!r} of shape ({len(rows)}, "
+                                  f"{N_CHANNELS}, H, W) for the rows of {index}; found {found}")
+        blocks = load_row_blocks(os.path.join(out_dir, CF_DIR, CF_FILE), map(len, scenes), check)
+    else:
+        blocks = (cfs for _, cfs in batch.by_scene())
     rules = cfg.label_rules()
-    records = [record for scene in scenes for record in _scene_records(*scene, norm, rules)]
+    records = [record for cfs, scene in zip(blocks, scenes)
+               for record in _scene_records(scene, cfs, norm, rules)]
     write_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS,
                 [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime, r.v_baseline)
                  for r in records])

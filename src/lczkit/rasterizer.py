@@ -8,15 +8,12 @@ proxy) so the empty-cell fill value 0 reads as "at ground level".
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, UsageError
 from .io import PointCloud, layout_arrays, load_model, save_model
-
-log = logging.getLogger(__name__)
 
 CHANNEL_NAMES = (
     "z_min", "z_max", "z_mean", "z_std", "z_range",
@@ -98,8 +95,6 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
     row = np.floor((cloud.y - spec.origin_y) / spec.cell_size).astype(np.int64)
     inside = (col >= 0) & (col < w) & (row >= 0) & (row < h)
     n_outside = int(len(cloud) - inside.sum())
-    if n_outside:
-        log.warning("rasterize: %d point(s) outside grid extent ignored", n_outside)
     if not inside.any():
         return RasterStack(spec, channels, n_outside=n_outside)
 
@@ -180,11 +175,6 @@ def normalize(channels: np.ndarray, stats: NormStats) -> np.ndarray:
     if channels.ndim < 3 or channels.shape[-3] != len(stats.mean):
         raise UsageError("norm stats channel count mismatch")
     return (channels - stats.mean[:, None, None]) / stats.std[:, None, None]
-
-
-def denormalize(channels: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Inverse of normalize, e.g. of a decoder output."""
-    return channels * stats.std[:, None, None] + stats.mean[:, None, None]
 
 
 def stack_tensors(stack: RasterStack):

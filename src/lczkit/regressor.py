@@ -167,7 +167,7 @@ def train_regressor(codes, temps, config: RegConfig):
     for epoch in range(config.epochs):
         loss = l1_loss_graph(forward_graph(model, inputs), target)
         if not np.isfinite(loss.value):
-            raise DivergenceError("regression loss non-finite", epoch=epoch)
+            raise DivergenceError(f"epoch {epoch}: regression loss non-finite")
         ad.backward(loss, opt.params)
         opt.step()
 

@@ -268,7 +268,7 @@ def train_vae(corpus, config: VaeConfig):
             s_hat = decode_graph(model, code)
             loss = elbo_loss(x, s_hat, mu, logvar, lam)
             if not np.isfinite(loss.value):
-                raise DivergenceError("vae loss non-finite", epoch=epoch)
+                raise DivergenceError(f"epoch {epoch}: vae loss non-finite")
             ad.backward(loss, opt.params)
             opt.step()
             total += float(loss.value) * len(idx)

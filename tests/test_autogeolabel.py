@@ -15,7 +15,7 @@ from lczkit.autogeolabel import (
     vegetation_fraction,
 )
 from lczkit.errors import UsageError
-from lczkit.rasterizer import CHANNEL_NAMES, N_CHANNELS, NormStats, denormalize
+from lczkit.rasterizer import CHANNEL_NAMES, N_CHANNELS, NormStats
 
 RULES = LabelRules()
 
@@ -143,7 +143,7 @@ def test_three_label_channels_label_as_the_whole_denormalized_stack(seed, k, h, 
     # positive de-normalized label channels, so the thresholds can be cell values
     mean[index], std[index] = rng.uniform(3.0, 5.0, 3), rng.uniform(0.05, 0.5, 3)
     norm = NormStats(mean, std)
-    whole = denormalize(stack, norm)
+    whole = stack * std[:, None, None] + mean[:, None, None]  # de-normalized, all channels
     z_mean, z_std, multiret = (whole[:, i] for i in index)
     bld_zstd_max, veg_zstd_min = _on_a_value(z_std, rng)
     rules = LabelRules(veg_zstd_min=veg_zstd_min, bld_zstd_max=bld_zstd_max,

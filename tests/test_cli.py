@@ -186,8 +186,11 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     ("vae.epochs=abc\n", 1, "line 1: bad value 'abc' for key 'vae.epochs'"),
     ("vae.epoch=3\n", 1, "line 1: unknown config key 'vae.epoch'"),
     ("seed=1\nvae.epochs=0\n", 1, "line 2: vae.epochs must be at least 1"),
-    # a refusal whose message names no one key of the file names no line
-    ("labels.veg_zstd_min=0.1\n", 1, "labels.bld_zstd_max must be < veg_zstd_min"),
+    ("seed=1\nlabels.veg_zstd_min=0.1\n", 1,
+     "line 2: labels.bld_zstd_max must be < labels.veg_zstd_min"),
+    # a refusal whose message names two keys of the file names no line
+    ("labels.veg_zstd_min=0.1\nlabels.bld_zstd_max=0.2\n", 1,
+     "labels.bld_zstd_max must be < labels.veg_zstd_min"),
 ])
 def test_a_refused_config_file_is_named_in_one_line(tmp_path, capsys, text, code, named):
     cfg = tmp_path / "bad.cfg"
@@ -300,6 +303,21 @@ def test_rasterize_missing_input_is_data_error(tmp_path):
                  "--output", str(tmp_path / "o.lczm")]) == 2
 
 
+@pytest.mark.parametrize("stage, flag, data", [
+    ("synth", "--config", b"seed=1\n\xff\xfe=3\n"),
+    ("rasterize", "--input", b"0.5 0.5 1.0 100 1 1\n0.5 0.5 \xff 100 1 1\n"),
+    ("rasterize", "--input", b"0.5 0.5 1.0 100 1 1\n0.5 0.5 nope 100 1 1\n"),
+], ids=["config_not_utf8", "points_not_utf8", "points_bad_token"])
+def test_a_malformed_text_file_exits_two_naming_it_and_the_line(tmp_path, capsys, stage, flag,
+                                                                data):
+    bad, out = tmp_path / "bad.txt", tmp_path / "out"
+    bad.write_bytes(data)
+    assert main([stage, flag, str(bad), "--out", str(out), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
 def test_pipeline_runs_are_byte_identical(tmp_path, small_config, capsys):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert main(["pipeline", "--config", small_config, "--seed", "4",
@@ -316,17 +334,17 @@ def test_pipeline_writes_all_artifacts(tmp_path, small_config):
     assert main(["pipeline", "--config", small_config, "--seed", "1",
                  "--out", str(out)]) == 0
     scenes = [f"corpus/{rel}" for _, rel, _ in read_manifest(out / "corpus/manifest.csv").entries]
-    cf_files = sorted({f"counterfactuals/{row[3]}"
-                       for row in read_table(out / "counterfactuals/index.csv", CF_INDEX)})
-    assert len(scenes) == 60 and len(cf_files) == 4
+    assert len(scenes) == 60
     # exactly these files, so a file that nothing reads cannot come back unnoticed
     assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == {
         "run_config.txt", "corpus/manifest.csv", "corpus/train.csv", "corpus/test.csv",
         *scenes, "models/norm.lczm", "models/vae.lczm", "models/reg.lczm",
-        "counterfactuals/index.csv", "counterfactuals/failures.csv", *cf_files,
+        "counterfactuals/cf.lczm", "counterfactuals/index.csv", "counterfactuals/failures.csv",
         "fractions.csv", "figure.csv", "report.txt"}
-    for rel in cf_files:
-        assert [name for name, _ in load_model(out / rel)] == ["cf/original", "cf/counterfactual"]
+    # one tensor, a row per index.csv row: 4 scenes of 9 pairs
+    [(name, cfs)] = load_model(out / "counterfactuals/cf.lczm")
+    assert name == "cf/counterfactual" and cfs.shape == (36, 13, 16, 16)
+    assert len(read_table(out / "counterfactuals/index.csv", CF_INDEX)) == 36
     # staged reruns read the persisted artifacts back
     assert main(["label", "--config", small_config, "--seed", "1",
                  "--out", str(out)]) == 0
@@ -356,7 +374,8 @@ def test_staged_run_equals_pipeline(tmp_path, small_config):
                      "--out", str(staged)]) == 0, stage
     chained_files, staged_files = _run_files(chained), _run_files(staged)
     for rel in ("fractions.csv", "figure.csv", "report.txt", "models/norm.lczm",
-                "models/vae.lczm", "models/reg.lczm", "counterfactuals/index.csv"):
+                "models/vae.lczm", "models/reg.lczm", "counterfactuals/cf.lczm",
+                "counterfactuals/index.csv"):
         assert staged_files[rel] == chained_files[rel], rel
     assert staged_files == chained_files
 
@@ -471,11 +490,6 @@ def _grid_width(value):
     return edit
 
 
-def _old_layout(tensors):  # a separate reconstruction between the original and the stacks
-    original, (name, cfs) = tensors
-    return [original, ("cf/reconstruction", cfs[0]), (name, cfs), _latent_steps(cfs)]
-
-
 def _latent_steps(cfs):
     return "cf/delta_c", np.zeros((len(cfs), 16))
 
@@ -489,7 +503,7 @@ def _swap_rows(path, a, b):
 FRACTIONS = ("analyze", lambda out: out / "fractions.csv")
 FAILURES = ("analyze", lambda out: out / "counterfactuals" / "failures.csv")
 INDEX = ("label", lambda out: out / "counterfactuals" / "index.csv")
-CF_FILE = ("label", lambda out: out / "counterfactuals" / "cf_00000.lczm")
+CF_FILE = ("label", lambda out: out / "counterfactuals" / "cf.lczm")
 STACK = ("perturb", _first_test_stack)
 TEST_MANIFEST = ("perturb", lambda out: out / "corpus" / "test.csv")
 
@@ -502,21 +516,28 @@ CORRUPTIONS = {
     "fractions_no_baseline": (FRACTIONS, lambda p: _keep_rows(p, lambda dt: dt != 0.0)),
     "fractions_two_distinct_dt": (FRACTIONS, lambda p: _keep_rows(p, lambda dt: dt in (0.0, 1.0))),
     "failures_garbage_row": (FAILURES, lambda p: p.write_text(p.read_text() + "garbage\n")),
-    "index_header": (INDEX, lambda p: _set_field(p, 0, 4, "position")),
+    "index_header": (INDEX, lambda p: _set_field(p, 0, 2, "achieved")),
     "index_field_count": (INDEX, lambda p: _edit_row(p, 1, lambda line: line.rsplit(",", 1)[0])),
-    "index_slot_past_end": (INDEX, lambda p: _set_field(p, 1, 4, "99")),
-    "index_slot_negative": (INDEX, lambda p: _set_field(p, 1, 4, "-1")),
-    "index_path_to_a_non_cf_file": (INDEX, lambda p: _set_field(p, 1, 3, "../models/norm.lczm")),
-    # a scene's file needs its slots once each and one delta_t = 0 row, its baseline
-    "index_slot_repeated": (INDEX, lambda p: _set_field(p, 2, 4, "0")),
-    "index_rows_out_of_order": (INDEX, lambda p: _swap_rows(p, 1, 2)),
+    # the two scenes' delta_t = 0 rows swapped: the second scene's rows are not consecutive
+    "index_rows_out_of_order": (INDEX, lambda p: _swap_rows(p, 1, 10)),
+    # row i is the tensor's row i, so a row fewer is refused
     "index_rows_a_subset": (INDEX, lambda p: _keep_rows(p, lambda dt: dt != 1.0)),
+    # a scene needs one delta_t = 0 row, its baseline
     "index_no_baseline_row": (INDEX, lambda p: _set_field(p, 1, 1, "0.5")),
     "index_two_baseline_rows": (INDEX, lambda p: _set_field(p, 2, 1, "0.0")),
+    # the file holds one tensor, cf/counterfactual, a (13, H, W) row per index.csv row
     "cf_file_missing_a_tensor": (CF_FILE, lambda p: _edit_tensors(p, lambda t: t[:-1])),
-    "cf_file_with_a_reconstruction": (CF_FILE, lambda p: _edit_tensors(p, _old_layout)),
+    "cf_file_with_a_reconstruction": (CF_FILE, lambda p: _edit_tensors(
+        p, lambda t: [("cf/reconstruction", t[0][1][:1]), *t])),
     "cf_file_with_latent_steps": (CF_FILE, lambda p: _edit_tensors(
-        p, lambda t: [*t, _latent_steps(t[1][1])])),
+        p, lambda t: [*t, _latent_steps(t[0][1])])),
+    "cf_file_wrong_tensor_name": (CF_FILE, lambda p: _edit_tensors(
+        p, lambda t: [("cf/original", a) for _, a in t])),
+    "cf_file_a_row_fewer": (CF_FILE, lambda p: _edit_tensors(
+        p, lambda t: [(n, a[:-1]) for n, a in t])),
+    "cf_file_a_channel_fewer": (CF_FILE, lambda p: _edit_tensors(
+        p, lambda t: [(n, a[:, 1:]) for n, a in t])),
+    "cf_file_truncated": (CF_FILE, lambda p: p.write_bytes(p.read_bytes()[:-8])),
     "stack_missing_channel": (STACK, lambda p: _edit_tensors(
         p, lambda t: [(n, a) for n, a in t if n != "channel/z_std"])),
     "stack_wrong_shape_channel": (STACK, lambda p: _edit_tensors(
@@ -527,6 +548,12 @@ CORRUPTIONS = {
     "stack_grid_width_fractional": (STACK, lambda p: _edit_tensors(p, _grid_width(16.5))),
     "manifest_bad_temperature": (TEST_MANIFEST, lambda p: _set_field(p, 1, 2, "hot")),
 }
+
+# The line of the file that the refusal names, where it names one; the
+# labeled run perturbs 2 scenes, 9 pairs each.
+CORRUPT_LINES = {"fractions_extra_field": 2, "fractions_header": 1, "index_header": 1,
+                 "index_field_count": 2, "index_rows_out_of_order": 12,
+                 "index_no_baseline_row": 2, "index_two_baseline_rows": 3}
 
 
 @pytest.fixture(scope="module")
@@ -550,9 +577,9 @@ def test_corrupt_artifact_exits_two_naming_the_file(tmp_path, labeled_run, capsy
     assert main([stage, "--seed", "6", "--out", str(out), "--perturb.n_scenes=2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
-    assert "Traceback" not in err
-    named = "norm.lczm" if case == "index_path_to_a_non_cf_file" else path.name
-    assert named in err, err
+    assert "Traceback" not in err and str(path) in err, err
+    if case in CORRUPT_LINES:
+        assert f"{path}: line {CORRUPT_LINES[case]}: " in err, err
 
 
 def test_a_split_stack_on_another_grid_exits_two_naming_it(tmp_path, labeled_run, capsys):

@@ -17,6 +17,7 @@ from lczkit.io import (
     PointCloud,
     SceneManifest,
     load_model,
+    load_row_blocks,
     parse_point_cloud,
     read_manifest,
     read_table,
@@ -165,6 +166,26 @@ def test_model_truncated(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_model(path)
     assert "truncated" in str(exc.value)
+
+
+def test_row_blocks_are_the_first_tensors_consecutive_rows(tmp_path):
+    path = tmp_path / "rows.lczm"
+    rows = np.arange(60.0).reshape(5, 3, 4)
+    save_model([("t", rows), ("u", np.zeros(2))], path)
+    headers = []
+    blocks = list(load_row_blocks(path, [2, 3], lambda *header: headers.append(header)))
+    assert headers == [(2, "t", (5, 3, 4))]  # the tensor count and the first header
+    assert [block.tobytes() for block in blocks] == [rows[:2].tobytes(), rows[2:].tobytes()]
+    with pytest.raises(FormatError) as exc:  # more rows than the tensor has
+        list(load_row_blocks(path, [6], lambda *header: None))
+    assert str(exc.value).startswith(f"{path}: ") and "truncated" in str(exc.value)
+
+    def refuse(*header):
+        raise FormatError("refused")
+
+    with pytest.raises(FormatError) as exc:
+        next(load_row_blocks(path, [5], refuse))
+    assert str(exc.value) == f"{path}: refused"
 
 
 def test_manifest_round_trip(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from lczkit import pipeline as pl
 from lczkit.config import RunConfig
-from lczkit.errors import ParseError
+from lczkit.errors import DataError
 from lczkit.io import CF_INDEX, FRACTIONS, load_model, read_table, save_model, write_table
 from lczkit.perturb import batch_perturb
 from lczkit.rasterizer import N_CHANNELS, NormStats, norm_stats_tensors
@@ -39,7 +39,7 @@ def _rows(records):
 
 
 def _label_both_ways(batch, norm, out, edit_index=lambda rows: rows):
-    """Records of labeling the batch in memory, and of labeling its files
+    """Records of labeling the batch in memory, and of labeling its file
     from disk after edit_index has rewritten index.csv's rows."""
     cfg = RunConfig()
     in_memory = _rows(pl.run_label(cfg, str(out), batch, norm))
@@ -51,18 +51,19 @@ def _label_both_ways(batch, norm, out, edit_index=lambda rows: rows):
 
 K = 4  # pairs per scene in the refusal cases
 
-
-def _set_slot(rows, r, slot):
-    return rows[:r] + [rows[r][:4] + (slot,)] + rows[r + 1:]
-
-
-# index.csv edits that list the second file's rows off its slot order, and
-# the line (the header is line 1) that the refusal names
+# index.csv edits that take the second scene's rows off the tensor's row
+# order, each scene's rows in one run with its delta_t = 0 row first, and
+# the line (the header is line 1) that the refusal names, or None
 _OFF_ORDER = {
-    "out_of_order": (lambda rows: rows[:K] + rows[K:2 * K][::-1] + rows[2 * K:], K + 2),
-    "repeated": (lambda rows: _set_slot(rows, K + 1, 0), K + 3),
-    "out_of_range": (lambda rows: _set_slot(rows, 2 * K - 1, K), 2 * K + 1),
-    "a_subset": (lambda rows: rows[:2 * K - 1] + rows[2 * K:], 2 * K),
+    # its second row moved past the third scene's rows
+    "out_of_order": (lambda rows: rows[:K + 1] + rows[K + 2:] + rows[K + 1:K + 2], 3 * K + 1),
+    # its delta_t = 0 row twice
+    "repeated": (lambda rows: rows[:K + 1] + rows[K:], K + 3),
+    # its delta_t = 0 row dropped
+    "no_baseline": (lambda rows: rows[:K] + rows[K + 1:], K + 2),
+    # a row more or a row fewer than the tensor's
+    "out_of_range": (lambda rows: rows[:2 * K] + rows[2 * K - 1:], None),
+    "a_subset": (lambda rows: rows[:2 * K - 1] + rows[2 * K:], None),
 }
 
 
@@ -71,10 +72,11 @@ def test_staged_label_refuses_rows_off_the_slot_order(setup, case):
     vae, reg, scenes, norm, out = setup
     edit, line = _OFF_ORDER[case]
     batch = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0, 2.0], IDS)
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(DataError) as exc:
         _label_both_ways(batch, norm, out, edit)
-    assert exc.value.line == line
-    assert "index.csv" in str(exc.value) and "cf_00001.lczm" in str(exc.value)
+    assert getattr(exc.value, "line", None) == line
+    named = "'s1'" if line else "cf.lczm"  # the scene in index.csv, or both files
+    assert "index.csv" in str(exc.value) and named in str(exc.value), exc.value
 
 
 def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, monkeypatch):
@@ -93,8 +95,11 @@ def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, mo
     assert [(sid, dt) for sid, dt, *_ in batch.failures] == [(sid, 1e9) for sid in IDS]
     in_memory, staged = _label_both_ways(batch, norm, out)
     assert staged == in_memory
-    slots = [slot for *_, slot in read_table(out / pl.CF_DIR / "index.csv", CF_INDEX)]
-    assert slots == [0, 1, 2] * len(IDS)  # each file holds the three pairs that passed
+    # the file holds the three pairs of each scene that passed, in index.csv's row order
+    assert [row[:2] for row in read_table(out / pl.CF_DIR / "index.csv", CF_INDEX)] == [
+        (sid, dt) for sid in IDS for dt in (0.0, 0.5, -1.0)]
+    [(_, cfs)] = load_model(out / pl.CF_DIR / pl.CF_FILE)
+    assert cfs.tobytes() == batch.decoded.tobytes()
     # the failed row left no gap: the kept rows are those of the sweep without it
     clean = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0], IDS)
     assert batch.decoded.tobytes() == clean.decoded.tobytes()
@@ -153,7 +158,8 @@ def test_whole_run_is_byte_identical_under_one_and_two_blas_threads(run_under_bl
     out1, out2 = run_under_blas_threads(_TINY_RUN)
     names = out1[::2]
     assert {"models/vae.lczm", "models/reg.lczm", "figure.csv", "report.txt"} <= set(names)
-    assert sum(name.startswith("counterfactuals/cf_") for name in names) == 12
+    assert [name for name in names if name.startswith("counterfactuals/")] == [
+        "counterfactuals/cf.lczm", "counterfactuals/failures.csv", "counterfactuals/index.csv"]
     assert out1 == out2
     digests = dict(zip(out1[::2], out1[1::2]))
     corpus = dict(line.split()[::-1] for line in
