@@ -35,8 +35,7 @@ LCZM_VERSION = 2
 MANIFEST = (("scene_id", str), ("raster_path", str), ("temperature_kelvin", float))
 CF_INDEX = (("scene_id", str), ("delta_t", float), ("achieved_dt", float))
 CF_FAILURES = (("scene_id", str), ("delta_t", float), ("kind", str), ("message", str))
-FRACTIONS = (("scene_id", str), ("delta_t", float), ("achieved_dt", float),
-             ("v_prime", float), ("v_baseline", float))
+FRACTIONS = (("scene_id", str), ("delta_t", float), ("achieved_dt", float), ("v_prime", float))
 
 
 @dataclass
@@ -194,24 +193,35 @@ def _payload(fh, dims, name) -> np.ndarray:
     return arr
 
 
+def _check_end(fh, payload=0) -> None:
+    """FormatError unless the file ends `payload` bytes after fh's position."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell() - payload
+    if extra > 0:
+        raise FormatError(f"{extra} extra bytes at the end of the file")
+
+
 def load_model(path, build=list):
     """build(list of (name, float64 ndarray)) of an LCZM container; a
     FormatError, from the container or from build, names the file."""
     try:
         with open(path, "rb") as fh:
-            return build([(name, _payload(fh, dims, name)) for _, name, dims in _headers(fh)])
+            tensors = [(name, _payload(fh, dims, name)) for _, name, dims in _headers(fh)]
+            _check_end(fh)
+        return build(tensors)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def load_row_blocks(path, sizes, check):
-    """An LCZM file's first tensor in blocks of sizes[0], sizes[1], ... rows,
-    one in memory at a time, once check(tensor count, name, dims) passes; a
-    FormatError, from the file or from check, names the file."""
+    """An LCZM file's one tensor in blocks of sizes[0], sizes[1], ... rows,
+    one in memory at a time, once check(tensor count, name, dims) passes and
+    the file ends where the tensor does; a FormatError, from the file or
+    from check, names the file."""
     try:
         with open(path, "rb") as fh:
             count, name, dims = next(_headers(fh), (0, None, ()))
             check(count, name, dims)
+            _check_end(fh, 8 * math.prod(dims))
             for size in sizes:
                 yield _payload(fh, (size, *dims[1:]), name)
     except FormatError as exc:
@@ -250,25 +260,23 @@ def write_table(path, schema, rows) -> None:
 
 def read_table(path, schema) -> list:
     """The rows of a write_table file as tuples typed by schema; ParseError
-    with the file and line at a wrong header, field count or value, or a
-    non-finite float."""
+    with the file and line at a line that is not UTF-8, a wrong header,
+    field count or value, or a non-finite float."""
     names = [name for name, _ in schema]
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh, strict=True)
-        try:
-            if next(reader, None) != names:
-                raise ValueError(f"header is not {','.join(names)}")
-            rows = list(reader)
-            with contextlib.suppress(ValueError):
-                return _typed_columns(rows, schema)
-            # A field is bad: read the file again, typing row by row, for the
-            # line that the first bad row ends on.
-            fh.seek(0)
-            reader = csv.reader(fh, strict=True)
-            next(reader)
-            return [_typed_row(row, schema) for row in reader]
-        except (csv.Error, ValueError) as exc:
-            raise ParseError(str(exc), line=max(reader.line_num, 1), path=path) from None
+    reader = csv.reader(text_lines(path), strict=True)
+    try:
+        if next(reader, None) != names:
+            raise ValueError(f"header is not {','.join(names)}")
+        rows = list(reader)
+        with contextlib.suppress(ValueError):
+            return _typed_columns(rows, schema)
+        # A field is bad: read the file again, typing row by row, for the
+        # line that the first bad row ends on.
+        reader = csv.reader(text_lines(path), strict=True)
+        next(reader)
+        return [_typed_row(row, schema) for row in reader]
+    except (csv.Error, ValueError) as exc:
+        raise ParseError(str(exc), line=max(reader.line_num, 1), path=path) from None
 
 
 def _typed_columns(rows, schema) -> list:

@@ -27,7 +27,6 @@ scene, or the pair, alone.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -56,18 +55,7 @@ class CounterfactualScene:
 class BatchResult:
     scenes: list                  # CounterfactualScene, scene-major order
     failures: list                # (scene_id, delta_t, kind, message)
-    decoded: np.ndarray           # (R, C, H, W): per scene with a pair, its counterfactuals,
-                                  # which are views of it
-
-    def by_scene(self):
-        """Per scene with a pair, in order: its CounterfactualScenes and its
-        decoded rows, a view of decoded."""
-        start = 0
-        for _, group in itertools.groupby(self.scenes, lambda cf: cf.scene_id):
-            group = list(group)
-            stop = start + len(group)
-            yield group, self.decoded[start:stop]
-            start = stop
+    decoded: np.ndarray           # (R, C, H, W): row i is scenes[i].counterfactual, a view of it
 
 
 def _steps(g, delta_t):
@@ -167,19 +155,18 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> Batch
             raise UsageError(f"batch_perturb: {name} must be distinct, {repeated[0]!r} repeats")
     n, k, latent = len(scenes), len(delta_ts), (vae.latent_dim,)
     zero = delta_ts.index(0.0)
-    # A scene or gradient error fails all the scene's pairs and skips its decode.
+    # A scene's input, code, prediction or gradient error fails all its
+    # pairs and skips their decode; errors[p] below is pair p's failure.
     scene_errors = [None if ok else NumericError("encoder input is non-finite")
                     for ok in np.isfinite(scenes).all(axis=(1, 2, 3))]
     codes = _apply(vae_mod.encode_mean, vae, scenes, scene_errors, latent)
     t0 = _apply(reg.predict, regressor, codes, scene_errors, ())
-    grad_errors = list(scene_errors)
-    grads = _apply(reg.grad_wrt_code, regressor, codes, grad_errors, latent)
+    grads = _apply(reg.grad_wrt_code, regressor, codes, scene_errors, latent)
 
     owner = np.repeat(np.arange(n), k)  # pair p = i * k + j is scene i at delta_ts[j]
     dts = np.tile(np.array(delta_ts), n)
     step, norm = _steps(grads[owner], dts)
-    errors = [grad_errors[i] if grad_errors[i] is not None
-              else _flat(norm[p]) if norm[p] < G_FLOOR else None
+    errors = [scene_errors[i] or (_flat(norm[p]) if norm[p] < G_FLOOR else None)
               for p, i in enumerate(owner)]
     pair_codes = codes[owner]
     achieved = _apply(reg.predict, regressor, pair_codes + step, errors, ()) - t0[owner]
@@ -192,39 +179,27 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> Batch
         chunk = decoded[start:start + DECODE_ROWS]
         vae_mod.decode(vae, table[start:start + DECODE_ROWS], out=chunk)
         finite[start:start + len(chunk)] = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
-    at = dict(zip(rows, range(len(rows))))  # pair -> row of decoded
+    for p, ok in zip(rows, finite):
+        if not ok:
+            what = "reconstruction" if p % k == zero else "counterfactual"
+            errors[p] = NumericError(f"decoded {what} is non-finite")
+    # A scene's delta_t = 0 pair is its reconstruction: its failure fails all the scene's pairs.
+    errors = [errors[p - p % k + zero] or err for p, err in enumerate(errors)]
 
-    keep, passed, failures = [], [], []  # keep: decoded rows; passed: (scene, its pairs)
-    for i, scene_id in enumerate(scene_ids):
-        base = i * k + zero  # the scene's reconstruction: its failure fails all the scene's pairs
-        scene_err = errors[base] or (None if finite[at[base]] else
-                                     NumericError("decoded reconstruction is non-finite"))
-        ok = []
-        for j, dt in enumerate(delta_ts):
-            p = i * k + j
-            err = scene_err or errors[p]
-            if err is None and not finite[at[p]]:
-                err = NumericError("decoded counterfactual is non-finite")
-            if err is None:
-                ok.append(p)
-            else:
-                failures.append((scene_id, dt, err.kind, str(err)))
-        if ok:
-            keep += [at[p] for p in ok]
-            passed.append((i, ok))
-    if not keep:
+    failures = [(scene_ids[p // k], delta_ts[p % k], err.kind, str(err))
+                for p, err in enumerate(errors) if err is not None]
+    if len(failures) == len(errors):
         raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
                         f"first: {failures[0][2]}: {failures[0][3]}")
+    keep = [r for r, p in enumerate(rows) if errors[p] is None]  # rows of decoded
     if len(keep) < len(rows):  # close the gaps the failed rows left
         decoded[:len(keep)] = decoded[keep]
         decoded = decoded[:len(keep)]
-
-    results, start = [], 0
-    for i, ok in passed:
-        original, reconstruction = scenes[i], decoded[start + ok.index(i * k + zero)]
-        results += [CounterfactualScene(
-            original=original, reconstruction=reconstruction, counterfactual=decoded[r],
-            delta_c=step[p], achieved_dt=float(achieved[p]), requested_dt=delta_ts[p % k],
-            scene_id=scene_ids[i]) for r, p in enumerate(ok, start=start)]
-        start += len(ok)
+    kept = [rows[r] for r in keep]  # the pair of each row of decoded
+    # one original and one reconstruction view per scene, which all its pairs share
+    shared = {p // k: (scenes[p // k], decoded[r]) for r, p in enumerate(kept) if p % k == zero}
+    results = [CounterfactualScene(
+        *shared[p // k], counterfactual=decoded[r], delta_c=step[p],
+        achieved_dt=float(achieved[p]), requested_dt=delta_ts[p % k], scene_id=scene_ids[p // k])
+        for r, p in enumerate(kept)]
     return BatchResult(results, failures, decoded)

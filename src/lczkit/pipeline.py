@@ -132,17 +132,27 @@ def _scenes(rows, index) -> list:
     return scenes
 
 
-def _scene_records(rows, cfs, norm: NormStats, rules) -> list:
-    """The ExperimentRecords of one scene's K index.csv rows: cfs holds its K
-    normalized counterfactuals as a (K, 13, H, W) array; only the channels
-    segment reads are de-normalized, into one (K, 3, H, W) array. The
-    delta_t = 0 pair, the scene's reconstruction, gives the baseline."""
-    fractions = autogeolabel.vegetation_fraction(
-        autogeolabel.segment(autogeolabel.label_channels(cfs, norm), rules))
-    baseline = float(fractions[[dt for _, dt, _ in rows].index(0.0)])
-    return [report.ExperimentRecord(scene_id=sid, delta_t=dt, achieved_dt=adt,
-                                    v_prime=float(v), v_baseline=baseline)
-            for (sid, dt, adt), v in zip(rows, fractions)]
+def label_records(rows, read_blocks, norm: NormStats, rules, index="index.csv") -> list:
+    """The ExperimentRecords of index.csv's rows, labeled one scene at a
+    time: read_blocks(sizes) yields, for the scenes' row counts in turn, each
+    scene's K normalized counterfactuals as a (K, 13, H, W) array; only the
+    channels segment reads are de-normalized, into one (K, 3, H, W) array.
+    A ParseError names index and the line unless each scene's rows are
+    consecutive and hold one delta_t = 0 row."""
+    scenes = _scenes(rows, index)
+    records = []
+    for scene, cfs in zip(scenes, read_blocks([len(scene) for scene in scenes])):
+        fractions = autogeolabel.vegetation_fraction(
+            autogeolabel.segment(autogeolabel.label_channels(cfs, norm), rules))
+        records += [report.ExperimentRecord(sid, dt, adt, float(v))
+                    for (sid, dt, adt), v in zip(scene, fractions)]
+    return records
+
+
+def batch_source(batch: perturb.BatchResult):
+    """label_records' rows and read_blocks for an in-memory batch: its pairs,
+    and each scene's rows of batch.decoded."""
+    return _index_rows(batch), lambda sizes: np.split(batch.decoded, np.cumsum(sizes)[:-1])
 
 
 def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
@@ -150,25 +160,22 @@ def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
     whose row i is index.csv's row i, one scene at a time; write
     fractions.csv."""
     index = os.path.join(out_dir, CF_DIR, "index.csv")
-    rows = read_table(index, CF_INDEX) if batch is None else _index_rows(batch)
-    scenes = _scenes(rows, index)
     if batch is None:
-        (norm,) = load_models(out_dir, "norm")
+        rows, (norm,) = read_table(index, CF_INDEX), load_models(out_dir, "norm")
 
         def check(count, name, dims):  # one tensor, a (13, H, W) row per index.csv row
             if (count, name, len(dims), dims[:2]) != (1, CF_TENSOR, 4, (len(rows), N_CHANNELS)):
                 found = f"{name!r} of shape {dims}, tensor 1 of {count}" if count else "no tensor"
                 raise FormatError(f"expected one tensor, {CF_TENSOR!r} of shape ({len(rows)}, "
                                   f"{N_CHANNELS}, H, W) for the rows of {index}; found {found}")
-        blocks = load_row_blocks(os.path.join(out_dir, CF_DIR, CF_FILE), map(len, scenes), check)
+
+        def read_blocks(sizes):
+            return load_row_blocks(os.path.join(out_dir, CF_DIR, CF_FILE), sizes, check)
     else:
-        blocks = (cfs for _, cfs in batch.by_scene())
-    rules = cfg.label_rules()
-    records = [record for cfs, scene in zip(blocks, scenes)
-               for record in _scene_records(scene, cfs, norm, rules)]
+        rows, read_blocks = batch_source(batch)
+    records = label_records(rows, read_blocks, norm, cfg.label_rules(), index)
     write_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS,
-                [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime, r.v_baseline)
-                 for r in records])
+                [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime) for r in records])
     return records
 
 

@@ -22,10 +22,9 @@ class ExperimentRecord:
     delta_t: float         # requested temperature variation, kelvin
     achieved_dt: float
     v_prime: float         # vegetation fraction of the counterfactual
-    v_baseline: float      # fraction of the scene's delta_t = 0 counterfactual
 
     def __post_init__(self):
-        if not 0.0 <= self.v_prime <= 1.0 or not 0.0 <= self.v_baseline <= 1.0:
+        if not 0.0 <= self.v_prime <= 1.0:
             raise UsageError("vegetation fractions must lie in [0, 1]")
 
 

@@ -494,6 +494,16 @@ def _latent_steps(cfs):
     return "cf/delta_c", np.zeros((len(cfs), 16))
 
 
+def _not_utf8(path, row):
+    lines = path.read_bytes().split(b"\n")
+    lines[row] = b"\xff" + lines[row]
+    path.write_bytes(b"\n".join(lines))
+
+
+def _append_bytes(path):
+    path.write_bytes(path.read_bytes() + b"\0" * 4)
+
+
 def _swap_rows(path, a, b):
     lines = path.read_text().split("\n")
     lines[a], lines[b] = lines[b], lines[a]
@@ -504,6 +514,7 @@ FRACTIONS = ("analyze", lambda out: out / "fractions.csv")
 FAILURES = ("analyze", lambda out: out / "counterfactuals" / "failures.csv")
 INDEX = ("label", lambda out: out / "counterfactuals" / "index.csv")
 CF_FILE = ("label", lambda out: out / "counterfactuals" / "cf.lczm")
+NORM = ("label", lambda out: out / "models" / "norm.lczm")
 STACK = ("perturb", _first_test_stack)
 TEST_MANIFEST = ("perturb", lambda out: out / "corpus" / "test.csv")
 
@@ -515,6 +526,7 @@ CORRUPTIONS = {
     "fractions_v_prime_above_one": (FRACTIONS, lambda p: _set_field(p, 1, 3, "1.5")),
     "fractions_no_baseline": (FRACTIONS, lambda p: _keep_rows(p, lambda dt: dt != 0.0)),
     "fractions_two_distinct_dt": (FRACTIONS, lambda p: _keep_rows(p, lambda dt: dt in (0.0, 1.0))),
+    "fractions_not_utf8": (FRACTIONS, lambda p: _not_utf8(p, 1)),  # in the first scene id
     "failures_garbage_row": (FAILURES, lambda p: p.write_text(p.read_text() + "garbage\n")),
     "index_header": (INDEX, lambda p: _set_field(p, 0, 2, "achieved")),
     "index_field_count": (INDEX, lambda p: _edit_row(p, 1, lambda line: line.rsplit(",", 1)[0])),
@@ -538,6 +550,8 @@ CORRUPTIONS = {
     "cf_file_a_channel_fewer": (CF_FILE, lambda p: _edit_tensors(
         p, lambda t: [(n, a[:, 1:]) for n, a in t])),
     "cf_file_truncated": (CF_FILE, lambda p: p.write_bytes(p.read_bytes()[:-8])),
+    "cf_file_trailing_bytes": (CF_FILE, _append_bytes),
+    "norm_file_trailing_bytes": (NORM, _append_bytes),
     "stack_missing_channel": (STACK, lambda p: _edit_tensors(
         p, lambda t: [(n, a) for n, a in t if n != "channel/z_std"])),
     "stack_wrong_shape_channel": (STACK, lambda p: _edit_tensors(
@@ -553,7 +567,8 @@ CORRUPTIONS = {
 # labeled run perturbs 2 scenes, 9 pairs each.
 CORRUPT_LINES = {"fractions_extra_field": 2, "fractions_header": 1, "index_header": 1,
                  "index_field_count": 2, "index_rows_out_of_order": 12,
-                 "index_no_baseline_row": 2, "index_two_baseline_rows": 3}
+                 "index_no_baseline_row": 2, "index_two_baseline_rows": 3,
+                 "fractions_not_utf8": 2}
 
 
 @pytest.fixture(scope="module")

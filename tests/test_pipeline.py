@@ -35,7 +35,7 @@ def setup(tmp_path):
 
 
 def _rows(records):
-    return [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime, r.v_baseline) for r in records]
+    return [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime) for r in records]
 
 
 def _label_both_ways(batch, norm, out, edit_index=lambda rows: rows):
@@ -106,6 +106,50 @@ def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, mo
     assert ([cf.delta_c.tobytes() for cf in batch.scenes] ==
             [cf.delta_c.tobytes() for cf in clean.scenes])
     assert in_memory == _rows(pl.run_label(RunConfig(), str(out), clean, norm))
+
+
+def test_staged_and_in_memory_label_cut_uneven_scene_blocks_alike(setup, monkeypatch):
+    """s0 loses its delta_t = 2 pair, s1's reconstruction fails and s2 keeps
+    all four pairs: the scenes' blocks are 3, 0 and 4 rows, each the scene's
+    own rows of decoded, and labeling in memory or from disk gives the same
+    records."""
+    import lczkit.autogeolabel as geo
+    import lczkit.vae as vae_mod
+
+    vae, reg, scenes, norm, out = setup
+    sweep = [0.0, 0.5, 2.0, -1.0]
+    clean = batch_perturb(vae, reg, scenes, sweep, IDS)
+    codes = vae_mod.encode_mean(vae, scenes)
+    poisoned = np.stack([codes[0] + clean.scenes[2].delta_c, codes[1]])  # s0 at 2.0, s1's D(E(s))
+    decode = vae_mod.decode
+
+    def decode_inf_at(model, rows, out=None):
+        out = decode(model, rows, out=out)
+        out[(rows[:, None] == poisoned[None]).all(axis=2).any(axis=1)] = np.inf
+        return out
+
+    monkeypatch.setattr(vae_mod, "decode", decode_inf_at)
+    batch = batch_perturb(vae, reg, scenes, sweep, IDS)
+    assert [(sid, dt, kind) for sid, dt, kind, _ in batch.failures] == [
+        ("s0", 2.0, "non_finite"), *(("s1", dt, "non_finite") for dt in sweep)]
+    assert [(cf.scene_id, cf.requested_dt) for cf in batch.scenes] == [
+        ("s0", 0.0), ("s0", 0.5), ("s0", -1.0), *(("s2", dt) for dt in sweep)]
+
+    blocks = []
+    label_channels = geo.label_channels
+
+    def spy(cfs, norm):
+        blocks.append(cfs.tobytes())
+        return label_channels(cfs, norm)
+
+    monkeypatch.setattr(geo, "label_channels", spy)
+    in_memory, staged = _label_both_ways(batch, norm, out)
+    assert staged == in_memory
+    assert [row[:2] for row in in_memory] == [
+        (cf.scene_id, cf.requested_dt) for cf in batch.scenes]
+    own = [batch.decoded[:3].tobytes(), batch.decoded[3:].tobytes()]
+    assert blocks == own + own  # in memory, then from disk
+    assert batch.decoded[3:].tobytes() == clean.decoded[8:].tobytes()
 
 
 # A whole `lcz pipeline` run at small sizes (those of perfbench's TINY set).

@@ -14,7 +14,7 @@ def _records(slope, noise=0.0, seed=0, scenes=4, sweep=SWEEP):
     for i in range(scenes):
         for dt in sweep:
             v = float(np.clip(0.3 + slope * dt + noise * rng.standard_normal(), 0.0, 1.0))
-            records.append(ExperimentRecord(f"s{i}", dt, dt, v, 0.3))
+            records.append(ExperimentRecord(f"s{i}", dt, dt, v))
     return records
 
 
@@ -74,12 +74,12 @@ def test_summary_carries_exclusions_and_verdict():
 
 def test_aggregation_averages_scenes_per_dt():
     records = [
-        ExperimentRecord("a", 0.0, 0.0, 0.2, 0.2),
-        ExperimentRecord("b", 0.0, 0.0, 0.4, 0.4),
-        ExperimentRecord("a", 1.0, 1.0, 0.1, 0.2),
-        ExperimentRecord("b", 1.0, 1.0, 0.3, 0.4),
-        ExperimentRecord("a", -1.0, -1.0, 0.5, 0.2),
-        ExperimentRecord("b", -1.0, -1.0, 0.5, 0.4),
+        ExperimentRecord("a", 0.0, 0.0, 0.2),
+        ExperimentRecord("b", 0.0, 0.0, 0.4),
+        ExperimentRecord("a", 1.0, 1.0, 0.1),
+        ExperimentRecord("b", 1.0, 1.0, 0.3),
+        ExperimentRecord("a", -1.0, -1.0, 0.5),
+        ExperimentRecord("b", -1.0, -1.0, 0.5),
     ]
     bundle = build_report(records)
     assert bundle.aggregated == [(-1.0, 0.5), (0.0, pytest.approx(0.3)), (1.0, pytest.approx(0.2))]
@@ -87,6 +87,6 @@ def test_aggregation_averages_scenes_per_dt():
 
 def test_record_validation():
     with pytest.raises(UsageError):
-        ExperimentRecord("s", 0.0, 0.0, 1.2, 0.3)
+        ExperimentRecord("s", 0.0, 0.0, 1.2)
     with pytest.raises(UsageError):
-        ExperimentRecord("s", 0.0, 0.0, 0.3, -0.1)
+        ExperimentRecord("s", 0.0, 0.0, -0.1)
