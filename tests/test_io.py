@@ -239,18 +239,25 @@ def test_table_dialect_and_a_message_with_a_comma_round_trip(tmp_path):
     assert read_table(path, CF_FAILURES) == rows
 
 
-@pytest.mark.parametrize("text, line", [
-    ("scene_id,delta_t,achieved_dt,v_prime,v_baseline\n", 1),  # the column fractions.csv dropped
-    ("", 1),
-    ("scene_id,delta_t,achieved_dt,v_prime\ns,0.0,0.0,0.5\ns,1.0,0.9\n", 3),
-    ("scene_id,delta_t,achieved_dt,v_prime\ns,0.0,0.0,x\n", 2),
-    ("scene_id,delta_t,achieved_dt,v_prime\ns,inf,0.0,0.5\n", 2),
+def _table_case(text, line, schema=FRACTIONS):
+    """A case whose id names only its text and line, as the schema is not
+    the point of most of them."""
+    return pytest.param(text, line, schema, id=f"{text}-{line}")
+
+
+@pytest.mark.parametrize("text, line, schema", [
+    _table_case("scene_id,delta_t,achieved_dt,v_prime,v_baseline\n", 1),  # the column fractions.csv dropped
+    _table_case("scene_id,delta_t,achieved_dt,v_prime\n", 1, CF_FAILURES),  # another table's header
+    _table_case("", 1),
+    _table_case("scene_id,delta_t,achieved_dt,v_prime\ns,0.0,0.0,0.5\ns,1.0,0.9\n", 3),
+    _table_case("scene_id,delta_t,achieved_dt,v_prime\ns,0.0,0.0,x\n", 2),
+    _table_case("scene_id,delta_t,achieved_dt,v_prime\ns,inf,0.0,0.5\n", 2),
 ])
-def test_read_table_error_names_file_and_line(tmp_path, text, line):
+def test_read_table_error_names_file_and_line(tmp_path, text, line, schema):
     path = tmp_path / "fractions.csv"
     path.write_text(text)
     with pytest.raises(ParseError) as exc:
-        read_table(path, FRACTIONS)
+        read_table(path, schema)
     assert exc.value.line == line and str(path) in str(exc.value)
 
 
