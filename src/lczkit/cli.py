@@ -77,7 +77,7 @@ def run(argv) -> int:
             raise UsageError("rasterize needs --input and --output")
         cloud = parse_point_cloud(text_lines(args.input), path=args.input)
         stack = rasterizer.rasterize(cloud, cfg.grid_spec())
-        rasterizer.save_stack(stack, args.output)
+        rasterizer.save_stack(stack.channels, args.output)
         print(f"rasterized {len(cloud)} points -> {args.output} "
               f"({stack.n_outside} outside extent)")
         return 0

@@ -85,10 +85,11 @@ def text_lines(path):
 
 
 def parse_point_cloud(stream, path=None) -> PointCloud:
-    """Parse whitespace-separated point lines; '#' starts a comment line. A
-    ParseError names the line and, if given, the file."""
-    if isinstance(stream, (str, bytes)):
-        stream = _io.StringIO(stream.decode("utf-8", "replace") if isinstance(stream, bytes) else stream)
+    """Parse whitespace-separated point lines, a str or an iterable of str
+    lines; '#' starts a comment line. A ParseError names the line and, if
+    given, the file."""
+    if isinstance(stream, str):
+        stream = _io.StringIO(stream)
     cols = ([], [], [], [], [], [])
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()

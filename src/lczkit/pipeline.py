@@ -48,7 +48,7 @@ def load_split(out_dir: str, which: str, n=None):
     channels = np.empty((0, N_CHANNELS, 0, 0))
     for i, (_, rpath, _) in enumerate(entries):
         path = os.path.join(corpus_dir, rpath)
-        scene = load_stack(path).channels
+        scene = load_stack(path)
         if i == 0:
             channels = np.empty((len(entries), *scene.shape))
         elif scene.shape != channels.shape[1:]:

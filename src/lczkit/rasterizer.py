@@ -21,6 +21,7 @@ CHANNEL_NAMES = (
     "point_count", "mean_return_number", "multi_return_fraction", "last_return_fraction",
 )
 N_CHANNELS = len(CHANNEL_NAMES)
+STACK_TENSOR = "stack/channels"
 STD_FLOOR = 1e-6
 GROUND_PERCENTILE = 2.0
 
@@ -51,16 +52,8 @@ class GridSpec:
 
 @dataclass
 class RasterStack:
-    spec: GridSpec
     channels: np.ndarray  # shape (N_CHANNELS, height, width); row 0 at origin_y
     n_outside: int = 0  # points outside the grid extent, ignored
-
-    def __post_init__(self):
-        if self.channels.shape != (N_CHANNELS, self.spec.height, self.spec.width):
-            raise UsageError(
-                f"expected channel array of shape {(N_CHANNELS, self.spec.height, self.spec.width)}, "
-                f"got {self.channels.shape}"
-            )
 
     def channel(self, name: str) -> np.ndarray:
         return self.channels[CHANNEL_NAMES.index(name)]
@@ -88,7 +81,7 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
     h, w = spec.height, spec.width
     channels = np.zeros((N_CHANNELS, h, w))
     if len(cloud) == 0:
-        return RasterStack(spec, channels)
+        return RasterStack(channels)
 
     z = cloud.z.astype(float) - np.percentile(cloud.z, GROUND_PERCENTILE)
     col = np.floor((cloud.x - spec.origin_x) / spec.cell_size).astype(np.int64)
@@ -96,7 +89,7 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
     inside = (col >= 0) & (col < w) & (row >= 0) & (row < h)
     n_outside = int(len(cloud) - inside.sum())
     if not inside.any():
-        return RasterStack(spec, channels, n_outside=n_outside)
+        return RasterStack(channels, n_outside=n_outside)
 
     cell = row[inside] * w + col[inside]
     x, y = cloud.x[inside], cloud.y[inside]
@@ -152,7 +145,7 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
         "last_return_fraction": seg_sum((rn == nr).astype(float)) / counts,
     }
     channels.reshape(N_CHANNELS, h * w)[:, cells] = [stats[name] for name in CHANNEL_NAMES]
-    return RasterStack(spec, channels, n_outside=n_outside)
+    return RasterStack(channels, n_outside=n_outside)
 
 
 def compute_norm_stats(channels) -> NormStats:
@@ -177,38 +170,26 @@ def normalize(channels: np.ndarray, stats: NormStats) -> np.ndarray:
     return (channels - stats.mean[:, None, None]) / stats.std[:, None, None]
 
 
-def stack_tensors(stack: RasterStack):
-    """Named tensors for the LCZM container."""
-    tensors = [(f"channel/{name}", stack.channels[i]) for i, name in enumerate(CHANNEL_NAMES)]
-    grid = np.array(
-        [stack.spec.origin_x, stack.spec.origin_y, stack.spec.cell_size,
-         stack.spec.width, stack.spec.height]
-    )
-    tensors.append(("grid/spec", grid))
-    return tensors
+def save_stack(channels: np.ndarray, path) -> None:
+    """Write a (13, H, W) stack as the one LCZM tensor stack/channels."""
+    save_model([(STACK_TENSOR, channels)], path)
 
 
-def save_stack(stack: RasterStack, path) -> None:
-    save_model(stack_tensors(stack), path)
+def load_stack(path) -> np.ndarray:
+    """The (13, H, W) channels of a save_stack file; a FormatError naming
+    the file unless it holds just that one tensor."""
+    return load_model(path, _stack_channels)
 
 
-def stack_from_tensors(tensors) -> RasterStack:
-    """The stack of a stack_tensors list: each channel of shape (height,
-    width), then grid/spec of five finite values (origin x and y, a
-    positive cell size, width and height as positive integers)."""
-    grid = dict(tensors).get("grid/spec")
-    if (grid is None or grid.shape != (5,) or not np.isfinite(grid).all() or grid[2] <= 0
-            or not all(v >= 1 and v.is_integer() for v in grid[3:])):
-        raise FormatError("grid/spec is missing or not 5 finite values with "
-                          "cell size > 0 and integer width, height >= 1")
-    spec = GridSpec(*grid[:3].tolist(), int(grid[3]), int(grid[4]))
-    *channels, _ = layout_arrays(tensors, [(f"channel/{name}", (spec.height, spec.width))
-                                           for name in CHANNEL_NAMES] + [("grid/spec", (5,))])
-    return RasterStack(spec, np.stack(channels))
-
-
-def load_stack(path) -> RasterStack:
-    return load_model(path, stack_from_tensors)
+def _stack_channels(tensors) -> np.ndarray:
+    name, arr = tensors[0] if tensors else (None, np.empty(0))
+    if len(tensors) != 1 or name != STACK_TENSOR or arr.ndim != 3 or len(arr) != N_CHANNELS \
+            or not arr.size:
+        found = (f"{name!r} of shape {arr.shape}, tensor 1 of {len(tensors)}" if tensors
+                 else "no tensor")
+        raise FormatError(f"expected one tensor, {STACK_TENSOR!r} of shape "
+                          f"({N_CHANNELS}, H >= 1, W >= 1); found {found}")
+    return arr
 
 
 def norm_stats_tensors(stats: NormStats):

@@ -245,8 +245,7 @@ def _write_scene(params: SceneParams, law: TemperatureLaw, out_dir: str, i: int,
         building_density=params.building_density * bld_scale,
     )
     truth = generate_scene(scene_params, i)
-    stack = rasterize(truth.cloud, params.grid)
-    save_stack(stack, os.path.join(out_dir, raster_path))
+    save_stack(rasterize(truth.cloud, params.grid).channels, os.path.join(out_dir, raster_path))
     return scene_temperature(law, truth.true_veg_fraction, i), truth.true_veg_fraction
 
 

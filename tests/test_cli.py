@@ -16,7 +16,7 @@ from lczkit.config import DEFAULTS, RunConfig, stage_seed
 from lczkit.errors import ParseError, UsageError
 from lczkit.io import CF_INDEX, load_model, read_manifest, read_table, save_model
 from lczkit.perturb import batch_perturb
-from lczkit.rasterizer import GridSpec, load_stack, save_stack
+from lczkit.rasterizer import CHANNEL_NAMES, GridSpec, load_stack, save_stack
 from lczkit.regressor import RegConfig
 from lczkit.synthcity import SceneParams, TemperatureLaw
 from lczkit.vae import VaeConfig
@@ -285,9 +285,9 @@ def test_rasterize_subcommand(tmp_path, capsys):
     code = main(["rasterize", "--input", str(points), "--output", str(out),
                  "--grid.width=4", "--grid.height=4"])
     assert code == 0
-    stack = load_stack(str(out))
-    assert stack.channels.shape == (13, 4, 4)
-    assert stack.channel("point_count").sum() == 2
+    channels = load_stack(str(out))
+    assert channels.shape == (13, 4, 4)
+    assert channels[CHANNEL_NAMES.index("point_count")].sum() == 2
     assert "rasterized 2 points" in capsys.readouterr().out
 
 
@@ -306,8 +306,9 @@ def test_rasterize_missing_input_is_data_error(tmp_path):
 @pytest.mark.parametrize("stage, flag, data", [
     ("synth", "--config", b"seed=1\n\xff\xfe=3\n"),
     ("rasterize", "--input", b"0.5 0.5 1.0 100 1 1\n0.5 0.5 \xff 100 1 1\n"),
+    ("rasterize", "--input", b"0.5 0.5 1.0 100 1 1\n# \xff\n"),
     ("rasterize", "--input", b"0.5 0.5 1.0 100 1 1\n0.5 0.5 nope 100 1 1\n"),
-], ids=["config_not_utf8", "points_not_utf8", "points_bad_token"])
+], ids=["config_not_utf8", "points_not_utf8", "points_comment_not_utf8", "points_bad_token"])
 def test_a_malformed_text_file_exits_two_naming_it_and_the_line(tmp_path, capsys, stage, flag,
                                                                 data):
     bad, out = tmp_path / "bad.txt", tmp_path / "out"
@@ -387,9 +388,9 @@ def test_staged_perturb_records_failures_and_analyze_counts_them(tmp_path, small
         assert main([stage, *args]) == 0, stage
     # poison the first held-out scene: all of its pairs fail, the rest survive
     sid, rel, _ = read_manifest(out / "corpus" / "test.csv").entries[0]
-    stack = load_stack(out / "corpus" / rel)
-    stack.channels[:] = np.nan
-    save_stack(stack, out / "corpus" / rel)
+    channels = load_stack(out / "corpus" / rel)
+    channels[:] = np.nan
+    save_stack(channels, out / "corpus" / rel)
     capsys.readouterr()
     assert main(["perturb", *args]) == 0
     n_dt = len(RunConfig().dt_sweep())
@@ -478,16 +479,12 @@ def _edit_tensors(path, edit):
     save_model(edit(load_model(path)), path)
 
 
-def _replace_tensor(name, value):
-    return lambda tensors: [(n, value if n == name else a) for n, a in tensors]
-
-
-def _grid_width(value):
-    def edit(tensors):
-        grid = dict(tensors)["grid/spec"].copy()
-        grid[3] = value
-        return _replace_tensor("grid/spec", grid)(tensors)
-    return edit
+def _old_stack_layout(tensors):
+    """The stack in the earlier layout: 13 named (H, W) channel tensors, then
+    a grid/spec record."""
+    (_, channels), = tensors
+    return [*((f"channel/{name}", c) for name, c in zip(CHANNEL_NAMES, channels)),
+            ("grid/spec", np.array([0.0, 0.0, 1.0, 16.0, 16.0]))]
 
 
 def _latent_steps(cfs):
@@ -552,14 +549,15 @@ CORRUPTIONS = {
     "cf_file_truncated": (CF_FILE, lambda p: p.write_bytes(p.read_bytes()[:-8])),
     "cf_file_trailing_bytes": (CF_FILE, _append_bytes),
     "norm_file_trailing_bytes": (NORM, _append_bytes),
-    "stack_missing_channel": (STACK, lambda p: _edit_tensors(
-        p, lambda t: [(n, a) for n, a in t if n != "channel/z_std"])),
-    "stack_wrong_shape_channel": (STACK, lambda p: _edit_tensors(
-        p, _replace_tensor("channel/z_std", np.zeros((3, 3))))),
-    "stack_grid_spec_short": (STACK, lambda p: _edit_tensors(
-        p, _replace_tensor("grid/spec", np.array([0.0, 0.0, 1.0, 16.0])))),
-    "stack_grid_spec_non_finite": (STACK, lambda p: _edit_tensors(p, _grid_width(np.nan))),
-    "stack_grid_width_fractional": (STACK, lambda p: _edit_tensors(p, _grid_width(16.5))),
+    # the file holds one tensor, stack/channels, of shape (13, H, W)
+    "stack_old_layout": (STACK, lambda p: _edit_tensors(p, _old_stack_layout)),
+    "stack_wrong_tensor_name": (STACK, lambda p: _edit_tensors(
+        p, lambda t: [("stack/z_mean", a) for _, a in t])),
+    "stack_second_tensor": (STACK, lambda p: _edit_tensors(p, lambda t: [*t, *t])),
+    "stack_twelve_channels": (STACK, lambda p: _edit_tensors(
+        p, lambda t: [(n, a[1:]) for n, a in t])),
+    "stack_rank_two": (STACK, lambda p: _edit_tensors(p, lambda t: [(n, a[0]) for n, a in t])),
+    "stack_trailing_bytes": (STACK, _append_bytes),
     "manifest_bad_temperature": (TEST_MANIFEST, lambda p: _set_field(p, 1, 2, "hot")),
 }
 
@@ -601,9 +599,7 @@ def test_a_split_stack_on_another_grid_exits_two_naming_it(tmp_path, labeled_run
     out = tmp_path / "run"
     shutil.copytree(labeled_run, out)
     second = out / "corpus" / read_manifest(out / "corpus" / "test.csv").entries[1][1]
-    stack = load_stack(second)
-    small = dataclasses.replace(stack.spec, width=8, height=8)
-    save_stack(dataclasses.replace(stack, spec=small, channels=stack.channels[:, :8, :8]), second)
+    save_stack(load_stack(second)[:, :8, :8], second)
     capsys.readouterr()
     assert main(["perturb", "--seed", "6", "--out", str(out), "--perturb.n_scenes=2"]) == 2
     err = capsys.readouterr().err

@@ -22,6 +22,7 @@ from lczkit.io import (
     read_manifest,
     read_table,
     save_model,
+    text_lines,
     write_manifest,
     write_table,
 )
@@ -79,12 +80,20 @@ def _read_table_bytes(data):
         return read_table(path, FRACTIONS)
 
 
+def _parse_point_cloud_bytes(data):
+    """A point file's bytes parsed as `lcz rasterize` reads them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.txt"
+        path.write_bytes(data)
+        return parse_point_cloud(text_lines(path), path=path)
+
+
 @given(st.one_of(st.binary(max_size=200),
                  st.binary(max_size=200).map(
                      lambda b: b"scene_id,delta_t,achieved_dt,v_prime\n" + b)))
 @settings(max_examples=100)
 def test_parsers_never_crash_on_fuzz(data):
-    for parse in (parse_point_cloud, _read_table_bytes):
+    for parse in (_parse_point_cloud_bytes, _read_table_bytes):
         try:
             parse(data)
         except LczError:

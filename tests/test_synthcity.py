@@ -166,8 +166,7 @@ def test_corpus_split_and_manifests(tmp_path):
     manifest = read_manifest(result.manifest_path)
     assert len(manifest.entries) == 10
     for sid, rpath, temp in manifest.entries:
-        stack = load_stack(tmp_path / rpath)
-        assert stack.channels.shape == (13, 16, 16)
+        assert load_stack(tmp_path / rpath).shape == (13, 16, 16)
         assert temp == pytest.approx(result.true_fractions[sid] * -law.k_veg + law.t_base,
                                      abs=4 * law.noise_sigma)
 
@@ -183,7 +182,7 @@ def _serial_corpus(n_scenes, params, law, seed, out_dir):
             params, tree_density=params.tree_density * density_scales[i],
             building_density=params.building_density * bld_scales[i]), i)
         raster_path = os.path.join("scenes", f"scene_{i:05d}.lczm")
-        save_stack(rasterize(truth.cloud, params.grid), os.path.join(out_dir, raster_path))
+        save_stack(rasterize(truth.cloud, params.grid).channels, os.path.join(out_dir, raster_path))
         entries.append((f"scene_{i:05d}", raster_path,
                         scene_temperature(law, truth.true_veg_fraction, i)))
     order = rng.permutation(n_scenes)
