@@ -13,7 +13,10 @@ norm stats in memory. Each run adds one row to the CSV table at `--out`:
 the seed and the cell's values, then
 
   slope      the OLS slope a of mean v' on delta_t (1/K)
-  rho        -a * synth.k_veg, the share of the planted slope recovered
+  rho        -a * synth.k_veg, the share of the planted slope recovered;
+             0 under the null law (k_veg 0) whatever a is, and it moves
+             with k_veg by construction (ROADMAP "Measured"), so compare
+             slope, not rho, across laws
   p          the slope's two-sided OLS p
   reject_h0  1 if the report rejects H0 (p < 0.05 and a < 0), else 0
   mae_k      the regressor's held-out MAE (K)

@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import DataError, UsageError
 
+ALPHA = 0.05  # the slope test's significance level
+QUANTILE_TOL = 1e-10  # student_t_quantile's relative bisection tolerance
+
 
 def student_t_cdf(t: float, dof: int) -> float:
     """P(T <= t) for Student-t with an integer `dof` >= 1 degrees of freedom.
@@ -66,12 +69,12 @@ def two_sided_p(t: float, dof: int) -> float:
     return 2.0 / math.pi * sin * cos * total if odd else sin * total
 
 
-def student_t_quantile(p: float, dof: int, tol: float = 1e-10) -> float:
+def student_t_quantile(p: float, dof: int) -> float:
     """Inverse CDF by bisection; adequate for confidence multipliers."""
     if not 0.0 < p < 1.0:
         raise UsageError("quantile needs p in (0, 1)")
     lo, hi = -1e6, 1e6
-    while hi - lo > tol * max(1.0, abs(hi)):
+    while hi - lo > QUANTILE_TOL * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
         if student_t_cdf(mid, dof) < p:
             lo = mid
@@ -143,7 +146,6 @@ def ols_fit(xs, ys) -> OlsFit:
 @dataclass
 class HypothesisDecision:
     reject_h0: bool
-    alpha: float
     p_a: float
     slope: float
     convention: str = ("two-sided p combined with a strict negative-slope "
@@ -152,20 +154,16 @@ class HypothesisDecision:
     def summary(self) -> str:
         verdict = "REJECT H0" if self.reject_h0 else "fail to reject H0"
         return (
-            f"{verdict}: slope={self.slope:.6g}, p={self.p_a:.6g}, alpha={self.alpha:g}\n"
+            f"{verdict}: slope={self.slope:.6g}, p={self.p_a:.6g}, alpha={ALPHA:g}\n"
             f"H0: vegetation fraction is uncorrelated with temperature variation.\n"
             f"Convention: {self.convention}\n"
         )
 
 
-def hypothesis_report(fit: OlsFit, alpha: float) -> HypothesisDecision:
-    """Reject H0 (no cooling correlation) iff p_a < alpha and slope < 0."""
-    if not 0.0 < alpha < 1.0:
-        raise UsageError("alpha must be in (0, 1)")
-    return HypothesisDecision(
-        reject_h0=(fit.p_a < alpha) and (fit.a < 0.0),
-        alpha=alpha, p_a=fit.p_a, slope=fit.a,
-    )
+def hypothesis_report(fit: OlsFit) -> HypothesisDecision:
+    """Reject H0 (no cooling correlation) iff p_a < ALPHA and slope < 0."""
+    return HypothesisDecision(reject_h0=(fit.p_a < ALPHA) and (fit.a < 0.0),
+                              p_a=fit.p_a, slope=fit.a)
 
 
 def mean_response_ci(fit: OlsFit, x: float):

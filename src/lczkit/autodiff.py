@@ -34,6 +34,9 @@ from .errors import NumericError, UsageError
 # textbook update: 19-20 ms at 64k).
 _ADAM_BLOCK = 1 << 15
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+FD_STEP = 1e-5  # check_gradient's central-difference step
+
 # Every network call (vae.encode, vae.decode, regressor.predict,
 # regressor.grad_wrt_code) runs on at least this many rows: a smaller batch
 # is padded with copies of its first row, which are dropped from the result.
@@ -239,7 +242,7 @@ def backward(root: Tensor, wrt) -> None:
                 parent.grad = contribution if parent.grad is None else parent.grad + contribution
 
 
-def check_gradient(function, point, h=1e-5) -> float:
+def check_gradient(function, point) -> float:
     """Max over coordinates of |analytic - central difference| / max(1, |analytic|).
 
     `function` maps a Tensor to a scalar Tensor; analytic gradients come
@@ -256,13 +259,13 @@ def check_gradient(function, point, h=1e-5) -> float:
     numeric = np.empty_like(flat)
     for i in range(flat.size):
         bumped = flat.copy()
-        bumped[i] = flat[i] + h
+        bumped[i] = flat[i] + FD_STEP
         f_plus = function(Tensor(bumped.reshape(point.shape))).value
-        bumped[i] = flat[i] - h
+        bumped[i] = flat[i] - FD_STEP
         f_minus = function(Tensor(bumped.reshape(point.shape))).value
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericError("check_gradient: non-finite probe value")
-        numeric[i] = (f_plus - f_minus) / (2.0 * h)
+        numeric[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
     denom = np.maximum(1.0, np.abs(analytic))
     if flat.size == 0:
         return 0.0
@@ -284,7 +287,8 @@ class Adam:
         x -= alpha_t * (m / (sqrt(v) + eps_t))
 
     with c_t = sqrt(1 - b2**t) / sqrt(1 - b2), alpha_t = lr * c_t * (1 - b1)
-    / (1 - b1**t) and eps_t = eps * c_t at step t.
+    / (1 - b1**t) and eps_t = eps * c_t at step t, for b1, b2 and eps the
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS constants.
 
     This is the textbook update up to rounding. `step` applies it in place
     to each parameter's slices of the flat buffer, `_ADAM_BLOCK` elements
@@ -294,10 +298,9 @@ class Adam:
     have a gradient.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         sizes = [p.value.size for p in self.params]
         ends = np.cumsum(sizes, dtype=int)
@@ -324,10 +327,10 @@ class Adam:
                 raise UsageError(f"Adam.step: parameter {i} (shape {p.shape}) has no gradient")
             grads.append(np.ravel(p.grad))
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c = np.sqrt(1.0 - b2 ** self.t) / np.sqrt(1.0 - b2)
         alpha = self.lr * c * (1.0 - b1) / (1.0 - b1 ** self.t)
-        eps = self.eps * c
+        eps = ADAM_EPS * c
         for x, m, v, t, i, lo, hi in self._blocks:
             g = grads[i][lo:hi]
             np.multiply(m, b1, out=m)

@@ -3,10 +3,11 @@ determinism.
 
 Every key has a default; unknown keys raise. The defaults live in the
 typed views' dataclasses: DEFAULTS lists the keys, reads each field's
-default, and states a literal only for a key no field backs. A field no
-run varies has no key, and its view takes the dataclass default. One
-master seed fans out to per-stage seeds via sha256(master:stage), so a
-single --seed reproduces the whole run.
+default, and states a literal only for a key no field backs. A field
+without a key stays only if code passes it (RegConfig.activation); a value
+no caller varies is a module constant, such as vae.LR, synthcity.T_BASE or
+analysis.ALPHA. One master seed fans out to per-stage seeds via
+sha256(master:stage), so a single --seed reproduces the whole run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .autogeolabel import LabelRules
 from .errors import ParseError, UsageError
 from .io import text_lines
 from .rasterizer import GridSpec
-from .regressor import RegConfig
+from .regressor import RegConfig, n_holdout
 from .report import check_sweep
 from .synthcity import SceneParams, TemperatureLaw, split_sizes
 from .vae import KldSchedule, VaeConfig, VaeModel
@@ -97,7 +98,7 @@ class RunConfig:
             if not self[key] >= 1:
                 raise UsageError(f"bad {key} {self[key]!r}: must be at least 1")
         n_train, n_test = split_sizes(self["synth.n_scenes"])
-        n_hold = self.reg_config().n_holdout(n_train)
+        n_hold = n_holdout(n_train)
         if n_test < 1 or n_hold < 1 or n_train - n_hold < 2:
             raise UsageError(f"bad synth.n_scenes {self['synth.n_scenes']!r}: the 80/20 split "
                              f"leaves {n_test} test scenes and {n_train} training scenes, of "
@@ -150,8 +151,7 @@ class RunConfig:
     # typed views -----------------------------------------------------
 
     def grid_spec(self) -> GridSpec:
-        return GridSpec(0.0, 0.0, self["grid.cell_size"],
-                        self["grid.width"], self["grid.height"])
+        return GridSpec(self["grid.cell_size"], self["grid.width"], self["grid.height"])
 
     def vae_config(self) -> VaeConfig:
         return VaeConfig(

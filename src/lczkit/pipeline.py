@@ -58,6 +58,13 @@ def load_split(out_dir: str, which: str, n=None):
     return [sid for sid, _, _ in entries], channels, np.array([t for _, _, t in entries])
 
 
+def _check_grid(out_dir: str, which: str, channels, vae_model) -> None:
+    """A FormatError naming the split's manifest unless its stacks fit the models."""
+    if len(channels) and channels.shape[1:] != vae_model.input_shape:
+        raise FormatError(f"{os.path.join(out_dir, CORPUS_DIR, f'{which}.csv')}: the split's "
+                          f"stacks are {channels.shape[1:]}, the models' {vae_model.input_shape}")
+
+
 def run_train_vae(cfg: RunConfig, out_dir: str):
     """Compute norm stats on the training split, train, persist both."""
     _, channels, _ = load_split(out_dir, "train")
@@ -81,6 +88,7 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
     if vae_model is None or norm is None:
         vae_model, norm = load_models(out_dir, "vae", "norm")
     _, channels, train_temps = load_split(out_dir, "train")
+    _check_grid(out_dir, "train", channels, vae_model)
     codes = vae.encode_mean(vae_model, rasterizer.normalize(channels, norm))
     model, err_report = regressor.train_regressor(codes, train_temps, cfg.reg_config())
     save_model(regressor.regressor_tensors(model), os.path.join(out_dir, MODEL_DIR, "reg.lczm"))
@@ -93,6 +101,7 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
     if vae_model is None:
         vae_model, norm, reg_model = load_models(out_dir, "vae", "norm", "reg")
     test_ids, channels, _ = load_split(out_dir, "test", cfg["perturb.n_scenes"])
+    _check_grid(out_dir, "test", channels, vae_model)
     result = perturb.batch_perturb(vae_model, reg_model, rasterizer.normalize(channels, norm),
                                    cfg.dt_sweep(), test_ids, steps=cfg["perturb.steps"])
     _write_batch(result, out_dir)
@@ -132,7 +141,7 @@ def _scenes(rows, index) -> list:
     return scenes
 
 
-def label_records(rows, read_blocks, norm: NormStats, rules, index="index.csv") -> list:
+def label_records(rows, read_blocks, norm: NormStats, rules, index) -> list:
     """The ExperimentRecords of index.csv's rows, labeled one scene at a
     time: read_blocks(sizes) yields, for the scenes' row counts in turn, each
     scene's K normalized counterfactuals as a (K, 13, H, W) array; only the
@@ -244,8 +253,6 @@ def run_check(seed: int = 0) -> dict:
         h = ad.tanh(ad.affine(ad.reshape(x, (1, 6)), Tensor(w1), Tensor(b1)))
         return ad.mean_all(ad.matmul(h, Tensor(w2)))
 
-    grad_err = max(
-        check_gradient(net, rng.standard_normal(6), h=1e-5) for _ in range(10)
-    )
+    grad_err = max(check_gradient(net, rng.standard_normal(6)) for _ in range(10))
     return {"eq_dot_rel_err": max_dot_err, "eq_cos_err": max_cos_err,
             "grad_max_rel_err": grad_err}

@@ -28,9 +28,7 @@ GROUND_PERCENTILE = 2.0
 
 @dataclass
 class GridSpec:
-    origin_x: float = 0.0
-    origin_y: float = 0.0
-    cell_size: float = 1.0
+    cell_size: float = 1.0  # meters; the grid's corner is at x = y = 0
     width: int = 16
     height: int = 16
 
@@ -52,7 +50,7 @@ class GridSpec:
 
 @dataclass
 class RasterStack:
-    channels: np.ndarray  # shape (N_CHANNELS, height, width); row 0 at origin_y
+    channels: np.ndarray  # shape (N_CHANNELS, height, width); row 0 at y = 0
     n_outside: int = 0  # points outside the grid extent, ignored
 
     def channel(self, name: str) -> np.ndarray:
@@ -84,8 +82,8 @@ def rasterize(cloud: PointCloud, spec: GridSpec) -> RasterStack:
         return RasterStack(channels)
 
     z = cloud.z.astype(float) - np.percentile(cloud.z, GROUND_PERCENTILE)
-    col = np.floor((cloud.x - spec.origin_x) / spec.cell_size).astype(np.int64)
-    row = np.floor((cloud.y - spec.origin_y) / spec.cell_size).astype(np.int64)
+    col = np.floor(cloud.x / spec.cell_size).astype(np.int64)
+    row = np.floor(cloud.y / spec.cell_size).astype(np.int64)
     inside = (col >= 0) & (col < w) & (row >= 0) & (row < h)
     n_outside = int(len(cloud) - inside.sum())
     if not inside.any():

@@ -26,13 +26,20 @@ from .errors import DivergenceError, FormatError, NumericError, UsageError
 from .io import layout_arrays, read_meta
 
 
+LR = 5e-3                # at 1e-2 most layer-2 relus die: some codes get no gradient
+HOLDOUT_FRACTION = 0.2   # of the training scenes, held out for the MAE
+
+
+def n_holdout(n: int) -> int:
+    """Scenes held out of n training scenes."""
+    return int(round(HOLDOUT_FRACTION * n))
+
+
 @dataclass
 class RegConfig:
     hidden: tuple = (128, 32)
     activation: str = "relu"   # "relu" | "tanh" | "identity"
     epochs: int = 100          # full-batch Adam steps
-    lr: float = 5e-3           # at 1e-2 most layer-2 relus die: some codes get no gradient
-    holdout_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -41,17 +48,9 @@ class RegConfig:
                 raise UsageError(f"hidden{i} must be at least 1")
         if self.epochs < 1:
             raise UsageError("epochs must be at least 1")
-        if self.lr <= 0:
-            raise UsageError("lr must be > 0")
         if self.activation not in _ACTIVATIONS:
             raise UsageError(f"activation {self.activation!r} is not one of "
                              f"{', '.join(_ACTIVATIONS)}")
-        if not 0 < self.holdout_fraction < 1:
-            raise UsageError(f"holdout_fraction {self.holdout_fraction!r} is not in (0, 1)")
-
-    def n_holdout(self, n: int) -> int:
-        """Scenes held out of n training scenes."""
-        return int(round(self.holdout_fraction * n))
 
 
 @dataclass
@@ -138,7 +137,7 @@ def train_regressor(codes, temps, config: RegConfig):
     """Fit on L1 loss; returns (model, ErrorReport on the held-out split).
 
     Each epoch is one Adam step on the loss over the whole fit split, in
-    split order. The held-out split is a seeded holdout_fraction of the
+    split order. The held-out split is a seeded HOLDOUT_FRACTION of the
     input; a split that rounds to no held-out sample, or leaves fewer than
     2 to fit, is a UsageError.
     """
@@ -146,9 +145,9 @@ def train_regressor(codes, temps, config: RegConfig):
     temps = np.asarray(temps, dtype=float)
     if codes.ndim != 2 or len(codes) != len(temps):
         raise UsageError("codes must be (N, n) with matching temps")
-    n_hold = config.n_holdout(len(codes))
+    n_hold = n_holdout(len(codes))
     if n_hold < 1 or len(codes) - n_hold < 2:
-        raise UsageError(f"holdout_fraction {config.holdout_fraction!r} of {len(codes)} samples "
+        raise UsageError(f"holdout fraction {HOLDOUT_FRACTION!r} of {len(codes)} samples "
                          f"holds out {n_hold} and fits {len(codes) - n_hold}; "
                          f"needs at least 1 and 2")
     rng = np.random.default_rng(config.seed)
@@ -162,7 +161,7 @@ def train_regressor(codes, temps, config: RegConfig):
     model.t_std = float(max(temps.std(), 1e-8))
     targets = (temps - model.t_mean) / model.t_std
 
-    opt = ad.Adam(model.params.values(), config.lr)
+    opt = ad.Adam(model.params.values(), LR)
     inputs, target = Tensor(codes), Tensor(targets[:, None])
     for epoch in range(config.epochs):
         loss = l1_loss_graph(forward_graph(model, inputs), target)

@@ -46,7 +46,7 @@ def check_sweep(delta_ts) -> None:
                          f"3 distinct values; got {', '.join(map(repr, distinct))}")
 
 
-def build_report(records, alpha: float = 0.05, n_excluded: int = 0) -> ReportBundle:
+def build_report(records, n_excluded: int = 0) -> ReportBundle:
     """Aggregate per-scene fractions, fit, and decide; pure in its inputs."""
     records = list(records)
     if not records:
@@ -58,7 +58,7 @@ def build_report(records, alpha: float = 0.05, n_excluded: int = 0) -> ReportBun
     xs = np.array([dt for dt, _ in aggregated])
     ys = np.array([v for _, v in aggregated])
     fit = ols_fit(xs, ys)
-    decision = hypothesis_report(fit, alpha)
+    decision = hypothesis_report(fit)
 
     buf = _io.StringIO()
     report_figure_data(aggregated, fit, buf)

@@ -3,7 +3,7 @@
 Ground is a flat jittered plane of single-return points; trees are
 blunt-cone canopies of multi-return points with high local elevation
 variance; buildings are axis-aligned boxes sampled on the roof plane with
-single returns. The planted law t = t_base - k_veg * v + noise gives the
+single returns. The planted law t = T_BASE - k_veg * v + noise gives the
 end-to-end pipeline an unambiguous sign to recover.
 
 A scene draws from one generator, seeded by the scene, in a fixed order.
@@ -35,6 +35,12 @@ from .rasterizer import GridSpec, rasterize, save_stack
 # 1.0 put that flip around half coverage, matching the center-in-crown
 # ground-truth masks.
 CANOPY_DENSITY_FACTOR = 1.2
+POINTS_PER_M2 = 8.0                   # ground and roof points per m^2
+CROWN_RADIUS_RANGE = (1.5, 2.5)       # meters
+TREE_HEIGHT_RANGE = (4.0, 9.0)        # meters
+BUILDING_SIDE_RANGE = (3.0, 6.0)      # footprint side, meters
+BUILDING_HEIGHT_RANGE = (4.0, 10.0)   # meters
+T_BASE = 295.0                        # kelvin, the temperature of a scene with no vegetation
 
 
 @dataclass
@@ -42,29 +48,16 @@ class SceneParams:
     grid: GridSpec = field(default_factory=GridSpec)
     tree_density: float = 0.05          # trees per m^2
     building_density: float = 0.008     # buildings per m^2
-    crown_radius_range: tuple = (1.5, 2.5)   # meters
-    tree_height_range: tuple = (4.0, 9.0)    # meters
-    building_side_range: tuple = (3.0, 6.0)  # footprint side, meters
-    building_height_range: tuple = (4.0, 10.0)
-    points_per_m2: float = 8.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("crown_radius_range", "tree_height_range",
-                     "building_side_range", "building_height_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise UsageError(f"{name} is degenerate: {lo} > {hi}")
         for name in ("tree_density", "building_density"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0")
-        if self.points_per_m2 <= 0:
-            raise UsageError("points_per_m2 must be > 0")
 
 
 @dataclass
 class TemperatureLaw:
-    t_base: float = 295.0   # kelvin
     # kelvin per unit vegetation fraction: > 0 cools; 0 (the null law) and
     # < 0 (the reversed law) are negative controls
     k_veg: float = 8.0
@@ -124,7 +117,7 @@ def _place_discs(rng, n_target, extent_x, extent_y, radius_range, max_tries=2000
     return cx[kept], cy[kept], r[kept]
 
 
-def _crown_points(rng, cx, cy, r, h, points_per_m2) -> tuple:
+def _crown_points(rng, cx, cy, r, h) -> tuple:
     """Point columns (x, y, z, intensity, return_number, num_returns) of
     the tree crowns: blunt cones of volumetric multi-return scatter.
 
@@ -134,7 +127,7 @@ def _crown_points(rng, cx, cy, r, h, points_per_m2) -> tuple:
     counts; the points of all trees are computed from these at once.
     """
     counts = np.maximum(4, np.round(
-        CANOPY_DENSITY_FACTOR * points_per_m2 * np.pi * r * r).astype(np.int64))
+        CANOPY_DENSITY_FACTOR * POINTS_PER_M2 * np.pi * r * r).astype(np.int64))
     ends = np.cumsum(counts)
     u = np.empty((3, counts.sum()))
     normals = np.empty(u.shape[1])
@@ -165,7 +158,7 @@ def generate_scene(params: SceneParams, scene_seed: int) -> SceneTruth:
     area = ex * ey
 
     # ground plane
-    n_ground = max(1, int(round(params.points_per_m2 * area)))
+    n_ground = max(1, int(round(POINTS_PER_M2 * area)))
     ones = np.ones(n_ground, dtype=np.int64)
     parts = [(rng.uniform(0.0, ex, n_ground), rng.uniform(0.0, ey, n_ground),
               rng.normal(0.0, 0.05, n_ground), rng.normal(20000.0, 2000.0, n_ground),
@@ -173,21 +166,21 @@ def generate_scene(params: SceneParams, scene_seed: int) -> SceneTruth:
 
     # trees: crowns placed by dart throwing
     n_trees = rng.poisson(params.tree_density * area)
-    tx, ty, tr = _place_discs(rng, n_trees, ex, ey, params.crown_radius_range)
-    heights = rng.uniform(*params.tree_height_range, len(tr))
-    parts.append(_crown_points(rng, tx, ty, tr, heights, params.points_per_m2))
+    tx, ty, tr = _place_discs(rng, n_trees, ex, ey, CROWN_RADIUS_RANGE)
+    heights = rng.uniform(*TREE_HEIGHT_RANGE, len(tr))
+    parts.append(_crown_points(rng, tx, ty, tr, heights))
 
     # buildings: roof-plane samples, single return, smooth
     n_bld = rng.poisson(params.building_density * area)
     boxes = np.empty((n_bld, 4))
     for k in range(n_bld):
-        w = rng.uniform(*params.building_side_range)
-        l = rng.uniform(*params.building_side_range)
+        w = rng.uniform(*BUILDING_SIDE_RANGE)
+        l = rng.uniform(*BUILDING_SIDE_RANGE)
         x0 = rng.uniform(0.0, max(1e-9, ex - w))
         y0 = rng.uniform(0.0, max(1e-9, ey - l))
-        bh = rng.uniform(*params.building_height_range)
+        bh = rng.uniform(*BUILDING_HEIGHT_RANGE)
         boxes[k] = x0, y0, x0 + w, y0 + l
-        n_pts = max(4, int(round(params.points_per_m2 * w * l)))
+        n_pts = max(4, int(round(POINTS_PER_M2 * w * l)))
         ones = np.ones(n_pts, dtype=np.int64)
         parts.append((rng.uniform(x0, x0 + w, n_pts), rng.uniform(y0, y0 + l, n_pts),
                       bh + rng.normal(0.0, 0.02, n_pts), rng.normal(40000.0, 3000.0, n_pts),
@@ -200,8 +193,8 @@ def generate_scene(params: SceneParams, scene_seed: int) -> SceneTruth:
     # per-cell ground truth on the rasterization grid, vegetation precedence;
     # one (tree or building, row, column) broadcast per mask
     spec = params.grid
-    cols = (np.arange(spec.width) + 0.5) * spec.cell_size + spec.origin_x
-    rows = (np.arange(spec.height) + 0.5) * spec.cell_size + spec.origin_y
+    cols = (np.arange(spec.width) + 0.5) * spec.cell_size
+    rows = (np.arange(spec.height) + 0.5) * spec.cell_size
     dx2 = (cols - tx[:, None]) ** 2
     dy2 = (rows - ty[:, None]) ** 2
     veg_mask = (dx2[:, None, :] + dy2[:, :, None] <= (tr * tr)[:, None, None]).any(axis=0)
@@ -217,7 +210,7 @@ def scene_temperature(law: TemperatureLaw, true_veg_fraction: float, scene_seed:
         raise UsageError("vegetation fraction must lie in [0, 1]")
     rng = np.random.default_rng([law.seed, scene_seed, 7])
     noise = rng.normal(0.0, law.noise_sigma) if law.noise_sigma > 0 else 0.0
-    return law.t_base - law.k_veg * true_veg_fraction + noise
+    return T_BASE - law.k_veg * true_veg_fraction + noise
 
 
 @dataclass

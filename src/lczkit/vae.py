@@ -21,6 +21,9 @@ from .autodiff import Tensor
 from .errors import DivergenceError, FormatError, NumericError, UsageError
 from .io import layout_arrays, read_meta
 
+LR = 1e-3         # Adam's learning rate
+BATCH_SIZE = 32   # scenes per Adam step
+
 
 @dataclass
 class KldSchedule:
@@ -49,17 +52,13 @@ class VaeConfig:
     hidden: int = 256          # mlp hidden width
     arch: str = "mlp"          # "mlp" | "patch"
     epochs: int = 13           # fewest sweeps/vae_epochs_full_batch.csv supports (README Sweeps)
-    lr: float = 1e-3
-    batch_size: int = 32
     schedule: KldSchedule = field(default_factory=KldSchedule)
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("latent_dim", "hidden", "epochs", "batch_size"):
+        for name in ("latent_dim", "hidden", "epochs"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be at least 1")
-        if self.lr <= 0:
-            raise UsageError("lr must be > 0")
         if self.arch not in _ARCHS:
             raise UsageError(f"arch {self.arch!r} is not one of {', '.join(_ARCHS)}")
 
@@ -253,14 +252,14 @@ def train_vae(corpus, config: VaeConfig):
     n_samples = data.shape[0]
     rng = np.random.default_rng(config.seed)
     model = init_vae(data.shape[1:], config, rng)
-    opt = ad.Adam(model.params.values(), config.lr)
+    opt = ad.Adam(model.params.values(), LR)
     history = []
     for epoch in range(config.epochs):
         lam = kld_weight(config.schedule, epoch)
         perm = rng.permutation(n_samples)
         total, seen = 0.0, 0
-        for start in range(0, n_samples, config.batch_size):
-            idx = perm[start:start + config.batch_size]
+        for start in range(0, n_samples, BATCH_SIZE):
+            idx = perm[start:start + BATCH_SIZE]
             x = Tensor(data[idx])
             eps = rng.standard_normal((len(idx), config.latent_dim))
             mu, logvar = encode_graph(model, x)

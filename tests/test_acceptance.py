@@ -120,7 +120,7 @@ def test_criterion_03_gradient_checks():
             point = rng.standard_normal(6)
             if kinked:
                 point = point + np.copysign(0.05, point)
-            worst = max(worst, check_gradient(fn, point, h=1e-5))
+            worst = max(worst, check_gradient(fn, point))
 
     # composed VAE loss (reconstruction + weighted KLD) w.r.t. all weights
     shape = (2, 4, 4)
@@ -142,7 +142,7 @@ def test_criterion_03_gradient_checks():
     loss_of, theta0 = _params_as_vector_loss(model.params, vae_loss)
     for _ in range(10):
         point = theta0 + 0.05 * rng.standard_normal(theta0.shape)
-        worst = max(worst, check_gradient(loss_of, point, h=1e-5))
+        worst = max(worst, check_gradient(loss_of, point))
 
     # composed regressor L1 loss w.r.t. all weights (tanh keeps it smooth)
     reg = init_regressor(4, RegConfig(hidden=(5, 3), activation="tanh"), rng)
@@ -160,7 +160,7 @@ def test_criterion_03_gradient_checks():
     loss_of, theta0 = _params_as_vector_loss(reg.params, reg_loss)
     for _ in range(10):
         point = theta0 + 0.05 * rng.standard_normal(theta0.shape)
-        worst = max(worst, check_gradient(loss_of, point, h=1e-5))
+        worst = max(worst, check_gradient(loss_of, point))
 
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 30.0

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from lczkit.analysis import (
+    ALPHA,
     HypothesisDecision,
     hypothesis_report,
     mean_response_ci,
@@ -180,17 +181,17 @@ def _fit_with(p_a, slope):
 
 
 def test_hypothesis_decision_rules():
-    assert hypothesis_report(_fit_with(0.01, -0.5), 0.05).reject_h0
-    assert not hypothesis_report(_fit_with(0.01, 0.5), 0.05).reject_h0  # wrong sign
-    assert not hypothesis_report(_fit_with(0.2, -0.5), 0.05).reject_h0  # not significant
-    assert not hypothesis_report(_fit_with(0.05, -0.5), 0.05).reject_h0  # strict inequality
-    with pytest.raises(UsageError):
-        hypothesis_report(_fit_with(0.01, -0.5), 0.0)
+    assert ALPHA == 0.05
+    assert hypothesis_report(_fit_with(0.01, -0.5)).reject_h0
+    assert not hypothesis_report(_fit_with(0.01, 0.5)).reject_h0  # wrong sign
+    assert not hypothesis_report(_fit_with(0.2, -0.5)).reject_h0  # not significant
+    assert not hypothesis_report(_fit_with(ALPHA, -0.5)).reject_h0  # strict inequality
+    assert hypothesis_report(_fit_with(np.nextafter(ALPHA, 0.0), -0.5)).reject_h0
 
 
 def test_decision_summary_mentions_verdict():
-    assert "REJECT H0" in hypothesis_report(_fit_with(0.001, -1.0), 0.05).summary()
-    assert "fail to reject" in hypothesis_report(_fit_with(0.9, -1.0), 0.05).summary()
+    assert "REJECT H0" in hypothesis_report(_fit_with(0.001, -1.0)).summary()
+    assert "fail to reject" in hypothesis_report(_fit_with(0.9, -1.0)).summary()
 
 
 def test_mean_response_ci_narrowest_at_x_mean():

@@ -94,7 +94,7 @@ def test_primitive_gradients_finite_difference(case):
         point = rng.standard_normal(6)
         if kinked:
             point = point + np.copysign(0.05, point)
-        assert check_gradient(fn, point, h=1e-5) <= 1e-5
+        assert check_gradient(fn, point) <= 1e-5
 
 
 def test_backward_linearity():
@@ -139,7 +139,7 @@ def test_optimizer_only_touches_marked_params():
     assert np.array_equal(data.value, before)
     assert data.grad is None  # inactive: no adjoint computed
     # first Adam step moves each coordinate by lr * g / (|g| + eps) with g = 2
-    assert np.allclose(w.value, 1.0 - 0.1 * 2.0 / (2.0 + 1e-8), rtol=1e-12, atol=0)
+    assert np.allclose(w.value, 1.0 - 0.1 * 2.0 / (2.0 + ad.ADAM_EPS), rtol=1e-12, atol=0)
 
 
 def _backward_unpruned(root):
@@ -225,7 +225,7 @@ def test_blocked_adam_equals_its_formula_on_whole_arrays():
     for value, *_, i, lo, hi in opt._blocks:  # every block lies inside one parameter
         assert [j for j, p in enumerate(params) if np.shares_memory(value, p.value)] == [i]
         assert value.size == hi - lo
-    b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
+    b1, b2, eps, lr = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS, opt.lr
     m, v = [np.zeros(s) for s in _ADAM_SHAPES], [np.zeros(s) for s in _ADAM_SHAPES]
     ends = np.cumsum([a.size for a in x])
     for t in range(1, 7):
@@ -251,6 +251,7 @@ def test_adam_matches_textbook_formula():
     x = [rng.standard_normal(s) for s in _ADAM_SHAPES]
     params = [Tensor(a.copy()) for a in x]
     opt = Adam(params, lr=3e-3)
+    b1, b2, eps = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS
     m, v = [np.zeros(s) for s in _ADAM_SHAPES], [np.zeros(s) for s in _ADAM_SHAPES]
     for t in range(1, 7):
         grads = _adam_grads(rng, _ADAM_SHAPES)
@@ -258,10 +259,10 @@ def test_adam_matches_textbook_formula():
             p.grad = g.copy()
         opt.step()
         for i, g in enumerate(grads):
-            m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * g
-            v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * g * g
-            m_hat, v_hat = m[i] / (1.0 - opt.beta1 ** t), v[i] / (1.0 - opt.beta2 ** t)
-            x[i] = x[i] - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat, v_hat = m[i] / (1.0 - b1 ** t), v[i] / (1.0 - b2 ** t)
+            x[i] = x[i] - opt.lr * m_hat / (np.sqrt(v_hat) + eps)
     # Relative to each array's largest value: an element near zero carries
     # the same absolute rounding (~1 ulp of the array's values) as the rest.
     for p, ref in zip(params, x):
@@ -331,7 +332,7 @@ def test_check_gradient_quadratic_form():
         return ad.scale(ad.sum_all(ad.mul(col, ad.matmul(Tensor(a), col))), 0.5)
 
     point = RNG.standard_normal(5)
-    assert check_gradient(quad, point, h=1e-5) <= 1e-6
+    assert check_gradient(quad, point) <= 1e-6
     # analytic gradient of the symmetric form is A x
     leaf = Tensor(point.copy())
     backward(quad(leaf), [leaf])

@@ -19,7 +19,7 @@ from lczkit.perturb import batch_perturb
 from lczkit.rasterizer import CHANNEL_NAMES, GridSpec, load_stack, save_stack
 from lczkit.regressor import RegConfig
 from lczkit.synthcity import SceneParams, TemperatureLaw
-from lczkit.vae import VaeConfig
+from lczkit.vae import KldSchedule, VaeConfig
 
 SMALL_CONFIG = """\
 # desk-scale smoke configuration
@@ -104,6 +104,25 @@ def test_run_config_views_equal_the_dataclass_defaults():
             view = dataclasses.replace(view, seed=cls().seed)
         assert view == cls(), cls.__name__
     assert inspect.signature(batch_perturb).parameters["steps"].default == cfg["perturb.steps"]
+
+
+# The section of each typed view's config keys.
+VIEW_SECTIONS = ((GridSpec, "grid"), (VaeConfig, "vae"), (KldSchedule, "vae"), (RegConfig, "reg"),
+                 (LabelRules, "labels"), (SceneParams, "synth"), (TemperatureLaw, "synth"))
+
+
+def test_every_view_field_backs_a_key_or_is_passed_by_name():
+    # A value that no key sets and no caller passes is a module constant,
+    # not a field.
+    root = Path(__file__).parents[1]
+    source = "".join(path.read_text() for path in (*(root / "src" / "lczkit").glob("*.py"),
+                                                    *(root / "scripts").glob("*.py"),
+                                                    root / "tests" / "test_acceptance.py"))
+    unreached = [f"{cls.__name__}.{field.name}" for cls, section in VIEW_SECTIONS
+                 for field in dataclasses.fields(cls)
+                 if f"{section}.{field.name}" not in DEFAULTS
+                 and not re.search(rf"\b{field.name}=(?!=)", source)]
+    assert unreached == []
 
 
 def test_every_config_key_is_read_by_a_stage():
@@ -605,3 +624,18 @@ def test_a_split_stack_on_another_grid_exits_two_naming_it(tmp_path, labeled_run
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert second.name in err, err
+
+
+@pytest.mark.parametrize("split, stage", [("test", "perturb"), ("train", "train-reg")])
+def test_a_split_on_another_grid_than_the_models_exits_two_naming_its_manifest(
+        tmp_path, labeled_run, capsys, split, stage):
+    out = tmp_path / "run"
+    shutil.copytree(labeled_run, out)
+    manifest = out / "corpus" / f"{split}.csv"
+    for _, rpath, _ in read_manifest(manifest).entries:
+        save_stack(load_stack(out / "corpus" / rpath)[:, :8, :8], out / "corpus" / rpath)
+    capsys.readouterr()
+    assert main([stage, "--seed", "6", "--out", str(out), "--perturb.n_scenes=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert f"{manifest}: " in err and "(13, 8, 8)" in err and "(13, 16, 16)" in err, err

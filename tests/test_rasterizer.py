@@ -19,7 +19,7 @@ from lczkit.rasterizer import (
 )
 from lczkit.synthcity import SceneParams, generate_scene
 
-SPEC = GridSpec(0.0, 0.0, 1.0, 4, 4)
+SPEC = GridSpec(1.0, 4, 4)
 
 
 def _cloud(rows):
@@ -100,8 +100,8 @@ def _lexsort_oracle(cloud, spec):
     the five-key lexsort on (cell, x, y, z, intensity)."""
     channels = np.zeros((len(CHANNEL_NAMES), spec.height, spec.width))
     z = cloud.z - np.percentile(cloud.z, 2.0) if len(cloud) else cloud.z
-    col = np.floor((cloud.x - spec.origin_x) / spec.cell_size).astype(np.int64)
-    row = np.floor((cloud.y - spec.origin_y) / spec.cell_size).astype(np.int64)
+    col = np.floor(cloud.x / spec.cell_size).astype(np.int64)
+    row = np.floor(cloud.y / spec.cell_size).astype(np.int64)
     inside = (col >= 0) & (col < spec.width) & (row >= 0) & (row < spec.height)
     if not inside.any():
         return channels

@@ -113,7 +113,7 @@ def test_grad_matches_finite_differences(activation):
     rng = np.random.default_rng(3)
     for _ in range(5):
         c = rng.standard_normal(LATENT)
-        assert check_gradient(f, c, h=1e-5) <= 1e-5
+        assert check_gradient(f, c) <= 1e-5
         leaf_grad = grad_wrt_code(model, c[None])[0]
         ref = Tensor(c.copy())
         ad.backward(f(ref), [ref])
@@ -140,7 +140,7 @@ def test_train_constant_targets_converges():
     rng = np.random.default_rng(8)
     codes = rng.standard_normal((30, LATENT))
     temps = np.full(30, 290.0)
-    cfg = RegConfig(hidden=(8, 4), epochs=200, seed=0, holdout_fraction=0.2)
+    cfg = RegConfig(hidden=(8, 4), epochs=200, seed=0)
     model, report = train_regressor(codes, temps, cfg)
     assert isinstance(report, ErrorReport)
     assert report.mae < 1e-6
@@ -220,7 +220,7 @@ def test_trained_model_holds_its_trained_values_through_a_round_trip(tmp_path):
     buffer = model.params["W1"].value.base
     assert buffer is not None and all(t.value.base is buffer for t in model.params.values())
     split = np.random.default_rng(cfg.seed)
-    hold = split.permutation(len(codes))[:cfg.n_holdout(len(codes))]
+    hold = split.permutation(len(codes))[:regressor.n_holdout(len(codes))]
     untrained = init_regressor(LATENT, cfg, split)
     for name, tensor in model.params.items():
         assert not np.array_equal(tensor.value, untrained.params[name].value), name
@@ -238,14 +238,13 @@ def test_train_length_mismatch():
 
 
 def test_train_refuses_a_split_that_holds_out_no_sample():
-    for fraction in (0.0, 1.0, -0.1):
-        with pytest.raises(UsageError, match="holdout_fraction"):
-            RegConfig(holdout_fraction=fraction)
+    assert [regressor.n_holdout(n) for n in (1, 2, 3, 7, 8, 400)] == [0, 0, 1, 1, 2, 80]
     # round(0.2 * 2) = 0: the MAE would be a training error, so it is refused
-    with pytest.raises(UsageError, match="holds out 0 and fits 2"):
-        train_regressor(np.zeros((2, LATENT)), np.zeros(2), RegConfig())
-    with pytest.raises(UsageError, match="holds out 2 and fits 1"):
-        train_regressor(np.zeros((3, LATENT)), np.zeros(3), RegConfig(holdout_fraction=0.6))
+    for n in (1, 2):
+        with pytest.raises(UsageError, match=f"0.2 of {n} samples holds out 0 and fits {n}"):
+            train_regressor(np.zeros((n, LATENT)), np.zeros(n), RegConfig())
+    _, report = train_regressor(np.zeros((3, LATENT)), np.zeros(3), RegConfig(epochs=1))
+    assert report.n_holdout == 1
 
 
 def test_persistence_round_trip(tmp_path):

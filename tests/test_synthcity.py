@@ -12,6 +12,7 @@ from lczkit.errors import UsageError
 from lczkit.io import SceneManifest, read_manifest, write_manifest
 from lczkit.rasterizer import load_stack, rasterize, save_stack
 from lczkit.synthcity import (
+    T_BASE,
     SceneParams,
     TemperatureLaw,
     _place_discs,
@@ -115,10 +116,10 @@ def test_place_discs_keeps_the_discs_and_stream_of_one_by_one_draws():
 
 
 def test_scene_params_validation():
-    with pytest.raises(UsageError):
-        SceneParams(tree_height_range=(9.0, 4.0))
-    with pytest.raises(UsageError):
-        SceneParams(tree_density=-0.1)
+    for name in ("tree_density", "building_density"):
+        with pytest.raises(UsageError, match=f"{name} must be >= 0"):
+            SceneParams(**{name: -0.1})
+    assert SceneParams(tree_density=0.0, building_density=0.0).tree_density == 0.0
 
 
 def test_temperature_law_validation():
@@ -136,10 +137,10 @@ def test_temperature_law_takes_the_null_and_reversed_laws():
 
 
 def test_temperature_noiseless_examples():
-    law = TemperatureLaw(t_base=295.0, k_veg=8.0, noise_sigma=0.0)
-    assert scene_temperature(law, 0.0, 0) == 295.0
-    assert scene_temperature(law, 1.0, 0) == 287.0
-    assert scene_temperature(law, 0.5, 123) == 291.0
+    law = TemperatureLaw(k_veg=8.0, noise_sigma=0.0)
+    assert scene_temperature(law, 0.0, 0) == T_BASE
+    assert scene_temperature(law, 1.0, 0) == T_BASE - 8.0
+    assert scene_temperature(law, 0.5, 123) == T_BASE - 4.0
 
 
 def test_temperature_deterministic_per_scene_seed():
@@ -149,7 +150,7 @@ def test_temperature_deterministic_per_scene_seed():
 
 
 def test_temperature_noise_statistics():
-    law = TemperatureLaw(t_base=295.0, k_veg=8.0, noise_sigma=0.5, seed=0)
+    law = TemperatureLaw(k_veg=8.0, noise_sigma=0.5, seed=0)
     temps = np.array([scene_temperature(law, 0.5, s) for s in range(10_000)])
     # mean within 3 standard errors; spread matches sigma
     assert abs(temps.mean() - 291.0) <= 3 * 0.5 / np.sqrt(len(temps))
@@ -167,7 +168,7 @@ def test_corpus_split_and_manifests(tmp_path):
     assert len(manifest.entries) == 10
     for sid, rpath, temp in manifest.entries:
         assert load_stack(tmp_path / rpath).shape == (13, 16, 16)
-        assert temp == pytest.approx(result.true_fractions[sid] * -law.k_veg + law.t_base,
+        assert temp == pytest.approx(result.true_fractions[sid] * -law.k_veg + T_BASE,
                                      abs=4 * law.noise_sigma)
 
 
@@ -229,7 +230,7 @@ def test_corpus_requires_scenes(tmp_path):
 def test_planted_law_is_recoverable():
     """The planted slope must be visible straight from the ground truth."""
     params = SceneParams(seed=11)
-    law = TemperatureLaw(t_base=295.0, k_veg=8.0, noise_sigma=0.5, seed=11)
+    law = TemperatureLaw(k_veg=8.0, noise_sigma=0.5, seed=11)
     rng = np.random.default_rng(11)
     fractions, temps = [], []
     for i in range(60):

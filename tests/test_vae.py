@@ -193,7 +193,7 @@ def test_elbo_gradient_wrt_weights():
     theta0 = np.concatenate([model.params[n].value.ravel() for n in names])
     # zero-initialized biases sit exactly on relu kinks; jitter off them
     theta0 = theta0 + 0.05 * np.random.default_rng(10).standard_normal(theta0.shape)
-    assert check_gradient(loss_of_params, theta0, h=1e-5) <= 1e-5
+    assert check_gradient(loss_of_params, theta0) <= 1e-5
 
 
 def _slice(t, start, size):
