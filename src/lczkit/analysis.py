@@ -7,8 +7,8 @@ of freedom the t CDF is an exact finite sum in atan(|t| / sqrt(dof))
 A p below 0.1 sums the tail of the same series, until a term is below
 1e-17 of the sum; each term is at most cos^2 theta times the one before.
 The cooling hypothesis additionally requires a negative slope, so the
-decision combines the two-sided p with a sign check; that convention is
-recorded in the decision record.
+decision combines the two-sided p with a sign check; `CONVENTION` states
+it, and the decision's summary prints it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .errors import DataError, UsageError
 
 ALPHA = 0.05  # the slope test's significance level
 QUANTILE_TOL = 1e-10  # student_t_quantile's relative bisection tolerance
+CONVENTION = ("two-sided p combined with a strict negative-slope "
+              "requirement; rejection needs p < alpha AND a < 0")
 
 
 def student_t_cdf(t: float, dof: int) -> float:
@@ -92,15 +94,11 @@ class OlsFit:
     ci_b: tuple
     p_a: float                 # two-sided slope p-value
     dof: int
-    residuals: np.ndarray
-    se_a: float
-    se_b: float
     n: int
     x_mean: float
     sxx: float
     resid_std: float           # sqrt(SS_res / dof)
     t975: float                # Student-t 0.975 quantile at dof; the 95% interval multiplier
-    degenerate_y: bool = False # SS_tot was zero; r_squared forced to 0
 
 
 def ols_fit(xs, ys) -> OlsFit:
@@ -122,8 +120,7 @@ def ols_fit(xs, ys) -> OlsFit:
     residuals = ys - (a * xs + b)
     ss_res = float(residuals @ residuals)
     ss_tot = float((ys - y_mean) @ (ys - y_mean))
-    degenerate = ss_tot == 0.0
-    r_squared = 0.0 if degenerate else 1.0 - ss_res / ss_tot
+    r_squared = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     dof = n - 2
     resid_std = math.sqrt(ss_res / dof)
     se_a = resid_std / math.sqrt(sxx)
@@ -137,9 +134,8 @@ def ols_fit(xs, ys) -> OlsFit:
         a=a, b=b, r_squared=r_squared,
         ci_a=(a - t975 * se_a, a + t975 * se_a),
         ci_b=(b - t975 * se_b, b + t975 * se_b),
-        p_a=p_a, dof=dof, residuals=residuals,
-        se_a=se_a, se_b=se_b, n=n, x_mean=float(x_mean), sxx=sxx,
-        resid_std=resid_std, t975=t975, degenerate_y=degenerate,
+        p_a=p_a, dof=dof, n=n, x_mean=float(x_mean), sxx=sxx,
+        resid_std=resid_std, t975=t975,
     )
 
 
@@ -148,15 +144,13 @@ class HypothesisDecision:
     reject_h0: bool
     p_a: float
     slope: float
-    convention: str = ("two-sided p combined with a strict negative-slope "
-                       "requirement; rejection needs p < alpha AND a < 0")
 
     def summary(self) -> str:
         verdict = "REJECT H0" if self.reject_h0 else "fail to reject H0"
         return (
             f"{verdict}: slope={self.slope:.6g}, p={self.p_a:.6g}, alpha={ALPHA:g}\n"
             f"H0: vegetation fraction is uncorrelated with temperature variation.\n"
-            f"Convention: {self.convention}\n"
+            f"Convention: {CONVENTION}\n"
         )
 
 

@@ -50,12 +50,11 @@ class Tensor:
     """Node in the reverse-mode graph: value, adjoint, parents, and one
     local vjp per parent (g -> that parent's adjoint contribution)."""
 
-    __slots__ = ("value", "grad", "op", "parents", "_vjps")
+    __slots__ = ("value", "grad", "parents", "_vjps")
 
-    def __init__(self, value, op="leaf", parents=(), vjps=()):
+    def __init__(self, value, parents=(), vjps=()):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
-        self.op = op
         self.parents = tuple(parents)
         self._vjps = tuple(vjps)
 
@@ -83,27 +82,27 @@ def _check_same_shape(op, a, b):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
-    return Tensor(a.value + b.value, "add", (a, b), (_identity, _identity))
+    return Tensor(a.value + b.value, (a, b), (_identity, _identity))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("sub", a, b)
-    return Tensor(a.value - b.value, "sub", (a, b), (_identity, lambda g: -g))
+    return Tensor(a.value - b.value, (a, b), (_identity, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
-    return Tensor(a.value * b.value, "mul", (a, b), (lambda g: g * b.value, lambda g: g * a.value))
+    return Tensor(a.value * b.value, (a, b), (lambda g: g * b.value, lambda g: g * a.value))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    return Tensor(a.value * k, "scale", (a,), (lambda g: g * k,))
+    return Tensor(a.value * k, (a,), (lambda g: g * k,))
 
 
 def shift(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    return Tensor(a.value + k, "shift", (a,), (_identity,))
+    return Tensor(a.value + k, (a,), (_identity,))
 
 
 def pad_rows(arr: np.ndarray) -> np.ndarray:
@@ -127,7 +126,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise UsageError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     return Tensor(
-        _product(a.value, b.value), "matmul", (a, b),
+        _product(a.value, b.value), (a, b),
         (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
     )
 
@@ -143,52 +142,52 @@ def affine(x: Tensor, w: Tensor, b: Tensor, out=None) -> Tensor:
     value = _product(x.value, w.value, out)
     np.add(value, b.value, out=value)
     return Tensor(
-        value, "affine", (x, w, b),
+        value, (x, w, b),
         (lambda g: g @ w.value.T, lambda g: x.value.T @ g, lambda g: g.sum(axis=0)),
     )
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.value > 0
-    return Tensor(np.where(mask, a.value, 0.0), "relu", (a,), (lambda g: g * mask,))
+    return Tensor(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.value)
-    return Tensor(t, "tanh", (a,), (lambda g: g * (1.0 - t * t),))
+    return Tensor(t, (a,), (lambda g: g * (1.0 - t * t),))
 
 
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.value)
-    return Tensor(e, "exp", (a,), (lambda g: g * e,))
+    return Tensor(e, (a,), (lambda g: g * e,))
 
 
 def square(a: Tensor) -> Tensor:
-    return Tensor(a.value * a.value, "square", (a,), (lambda g: g * 2.0 * a.value,))
+    return Tensor(a.value * a.value, (a,), (lambda g: g * 2.0 * a.value,))
 
 
 def absval(a: Tensor) -> Tensor:
-    return Tensor(np.abs(a.value), "abs", (a,), (lambda g: g * np.sign(a.value),))
+    return Tensor(np.abs(a.value), (a,), (lambda g: g * np.sign(a.value),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return Tensor(a.value.sum(), "sum", (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
+    return Tensor(a.value.sum(), (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.value.size
-    return Tensor(a.value.mean(), "mean", (a,), (lambda g: np.broadcast_to(g / n, a.shape).copy(),))
+    return Tensor(a.value.mean(), (a,), (lambda g: np.broadcast_to(g / n, a.shape).copy(),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    return Tensor(a.value.reshape(shape), "reshape", (a,), (lambda g: g.reshape(a.shape),))
+    return Tensor(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return Tensor(a.value.transpose(axes), "transpose", (a,), (lambda g: g.transpose(inv),))
+    return Tensor(a.value.transpose(axes), (a,), (lambda g: g.transpose(inv),))
 
 
 def topo_order(root: Tensor):

@@ -40,12 +40,15 @@ def run_synth(cfg: RunConfig, out_dir: str) -> synthcity.CorpusResult:
 
 
 def load_split(out_dir: str, which: str, n=None):
-    """The first n scenes (all by default) of one split manifest: (ids,
-    channels, temps), the channels one (N, 13, H, W) array. A stack whose
-    grid is not the first stack's is a FormatError naming its file."""
+    """The first n >= 1 scenes (all by default) of one split manifest: (ids,
+    channels, temps), the channels one (N, 13, H, W) array. A manifest that
+    lists no scene, or a stack whose grid is not the first stack's, is a
+    FormatError naming its file."""
     corpus_dir = os.path.join(out_dir, CORPUS_DIR)
-    entries = read_manifest(os.path.join(corpus_dir, f"{which}.csv")).entries[:n]
-    channels = np.empty((0, N_CHANNELS, 0, 0))
+    manifest = os.path.join(corpus_dir, f"{which}.csv")
+    entries = read_manifest(manifest).entries[:n]
+    if not entries:
+        raise FormatError(f"{manifest}: lists no scene")
     for i, (_, rpath, _) in enumerate(entries):
         path = os.path.join(corpus_dir, rpath)
         scene = load_stack(path)
@@ -60,7 +63,7 @@ def load_split(out_dir: str, which: str, n=None):
 
 def _check_grid(out_dir: str, which: str, channels, vae_model) -> None:
     """A FormatError naming the split's manifest unless its stacks fit the models."""
-    if len(channels) and channels.shape[1:] != vae_model.input_shape:
+    if channels.shape[1:] != vae_model.input_shape:
         raise FormatError(f"{os.path.join(out_dir, CORPUS_DIR, f'{which}.csv')}: the split's "
                           f"stacks are {channels.shape[1:]}, the models' {vae_model.input_shape}")
 

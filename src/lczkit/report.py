@@ -35,7 +35,6 @@ class ReportBundle:
     decision: HypothesisDecision
     figure_csv: str
     summary: str
-    n_excluded: int        # (scene, delta_t) pairs that failed in perturb, any kind
 
 
 def check_sweep(delta_ts) -> None:
@@ -83,4 +82,4 @@ def build_report(records, n_excluded: int = 0) -> ReportBundle:
         decision.summary(),
     ]
     summary = "\n".join(lines)
-    return ReportBundle(aggregated, fit, decision, figure_csv, summary, n_excluded)
+    return ReportBundle(aggregated, fit, decision, figure_csv, summary)

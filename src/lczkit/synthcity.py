@@ -215,9 +215,7 @@ def scene_temperature(law: TemperatureLaw, true_veg_fraction: float, scene_seed:
 
 @dataclass
 class CorpusResult:
-    manifest_path: str
     entries: list              # (scene_id, raster_path, temperature)
-    true_fractions: dict       # scene_id -> planted vegetation fraction
     train_ids: list
     test_ids: list
 
@@ -230,8 +228,7 @@ def split_sizes(n_scenes: int) -> tuple:
 
 def _write_scene(params: SceneParams, law: TemperatureLaw, out_dir: str, i: int,
                  raster_path: str, density_scale: float, bld_scale: float) -> tuple:
-    """Build, rasterize and write scene i to out_dir/raster_path; its
-    (temperature, planted vegetation fraction)."""
+    """Build, rasterize and write scene i to out_dir/raster_path; its temperature."""
     scene_params = replace(
         params,
         tree_density=params.tree_density * density_scale,
@@ -239,7 +236,7 @@ def _write_scene(params: SceneParams, law: TemperatureLaw, out_dir: str, i: int,
     )
     truth = generate_scene(scene_params, i)
     save_stack(rasterize(truth.cloud, params.grid).channels, os.path.join(out_dir, raster_path))
-    return scene_temperature(law, truth.true_veg_fraction, i), truth.true_veg_fraction
+    return scene_temperature(law, truth.true_veg_fraction, i)
 
 
 def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
@@ -270,11 +267,10 @@ def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
     # before its first scene. A few chunks per worker: one message per scene
     # costs more than the finer balance saves.
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-        scenes = list(pool.map(partial(_write_scene, params, law, out_dir), range(n_scenes),
-                               paths, density_scales.tolist(), bld_scales.tolist(),
-                               chunksize=max(1, n_scenes // (8 * workers))))
-    entries = [(scene_id, path, temp) for scene_id, path, (temp, _) in zip(ids, paths, scenes)]
-    fractions = {scene_id: fraction for scene_id, (_, fraction) in zip(ids, scenes)}
+        temps = list(pool.map(partial(_write_scene, params, law, out_dir), range(n_scenes),
+                              paths, density_scales.tolist(), bld_scales.tolist(),
+                              chunksize=max(1, n_scenes // (8 * workers))))
+    entries = list(zip(ids, paths, temps))
 
     order = rng.permutation(n_scenes)
     n_train, _ = split_sizes(n_scenes)
@@ -282,5 +278,4 @@ def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
     test = [entries[j] for j in sorted(order[n_train:])]
     for name, split in (("manifest", entries), ("train", train), ("test", test)):
         write_manifest(SceneManifest(split), os.path.join(out_dir, f"{name}.csv"))
-    return CorpusResult(os.path.join(out_dir, "manifest.csv"), entries, fractions,
-                        [e[0] for e in train], [e[0] for e in test])
+    return CorpusResult(entries, [e[0] for e in train], [e[0] for e in test])

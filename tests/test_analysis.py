@@ -104,15 +104,14 @@ def test_ols_exact_linear_data():
     assert fit.a == pytest.approx(2.0, abs=1e-12)
     assert fit.b == pytest.approx(1.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(fit.residuals, 0.0, atol=1e-12)
+    assert fit.resid_std == pytest.approx(0.0, abs=1e-12)
     assert fit.p_a == 0.0  # zero residual variance, nonzero slope
 
 
 def test_ols_constant_ys_degenerate():
     xs = np.array([0.0, 1.0, 2.0, 3.0])
     fit = ols_fit(xs, np.full(4, 5.0))
-    assert fit.degenerate_y
-    assert fit.r_squared == 0.0
+    assert fit.r_squared == 0.0  # forced: SS_tot is 0
     assert fit.a == 0.0
     assert fit.p_a == 1.0
 
@@ -134,8 +133,10 @@ def test_ols_matches_scipy_linregress():
         ref = scipy.stats.linregress(xs, ys)
         assert fit.a == pytest.approx(ref.slope, abs=1e-10)
         assert fit.b == pytest.approx(ref.intercept, abs=1e-10)
-        assert fit.se_a == pytest.approx(ref.stderr, abs=1e-10)
-        assert fit.se_b == pytest.approx(ref.intercept_stderr, abs=1e-10)
+        # each interval's half-width is t975 standard errors
+        assert (fit.ci_a[1] - fit.ci_a[0]) / 2 / fit.t975 == pytest.approx(ref.stderr, abs=1e-10)
+        assert ((fit.ci_b[1] - fit.ci_b[0]) / 2 / fit.t975
+                == pytest.approx(ref.intercept_stderr, abs=1e-10))
         assert fit.p_a == pytest.approx(ref.pvalue, abs=1e-6)
         assert fit.r_squared == pytest.approx(ref.rvalue ** 2, abs=1e-10)
 
@@ -146,8 +147,11 @@ def test_ols_ci_matches_closed_form():
     ys = -1.3 * xs + 2.0 + rng.normal(0, 0.4, 12)
     fit = ols_fit(xs, ys)
     t975 = scipy.stats.t.ppf(0.975, fit.dof)
-    assert fit.ci_a[0] == pytest.approx(fit.a - t975 * fit.se_a, abs=1e-9)
-    assert fit.ci_a[1] == pytest.approx(fit.a + t975 * fit.se_a, abs=1e-9)
+    dx = xs - xs.mean()
+    resid = ys - (fit.a * xs + fit.b)
+    se_a = np.sqrt(resid @ resid / (len(xs) - 2) / (dx @ dx))
+    assert fit.ci_a[0] == pytest.approx(fit.a - t975 * se_a, abs=1e-9)
+    assert fit.ci_a[1] == pytest.approx(fit.a + t975 * se_a, abs=1e-9)
 
 
 def test_ols_shift_scale_equivariance():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lczkit
+from lczkit import analysis, perturb, pipeline, rasterizer, regressor, report, synthcity
 from lczkit.autogeolabel import LabelRules
 from lczkit.cli import _split_overrides, main
 from lczkit.config import DEFAULTS, RunConfig, stage_seed
@@ -111,18 +112,39 @@ VIEW_SECTIONS = ((GridSpec, "grid"), (VaeConfig, "vae"), (KldSchedule, "vae"), (
                  (LabelRules, "labels"), (SceneParams, "synth"), (TemperatureLaw, "synth"))
 
 
+def _project_text(*patterns):
+    """The text of the repository's files matching patterns, globs from its root."""
+    root = Path(__file__).parents[1]
+    return "".join(path.read_text() for pattern in patterns for path in root.glob(pattern))
+
+
 def test_every_view_field_backs_a_key_or_is_passed_by_name():
     # A value that no key sets and no caller passes is a module constant,
     # not a field.
-    root = Path(__file__).parents[1]
-    source = "".join(path.read_text() for path in (*(root / "src" / "lczkit").glob("*.py"),
-                                                    *(root / "scripts").glob("*.py"),
-                                                    root / "tests" / "test_acceptance.py"))
+    source = _project_text("src/lczkit/*.py", "scripts/*.py", "tests/test_acceptance.py")
     unreached = [f"{cls.__name__}.{field.name}" for cls, section in VIEW_SECTIONS
                  for field in dataclasses.fields(cls)
                  if f"{section}.{field.name}" not in DEFAULTS
                  and not re.search(rf"\b{field.name}=(?!=)", source)]
     assert unreached == []
+
+
+# The records the stages return.
+STAGE_RECORDS = (analysis.OlsFit, analysis.HypothesisDecision, report.ReportBundle,
+                 report.ExperimentRecord, synthcity.CorpusResult, synthcity.SceneTruth,
+                 regressor.ErrorReport, rasterizer.RasterStack, perturb.BatchResult,
+                 perturb.CounterfactualScene, pipeline.PipelineResult)
+
+
+def test_every_record_field_is_read():
+    # A value that nothing reads is a local of the code that computes it,
+    # not a field.
+    source = _project_text("src/lczkit/*.py", "scripts/*.py", "perfbench/*.py",
+                           "tests/test_acceptance.py")
+    unread = [f"{cls.__name__}.{field.name}" for cls in STAGE_RECORDS
+              for field in dataclasses.fields(cls)
+              if not re.search(rf"\.{field.name}\b", source)]
+    assert unread == []
 
 
 def test_every_config_key_is_read_by_a_stage():
@@ -516,6 +538,10 @@ def _not_utf8(path, row):
     path.write_bytes(b"\n".join(lines))
 
 
+def _header_only(path):
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
 def _append_bytes(path):
     path.write_bytes(path.read_bytes() + b"\0" * 4)
 
@@ -533,6 +559,8 @@ CF_FILE = ("label", lambda out: out / "counterfactuals" / "cf.lczm")
 NORM = ("label", lambda out: out / "models" / "norm.lczm")
 STACK = ("perturb", _first_test_stack)
 TEST_MANIFEST = ("perturb", lambda out: out / "corpus" / "test.csv")
+TRAIN_MANIFEST_AT_VAE = ("train-vae", lambda out: out / "corpus" / "train.csv")
+TRAIN_MANIFEST_AT_REG = ("train-reg", lambda out: out / "corpus" / "train.csv")
 
 CORRUPTIONS = {
     "fractions_extra_field": (FRACTIONS, lambda p: _edit_row(p, 1, lambda line: line + ",0.5")),
@@ -578,6 +606,10 @@ CORRUPTIONS = {
     "stack_rank_two": (STACK, lambda p: _edit_tensors(p, lambda t: [(n, a[0]) for n, a in t])),
     "stack_trailing_bytes": (STACK, _append_bytes),
     "manifest_bad_temperature": (TEST_MANIFEST, lambda p: _set_field(p, 1, 2, "hot")),
+    # a split manifest that lists no scene, at each stage that loads its split
+    "manifest_no_scene_at_perturb": (TEST_MANIFEST, _header_only),
+    "manifest_no_scene_at_train_vae": (TRAIN_MANIFEST_AT_VAE, _header_only),
+    "manifest_no_scene_at_train_reg": (TRAIN_MANIFEST_AT_REG, _header_only),
 }
 
 # The line of the file that the refusal names, where it names one; the
