@@ -22,7 +22,7 @@ from .rasterizer import GridSpec
 from .regressor import RegConfig, n_holdout
 from .report import check_sweep
 from .synthcity import SceneParams, TemperatureLaw, split_sizes
-from .vae import KldSchedule, VaeConfig, VaeModel
+from .vae import VaeConfig, VaeModel
 
 
 def _fields(section: str, view, names: str) -> dict:
@@ -33,8 +33,7 @@ def _fields(section: str, view, names: str) -> dict:
 DEFAULTS = {
     "seed": 0,
     **_fields("grid", GridSpec(), "width height cell_size"),
-    **_fields("vae", VaeConfig(), "latent_dim hidden arch epochs"),
-    **_fields("vae", KldSchedule(), "ramp_epochs lambda_max"),
+    **_fields("vae", VaeConfig(), "latent_dim hidden arch epochs ramp_epochs lambda_max"),
     **_fields("reg", RegConfig(), "epochs"),
     "perturb.dt_sweep": "0,1,3,5,10,-1,-3,-5,-10",
     "perturb.steps": 1,        # closed-form steps on the remaining delta_t
@@ -89,7 +88,7 @@ class RunConfig:
         if self["vae.arch"] == "patch":
             w, h = self["grid.width"], self["grid.height"]
             try:
-                VaeModel({}, (1, h, w), 1, "patch", 1, VaeModel.PATCH_FEATURES).layout()
+                VaeModel({}, (1, h, w), 1, "patch", 1).layout()
             except UsageError as exc:
                 raise UsageError(f"bad grid.width/grid.height {w}x{h} for vae.arch 'patch': "
                                  f"{exc}") from None
@@ -109,7 +108,8 @@ class RunConfig:
     def from_file(cls, path=None, overrides=None) -> "RunConfig":
         """The config of path's key=value lines with overrides set on top.
         A refusal of a value the file sets names the file, and its line
-        where one line set it."""
+        where one line set it; a key the file sets twice is a ParseError
+        naming the second line."""
         values, lines = {}, {}  # lines: key -> the file line that set it
         if path is not None:
             for lineno, line in enumerate(text_lines(path), start=1):
@@ -121,6 +121,9 @@ class RunConfig:
                                      path=path)
                 key, _, text = stripped.partition("=")
                 key = key.strip()
+                if key in lines:
+                    raise ParseError(f"{key!r} is set again (first on line {lines[key]})",
+                                     line=lineno, path=path)
                 try:
                     values[key] = _coerce(key, text.strip())
                 except UsageError as exc:
@@ -157,7 +160,7 @@ class RunConfig:
         return VaeConfig(
             latent_dim=self["vae.latent_dim"], hidden=self["vae.hidden"],
             arch=self["vae.arch"], epochs=self["vae.epochs"],
-            schedule=KldSchedule(self["vae.ramp_epochs"], self["vae.lambda_max"]),
+            ramp_epochs=self["vae.ramp_epochs"], lambda_max=self["vae.lambda_max"],
             seed=stage_seed(self["seed"], "vae"),
         )
 

@@ -159,7 +159,7 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> Batch
     # pairs and skips their decode; errors[p] below is pair p's failure.
     scene_errors = [None if ok else NumericError("encoder input is non-finite")
                     for ok in np.isfinite(scenes).all(axis=(1, 2, 3))]
-    codes = _apply(vae_mod.encode_mean, vae, scenes, scene_errors, latent)
+    codes = _apply(vae_mod.encode, vae, scenes, scene_errors, latent)
     t0 = _apply(reg.predict, regressor, codes, scene_errors, ())
     grads = _apply(reg.grad_wrt_code, regressor, codes, scene_errors, latent)
 

@@ -92,7 +92,7 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
         vae_model, norm = load_models(out_dir, "vae", "norm")
     _, channels, train_temps = load_split(out_dir, "train")
     _check_grid(out_dir, "train", channels, vae_model)
-    codes = vae.encode_mean(vae_model, rasterizer.normalize(channels, norm))
+    codes = vae.encode(vae_model, rasterizer.normalize(channels, norm))
     model, err_report = regressor.train_regressor(codes, train_temps, cfg.reg_config())
     save_model(regressor.regressor_tensors(model), os.path.join(out_dir, MODEL_DIR, "reg.lczm"))
     return model, err_report
@@ -100,9 +100,14 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
 
 def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_model=None):
     """Sweep the first perturb.n_scenes held-out scenes; persist
-    counterfactual tensors, index and failures."""
+    counterfactual tensors, index and failures. A regressor of another code
+    size than the VAE's is a FormatError naming reg.lczm."""
     if vae_model is None:
         vae_model, norm, reg_model = load_models(out_dir, "vae", "norm", "reg")
+    if reg_model.latent_dim != vae_model.latent_dim:
+        raise FormatError(f"{os.path.join(out_dir, MODEL_DIR, 'reg.lczm')}: the regressor reads "
+                          f"{reg_model.latent_dim}-dim codes, the VAE writes "
+                          f"{vae_model.latent_dim}-dim ones")
     test_ids, channels, _ = load_split(out_dir, "test", cfg["perturb.n_scenes"])
     _check_grid(out_dir, "test", channels, vae_model)
     result = perturb.batch_perturb(vae_model, reg_model, rasterizer.normalize(channels, norm),

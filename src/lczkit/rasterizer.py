@@ -53,9 +53,6 @@ class RasterStack:
     channels: np.ndarray  # shape (N_CHANNELS, height, width); row 0 at y = 0
     n_outside: int = 0  # points outside the grid extent, ignored
 
-    def channel(self, name: str) -> np.ndarray:
-        return self.channels[CHANNEL_NAMES.index(name)]
-
 
 @dataclass
 class NormStats:

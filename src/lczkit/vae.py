@@ -1,18 +1,20 @@
 """Stage 1: variational autoencoder compressing (C, H, W) rasters to latent codes.
 
 Two interchangeable architectures: "mlp" (flatten, two hidden layers) for
-desk-scale grids, and "patch" (two strided patchwise-affine layers, then a
-flatten and an affine head) for larger grids. Both expose the same
-encode/decode contract, on batches only: encode takes (B, C, H, W) and
-decode (B, n), and one scene is a batch of one row. Either call pads a
+desk-scale grids, and "patch" (two strided patchwise-affine layers of
+widths VaeModel.PATCH_FEATURES, then a flatten and an affine head) for
+larger grids. Both expose the same encode/decode contract, on batches
+only: encode maps (B, C, H, W) to the posterior means (B, n), decode maps
+(B, n) back, and one scene is a batch of one row. Either call pads a
 batch of fewer than autodiff.MIN_ROWS rows with copies of its first row and
 drops them from the result, so a row encodes and decodes to the same bits
-in any batch.
+in any batch. Training weights the ELBO's KL term by kld_weight, a linear
+warm-up set by VaeConfig's ramp_epochs and lambda_max.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,41 +28,33 @@ BATCH_SIZE = 32   # scenes per Adam step
 
 
 @dataclass
-class KldSchedule:
-    """Linear warm-up of the KL weight: 0 to lambda_max over ramp_epochs."""
-
-    ramp_epochs: int = 50
-    lambda_max: float = 1e-5
-
-    def __post_init__(self):
-        for name in ("ramp_epochs", "lambda_max"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be >= 0")
-
-
-def kld_weight(schedule: KldSchedule, epoch: int) -> float:
-    if epoch < 0:
-        raise UsageError("epoch must be >= 0")
-    if schedule.ramp_epochs <= 0:
-        return schedule.lambda_max
-    return schedule.lambda_max * min(1.0, epoch / schedule.ramp_epochs)
-
-
-@dataclass
 class VaeConfig:
     latent_dim: int = 32
     hidden: int = 256          # mlp hidden width
     arch: str = "mlp"          # "mlp" | "patch"
     epochs: int = 13           # fewest sweeps/vae_epochs_full_batch.csv supports (README Sweeps)
-    schedule: KldSchedule = field(default_factory=KldSchedule)
+    ramp_epochs: int = 50      # the KL weight rises linearly from 0 ...
+    lambda_max: float = 1e-5   # ... to lambda_max over ramp_epochs epochs
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("ramp_epochs", "lambda_max"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0")
         for name in ("latent_dim", "hidden", "epochs"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be at least 1")
         if self.arch not in _ARCHS:
             raise UsageError(f"arch {self.arch!r} is not one of {', '.join(_ARCHS)}")
+
+
+def kld_weight(config: VaeConfig, epoch: int) -> float:
+    """The KL weight of an epoch: linear warm-up from 0 to lambda_max over ramp_epochs."""
+    if epoch < 0:
+        raise UsageError("epoch must be >= 0")
+    if config.ramp_epochs <= 0:
+        return config.lambda_max
+    return config.lambda_max * min(1.0, epoch / config.ramp_epochs)
 
 
 @dataclass
@@ -70,10 +64,9 @@ class VaeModel:
     latent_dim: int
     arch: str
     hidden: int
-    patch_features: tuple      # (f1, f2) patch arch widths, stored in vae/meta
 
     PATCH_SIZES = (4, 2)
-    PATCH_FEATURES = (32, 64)  # the widths init_vae gives a patch arch
+    PATCH_FEATURES = (32, 64)  # the patch arch's widths, stored in vae/meta
 
     def layout(self) -> list:
         """(name, shape, init gain) of each parameter, in draw order."""
@@ -92,7 +85,7 @@ class VaeModel:
             p1, p2 = self.PATCH_SIZES
             if h % (p1 * p2) or w % (p1 * p2):
                 raise UsageError(f"patch arch needs H and W divisible by {p1 * p2}, got HxW {h}x{w}")
-            f1, f2 = self.patch_features
+            f1, f2 = self.PATCH_FEATURES
             flat = (h // (p1 * p2)) * (w // (p1 * p2)) * f2
             return [*_layer("enc/P1", "enc/pb1", p1 * p1 * c, f1),
                     *_layer("enc/P2", "enc/pb2", p2 * p2 * f1, f2),
@@ -109,8 +102,7 @@ def _layer(weight, bias, n_in, n_out, gain=1.0):
 
 
 def init_vae(input_shape, config: VaeConfig, rng) -> VaeModel:
-    model = VaeModel({}, tuple(input_shape), config.latent_dim, config.arch, config.hidden,
-                     VaeModel.PATCH_FEATURES)
+    model = VaeModel({}, tuple(input_shape), config.latent_dim, config.arch, config.hidden)
     model.params = ad.he_params(model.layout(), rng)
     return model
 
@@ -141,7 +133,7 @@ def encode_graph(model: VaeModel, x: Tensor):
         h2 = ad.relu(ad.affine(h1, pr["enc/W2"], pr["enc/b2"]))
     else:
         p1, p2 = VaeModel.PATCH_SIZES
-        f1, f2 = model.patch_features
+        f1, f2 = VaeModel.PATCH_FEATURES
         rows = _patchify(ad.transpose(x, (0, 2, 3, 1)), p1)  # channels last
         l1 = ad.relu(ad.affine(rows, pr["enc/P1"], pr["enc/pb1"]))
         grid1 = ad.reshape(l1, (b, h // p1, w // p1, f1))
@@ -168,7 +160,7 @@ def decode_graph(model: VaeModel, code: Tensor, out=None) -> Tensor:
                          out=None if out is None else out.reshape(b, c * h * w))
         return ad.reshape(flat, (b, c, h, w))
     p1, p2 = VaeModel.PATCH_SIZES
-    f1, f2 = model.patch_features
+    f1, f2 = VaeModel.PATCH_FEATURES
     h2g, w2g = h // (p1 * p2), w // (p1 * p2)
     base = ad.relu(ad.affine(code, pr["dec/W"], pr["dec/b"]))
     rows2 = ad.reshape(base, (b * h2g * w2g, f2))
@@ -179,21 +171,19 @@ def decode_graph(model: VaeModel, code: Tensor, out=None) -> Tensor:
     return ad.transpose(_unpatchify(up1, b, h // p1, w // p1, p1, c), (0, 3, 1, 2))
 
 
-def encode(model: VaeModel, channels):
-    """Encode a normalized (B, C, H, W) batch; returns (mu, logvar), each (B, n)."""
+def encode(model: VaeModel, channels) -> np.ndarray:
+    """The posterior means mu, (B, n), of a normalized (B, C, H, W) batch;
+    only training reads the encoder's logvar."""
     arr = np.asarray(channels, dtype=float)
     if arr.shape[1:] != model.input_shape:
         raise UsageError(f"encode: expected a (B, *{model.input_shape}) batch, got {arr.shape}")
     if not np.all(np.isfinite(arr)):  # relu would map NaN to 0 and hide it
         raise NumericError("encoder input is non-finite")
-    mu, logvar = (t.value[:len(arr)] for t in encode_graph(model, Tensor(ad.pad_rows(arr))))
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
+    mu, _ = encode_graph(model, Tensor(ad.pad_rows(arr)))
+    mu = mu.value[:len(arr)]
+    if not np.all(np.isfinite(mu)):
         raise DivergenceError("encoder produced non-finite outputs")
-    return mu.copy(), logvar.copy()
-
-
-def encode_mean(model: VaeModel, channels) -> np.ndarray:
-    return encode(model, channels)[0]
+    return mu.copy()
 
 
 def reparameterize(mu: Tensor, logvar: Tensor, epsilon: Tensor) -> Tensor:
@@ -255,7 +245,7 @@ def train_vae(corpus, config: VaeConfig):
     opt = ad.Adam(model.params.values(), LR)
     history = []
     for epoch in range(config.epochs):
-        lam = kld_weight(config.schedule, epoch)
+        lam = kld_weight(config, epoch)
         perm = rng.permutation(n_samples)
         total, seen = 0.0, 0
         for start in range(0, n_samples, BATCH_SIZE):
@@ -282,7 +272,7 @@ _ARCHS = ("mlp", "patch")  # the arch code stored in vae/meta is the index
 def vae_tensors(model: VaeModel):
     meta = np.array(
         [*model.input_shape, model.latent_dim, _ARCHS.index(model.arch),
-         model.hidden, *model.patch_features]
+         model.hidden, *VaeModel.PATCH_FEATURES]
     )
     tensors = [("vae/meta", meta)]
     tensors += [(f"vae/{name}", t.value) for name, t in model.params.items()]
@@ -291,10 +281,14 @@ def vae_tensors(model: VaeModel):
 
 def vae_from_tensors(tensors) -> VaeModel:
     """The model of vae_tensors, its parameters the stored arrays; FormatError
-    unless the tensors are exactly vae/meta and the layout it describes."""
-    c, h, w, n, arch_code, hidden, f1, f2 = read_meta(tensors, "vae/meta", 8)
+    unless the tensors are exactly vae/meta and the layout it describes, and
+    the meta's patch widths are VaeModel.PATCH_FEATURES."""
+    c, h, w, n, arch_code, hidden, *widths = read_meta(tensors, "vae/meta", 8)
+    if tuple(widths) != VaeModel.PATCH_FEATURES:
+        raise FormatError(f"vae/meta: patch widths {tuple(widths)} are not "
+                          f"{VaeModel.PATCH_FEATURES}")
     arch = _ARCHS[arch_code] if arch_code < len(_ARCHS) else f"code {arch_code}"
-    model = VaeModel({}, (c, h, w), n, arch, hidden, (f1, f2))
+    model = VaeModel({}, (c, h, w), n, arch, hidden)
     try:
         layout = model.layout()
     except UsageError as exc:  # an unknown arch, or a grid the patch arch cannot tile

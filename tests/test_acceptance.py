@@ -23,7 +23,7 @@ from lczkit.perturb import batch_perturb, delta_c
 from lczkit.rasterizer import rasterize
 from lczkit.regressor import RegConfig, forward_graph, init_regressor, l1_loss_graph
 from lczkit.synthcity import SceneParams, generate_scene
-from lczkit.vae import KldSchedule, VaeConfig, init_vae, kld_weight
+from lczkit.vae import VaeConfig, init_vae, kld_weight
 
 from test_autodiff import primitive_cases
 
@@ -258,9 +258,9 @@ def test_criterion_09_seeded_determinism(full_run):
 
 
 def test_criterion_10_kld_schedule():
-    sched = KldSchedule(ramp_epochs=50, lambda_max=1e-5)
+    config = VaeConfig(ramp_epochs=50, lambda_max=1e-5)
     points = {0: 0.0, 25: 5e-6, 50: 1e-5, 100: 1e-5}
-    errs = {e: abs(kld_weight(sched, e) - v) for e, v in points.items()}
+    errs = {e: abs(kld_weight(config, e) - v) for e, v in points.items()}
     ok = all(err == 0.0 for err in errs.values())
     _verdict(10, ok, "lambda(0)=0, lambda(25)=5e-6, lambda(50)=lambda(100)=1e-5 "
                      f"(max abs err {max(errs.values()):.1e})")

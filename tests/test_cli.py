@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import math
@@ -20,7 +21,7 @@ from lczkit.perturb import batch_perturb
 from lczkit.rasterizer import CHANNEL_NAMES, GridSpec, load_stack, save_stack
 from lczkit.regressor import RegConfig
 from lczkit.synthcity import SceneParams, TemperatureLaw
-from lczkit.vae import KldSchedule, VaeConfig
+from lczkit.vae import VaeConfig
 
 SMALL_CONFIG = """\
 # desk-scale smoke configuration
@@ -108,7 +109,7 @@ def test_run_config_views_equal_the_dataclass_defaults():
 
 
 # The section of each typed view's config keys.
-VIEW_SECTIONS = ((GridSpec, "grid"), (VaeConfig, "vae"), (KldSchedule, "vae"), (RegConfig, "reg"),
+VIEW_SECTIONS = ((GridSpec, "grid"), (VaeConfig, "vae"), (RegConfig, "reg"),
                  (LabelRules, "labels"), (SceneParams, "synth"), (TemperatureLaw, "synth"))
 
 
@@ -145,6 +146,40 @@ def test_every_record_field_is_read():
               for field in dataclasses.fields(cls)
               if not re.search(rf"\.{field.name}\b", source)]
     assert unread == []
+
+
+def _definitions_and_names(path):
+    """The functions, classes and methods path defines, as (name, is a
+    method, first line, last line), and the names its code uses (comments
+    and strings aside), as (name, after a dot, line)."""
+    tree = ast.parse(path.read_text())
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    defs = [(node.name, id(node) in methods, node.lineno, node.end_lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    names = [(node.id, False, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    names += [(node.attr, True, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)]
+    return defs, names
+
+
+def test_every_function_class_and_method_is_named_outside_its_definition():
+    # Code that nothing reaches is deleted, not kept for later. A method
+    # counts as reached where `.name` appears; a dunder is reached by Python.
+    root = Path(__file__).parents[1]
+    paths = [*root.glob("src/lczkit/*.py"), *root.glob("scripts/*.py"),
+             *root.glob("perfbench/*.py"), root / "tests" / "test_acceptance.py"]
+    scanned = {path: _definitions_and_names(path) for path in paths}
+    unreached = [f"{path.name}: {name}"
+                 for path in root.glob("src/lczkit/*.py")
+                 for name, method, first, last in scanned[path][0]
+                 if not (name.startswith("__") and name.endswith("__"))
+                 and not any(used == name and (dotted or not method)
+                             and not (where == path and first <= line <= last)
+                             for where, (_, names) in scanned.items()
+                             for used, dotted, line in names)]
+    assert unreached == []
 
 
 def test_every_config_key_is_read_by_a_stage():
@@ -224,6 +259,7 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, code, named", [
     ("seed=1\nfoo\n", 2, "line 2: expected key=value, got 'foo'"),
+    ("vae.epochs=2\nvae.epochs=3\n", 2, "line 2: 'vae.epochs' is set again (first on line 1)"),
     ("vae.epochs=abc\n", 1, "line 1: bad value 'abc' for key 'vae.epochs'"),
     ("vae.epoch=3\n", 1, "line 1: unknown config key 'vae.epoch'"),
     ("seed=1\nvae.epochs=0\n", 1, "line 2: vae.epochs must be at least 1"),
@@ -528,6 +564,12 @@ def _old_stack_layout(tensors):
             ("grid/spec", np.array([0.0, 0.0, 1.0, 16.0, 16.0]))]
 
 
+def _other_patch_widths(tensors):
+    """vae/meta's last two ints, the patch widths, set to (3, 4)."""
+    (name, meta), *rest = tensors
+    return [(name, np.concatenate([meta[:6], [3.0, 4.0]])), *rest]
+
+
 def _latent_steps(cfs):
     return "cf/delta_c", np.zeros((len(cfs), 16))
 
@@ -557,6 +599,7 @@ FAILURES = ("analyze", lambda out: out / "counterfactuals" / "failures.csv")
 INDEX = ("label", lambda out: out / "counterfactuals" / "index.csv")
 CF_FILE = ("label", lambda out: out / "counterfactuals" / "cf.lczm")
 NORM = ("label", lambda out: out / "models" / "norm.lczm")
+VAE = ("perturb", lambda out: out / "models" / "vae.lczm")
 STACK = ("perturb", _first_test_stack)
 TEST_MANIFEST = ("perturb", lambda out: out / "corpus" / "test.csv")
 TRAIN_MANIFEST_AT_VAE = ("train-vae", lambda out: out / "corpus" / "train.csv")
@@ -596,6 +639,7 @@ CORRUPTIONS = {
     "cf_file_truncated": (CF_FILE, lambda p: p.write_bytes(p.read_bytes()[:-8])),
     "cf_file_trailing_bytes": (CF_FILE, _append_bytes),
     "norm_file_trailing_bytes": (NORM, _append_bytes),
+    "vae_meta_other_patch_widths": (VAE, lambda p: _edit_tensors(p, _other_patch_widths)),
     # the file holds one tensor, stack/channels, of shape (13, H, W)
     "stack_old_layout": (STACK, lambda p: _edit_tensors(p, _old_stack_layout)),
     "stack_wrong_tensor_name": (STACK, lambda p: _edit_tensors(
@@ -671,3 +715,16 @@ def test_a_split_on_another_grid_than_the_models_exits_two_naming_its_manifest(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert f"{manifest}: " in err and "(13, 8, 8)" in err and "(13, 16, 16)" in err, err
+
+
+def test_a_regressor_of_another_latent_size_exits_two_naming_it(tmp_path, labeled_run, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(labeled_run, out)
+    reg = out / "models" / "reg.lczm"
+    other = regressor.init_regressor(16, RegConfig(), np.random.default_rng(0))
+    save_model(regressor.regressor_tensors(other), reg)
+    capsys.readouterr()
+    assert main(["perturb", "--seed", "6", "--out", str(out), "--perturb.n_scenes=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert f"{reg}: " in err and "16-dim" in err and "32-dim" in err, err

@@ -77,12 +77,12 @@ def test_perturb_zero_dt_reproduces_reconstruction_bit_exact():
 
 def test_perturb_closed_form_parallel_to_gradient():
     from lczkit.regressor import grad_wrt_code
-    from lczkit.vae import encode_mean
+    from lczkit.vae import encode
 
     vae, reg = _models(seed=4)
     s = np.random.default_rng(5).standard_normal(SHAPE)
     cf = _one(vae, reg, s, 2.0)
-    g = grad_wrt_code(reg, encode_mean(vae, s[None]))[0]
+    g = grad_wrt_code(reg, encode(vae, s[None]))[0]
     cos = (cf.delta_c @ g) / (np.linalg.norm(cf.delta_c) * np.linalg.norm(g))
     assert abs(cos - 1.0) <= 1e-9
 
@@ -219,10 +219,10 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(vae_mod, "encode_mean", counted(vae_mod.encode_mean))
+    monkeypatch.setattr(vae_mod, "encode", counted(vae_mod.encode))
     monkeypatch.setattr(vae_mod, "decode", counted(vae_mod.decode))
     result = batch_perturb(vae, reg, scenes, sweep, ids, steps=steps)
-    assert calls.count("encode_mean") == 1  # the whole batch at once
+    assert calls.count("encode") == 1  # the whole batch at once
     assert calls.count("decode") == 1  # the 12 counterfactuals in one call
     assert len(result.scenes) == len(scenes) * len(sweep) and not result.failures
     pairs = [(sid, s, dt) for sid, s in zip(ids, scenes) for dt in sweep]
@@ -257,12 +257,12 @@ def test_network_calls_are_whole_batch(steps, monkeypatch):
             return fn(model, rows, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
 
-    for mod, name in ((vae_mod, "encode_mean"), (vae_mod, "decode"),
+    for mod, name in ((vae_mod, "encode"), (vae_mod, "decode"),
                       (reg_mod, "predict"), (reg_mod, "grad_wrt_code")):
         counted(mod, name)
     result = batch_perturb(vae, reg, scenes, sweep, [f"s{i}" for i in range(30)], steps=steps)
     assert len(result.scenes) == 300 and not result.failures
-    assert calls["encode_mean"] == [30]
+    assert calls["encode"] == [30]
     # codes, then stepped codes; then per further step the pairs still walking
     assert calls["predict"][:2] == [30, 300] and calls["grad_wrt_code"][0] == 30
     if steps == 1:
@@ -317,7 +317,7 @@ def test_non_finite_reconstruction_fails_all_the_scene_s_pairs(monkeypatch):
     scenes = np.random.default_rng(42).standard_normal((2, *SHAPE))
     sweep = [1.0, 0.0, -2.0]
     clean = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
-    code = vae_mod.encode_mean(vae, scenes[1:])[0]
+    code = vae_mod.encode(vae, scenes[1:])[0]
     decode = vae_mod.decode
 
     def decode_inf_at_the_code(model, codes, out=None):  # b's delta_t = 0 row only
@@ -405,7 +405,7 @@ def test_batch_refuses_a_repeated_scene_id_before_any_network_call(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a network was called")
 
-    for mod, name in ((vae_mod, "encode_mean"), (vae_mod, "decode"),
+    for mod, name in ((vae_mod, "encode"), (vae_mod, "decode"),
                       (reg_mod, "predict"), (reg_mod, "grad_wrt_code")):
         monkeypatch.setattr(mod, name, never)
     vae, reg = _models(seed=37)
@@ -428,7 +428,7 @@ def test_batch_refuses_a_sweep_without_zero_before_any_network_call(monkeypatch)
             raise AssertionError(f"{name} was called")
         return never
 
-    for mod, name in ((vae_mod, "encode_mean"), (vae_mod, "decode"),
+    for mod, name in ((vae_mod, "encode"), (vae_mod, "decode"),
                       (reg_mod, "predict"), (reg_mod, "grad_wrt_code")):
         monkeypatch.setattr(mod, name, counted(name))
     vae, reg = _models(seed=18)

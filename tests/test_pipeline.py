@@ -119,7 +119,7 @@ def test_staged_and_in_memory_label_cut_uneven_scene_blocks_alike(setup, monkeyp
     vae, reg, scenes, norm, out = setup
     sweep = [0.0, 0.5, 2.0, -1.0]
     clean = batch_perturb(vae, reg, scenes, sweep, IDS)
-    codes = vae_mod.encode_mean(vae, scenes)
+    codes = vae_mod.encode(vae, scenes)
     poisoned = np.stack([codes[0] + clean.scenes[2].delta_c, codes[1]])  # s0 at 2.0, s1's D(E(s))
     decode = vae_mod.decode
 

@@ -20,6 +20,7 @@ from lczkit.rasterizer import (
 from lczkit.synthcity import SceneParams, generate_scene
 
 SPEC = GridSpec(1.0, 4, 4)
+CH = {name: i for i, name in enumerate(CHANNEL_NAMES)}  # a stack's channel index by name
 
 
 def _cloud(rows):
@@ -32,7 +33,7 @@ def _cloud(rows):
 def test_empty_cloud_all_fill():
     stack = rasterize(PointCloud(), SPEC)
     assert not stack.channels.any()
-    assert stack.channel("point_count").sum() == 0
+    assert stack.channels[CH["point_count"]].sum() == 0
 
 
 def test_two_points_one_cell_statistics():
@@ -40,22 +41,22 @@ def test_two_points_one_cell_statistics():
     cloud = _cloud([(0.5, 0.5, 10.0, 100.0, 1, 1), (0.7, 0.3, 14.0, 200.0, 1, 1),
                     (3.5, 3.5, 0.0, 50.0, 1, 1), (3.5, 3.5, 0.0, 50.0, 1, 1)])
     stack = rasterize(cloud, SPEC)
-    assert stack.channel("z_min")[0, 0] == 10.0
-    assert stack.channel("z_max")[0, 0] == 14.0
-    assert stack.channel("z_mean")[0, 0] == 12.0
-    assert stack.channel("z_range")[0, 0] == 4.0
-    assert stack.channel("point_count")[0, 0] == 2.0
-    assert stack.channel("i_mean")[0, 0] == 150.0
-    assert stack.channel("i_min")[0, 0] == 100.0
-    assert stack.channel("i_max")[0, 0] == 200.0
+    assert stack.channels[CH["z_min"]][0, 0] == 10.0
+    assert stack.channels[CH["z_max"]][0, 0] == 14.0
+    assert stack.channels[CH["z_mean"]][0, 0] == 12.0
+    assert stack.channels[CH["z_range"]][0, 0] == 4.0
+    assert stack.channels[CH["point_count"]][0, 0] == 2.0
+    assert stack.channels[CH["i_mean"]][0, 0] == 150.0
+    assert stack.channels[CH["i_min"]][0, 0] == 100.0
+    assert stack.channels[CH["i_max"]][0, 0] == 200.0
 
 
 def test_ground_referencing_shifts_elevation():
     cloud = _cloud([(0.5, 0.5, 100.0, 10.0, 1, 1), (2.5, 2.5, 104.0, 10.0, 1, 1)])
     stack = rasterize(cloud, SPEC)
     # 2nd percentile of {100, 104} sits slightly above 100
-    assert stack.channel("z_mean")[0, 0] == pytest.approx(-0.08)
-    assert stack.channel("z_mean")[2, 2] == pytest.approx(3.92)
+    assert stack.channels[CH["z_mean"]][0, 0] == pytest.approx(-0.08)
+    assert stack.channels[CH["z_mean"]][2, 2] == pytest.approx(3.92)
 
 
 def test_out_of_extent_points_counted_and_ignored():
@@ -63,7 +64,7 @@ def test_out_of_extent_points_counted_and_ignored():
                     (-1.0, 0.5, 1.0, 10.0, 1, 1)])
     stack = rasterize(cloud, SPEC)
     assert stack.n_outside == 2
-    assert stack.channel("point_count").sum() == 1
+    assert stack.channels[CH["point_count"]].sum() == 1
 
 
 @st.composite
@@ -171,14 +172,14 @@ def test_a_synthetic_scene_matches_the_lexsort_oracle():
 @settings(max_examples=40, deadline=None)
 def test_stack_invariants(cloud):
     stack = rasterize(cloud, SPEC)
-    count = stack.channel("point_count")
+    count = stack.channels[CH["point_count"]]
     in_extent = int(len(cloud) - stack.n_outside)
     assert count.sum() == in_extent
     occupied = count >= 1
-    assert np.all(stack.channel("z_min")[occupied] <= stack.channel("z_mean")[occupied] + 1e-12)
-    assert np.all(stack.channel("z_mean")[occupied] <= stack.channel("z_max")[occupied] + 1e-12)
+    assert np.all(stack.channels[CH["z_min"]][occupied] <= stack.channels[CH["z_mean"]][occupied] + 1e-12)
+    assert np.all(stack.channels[CH["z_mean"]][occupied] <= stack.channels[CH["z_max"]][occupied] + 1e-12)
     for name in ("multi_return_fraction", "last_return_fraction"):
-        assert np.all((stack.channel(name) >= 0) & (stack.channel(name) <= 1))
+        assert np.all((stack.channels[CH[name]] >= 0) & (stack.channels[CH[name]] <= 1))
     assert np.all(np.isfinite(stack.channels))
 
 

@@ -8,12 +8,10 @@ from lczkit.errors import FormatError, UsageError
 from lczkit.io import load_model, save_model
 from lczkit.regressor import RegConfig, grad_wrt_code, init_regressor, predict
 from lczkit.vae import (
-    KldSchedule,
     VaeConfig,
     decode,
     elbo_loss,
     encode,
-    encode_mean,
     init_vae,
     kld_weight,
     reparameterize,
@@ -26,9 +24,8 @@ SHAPE = (2, 4, 4)
 
 
 def _model(arch="mlp", latent=3, hidden=8, seed=0):
-    """A small model: the patch arch with widths (3, 4), not init_vae's."""
     shape = SHAPE if arch == "mlp" else (2, 8, 8)
-    model = vae.VaeModel({}, shape, latent, arch, hidden, (3, 4))
+    model = vae.VaeModel({}, shape, latent, arch, hidden)
     model.params = ad.he_params(model.layout(), np.random.default_rng(seed))
     return model, shape
 
@@ -36,17 +33,14 @@ def _model(arch="mlp", latent=3, hidden=8, seed=0):
 def test_encode_deterministic():
     model, shape = _model()
     x = np.random.default_rng(1).standard_normal((1, *shape))
-    mu1, lv1 = encode(model, x)
-    mu2, lv2 = encode(model, x)
-    assert np.array_equal(mu1, mu2) and np.array_equal(lv1, lv2)
+    assert np.array_equal(encode(model, x), encode(model, x))
 
 
 def test_encode_zero_weights_gives_zero_outputs():
     model, shape = _model()
     for t in model.params.values():
         t.value[:] = 0.0
-    mu, lv = encode(model, np.ones((1, *shape)))
-    assert not mu.any() and not lv.any()
+    assert not encode(model, np.ones((1, *shape))).any()
 
 
 def test_encode_shape_mismatch():
@@ -74,7 +68,6 @@ def test_network_functions_refuse_a_non_batch_input():
     reg = init_regressor(model.latent_dim, RegConfig(hidden=(4, 3)), np.random.default_rng(1))
     scene, code = np.zeros(shape), np.zeros(model.latent_dim)
     calls = {"encode": lambda: encode(model, scene),
-             "encode_mean": lambda: encode_mean(model, scene),
              "decode": lambda: decode(model, code),
              "predict": lambda: predict(reg, code),
              "grad_wrt_code": lambda: grad_wrt_code(reg, code),
@@ -84,7 +77,7 @@ def test_network_functions_refuse_a_non_batch_input():
             call()
             pytest.fail(f"{name} accepted a non-batch input")
     # the same data as a batch of one row is accepted
-    assert encode_mean(model, scene[None]).shape == (1, model.latent_dim)
+    assert encode(model, scene[None]).shape == (1, model.latent_dim)
     assert decode(model, code[None]).shape == (1, *shape)
     assert predict(reg, code[None]).shape == (1,)
     assert grad_wrt_code(reg, code[None]).shape == (1, model.latent_dim)
@@ -104,8 +97,8 @@ def test_decode_continuity():
 def test_patch_arch_round_trip_shapes():
     model, shape = _model(arch="patch")
     x = np.random.default_rng(4).standard_normal((1, *shape))
-    mu, lv = encode(model, x)
-    assert mu.shape == lv.shape == (1, model.latent_dim)
+    mu = encode(model, x)
+    assert mu.shape == (1, model.latent_dim)
     assert decode(model, mu).shape == (1, *shape)
 
 
@@ -132,16 +125,16 @@ def test_reparameterize_monte_carlo_variance():
 
 
 def test_kld_schedule_ramp_reference_points():
-    sched = KldSchedule(ramp_epochs=50, lambda_max=1e-5)
-    assert kld_weight(sched, 0) == 0.0
-    assert kld_weight(sched, 25) == pytest.approx(5e-6)
-    assert kld_weight(sched, 50) == 1e-5
-    assert kld_weight(sched, 100) == 1e-5
+    config = VaeConfig(ramp_epochs=50, lambda_max=1e-5)
+    assert kld_weight(config, 0) == 0.0
+    assert kld_weight(config, 25) == pytest.approx(5e-6)
+    assert kld_weight(config, 50) == 1e-5
+    assert kld_weight(config, 100) == 1e-5
 
 
 def test_kld_schedule_nondecreasing():
-    sched = KldSchedule()
-    values = [kld_weight(sched, e) for e in range(120)]
+    config = VaeConfig()
+    values = [kld_weight(config, e) for e in range(120)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -232,7 +225,7 @@ def test_trained_vae_holds_its_trained_values_through_a_round_trip(tmp_path):
     back = vae_from_tensors(load_model(tmp_path / "vae.lczm"))
     for name, tensor in model.params.items():
         assert np.array_equal(back.params[name].value, tensor.value), name
-    assert np.array_equal(encode_mean(back, corpus), encode_mean(model, corpus))
+    assert np.array_equal(encode(back, corpus), encode(model, corpus))
 
 
 def test_train_vae_loss_decreases():
@@ -261,17 +254,17 @@ def test_train_vae_blas_thread_invariant(run_under_blas_threads):
     assert digest1 == digest2
 
 
-# Calls encode_mean and decode of the default mlp shape (13 x 16 x 16 input,
+# Calls encode and decode of the default mlp shape (13 x 16 x 16 input,
 # hidden 256, latent 32) on one batch of 2,200 rows, then on a window of
 # every size from 1 to 300 rows of it, and prints per call the number of
 # sizes at which some row differs from the same row of the 2,200-row call,
 # and the first such sizes.
 _ROW_INVARIANCE = """
 import numpy as np
-from lczkit.vae import VaeConfig, decode, encode_mean, init_vae
+from lczkit.vae import VaeConfig, decode, encode, init_vae
 rng = np.random.default_rng(0)
 model = init_vae((13, 16, 16), VaeConfig(), rng)
-calls = {"encode_mean": (encode_mean, rng.standard_normal((2200, 13, 16, 16))),
+calls = {"encode": (encode, rng.standard_normal((2200, 13, 16, 16))),
          "decode": (decode, rng.standard_normal((2200, model.latent_dim)))}
 for name, (fn, rows) in calls.items():
     whole = fn(model, rows)
@@ -301,7 +294,7 @@ def test_decode_into_rows_of_a_larger_array(arch, rows):
 def test_a_row_encodes_and_decodes_alike_in_any_batch(run_under_blas_threads):
     # ad.MIN_ROWS pads a small batch: a 1-row encode or decode rounds otherwise
     out1, out2 = run_under_blas_threads(_ROW_INVARIANCE)
-    assert out1 == out2 == ["encode_mean", "0", "-", "decode", "0", "-"], (out1, out2)
+    assert out1 == out2 == ["encode", "0", "-", "decode", "0", "-"], (out1, out2)
 
 
 @pytest.mark.parametrize("arch", ["mlp", "patch"])
@@ -330,9 +323,7 @@ def test_persistence_round_trip(tmp_path):
     save_model(vae_tensors(model), path)
     back = vae_from_tensors(load_model(path))
     x = np.random.default_rng(9).standard_normal((1, *shape))
-    mu_a, _ = encode(model, x)
-    mu_b, _ = encode(back, x)
-    assert np.array_equal(mu_a, mu_b)
+    assert np.array_equal(encode(model, x), encode(back, x))
     for name, tensor in model.params.items():
         assert np.array_equal(back.params[name].value, tensor.value)
     assert back.arch == model.arch and back.latent_dim == model.latent_dim
@@ -369,8 +360,8 @@ def test_loaded_model_is_the_stored_arrays(arch, tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_init)
     monkeypatch.setattr(ad, "he_params", no_init)
     back = vae_from_tensors(stored)
-    assert (back.input_shape, back.latent_dim, back.arch, back.hidden, back.patch_features) == (
-        model.input_shape, model.latent_dim, model.arch, model.hidden, model.patch_features)
+    assert (back.input_shape, back.latent_dim, back.arch, back.hidden) == (
+        model.input_shape, model.latent_dim, model.arch, model.hidden)
     assert list(back.params) == list(model.params)
     arrays = dict(stored)
     for name, tensor in back.params.items():
@@ -393,6 +384,7 @@ MALFORMED_VAE = {
     "non-integer meta": lambda ts: _with_meta(ts, 3, 2.5),
     "unknown arch code": lambda ts: _with_meta(ts, 4, 7),
     "patch grid not divisible": lambda ts: _with_meta(ts, 1, 12),
+    "other patch widths": lambda ts: _with_meta(ts, 6, 3),
 }
 
 
