@@ -82,7 +82,8 @@ def run(argv) -> int:
               f"({stack.n_outside} outside extent)")
         return 0
 
-    pl.write_run_manifest(cfg, out)
+    if args.subcommand != "pipeline":  # run_pipeline writes its own
+        pl.write_run_manifest(cfg, out)
     if args.subcommand == "synth":
         corpus = pl.run_synth(cfg, out)
         print(f"wrote {len(corpus.entries)} scenes "

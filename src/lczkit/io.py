@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io as _io
 import itertools
 import math
 import os
@@ -85,11 +84,8 @@ def text_lines(path):
 
 
 def parse_point_cloud(stream, path=None) -> PointCloud:
-    """Parse whitespace-separated point lines, a str or an iterable of str
-    lines; '#' starts a comment line. A ParseError names the line and, if
-    given, the file."""
-    if isinstance(stream, str):
-        stream = _io.StringIO(stream)
+    """Parse an iterable of whitespace-separated point lines; '#' starts a
+    comment line. A ParseError names the line and, if given, the file."""
     cols = ([], [], [], [], [], [])
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()
@@ -171,8 +167,8 @@ def write_text(path, text: str) -> None:
 
 
 def _headers(fh):
-    """(tensor count, name, dims) of each tensor of an open LCZM file, each
-    with fh at the tensor's payload, which the caller reads before the next."""
+    """(name, dims) of each tensor of an open LCZM file, each with fh at the
+    tensor's payload, which the caller reads before the next."""
     magic = _read_exact(fh, 4, "magic")
     if magic != LCZM_MAGIC:
         raise FormatError(f"bad magic {magic!r}")
@@ -184,7 +180,7 @@ def _headers(fh):
         name = _read_exact(fh, name_len, f"tensor {idx} name").decode("utf-8", "replace")
         (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"tensor {name!r} rank"))
         dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {name!r} dims"))
-        yield count, name, dims
+        yield name, dims
 
 
 def _payload(fh, dims, name) -> np.ndarray:
@@ -206,22 +202,22 @@ def load_model(path, build=list):
     FormatError, from the container or from build, names the file."""
     try:
         with open(path, "rb") as fh:
-            tensors = [(name, _payload(fh, dims, name)) for _, name, dims in _headers(fh)]
+            tensors = [(name, _payload(fh, dims, name)) for name, dims in _headers(fh)]
             _check_end(fh)
         return build(tensors)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def load_row_blocks(path, sizes, check):
+def load_row_blocks(path, sizes, expected):
     """An LCZM file's one tensor in blocks of sizes[0], sizes[1], ... rows,
-    one in memory at a time, once check(tensor count, name, dims) passes and
-    the file ends where the tensor does; a FormatError, from the file or
-    from check, names the file."""
+    one in memory at a time, once it passes check_layout against `expected`
+    and the file ends where it does; a FormatError names the file."""
     try:
         with open(path, "rb") as fh:
-            count, name, dims = next(_headers(fh), (0, None, ()))
-            check(count, name, dims)
+            found = list(itertools.islice(_headers(fh), 1))
+            check_layout(found, expected)
+            (name, dims), = found
             _check_end(fh, 8 * math.prod(dims))
             for size in sizes:
                 yield _payload(fh, (size, *dims[1:]), name)
@@ -237,13 +233,22 @@ def read_meta(tensors, name, size) -> list:
     return [int(v) for v in meta]
 
 
+def check_layout(found, expected) -> None:
+    """FormatError at the first of `found`'s (name, shape) pairs that is not
+    `expected`'s, in order, or at a missing or extra one; an expected dim
+    given as a string, such as "H", matches any size >= 1."""
+    for i, (want, have) in enumerate(itertools.zip_longest(expected, found)):
+        if not (want and have and want[0] == have[0] and len(want[1]) == len(have[1]) and all(
+                size >= 1 if isinstance(dim, str) else size == dim
+                for dim, size in zip(want[1], have[1]))):
+            raise FormatError(f"tensor {i}: expected {want or 'nothing'}, "
+                              f"found {have or 'nothing'}")
+
+
 def layout_arrays(tensors, expected) -> list:
-    """The arrays of a load_model list whose (name, shape) pairs are exactly
-    `expected`, in order; FormatError at the first that is not."""
-    found = [(name, arr.shape) for name, arr in tensors]
-    for i, (want, have) in enumerate(itertools.zip_longest(expected, found, fillvalue="nothing")):
-        if want != have:
-            raise FormatError(f"tensor {i}: expected {want}, found {have}")
+    """The arrays of a load_model list whose (name, shape) pairs pass
+    check_layout against `expected`."""
+    check_layout([(name, arr.shape) for name, arr in tensors], expected)
     return [arr for _, arr in tensors]
 
 

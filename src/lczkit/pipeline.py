@@ -122,19 +122,20 @@ def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
     lists the pairs that failed."""
     cf_dir = os.path.join(out_dir, CF_DIR)
     save_model([(CF_TENSOR, batch.decoded)], os.path.join(cf_dir, CF_FILE))
-    write_table(os.path.join(cf_dir, "index.csv"), CF_INDEX, _index_rows(batch))
+    write_table(os.path.join(cf_dir, "index.csv"), CF_INDEX, index_rows(batch))
     write_table(os.path.join(cf_dir, "failures.csv"), CF_FAILURES, batch.failures)
 
 
-def _index_rows(batch: perturb.BatchResult) -> list:
+def index_rows(batch: perturb.BatchResult) -> list:
+    """index.csv's rows of a batch: its pairs, in the order of its decoded rows."""
     return [(cf.scene_id, cf.requested_dt, cf.achieved_dt) for cf in batch.scenes]
 
 
-def _scenes(rows, index) -> list:
-    """index.csv's rows split per scene. A ParseError names index and the
-    line unless each scene's rows are consecutive and hold one delta_t = 0
-    row, its baseline."""
-    scenes, seen = [], set()
+def _scene_sizes(rows, index) -> list:
+    """The row counts of index.csv's scenes in turn. A ParseError names index
+    and the line unless each scene's rows are consecutive and hold one
+    delta_t = 0 row, its baseline."""
+    sizes, seen = [], set()
     for sid, group in itertools.groupby(enumerate(rows, start=2), lambda item: item[1][0]):
         lines, group = zip(*group)
         zeros = [line for line, (_, dt, _) in zip(lines, group) if dt == 0.0]
@@ -145,52 +146,36 @@ def _scenes(rows, index) -> list:
             raise ParseError(f"scene {sid!r} has {len(zeros)} delta_t = 0 rows, not 1",
                              line=(zeros[1:] or lines)[0], path=index)
         seen.add(sid)
-        scenes.append(group)
-    return scenes
+        sizes.append(len(lines))
+    return sizes
 
 
-def label_records(rows, read_blocks, norm: NormStats, rules, index) -> list:
-    """The ExperimentRecords of index.csv's rows, labeled one scene at a
-    time: read_blocks(sizes) yields, for the scenes' row counts in turn, each
-    scene's K normalized counterfactuals as a (K, 13, H, W) array; only the
-    channels segment reads are de-normalized, into one (K, 3, H, W) array.
-    A ParseError names index and the line unless each scene's rows are
-    consecutive and hold one delta_t = 0 row."""
-    scenes = _scenes(rows, index)
-    records = []
-    for scene, cfs in zip(scenes, read_blocks([len(scene) for scene in scenes])):
-        fractions = autogeolabel.vegetation_fraction(
-            autogeolabel.segment(autogeolabel.label_channels(cfs, norm), rules))
-        records += [report.ExperimentRecord(sid, dt, adt, float(v))
-                    for (sid, dt, adt), v in zip(scene, fractions)]
-    return records
-
-
-def batch_source(batch: perturb.BatchResult):
-    """label_records' rows and read_blocks for an in-memory batch: its pairs,
-    and each scene's rows of batch.decoded."""
-    return _index_rows(batch), lambda sizes: np.split(batch.decoded, np.cumsum(sizes)[:-1])
+def label_records(rows, blocks, norm: NormStats, rules) -> list:
+    """The ExperimentRecords of rows (scene_id, delta_t, achieved_dt), from
+    an iterable of (K, 13, H, W) blocks of their normalized counterfactuals
+    taken in row order, one block at a time; only the channels segment reads
+    are de-normalized, into one (K, 3, H, W) array."""
+    fractions = itertools.chain.from_iterable(autogeolabel.vegetation_fraction(
+        autogeolabel.segment(autogeolabel.label_channels(cfs, norm), rules)) for cfs in blocks)
+    return [report.ExperimentRecord(sid, dt, adt, float(v))
+            for (sid, dt, adt), v in zip(rows, fractions, strict=True)]
 
 
 def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
     """Label every pair of the in-memory batch or, without one, of cf.lczm,
-    whose row i is index.csv's row i, one scene at a time; write
+    whose row i is index.csv's row i, read one scene at a time; write
     fractions.csv."""
     index = os.path.join(out_dir, CF_DIR, "index.csv")
     if batch is None:
         rows, (norm,) = read_table(index, CF_INDEX), load_models(out_dir, "norm")
-
-        def check(count, name, dims):  # one tensor, a (13, H, W) row per index.csv row
-            if (count, name, len(dims), dims[:2]) != (1, CF_TENSOR, 4, (len(rows), N_CHANNELS)):
-                found = f"{name!r} of shape {dims}, tensor 1 of {count}" if count else "no tensor"
-                raise FormatError(f"expected one tensor, {CF_TENSOR!r} of shape ({len(rows)}, "
-                                  f"{N_CHANNELS}, H, W) for the rows of {index}; found {found}")
-
-        def read_blocks(sizes):
-            return load_row_blocks(os.path.join(out_dir, CF_DIR, CF_FILE), sizes, check)
+        blocks = load_row_blocks(os.path.join(out_dir, CF_DIR, CF_FILE), _scene_sizes(rows, index),
+                                 [(CF_TENSOR, (len(rows), N_CHANNELS, "H", "W"))])
     else:
-        rows, read_blocks = batch_source(batch)
-    records = label_records(rows, read_blocks, norm, cfg.label_rules(), index)
+        rows, blocks = index_rows(batch), [batch.decoded]
+    try:
+        records = label_records(rows, blocks, norm, cfg.label_rules())
+    except FormatError as exc:  # cf.lczm's, which holds a row per row of index.csv
+        raise FormatError(f"{exc}, for the {len(rows)} rows of {index}") from None
     write_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS,
                 [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime) for r in records])
     return records
@@ -201,13 +186,14 @@ def run_analyze(cfg: RunConfig, out_dir: str, records=None, n_excluded=0) -> rep
     pairs in counterfactuals/failures.csv."""
     if records is None:
         path = os.path.join(out_dir, "fractions.csv")
+        n_excluded = len(read_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES))
         try:
-            records = [report.ExperimentRecord(*row) for row in read_table(path, FRACTIONS)]
-            report.check_sweep(r.delta_t for r in records)
+            bundle = report.build_report(
+                [report.ExperimentRecord(*row) for row in read_table(path, FRACTIONS)], n_excluded)
         except UsageError as exc:  # a value that parses but breaks a rule
             raise ValidationError(str(exc), path=path) from None
-        n_excluded = len(read_table(os.path.join(out_dir, CF_DIR, "failures.csv"), CF_FAILURES))
-    bundle = report.build_report(records, n_excluded=n_excluded)
+    else:
+        bundle = report.build_report(records, n_excluded=n_excluded)
     write_text(os.path.join(out_dir, "figure.csv"), bundle.figure_csv)
     write_text(os.path.join(out_dir, "report.txt"), bundle.summary)
     return bundle

@@ -173,18 +173,8 @@ def save_stack(channels: np.ndarray, path) -> None:
 def load_stack(path) -> np.ndarray:
     """The (13, H, W) channels of a save_stack file; a FormatError naming
     the file unless it holds just that one tensor."""
-    return load_model(path, _stack_channels)
-
-
-def _stack_channels(tensors) -> np.ndarray:
-    name, arr = tensors[0] if tensors else (None, np.empty(0))
-    if len(tensors) != 1 or name != STACK_TENSOR or arr.ndim != 3 or len(arr) != N_CHANNELS \
-            or not arr.size:
-        found = (f"{name!r} of shape {arr.shape}, tensor 1 of {len(tensors)}" if tensors
-                 else "no tensor")
-        raise FormatError(f"expected one tensor, {STACK_TENSOR!r} of shape "
-                          f"({N_CHANNELS}, H >= 1, W >= 1); found {found}")
-    return arr
+    return load_model(path, lambda tensors: layout_arrays(
+        tensors, [(STACK_TENSOR, (N_CHANNELS, "H", "W"))])[0])
 
 
 def norm_stats_tensors(stats: NormStats):
@@ -192,5 +182,9 @@ def norm_stats_tensors(stats: NormStats):
 
 
 def norm_stats_from_tensors(tensors) -> NormStats:
-    return NormStats(*layout_arrays(
-        tensors, [("norm/mean", (N_CHANNELS,)), ("norm/std", (N_CHANNELS,))]))
+    """The stats of norm_stats_tensors; FormatError unless they are finite
+    and the std at least STD_FLOOR, as compute_norm_stats makes them."""
+    mean, std = layout_arrays(tensors, [("norm/mean", (N_CHANNELS,)), ("norm/std", (N_CHANNELS,))])
+    if not (np.isfinite([mean, std]).all() and std.min() >= STD_FLOOR):
+        raise FormatError(f"norm/mean must be finite and norm/std finite and >= {STD_FLOOR}")
+    return NormStats(mean, std)

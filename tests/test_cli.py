@@ -407,10 +407,14 @@ def test_pipeline_runs_are_byte_identical(tmp_path, small_config, capsys):
     assert "OLS fit" in capsys.readouterr().out
 
 
-def test_pipeline_writes_all_artifacts(tmp_path, small_config):
+def test_pipeline_writes_all_artifacts(tmp_path, small_config, monkeypatch):
     out = tmp_path / "run"
+    writes, write = [], pipeline.write_run_manifest
+    monkeypatch.setattr(pipeline, "write_run_manifest",
+                        lambda cfg, out_dir: writes.append(out_dir) or write(cfg, out_dir))
     assert main(["pipeline", "--config", small_config, "--seed", "1",
                  "--out", str(out)]) == 0
+    assert writes == [str(out)]  # run_config.txt, once
     scenes = [f"corpus/{rel}" for _, rel, _ in read_manifest(out / "corpus/manifest.csv").entries]
     assert len(scenes) == 60
     # exactly these files, so a file that nothing reads cannot come back unnoticed
@@ -570,6 +574,11 @@ def _other_patch_widths(tensors):
     return [(name, np.concatenate([meta[:6], [3.0, 4.0]])), *rest]
 
 
+def _norm_std(value):
+    """norm/std set to value in every channel."""
+    return lambda tensors: [tensors[0], ("norm/std", np.full(len(CHANNEL_NAMES), value))]
+
+
 def _latent_steps(cfs):
     return "cf/delta_c", np.zeros((len(cfs), 16))
 
@@ -636,9 +645,14 @@ CORRUPTIONS = {
         p, lambda t: [(n, a[:-1]) for n, a in t])),
     "cf_file_a_channel_fewer": (CF_FILE, lambda p: _edit_tensors(
         p, lambda t: [(n, a[:, 1:]) for n, a in t])),
+    "cf_file_zero_width": (CF_FILE, lambda p: _edit_tensors(
+        p, lambda t: [(n, a[..., :0]) for n, a in t])),
     "cf_file_truncated": (CF_FILE, lambda p: p.write_bytes(p.read_bytes()[:-8])),
     "cf_file_trailing_bytes": (CF_FILE, _append_bytes),
     "norm_file_trailing_bytes": (NORM, _append_bytes),
+    # norm stats as compute_norm_stats makes them: finite, the std >= STD_FLOOR
+    "norm_std_nan": (NORM, lambda p: _edit_tensors(p, _norm_std(np.nan))),
+    "norm_std_zero": (NORM, lambda p: _edit_tensors(p, _norm_std(0.0))),
     "vae_meta_other_patch_widths": (VAE, lambda p: _edit_tensors(p, _other_patch_widths)),
     # the file holds one tensor, stack/channels, of shape (13, H, W)
     "stack_old_layout": (STACK, lambda p: _edit_tensors(p, _old_stack_layout)),

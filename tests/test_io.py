@@ -16,6 +16,7 @@ from lczkit.io import (
     LCZM_MAGIC,
     PointCloud,
     SceneManifest,
+    check_layout,
     load_model,
     load_row_blocks,
     parse_point_cloud,
@@ -29,36 +30,36 @@ from lczkit.io import (
 
 
 def test_parse_single_point():
-    cloud = parse_point_cloud("1.0 2.0 10.5 300 1 2\n")
+    cloud = parse_point_cloud("1.0 2.0 10.5 300 1 2\n".splitlines(keepends=True))
     assert len(cloud) == 1
     assert (cloud.x[0], cloud.y[0], cloud.z[0], cloud.intensity[0]) == (1.0, 2.0, 10.5, 300.0)
     assert (cloud.return_number[0], cloud.num_returns[0]) == (1, 2)
 
 
 def test_parse_empty_stream():
-    assert len(parse_point_cloud("")) == 0
+    assert len(parse_point_cloud("".splitlines(keepends=True))) == 0
 
 
 def test_parse_comments_and_blanks_skipped():
     text = "# header\n\n1 2 3 100 1 1\n  # another\n4 5 6 200 2 2\n"
-    assert len(parse_point_cloud(text)) == 2
+    assert len(parse_point_cloud(text.splitlines(keepends=True))) == 2
 
 
 def test_parse_return_count_violation_reports_line():
     with pytest.raises(ValidationError) as exc:
-        parse_point_cloud("1 2 3 100 3 2\n")
+        parse_point_cloud("1 2 3 100 3 2\n".splitlines(keepends=True))
     assert exc.value.line == 1
 
 
 def test_parse_malformed_line_number():
     with pytest.raises(ParseError) as exc:
-        parse_point_cloud("1 2 3 100 1 1\nnot a point\n")
+        parse_point_cloud("1 2 3 100 1 1\nnot a point\n".splitlines(keepends=True))
     assert exc.value.line == 2
 
 
 def test_parse_rejects_negative_intensity():
     with pytest.raises(ValidationError):
-        parse_point_cloud("1 2 3 -5 1 1\n")
+        parse_point_cloud("1 2 3 -5 1 1\n".splitlines(keepends=True))
 
 
 @given(st.lists(st.tuples(
@@ -68,7 +69,7 @@ def test_point_cloud_round_trip(rows):
     cols = [[row[k] for row in rows] for k in range(5)]
     cloud = PointCloud.from_arrays(*cols, cols[4])
     text = "".join(f"{x!r} {y!r} {z!r} {i!r} {rn} {rn}\n" for x, y, z, i, rn in rows)
-    back = parse_point_cloud(text)
+    back = parse_point_cloud(text.splitlines(keepends=True))
     for attr in ("x", "y", "z", "intensity", "return_number", "num_returns"):
         assert np.array_equal(getattr(back, attr), getattr(cloud, attr))
 
@@ -181,20 +182,35 @@ def test_row_blocks_are_the_first_tensors_consecutive_rows(tmp_path):
     path = tmp_path / "rows.lczm"
     rows = np.arange(60.0).reshape(5, 3, 4)
     save_model([("t", rows)], path)
-    headers = []
-    blocks = list(load_row_blocks(path, [2, 3], lambda *header: headers.append(header)))
-    assert headers == [(1, "t", (5, 3, 4))]  # the tensor count and its header
+    blocks = list(load_row_blocks(path, [2, 3], [("t", (5, "C", 4))]))
     assert [block.tobytes() for block in blocks] == [rows[:2].tobytes(), rows[2:].tobytes()]
     with pytest.raises(FormatError) as exc:  # more rows than the tensor has
-        list(load_row_blocks(path, [6], lambda *header: None))
+        list(load_row_blocks(path, [6], [("t", (5, 3, 4))]))
     assert str(exc.value).startswith(f"{path}: ") and "truncated" in str(exc.value)
+    with pytest.raises(FormatError) as exc:  # another layout than the expected one
+        next(load_row_blocks(path, [5], [("t", (6, 3, 4))]))
+    assert str(exc.value) == f"{path}: tensor 0: expected ('t', (6, 3, 4)), found ('t', (5, 3, 4))"
 
-    def refuse(*header):
-        raise FormatError("refused")
 
-    with pytest.raises(FormatError) as exc:
-        next(load_row_blocks(path, [5], refuse))
-    assert str(exc.value) == f"{path}: refused"
+@pytest.mark.parametrize("found, error", [
+    ([("a", (2, 3)), ("b", (4,))], None),
+    ([("a", (2, 1)), ("b", (4,))], None),  # "W" matches any size >= 1
+    ([("a", (2, 0)), ("b", (4,))], "tensor 0: expected ('a', (2, 'W')), found ('a', (2, 0))"),
+    ([("a", (2,)), ("b", (4,))], "tensor 0: expected ('a', (2, 'W')), found ('a', (2,))"),
+    ([("a", (2, 3)), ("c", (4,))], "tensor 1: expected ('b', (4,)), found ('c', (4,))"),
+    ([("a", (2, 3)), ("b", (5,))], "tensor 1: expected ('b', (4,)), found ('b', (5,))"),
+    ([("a", (2, 3))], "tensor 1: expected ('b', (4,)), found nothing"),
+    ([], "tensor 0: expected ('a', (2, 'W')), found nothing"),
+    ([("a", (2, 3)), ("b", (4,)), ("c", ())], "tensor 2: expected nothing, found ('c', ())"),
+])
+def test_check_layout_names_the_first_pair_off_the_expected_ones(found, error):
+    expected = [("a", (2, "W")), ("b", (4,))]
+    if error is None:
+        check_layout(found, expected)
+    else:
+        with pytest.raises(FormatError) as exc:
+            check_layout(found, expected)
+        assert str(exc.value) == error
 
 
 def test_lczm_readers_refuse_bytes_after_the_last_tensor(tmp_path):
@@ -203,7 +219,7 @@ def test_lczm_readers_refuse_bytes_after_the_last_tensor(tmp_path):
     whole = path.read_bytes()
 
     def blocks(path):
-        return list(load_row_blocks(path, [1, 1], lambda *header: None))
+        return list(load_row_blocks(path, [1, 1], [("t", (2, 3))]))
 
     path.write_bytes(whole + b"\0" * 4)
     for read in (load_model, blocks):

@@ -108,11 +108,11 @@ def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, mo
     assert in_memory == _rows(pl.run_label(RunConfig(), str(out), clean, norm))
 
 
-def test_staged_and_in_memory_label_cut_uneven_scene_blocks_alike(setup, monkeypatch):
+def test_staged_label_of_uneven_scene_blocks_equals_in_memory_label(setup, monkeypatch):
     """s0 loses its delta_t = 2 pair, s1's reconstruction fails and s2 keeps
-    all four pairs: the scenes' blocks are 3, 0 and 4 rows, each the scene's
-    own rows of decoded, and labeling in memory or from disk gives the same
-    records."""
+    all four pairs: labeling in memory reads decoded as one block, labeling
+    from disk reads the scenes' blocks of 3, 0 and 4 rows, each the scene's
+    own rows of decoded, and both give the same records."""
     import lczkit.autogeolabel as geo
     import lczkit.vae as vae_mod
 
@@ -148,7 +148,7 @@ def test_staged_and_in_memory_label_cut_uneven_scene_blocks_alike(setup, monkeyp
     assert [row[:2] for row in in_memory] == [
         (cf.scene_id, cf.requested_dt) for cf in batch.scenes]
     own = [batch.decoded[:3].tobytes(), batch.decoded[3:].tobytes()]
-    assert blocks == own + own  # in memory, then from disk
+    assert blocks == [batch.decoded.tobytes(), *own]  # in memory, then from disk
     assert batch.decoded[3:].tobytes() == clean.decoded[8:].tobytes()
 
 
