@@ -7,7 +7,10 @@ Formats owned here:
     in, so a save -> load round trip returns the same bits. A payload is
     written from the tensor's own buffer when it is already C-contiguous
     little-endian float64, such as a slice of rows, and converted once
-    otherwise
+    otherwise. save_model writes whole tensors; row_writer writes one
+    tensor a block of rows at a time, as perturb streams the
+    counterfactuals, and map_tensor maps such a file back read-only, so
+    its rows need no second copy in memory
   * the run directory's csv tables, one schema each (below): the scene
     manifests, counterfactuals/index.csv and failures.csv, fractions.csv
 """
@@ -122,19 +125,54 @@ def save_model(weights, path) -> None:
     """
     weights = list(weights)
     with atomic_open(path) as fh:
-        fh.write(LCZM_MAGIC)
-        fh.write(struct.pack("<II", LCZM_VERSION, len(weights)))
+        fh.write(_file_header(len(weights)))
         for name, tensor in weights:
             arr = np.asarray(tensor, dtype="<f8", order="C")
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise UsageError(f"tensor name too long: {name!r}")
-            if arr.ndim > 0xFF:
-                raise UsageError(f"tensor rank too large: {arr.ndim}")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(_tensor_header(name, arr.shape))
             fh.write(arr.data)  # the payload's own buffer, not a bytes copy of it
+
+
+def _file_header(count) -> bytes:
+    return LCZM_MAGIC + struct.pack("<II", LCZM_VERSION, count)
+
+
+def _tensor_header(name, shape) -> bytes:
+    encoded = name.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise UsageError(f"tensor name too long: {name!r}")
+    if len(shape) > 0xFF:
+        raise UsageError(f"tensor rank too large: {len(shape)}")
+    return struct.pack(f"<H{len(encoded)}sB{len(shape)}I", len(encoded), encoded, len(shape),
+                       *shape)
+
+
+@contextlib.contextmanager
+def row_writer(path, name, shape):
+    """An LCZM file of one tensor, `name`, written a block of rows at a time:
+    yields write(block), which appends a (K, *shape[1:]) block from its own
+    buffer. The header gives shape's R, the rows planned; if fewer were
+    written when the block ends, it is patched to their count. The file
+    replaces `path` as atomic_open's does, so if the block raises, `path`
+    keeps its old bytes."""
+    planned, written = shape[0], 0
+
+    def write(block):
+        nonlocal written
+        arr = np.asarray(block, dtype="<f8", order="C")
+        if arr.shape[1:] != tuple(shape[1:]) or written + len(arr) > planned:
+            raise UsageError(f"row_writer: a {arr.shape} block after {written} rows does not "
+                             f"fit the tensor's {tuple(shape)}")
+        fh.write(arr.data)
+        written += len(arr)
+
+    with atomic_open(path) as fh:
+        fh.write(_file_header(1))
+        fh.write(_tensor_header(name, shape))
+        rows_at = fh.tell() - 4 * len(shape)
+        yield write
+        if written < planned:
+            fh.seek(rows_at)
+            fh.write(struct.pack("<I", written))
 
 
 def _read_exact(fh, n, what):
@@ -190,9 +228,22 @@ def _payload(fh, dims, name) -> np.ndarray:
     return arr
 
 
+def _one_tensor(fh, expected):
+    """(name, dims) of an open LCZM file's one tensor, fh at its payload,
+    once it passes check_layout against `expected` and the file ends where
+    the payload does."""
+    found = list(itertools.islice(_headers(fh), 1))
+    check_layout(found, expected)
+    (name, dims), = found
+    _check_end(fh, 8 * math.prod(dims))
+    return name, dims
+
+
 def _check_end(fh, payload=0) -> None:
     """FormatError unless the file ends `payload` bytes after fh's position."""
     extra = os.fstat(fh.fileno()).st_size - fh.tell() - payload
+    if extra < 0:
+        raise FormatError(f"truncated file: the payload lacks {-extra} bytes")
     if extra > 0:
         raise FormatError(f"{extra} extra bytes at the end of the file")
 
@@ -215,14 +266,23 @@ def load_row_blocks(path, sizes, expected):
     and the file ends where it does; a FormatError names the file."""
     try:
         with open(path, "rb") as fh:
-            found = list(itertools.islice(_headers(fh), 1))
-            check_layout(found, expected)
-            (name, dims), = found
-            _check_end(fh, 8 * math.prod(dims))
+            name, dims = _one_tensor(fh, expected)
             for size in sizes:
                 yield _payload(fh, (size, *dims[1:]), name)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def map_tensor(path, expected) -> np.memmap:
+    """An LCZM file's one tensor as a read-only np.memmap, checked as
+    load_row_blocks checks it; a FormatError names the file."""
+    try:
+        with open(path, "rb") as fh:
+            _, dims = _one_tensor(fh, expected)
+            offset = fh.tell()
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return np.memmap(path, dtype="<f8", mode="r", offset=offset, shape=dims)
 
 
 def read_meta(tensors, name, size) -> list:

@@ -14,19 +14,23 @@ array with their distinct ids, and distinct delta_t values that hold 0, and
 works on the whole batch. It makes one encode of the finite scenes, one
 predict and one gradient over their codes, one predict over all stepped codes,
 and per further walk step one gradient and one predict over the pairs still
-walking. The stepped codes are then decoded into one (rows, C, H, W) array,
-each scene's counterfactuals in sweep order, DECODE_ROWS rows a call, each
-call writing its rows in place. A scene's delta_t = 0 step is zero, so that
-row is its reconstruction D(E(s)). If a decoded row fails, the rows after it
-move up, so a scene's rows stay consecutive: every counterfactual of the
-result is a view of that array, and a scene's counterfactuals are one slice
-of it. Every network call runs on at least autodiff.MIN_ROWS rows, so a row
-has the same bits in any batch: a batched result equals the result of the
-scene, or the pair, alone.
+walking. The stepped codes are then decoded a chunk of whole scenes at a
+time, each scene's counterfactuals in sweep order, into one buffer of at
+most DECODE_ROWS rows (more only for a scene that alone has more), and each
+chunk's kept rows are written straight to the one tensor of the LCZM file
+the caller names; no array of all the batch's rows is ever made. A scene's
+delta_t = 0 step is zero, so that row is its reconstruction D(E(s)). If a
+decoded row fails, the rows after it move up, so a scene's rows stay
+consecutive. The written file is mapped back read-only: every
+counterfactual of the result is a view of that map, and a scene's
+counterfactuals are one slice of it. Every network call runs on at least
+autodiff.MIN_ROWS rows, so a row has the same bits in any batch: a batched
+result equals the result of the scene, or the pair, alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,9 +39,11 @@ import numpy as np
 from . import regressor as reg
 from . import vae as vae_mod
 from .errors import DataError, DegenerateGradientError, NumericError, UsageError
+from .io import map_tensor, row_writer
 
 G_FLOOR = 1e-8  # a gradient norm below it is flat: no step is taken along it
-DECODE_ROWS = 256  # rows per decode call, each call filling its rows of the batch's one array
+DECODE_ROWS = 256  # rows per decode call and, unless one scene has more, per written chunk
+CF_TENSOR = "cf/counterfactual"  # the one tensor of a batch's file, a row per kept pair
 
 
 @dataclass
@@ -55,7 +61,8 @@ class CounterfactualScene:
 class BatchResult:
     scenes: list                  # CounterfactualScene, scene-major order
     failures: list                # (scene_id, delta_t, kind, message)
-    decoded: np.ndarray           # (R, C, H, W): row i is scenes[i].counterfactual, a view of it
+    decoded: np.memmap            # (R, C, H, W), read-only map of the written file:
+                                  # row i is scenes[i].counterfactual, a view of it
 
 
 def _steps(g, delta_t):
@@ -126,18 +133,20 @@ def _walk(regressor, codes, t0, dts, step, achieved, errors, steps):
         walking[idx[~better]] = False
 
 
-def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> BatchResult:
+def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, path, steps=1) -> BatchResult:
     """All scenes x all delta_t values: scenes is a normalized (N, C, H, W)
     array and scene_ids its N distinct ids; delta_ts must hold 0. Each scene
     is encoded, predicted and differentiated once and stepped per delta_t, by
-    at most `steps` closed-form steps; all its counterfactuals are decoded
-    with the other scenes' into the result's one array, DECODE_ROWS rows a
-    call, and its delta_t = 0 row is its reconstruction.
+    at most `steps` closed-form steps; its counterfactuals are decoded with
+    other whole scenes', DECODE_ROWS rows a call, its delta_t = 0 row its
+    reconstruction, and written as rows of the CF_TENSOR tensor of the LCZM
+    file at `path`, which the result maps.
 
     A NumericError fails only the pairs it reaches (all of a scene's pairs
     if it comes from the scene's input, code, prediction, gradient or
     reconstruction) and is recorded as (scene_id, delta_t, kind, message);
-    the batch fails only if every pair does.
+    the batch fails only if every pair does, and then `path` keeps its old
+    bytes.
     """
     scenes = np.array(scenes, dtype=float)  # originals the caller cannot change
     if scenes.ndim != 4 or not len(scenes) or len(scene_ids) != len(scenes):
@@ -173,33 +182,46 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, steps=1) -> Batch
     _walk(regressor, pair_codes, t0[owner], dts, step, achieved, errors, steps)
 
     rows = [p for p, err in enumerate(errors) if err is None]  # pairs to decode, scene-major
-    table = (pair_codes + step)[rows]
-    decoded, finite = np.empty((len(rows), *scenes.shape[1:])), np.empty(len(rows), dtype=bool)
-    for start in range(0, len(rows), DECODE_ROWS):
-        chunk = decoded[start:start + DECODE_ROWS]
-        vae_mod.decode(vae, table[start:start + DECODE_ROWS], out=chunk)
-        finite[start:start + len(chunk)] = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
-    for p, ok in zip(rows, finite):
-        if not ok:
-            what = "reconstruction" if p % k == zero else "counterfactual"
-            errors[p] = NumericError(f"decoded {what} is non-finite")
-    # A scene's delta_t = 0 pair is its reconstruction: its failure fails all the scene's pairs.
-    errors = [errors[p - p % k + zero] or err for p, err in enumerate(errors)]
+    table = pair_codes + step
+    chunks = []  # whole scenes' rows, at most DECODE_ROWS unless one scene has more
+    for _, scene_rows in itertools.groupby(rows, lambda p: p // k):
+        scene_rows = list(scene_rows)
+        if chunks and len(chunks[-1]) + len(scene_rows) <= DECODE_ROWS:
+            chunks[-1] += scene_rows
+        else:
+            chunks.append(scene_rows)
+    buffer = np.empty((max(map(len, chunks), default=0), *scenes.shape[1:]))
+    with row_writer(path, CF_TENSOR, (len(rows), *scenes.shape[1:])) as write:
+        for chunk in chunks:
+            block = buffer[:len(chunk)]
+            for start in range(0, len(chunk), DECODE_ROWS):
+                vae_mod.decode(vae, table[chunk[start:start + DECODE_ROWS]],
+                               out=block[start:start + DECODE_ROWS])
+            for p, ok in zip(chunk, np.isfinite(block).reshape(len(chunk), -1).all(axis=1)):
+                if not ok:
+                    what = "reconstruction" if p % k == zero else "counterfactual"
+                    errors[p] = NumericError(f"decoded {what} is non-finite")
+            # A scene's delta_t = 0 pair is its reconstruction: its failure
+            # fails all the scene's pairs, before any of its rows is written.
+            for i in dict.fromkeys(p // k for p in chunk):
+                if errors[i * k + zero] is not None:
+                    errors[i * k:(i + 1) * k] = [errors[i * k + zero]] * k
+            keep = np.array([errors[p] is None for p in chunk])
+            write(block if keep.all() else block[keep])
+        failures = [(scene_ids[p // k], delta_ts[p % k], err.kind, str(err))
+                    for p, err in enumerate(errors) if err is not None]
+        if len(failures) == len(errors):
+            raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
+                            f"first: {failures[0][2]}: {failures[0][3]}")
+    del buffer, block  # freed before the results are built (~0.7 MB of restage-sweep's peak)
 
-    failures = [(scene_ids[p // k], delta_ts[p % k], err.kind, str(err))
-                for p, err in enumerate(errors) if err is not None]
-    if len(failures) == len(errors):
-        raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
-                        f"first: {failures[0][2]}: {failures[0][3]}")
-    keep = [r for r, p in enumerate(rows) if errors[p] is None]  # rows of decoded
-    if len(keep) < len(rows):  # close the gaps the failed rows left
-        decoded[:len(keep)] = decoded[keep]
-        decoded = decoded[:len(keep)]
-    kept = [rows[r] for r in keep]  # the pair of each row of decoded
+    kept = [p for p in rows if errors[p] is None]  # the pair of each written row
+    decoded = map_tensor(path, [(CF_TENSOR, (len(kept), *scenes.shape[1:]))])
+    views = np.asarray(decoded)  # its rows as plain ndarray views, ~10x cheaper than memmap ones
     # one original and one reconstruction view per scene, which all its pairs share
-    shared = {p // k: (scenes[p // k], decoded[r]) for r, p in enumerate(kept) if p % k == zero}
+    shared = {p // k: (scenes[p // k], views[r]) for r, p in enumerate(kept) if p % k == zero}
     results = [CounterfactualScene(
-        *shared[p // k], counterfactual=decoded[r], delta_c=step[p],
+        *shared[p // k], counterfactual=views[r], delta_c=step[p],
         achieved_dt=float(achieved[p]), requested_dt=delta_ts[p % k], scene_id=scene_ids[p // k])
         for r, p in enumerate(kept)]
     return BatchResult(results, failures, decoded)

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from . import analysis, autogeolabel, perturb, rasterizer, regressor, report, synthcity, vae
+from . import autogeolabel, perturb, rasterizer, regressor, report, synthcity, vae
 from .autodiff import Tensor, check_gradient
 from .config import RunConfig
 from .errors import FormatError, ParseError, UsageError, ValidationError
@@ -25,7 +25,6 @@ MODEL_DIR = "models"
 CORPUS_DIR = "corpus"
 CF_DIR = "counterfactuals"
 CF_FILE = "cf.lczm"
-CF_TENSOR = "cf/counterfactual"
 
 
 def write_run_manifest(cfg: RunConfig, out_dir: str) -> None:
@@ -99,9 +98,10 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
 
 
 def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_model=None):
-    """Sweep the first perturb.n_scenes held-out scenes; persist
-    counterfactual tensors, index and failures. A regressor of another code
-    size than the VAE's is a FormatError naming reg.lczm."""
+    """Sweep the first perturb.n_scenes held-out scenes. batch_perturb
+    streams the decoded counterfactuals into cf.lczm and maps it back;
+    index.csv and failures.csv are written after it. A regressor of another
+    code size than the VAE's is a FormatError naming reg.lczm."""
     if vae_model is None:
         vae_model, norm, reg_model = load_models(out_dir, "vae", "norm", "reg")
     if reg_model.latent_dim != vae_model.latent_dim:
@@ -111,17 +111,17 @@ def run_perturb(cfg: RunConfig, out_dir: str, vae_model=None, norm=None, reg_mod
     test_ids, channels, _ = load_split(out_dir, "test", cfg["perturb.n_scenes"])
     _check_grid(out_dir, "test", channels, vae_model)
     result = perturb.batch_perturb(vae_model, reg_model, rasterizer.normalize(channels, norm),
-                                   cfg.dt_sweep(), test_ids, steps=cfg["perturb.steps"])
+                                   cfg.dt_sweep(), test_ids, os.path.join(out_dir, CF_DIR, CF_FILE),
+                                   steps=cfg["perturb.steps"])
     _write_batch(result, out_dir)
     return result
 
 
 def _write_batch(batch: perturb.BatchResult, out_dir: str) -> None:
-    """cf.lczm holds the batch's decoded array as it is, written from its own
-    buffer, and row i of index.csv is the pair of its row i; failures.csv
-    lists the pairs that failed."""
+    """The tables beside the cf.lczm that batch_perturb wrote: row i of
+    index.csv is the pair of the file's row i, and failures.csv lists the
+    pairs that failed."""
     cf_dir = os.path.join(out_dir, CF_DIR)
-    save_model([(CF_TENSOR, batch.decoded)], os.path.join(cf_dir, CF_FILE))
     write_table(os.path.join(cf_dir, "index.csv"), CF_INDEX, index_rows(batch))
     write_table(os.path.join(cf_dir, "failures.csv"), CF_FAILURES, batch.failures)
 
@@ -169,7 +169,7 @@ def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
     if batch is None:
         rows, (norm,) = read_table(index, CF_INDEX), load_models(out_dir, "norm")
         blocks = load_row_blocks(os.path.join(out_dir, CF_DIR, CF_FILE), _scene_sizes(rows, index),
-                                 [(CF_TENSOR, (len(rows), N_CHANNELS, "H", "W"))])
+                                 [(perturb.CF_TENSOR, (len(rows), N_CHANNELS, "H", "W"))])
     else:
         rows, blocks = index_rows(batch), [batch.decoded]
     try:

@@ -168,7 +168,7 @@ def test_criterion_03_gradient_checks():
                     f"{elapsed:.1f}s (<30s)")
 
 
-def test_criterion_04_linear_regressor_exactness():
+def test_criterion_04_linear_regressor_exactness(tmp_path):
     rng = np.random.default_rng(104)
     shape = (2, 4, 4)
     vae = init_vae(shape, VaeConfig(latent_dim=4, hidden=8), rng)
@@ -176,7 +176,8 @@ def test_criterion_04_linear_regressor_exactness():
     reg.t_mean, reg.t_std = 290.0, 2.0
     sweep = (0.0, 1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0)
     scenes = np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in range(3)])
-    result = batch_perturb(vae, reg, scenes, sweep, [f"seed_{seed}" for seed in range(3)])
+    result = batch_perturb(vae, reg, scenes, sweep, [f"seed_{seed}" for seed in range(3)],
+                           tmp_path / "cf.lczm")
     worst = max(abs(cf.achieved_dt - cf.requested_dt) for cf in result.scenes)
     ok = not result.failures and len(result.scenes) == len(sweep) * len(scenes) and worst <= 1e-6
     _verdict(4, ok, f"linear model achieved-vs-requested max err {worst:.2e} (<=1e-6) "

@@ -19,9 +19,11 @@ from lczkit.io import (
     check_layout,
     load_model,
     load_row_blocks,
+    map_tensor,
     parse_point_cloud,
     read_manifest,
     read_table,
+    row_writer,
     save_model,
     text_lines,
     write_manifest,
@@ -192,6 +194,35 @@ def test_row_blocks_are_the_first_tensors_consecutive_rows(tmp_path):
     assert str(exc.value) == f"{path}: tensor 0: expected ('t', (6, 3, 4)), found ('t', (5, 3, 4))"
 
 
+@pytest.mark.parametrize("planned", [5, 7])
+def test_row_writer_writes_save_model_s_file_of_the_rows_it_was_given(tmp_path, planned):
+    rows = np.arange(60.0).reshape(5, 3, 4)
+    save_model([("t", rows)], tmp_path / "whole.lczm")
+    path = tmp_path / "rows.lczm"
+    with row_writer(path, "t", (planned, 3, 4)) as write:
+        write(rows[:2])
+        write(rows[2:2])
+        write(rows[2:])
+    assert path.read_bytes() == (tmp_path / "whole.lczm").read_bytes()  # R patched to 5
+    mapped = map_tensor(path, [("t", (5, 3, "W"))])
+    assert mapped.tobytes() == rows.tobytes() and not mapped.flags.writeable
+    with pytest.raises(FormatError) as exc:
+        map_tensor(path, [("t", (6, 3, 4))])
+    assert str(exc.value) == f"{path}: tensor 0: expected ('t', (6, 3, 4)), found ('t', (5, 3, 4))"
+
+
+@pytest.mark.parametrize("block", [np.zeros((3, 3, 4)), np.zeros((1, 3, 5))])
+def test_row_writer_refuses_a_block_off_the_shape_and_keeps_the_old_file(tmp_path, block):
+    path = tmp_path / "rows.lczm"
+    save_model([("t", np.ones((2, 3, 4)))], path)
+    before = path.read_bytes()
+    with pytest.raises(UsageError, match="does not fit"):
+        with row_writer(path, "t", (2, 3, 4)) as write:
+            write(block)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.lczm"]
+
+
 @pytest.mark.parametrize("found, error", [
     ([("a", (2, 3)), ("b", (4,))], None),
     ([("a", (2, 1)), ("b", (4,))], None),  # "W" matches any size >= 1
@@ -221,16 +252,25 @@ def test_lczm_readers_refuse_bytes_after_the_last_tensor(tmp_path):
     def blocks(path):
         return list(load_row_blocks(path, [1, 1], [("t", (2, 3))]))
 
+    def mapped(path):
+        return map_tensor(path, [("t", (2, 3))])
+
     path.write_bytes(whole + b"\0" * 4)
-    for read in (load_model, blocks):
+    for read in (load_model, blocks, mapped):
         with pytest.raises(FormatError) as exc:
             read(path)
         assert str(exc.value) == f"{path}: 4 extra bytes at the end of the file"
     save_model([("t", np.arange(6.0).reshape(2, 3)), ("u", np.zeros(2))], path)
     extra = len(path.read_bytes()) - len(whole)
-    with pytest.raises(FormatError) as exc:  # the blocks read the first of two tensors
-        blocks(path)
-    assert str(exc.value) == f"{path}: {extra} extra bytes at the end of the file"
+    for read in (blocks, mapped):  # they read the first of two tensors
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: {extra} extra bytes at the end of the file"
+    path.write_bytes(whole[:-8])
+    for read in (blocks, mapped):  # refused before a row is read or mapped
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: truncated file: the payload lacks 8 bytes"
 
 
 def test_manifest_round_trip(tmp_path):

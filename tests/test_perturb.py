@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from lczkit.autodiff import MIN_ROWS
 from lczkit.errors import DataError, DegenerateGradientError, UsageError
-from lczkit.perturb import BatchResult, batch_perturb, delta_c
+from lczkit.io import save_model
+from lczkit.perturb import (CF_TENSOR, DECODE_ROWS, BatchResult, batch_perturb,
+                             delta_c)
 from lczkit.regressor import RegConfig, init_regressor
 from lczkit.vae import VaeConfig, init_vae
 
@@ -18,11 +21,18 @@ def _models(activation="tanh", seed=0):
     return vae, reg
 
 
-def _one(vae, reg, scene, dt, **kwargs):
+@pytest.fixture
+def cf_path(tmp_path):
+    """The file a test's batches write their counterfactuals to; each batch
+    replaces it and keeps its own map of what it wrote."""
+    return tmp_path / "cf.lczm"
+
+
+def _one(vae, reg, scene, dt, path, **kwargs):
     """The counterfactual of one (C, H, W) scene at one delta_t, swept with
     the 0 that every sweep holds."""
     sweep = [0.0, dt] if dt != 0.0 else [0.0]
-    result = batch_perturb(vae, reg, scene[None], sweep, ["s"], **kwargs)
+    result = batch_perturb(vae, reg, scene[None], sweep, ["s"], path, **kwargs)
     assert not result.failures and len(result.scenes) == len(sweep)
     return result.scenes[-1]
 
@@ -66,69 +76,69 @@ def test_delta_c_minimal_norm_among_constraint_satisfiers():
             assert np.linalg.norm(dc) <= np.linalg.norm(alt) + 1e-12
 
 
-def test_perturb_zero_dt_reproduces_reconstruction_bit_exact():
+def test_perturb_zero_dt_reproduces_reconstruction_bit_exact(cf_path):
     vae, reg = _models()
     s = np.random.default_rng(3).standard_normal(SHAPE)
-    cf = _one(vae, reg, s, 0.0)
+    cf = _one(vae, reg, s, 0.0, cf_path)
     assert cf.counterfactual.tobytes() == cf.reconstruction.tobytes()
     assert not cf.delta_c.any()
     assert cf.achieved_dt == 0.0
 
 
-def test_perturb_closed_form_parallel_to_gradient():
+def test_perturb_closed_form_parallel_to_gradient(cf_path):
     from lczkit.regressor import grad_wrt_code
     from lczkit.vae import encode
 
     vae, reg = _models(seed=4)
     s = np.random.default_rng(5).standard_normal(SHAPE)
-    cf = _one(vae, reg, s, 2.0)
+    cf = _one(vae, reg, s, 2.0, cf_path)
     g = grad_wrt_code(reg, encode(vae, s[None]))[0]
     cos = (cf.delta_c @ g) / (np.linalg.norm(cf.delta_c) * np.linalg.norm(g))
     assert abs(cos - 1.0) <= 1e-9
 
 
-def test_perturb_linear_regressor_exact_across_sweep():
+def test_perturb_linear_regressor_exact_across_sweep(cf_path):
     vae, reg = _models(activation="identity", seed=6)
     s = np.random.default_rng(7).standard_normal(SHAPE)
     for dt in (1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0):
-        cf = _one(vae, reg, s, dt)
+        cf = _one(vae, reg, s, dt, cf_path)
         assert cf.achieved_dt == pytest.approx(dt, abs=1e-6)
 
 
-def test_perturb_first_order_consistency_smooth_model():
+def test_perturb_first_order_consistency_smooth_model(cf_path):
     vae, reg = _models(activation="tanh", seed=8)
     rng = np.random.default_rng(9)
     for _ in range(5):
         s = rng.standard_normal(SHAPE)
         dt = 1e-3
-        cf = _one(vae, reg, s, dt)
+        cf = _one(vae, reg, s, dt, cf_path)
         assert abs(cf.achieved_dt - dt) / dt <= 0.1
 
 
-def test_perturb_iterative_reaches_requested_change():
+def test_perturb_iterative_reaches_requested_change(cf_path):
     vae, reg = _models(activation="tanh", seed=10)
     s = np.random.default_rng(11).standard_normal(SHAPE)
-    one = _one(vae, reg, s, 0.5)
-    cf = _one(vae, reg, s, 0.5, steps=100)
+    one = _one(vae, reg, s, 0.5, cf_path)
+    cf = _one(vae, reg, s, 0.5, cf_path, steps=100)
     assert abs(one.achieved_dt - 0.5) > 1e-3  # the closed form alone misses
     assert cf.achieved_dt == pytest.approx(0.5, abs=1e-9)
 
 
-def test_perturb_iterative_zero_dt():
+def test_perturb_iterative_zero_dt(cf_path):
     vae, reg = _models(seed=12)
     s = np.random.default_rng(13).standard_normal(SHAPE)
-    cf = _one(vae, reg, s, 0.0, steps=100)
+    cf = _one(vae, reg, s, 0.0, cf_path, steps=100)
     assert not cf.delta_c.any()
     assert cf.counterfactual.tobytes() == cf.reconstruction.tobytes()
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_more_steps_never_move_away_from_the_request(activation):
+def test_more_steps_never_move_away_from_the_request(activation, cf_path):
     vae, reg = _models(activation=activation, seed=29)
     rng = np.random.default_rng(30)
     scenes, ids = rng.standard_normal((4, *SHAPE)), [f"s{i}" for i in range(4)]
     sweep = [0.0, 0.5, -1.0, 3.0, -5.0]
-    runs = [batch_perturb(vae, reg, scenes, sweep, ids, steps=k) for k in range(1, 6)]
+    runs = [batch_perturb(vae, reg, scenes, sweep, ids, cf_path, steps=k) for k in range(1, 6)]
     for run in runs[1:]:  # a pair fails, or not, at the first step
         assert run.failures == runs[0].failures
     errors = np.array([[abs(cf.achieved_dt - cf.requested_dt) for cf in run.scenes]
@@ -137,12 +147,12 @@ def test_more_steps_never_move_away_from_the_request(activation):
     assert errors[-1].sum() < errors[0].sum()
 
 
-def test_flat_gradient_fails_the_pair_only_at_the_first_step(monkeypatch):
+def test_flat_gradient_fails_the_pair_only_at_the_first_step(monkeypatch, cf_path):
     import lczkit.regressor as reg_mod
 
     vae, reg = _models(seed=31)
     s = np.random.default_rng(32).standard_normal(SHAPE)
-    closed_form = _one(vae, reg, s, 2.0)
+    closed_form = _one(vae, reg, s, 2.0, cf_path)
     grad = reg_mod.grad_wrt_code
 
     def flat_after(n):  # the true gradient for the first n calls, then zeros
@@ -154,57 +164,116 @@ def test_flat_gradient_fails_the_pair_only_at_the_first_step(monkeypatch):
         return patched
 
     monkeypatch.setattr(reg_mod, "grad_wrt_code", flat_after(1))  # flat after the first step
-    kept = batch_perturb(vae, reg, s[None], [0.0, 2.0], ["s"], steps=5)
+    kept = batch_perturb(vae, reg, s[None], [0.0, 2.0], ["s"], cf_path, steps=5)
     assert not kept.failures
     assert kept.scenes[1].delta_c.tobytes() == closed_form.delta_c.tobytes()
     assert kept.scenes[1].achieved_dt == closed_form.achieved_dt
 
     monkeypatch.setattr(reg_mod, "grad_wrt_code", flat_after(0))  # flat at the scene's code
     with pytest.raises(DataError, match="first: degenerate_gradient"):
-        batch_perturb(vae, reg, s[None], [0.0, 2.0], ["s"], steps=5)
+        batch_perturb(vae, reg, s[None], [0.0, 2.0], ["s"], cf_path, steps=5)
 
 
-def test_perturb_freezes_all_weights():
+def test_perturb_freezes_all_weights(cf_path):
     vae, reg = _models(seed=14)
     before = {f"v/{k}": t.value.tobytes() for k, t in vae.params.items()}
     before.update({f"r/{k}": t.value.tobytes() for k, t in reg.params.items()})
-    _one(vae, reg, np.random.default_rng(15).standard_normal(SHAPE), 3.0)
+    _one(vae, reg, np.random.default_rng(15).standard_normal(SHAPE), 3.0, cf_path)
     after = {f"v/{k}": t.value.tobytes() for k, t in vae.params.items()}
     after.update({f"r/{k}": t.value.tobytes() for k, t in reg.params.items()})
     assert before == after
 
 
-def test_batch_cardinality():
+def test_batch_cardinality(cf_path):
     vae, reg = _models(seed=16)
     rng = np.random.default_rng(17)
     scenes = rng.standard_normal((2, *SHAPE))
     sweep = [0.0, 1.0, 3.0, 5.0, 10.0, -1.0, -3.0, -5.0, -10.0]
-    result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+    result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"], cf_path)
     assert len(result.scenes) == 18
     assert not result.failures
 
 
-def test_batch_order_independence():
+def test_batch_order_independence(cf_path):
     vae, reg = _models(seed=19)
     rng = np.random.default_rng(20)
     scenes, ids = rng.standard_normal((4, *SHAPE)), [f"s{i}" for i in range(4)]
-    fwd = batch_perturb(vae, reg, scenes, [0.0, 1.0, -2.0], ids)
-    rev = batch_perturb(vae, reg, scenes[::-1], [0.0, 1.0, -2.0], ids[::-1])
+    fwd = batch_perturb(vae, reg, scenes, [0.0, 1.0, -2.0], ids, cf_path)
+    rev = batch_perturb(vae, reg, scenes[::-1], [0.0, 1.0, -2.0], ids[::-1], cf_path)
     by_key_fwd = {(c.scene_id, c.requested_dt): c.counterfactual.tobytes() for c in fwd.scenes}
     by_key_rev = {(c.scene_id, c.requested_dt): c.counterfactual.tobytes() for c in rev.scenes}
     assert by_key_fwd == by_key_rev
 
 
-def test_batch_all_degenerate_raises():
+def _fails_keeping_the_old_file(vae, reg, scenes, path):
+    """batch_perturb of the two scenes at delta_t 0 and 1 fails all its
+    pairs, and path keeps the bytes of the batch that wrote it before."""
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="all 4 pairs failed"):
+        batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a", "b"], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no cf.lczm.tmp
+
+
+def test_batch_all_degenerate_raises(cf_path):
     vae, reg = _models(seed=21)
+    scenes = np.random.default_rng(45).standard_normal((2, *SHAPE))
+    batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a", "b"], cf_path)
     for t in reg.params.values():
-        t.value[:] = 0.0  # gradient identically zero
-    with pytest.raises(DataError):
-        batch_perturb(vae, reg, np.zeros((1, *SHAPE)), [0.0, 1.0], ["a"])
+        t.value[:] = 0.0  # gradient identically zero: every pair fails before its decode
+    _fails_keeping_the_old_file(vae, reg, scenes, cf_path)
+
+
+def test_a_batch_whose_decodes_all_fail_keeps_the_old_file(monkeypatch, cf_path):
+    import lczkit.vae as vae_mod
+
+    vae, reg = _models(seed=46)
+    scenes = np.random.default_rng(47).standard_normal((2, *SHAPE))
+    batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a", "b"], cf_path)
+    # every row is decoded, and none is written
+    monkeypatch.setattr(vae_mod, "decode", lambda model, codes, out: out.fill(np.inf))
+    _fails_keeping_the_old_file(vae, reg, scenes, cf_path)
+
+
+@pytest.mark.parametrize("decode_rows", [2, 4, 256])  # a scene per chunk in two calls, one, all
+@pytest.mark.parametrize("poisoned", ["counterfactual", "reconstruction"])
+def test_a_failed_decode_writes_the_kept_rows_and_their_count(monkeypatch, tmp_path, poisoned,
+                                                              decode_rows):
+    """b's row at delta_t = 1 (a counterfactual) or at 0 (its reconstruction,
+    which fails all its rows) is non-finite: however the scenes are
+    chunked, the file is save_model's file of the clean batch's other rows."""
+    import lczkit.perturb as perturb_mod
+    import lczkit.vae as vae_mod
+
+    vae, reg = _models(seed=43)
+    scenes = np.random.default_rng(44).standard_normal((3, *SHAPE))
+    sweep, ids = [1.0, 0.0, -2.0], ["a", "b", "c"]
+    clean = batch_perturb(vae, reg, scenes, sweep, ids, tmp_path / "clean.lczm")
+    dt = 1.0 if poisoned == "counterfactual" else 0.0
+    bad = vae_mod.encode(vae, scenes[1:2])[0] + clean.scenes[3 + sweep.index(dt)].delta_c
+    decode = vae_mod.decode
+
+    def decode_inf_at_bad(model, codes, out=None):
+        out = decode(model, codes, out=out)
+        out[(codes == bad).all(axis=1)] = np.inf
+        return out
+
+    monkeypatch.setattr(vae_mod, "decode", decode_inf_at_bad)
+    monkeypatch.setattr(perturb_mod, "DECODE_ROWS", decode_rows)
+    result = batch_perturb(vae, reg, scenes, sweep, ids, tmp_path / "cf.lczm")
+    failed = [1.0] if poisoned == "counterfactual" else sweep
+    assert [(sid, dt, kind) for sid, dt, kind, _ in result.failures] == [
+        ("b", dt, "non_finite") for dt in failed]
+    kept = [r for r, cf in enumerate(clean.scenes)
+            if not (cf.scene_id == "b" and cf.requested_dt in failed)]
+    save_model([(CF_TENSOR, clean.decoded[kept])], tmp_path / "expected.lczm")
+    assert (tmp_path / "cf.lczm").read_bytes() == (tmp_path / "expected.lczm").read_bytes()
+    assert result.decoded.tobytes() == clean.decoded[kept].tobytes()
+    assert not (tmp_path / "cf.lczm.tmp").exists()
 
 
 @pytest.mark.parametrize("steps", [1, 20])
-def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch):
+def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch, cf_path):
     import lczkit.vae as vae_mod
 
     vae, reg = _models(activation="tanh", seed=23)
@@ -221,13 +290,13 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
 
     monkeypatch.setattr(vae_mod, "encode", counted(vae_mod.encode))
     monkeypatch.setattr(vae_mod, "decode", counted(vae_mod.decode))
-    result = batch_perturb(vae, reg, scenes, sweep, ids, steps=steps)
+    result = batch_perturb(vae, reg, scenes, sweep, ids, cf_path, steps=steps)
     assert calls.count("encode") == 1  # the whole batch at once
     assert calls.count("decode") == 1  # the 12 counterfactuals in one call
     assert len(result.scenes) == len(scenes) * len(sweep) and not result.failures
     pairs = [(sid, s, dt) for sid, s in zip(ids, scenes) for dt in sweep]
     for cf, (sid, s, dt) in zip(result.scenes, pairs):
-        ref = _one(vae, reg, s, dt, steps=steps)  # a batch of one scene and one delta_t
+        ref = _one(vae, reg, s, dt, cf_path, steps=steps)  # a batch of one scene and one delta_t
         assert cf.scene_id == sid and cf.requested_dt == dt
         for name in ("original", "reconstruction", "counterfactual", "delta_c"):
             assert np.array_equal(getattr(cf, name), getattr(ref, name)), name
@@ -240,7 +309,7 @@ def test_batch_equals_per_pair_perturb_scene_and_encodes_once(steps, monkeypatch
 
 
 @pytest.mark.parametrize("steps", [1, 3])
-def test_network_calls_are_whole_batch(steps, monkeypatch):
+def test_network_calls_are_whole_batch(steps, monkeypatch, cf_path):
     import lczkit.regressor as reg_mod
     import lczkit.vae as vae_mod
 
@@ -260,7 +329,8 @@ def test_network_calls_are_whole_batch(steps, monkeypatch):
     for mod, name in ((vae_mod, "encode"), (vae_mod, "decode"),
                       (reg_mod, "predict"), (reg_mod, "grad_wrt_code")):
         counted(mod, name)
-    result = batch_perturb(vae, reg, scenes, sweep, [f"s{i}" for i in range(30)], steps=steps)
+    result = batch_perturb(vae, reg, scenes, sweep, [f"s{i}" for i in range(30)], cf_path,
+                           steps=steps)
     assert len(result.scenes) == 300 and not result.failures
     assert calls["encode"] == [30]
     # codes, then stepped codes; then per further step the pairs still walking
@@ -274,23 +344,23 @@ def test_network_calls_are_whole_batch(steps, monkeypatch):
     assert sum(calls["decode"]) == rows and len(calls["decode"]) <= -(-rows // 256)
 
 
-def test_batch_records_poisoned_scene_and_keeps_the_rest():
+def test_batch_records_poisoned_scene_and_keeps_the_rest(cf_path):
     vae, reg = _models(seed=25)
     rng = np.random.default_rng(26)
     scenes, ids = rng.standard_normal((3, *SHAPE)), ["a", "bad", "c"]
     scenes[1] = np.nan
     sweep = [0.0, 1.0, -2.0]
-    result = batch_perturb(vae, reg, scenes, sweep, ids)
+    result = batch_perturb(vae, reg, scenes, sweep, ids, cf_path)
     assert [(sid, dt, kind) for sid, dt, kind, _ in result.failures] == [
         ("bad", dt, "non_finite") for dt in sweep]
     assert [(cf.scene_id, cf.requested_dt) for cf in result.scenes] == [
         (sid, dt) for sid in ("a", "c") for dt in sweep]
-    clean = batch_perturb(vae, reg, scenes[[0, 2]], sweep, ["a", "c"])
+    clean = batch_perturb(vae, reg, scenes[[0, 2]], sweep, ["a", "c"], cf_path)
     for cf, ref in zip(result.scenes, clean.scenes):
         assert cf.counterfactual.tobytes() == ref.counterfactual.tobytes()
 
 
-def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
+def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch, cf_path):
     import lczkit.vae as vae_mod
 
     vae, reg = _models(seed=27)
@@ -303,20 +373,20 @@ def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(vae_mod, "decode", decode_inf_far_out)
-    result = batch_perturb(vae, reg, rng.standard_normal((1, *SHAPE)), [0.0, 1e9], ["s"])
+    result = batch_perturb(vae, reg, rng.standard_normal((1, *SHAPE)), [0.0, 1e9], ["s"], cf_path)
     assert [cf.requested_dt for cf in result.scenes] == [0.0]
     [(sid, dt, kind, message)] = result.failures
     assert (sid, dt, kind) == ("s", 1e9, "non_finite")
     assert "counterfactual" in message
 
 
-def test_non_finite_reconstruction_fails_all_the_scene_s_pairs(monkeypatch):
+def test_non_finite_reconstruction_fails_all_the_scene_s_pairs(monkeypatch, cf_path):
     import lczkit.vae as vae_mod
 
     vae, reg = _models(seed=41)
     scenes = np.random.default_rng(42).standard_normal((2, *SHAPE))
     sweep = [1.0, 0.0, -2.0]
-    clean = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+    clean = batch_perturb(vae, reg, scenes, sweep, ["a", "b"], cf_path)
     code = vae_mod.encode(vae, scenes[1:])[0]
     decode = vae_mod.decode
 
@@ -326,7 +396,7 @@ def test_non_finite_reconstruction_fails_all_the_scene_s_pairs(monkeypatch):
         return out
 
     monkeypatch.setattr(vae_mod, "decode", decode_inf_at_the_code)
-    result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+    result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"], cf_path)
     assert result.failures == [("b", dt, "non_finite", "decoded reconstruction is non-finite")
                                for dt in sweep]
     assert result.decoded.tobytes() == clean.decoded[:len(sweep)].tobytes()
@@ -334,16 +404,16 @@ def test_non_finite_reconstruction_fails_all_the_scene_s_pairs(monkeypatch):
     assert result.scenes[0].reconstruction.tobytes() == result.scenes[1].counterfactual.tobytes()
 
 
-def test_batch_records_non_finite_step_per_pair():
+def test_batch_records_non_finite_step_per_pair(cf_path):
     vae, reg = _models(activation="relu", seed=35)
     scenes = np.random.default_rng(36).standard_normal((2, *SHAPE))
     sweep = [0.0, 1.7e308, 1.0]  # the step for 1.7e308 overflows to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+        result = batch_perturb(vae, reg, scenes, sweep, ["a", "b"], cf_path)
     assert [(sid, dt, kind) for sid, dt, kind, _ in result.failures] == [
         ("a", 1.7e308, "non_finite"), ("b", 1.7e308, "non_finite")]
     assert all("regressor input is non-finite" in message for *_, message in result.failures)
-    clean = batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a", "b"])
+    clean = batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a", "b"], cf_path)
     assert len(result.scenes) == len(clean.scenes) == 4
     for cf, ref in zip(result.scenes, clean.scenes):
         assert (cf.scene_id, cf.requested_dt, cf.achieved_dt) == (
@@ -357,6 +427,8 @@ def test_batch_records_non_finite_step_per_pair():
 # every reconstruction, counterfactual, latent step and achieved delta_t.
 _THREADED_PERTURB = """
 import hashlib
+import os
+import tempfile
 import numpy as np
 from lczkit.perturb import batch_perturb
 from lczkit.regressor import RegConfig, init_regressor
@@ -365,8 +437,9 @@ rng = np.random.default_rng(0)
 vae = init_vae((13, 16, 16), VaeConfig(), rng)
 reg = init_regressor(32, RegConfig(activation="tanh"), rng)
 scenes = rng.standard_normal((3, 13, 16, 16))
-result = batch_perturb(vae, reg, scenes, [0, 1, 3, 5, 10, -1, -3, -5, -10], ["a", "b", "c"],
-                       steps=3)
+with tempfile.TemporaryDirectory() as tmp:
+    result = batch_perturb(vae, reg, scenes, [0, 1, 3, 5, 10, -1, -3, -5, -10], ["a", "b", "c"],
+                           os.path.join(tmp, "cf.lczm"), steps=3)
 digest = hashlib.sha256()
 for cf in result.scenes:
     for part in (cf.reconstruction, cf.counterfactual, cf.delta_c, np.float64(cf.achieved_dt)):
@@ -380,25 +453,25 @@ def test_batch_perturb_blas_thread_invariant(run_under_blas_threads):
     assert out1 == out2 and out1[0] == "27"
 
 
-def test_batch_empty_scene_list():
+def test_batch_empty_scene_list(cf_path):
     vae, reg = _models(seed=22)
     with pytest.raises(UsageError):
-        batch_perturb(vae, reg, np.zeros((0, *SHAPE)), [1.0], [])
+        batch_perturb(vae, reg, np.zeros((0, *SHAPE)), [1.0], [], cf_path)
 
 
-def test_perturbation_validation():
+def test_perturbation_validation(cf_path):
     vae, reg = _models(seed=22)
     scenes = np.zeros((1, *SHAPE))
     with pytest.raises(UsageError):
-        batch_perturb(vae, reg, scenes, [1.0, float("nan")], ["a"])
+        batch_perturb(vae, reg, scenes, [1.0, float("nan")], ["a"], cf_path)
     with pytest.raises(UsageError, match="steps must be >= 1"):
-        batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a"], steps=0)
+        batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a"], cf_path, steps=0)
     for sweep in ([0.0, 1.0, 1.0, -1.0], [0.0, -0.0, 1.0]):  # -0.0 is 0.0
         with pytest.raises(UsageError, match="delta_t values must be distinct"):
-            batch_perturb(vae, reg, scenes, sweep, ["a"])
+            batch_perturb(vae, reg, scenes, sweep, ["a"], cf_path)
 
 
-def test_batch_refuses_a_repeated_scene_id_before_any_network_call(monkeypatch):
+def test_batch_refuses_a_repeated_scene_id_before_any_network_call(monkeypatch, cf_path):
     import lczkit.regressor as reg_mod
     import lczkit.vae as vae_mod
 
@@ -413,10 +486,10 @@ def test_batch_refuses_a_repeated_scene_id_before_any_network_call(monkeypatch):
     # adjacent or not, two scenes under one id would share one cf file and one baseline
     for ids in (["a", "a", "b"], ["a", "b", "a"]):
         with pytest.raises(UsageError, match="'a' repeats"):
-            batch_perturb(vae, reg, scenes, [0.0, 1.0], ids)
+            batch_perturb(vae, reg, scenes, [0.0, 1.0], ids, cf_path)
 
 
-def test_batch_refuses_a_sweep_without_zero_before_any_network_call(monkeypatch):
+def test_batch_refuses_a_sweep_without_zero_before_any_network_call(monkeypatch, cf_path):
     import lczkit.regressor as reg_mod
     import lczkit.vae as vae_mod
 
@@ -436,11 +509,11 @@ def test_batch_refuses_a_sweep_without_zero_before_any_network_call(monkeypatch)
     # the delta_t = 0 pair is each scene's reconstruction and baseline
     for sweep in ([], [1.0], [1.0, -2.0, 3.0]):
         with pytest.raises(UsageError, match="hold 0"):
-            batch_perturb(vae, reg, scenes, sweep, ["a", "b"])
+            batch_perturb(vae, reg, scenes, sweep, ["a", "b"], cf_path)
     assert calls == []
 
 
-def test_decoded_rows_live_in_one_array_and_the_call_allocates_it_once():
+def test_decoded_rows_stream_to_the_file_and_the_call_holds_one_chunk(cf_path):
     import tracemalloc
 
     shape = (13, 16, 16)  # rows large enough that the arrays, not Python objects, set the peak
@@ -448,22 +521,26 @@ def test_decoded_rows_live_in_one_array_and_the_call_allocates_it_once():
     vae = init_vae(shape, VaeConfig(latent_dim=8, hidden=16), rng)
     reg = init_regressor(8, RegConfig(hidden=(6, 3), activation="tanh"), rng)
     reg.t_mean, reg.t_std = 290.0, 2.0
-    n, sweep = 8, list(np.linspace(-3.0, 3.0, 31))
-    rows = n * len(sweep)  # 248, 0 among them: one decode call, of more than MIN_ROWS rows
+    n, sweep = 25, list(np.linspace(-3.0, 3.0, 31))
+    rows = n * len(sweep)  # 775, 0 among them: four chunks of whole scenes
+    assert rows >= 3 * DECODE_ROWS
     scenes = rng.standard_normal((n, *shape))
-    tracemalloc.start()
+    tracemalloc.start()  # counts numpy's buffers, not the file's pages or its map
     try:
-        result = batch_perturb(vae, reg, scenes, sweep, [f"s{i}" for i in range(n)])
+        result = batch_perturb(vae, reg, scenes, sweep, [f"s{i}" for i in range(n)], cf_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(result.scenes) == n * len(sweep) and not result.failures
+    assert len(result.scenes) == rows and not result.failures
+    assert isinstance(result.decoded, np.memmap) and not result.decoded.flags.writeable
     assert result.decoded.shape == (rows, *shape)
     for cf in result.scenes:
         assert np.shares_memory(cf.reconstruction, result.decoded)
         assert np.shares_memory(cf.counterfactual, result.decoded)
-    # The decoded rows plus the scenes' copy and the finiteness masks: about
-    # 1.17x the payload. A decode that returns a new array per call, copied
-    # once more, peaks at about 2.07x.
-    payload = rows * np.prod(shape) * 8
-    assert peak < 1.5 * payload, peak / payload
+    # One chunk's rows, MIN_ROWS more for the padded decode of the last,
+    # 31-row chunk, and twice the scenes: the batch's copy of them, and as
+    # much again for the pairs' codes and steps and the decode's own arrays.
+    # That is under half the 775-row payload; holding every row in memory,
+    # as a batch of one array does, peaks at about 1.1x it.
+    row = np.prod(shape) * 8
+    assert peak < (DECODE_ROWS + MIN_ROWS) * row + 2 * scenes.nbytes, peak / (rows * row)

@@ -34,6 +34,11 @@ def setup(tmp_path):
     return vae, reg, rng.standard_normal((len(IDS), *SHAPE)), norm, tmp_path
 
 
+def _cf_file(out):
+    """Where run_perturb has batch_perturb write a run's counterfactuals."""
+    return out / pl.CF_DIR / pl.CF_FILE
+
+
 def _rows(records):
     return [(r.scene_id, r.delta_t, r.achieved_dt, r.v_prime) for r in records]
 
@@ -71,7 +76,7 @@ _OFF_ORDER = {
 def test_staged_label_refuses_rows_off_the_slot_order(setup, case):
     vae, reg, scenes, norm, out = setup
     edit, line = _OFF_ORDER[case]
-    batch = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0, 2.0], IDS)
+    batch = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0, 2.0], IDS, _cf_file(out))
     with pytest.raises(DataError) as exc:
         _label_both_ways(batch, norm, out, edit)
     assert getattr(exc.value, "line", None) == line
@@ -91,17 +96,17 @@ def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, mo
         return out
 
     monkeypatch.setattr(vae_mod, "decode", decode_inf_far_out)
-    batch = batch_perturb(vae, reg, scenes, [0.0, 0.5, 1e9, -1.0], IDS)
+    batch = batch_perturb(vae, reg, scenes, [0.0, 0.5, 1e9, -1.0], IDS, _cf_file(out))
     assert [(sid, dt) for sid, dt, *_ in batch.failures] == [(sid, 1e9) for sid in IDS]
     in_memory, staged = _label_both_ways(batch, norm, out)
     assert staged == in_memory
     # the file holds the three pairs of each scene that passed, in index.csv's row order
     assert [row[:2] for row in read_table(out / pl.CF_DIR / "index.csv", CF_INDEX)] == [
         (sid, dt) for sid in IDS for dt in (0.0, 0.5, -1.0)]
-    [(_, cfs)] = load_model(out / pl.CF_DIR / pl.CF_FILE)
+    [(_, cfs)] = load_model(_cf_file(out))
     assert cfs.tobytes() == batch.decoded.tobytes()
     # the failed row left no gap: the kept rows are those of the sweep without it
-    clean = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0], IDS)
+    clean = batch_perturb(vae, reg, scenes, [0.0, 0.5, -1.0], IDS, out / "clean.lczm")
     assert batch.decoded.tobytes() == clean.decoded.tobytes()
     assert ([cf.delta_c.tobytes() for cf in batch.scenes] ==
             [cf.delta_c.tobytes() for cf in clean.scenes])
@@ -118,7 +123,7 @@ def test_staged_label_of_uneven_scene_blocks_equals_in_memory_label(setup, monke
 
     vae, reg, scenes, norm, out = setup
     sweep = [0.0, 0.5, 2.0, -1.0]
-    clean = batch_perturb(vae, reg, scenes, sweep, IDS)
+    clean = batch_perturb(vae, reg, scenes, sweep, IDS, out / "clean.lczm")
     codes = vae_mod.encode(vae, scenes)
     poisoned = np.stack([codes[0] + clean.scenes[2].delta_c, codes[1]])  # s0 at 2.0, s1's D(E(s))
     decode = vae_mod.decode
@@ -129,7 +134,7 @@ def test_staged_label_of_uneven_scene_blocks_equals_in_memory_label(setup, monke
         return out
 
     monkeypatch.setattr(vae_mod, "decode", decode_inf_at)
-    batch = batch_perturb(vae, reg, scenes, sweep, IDS)
+    batch = batch_perturb(vae, reg, scenes, sweep, IDS, _cf_file(out))
     assert [(sid, dt, kind) for sid, dt, kind, _ in batch.failures] == [
         ("s0", 2.0, "non_finite"), *(("s1", dt, "non_finite") for dt in sweep)]
     assert [(cf.scene_id, cf.requested_dt) for cf in batch.scenes] == [
