@@ -113,13 +113,13 @@ def pad_rows(arr: np.ndarray) -> np.ndarray:
     return np.concatenate([arr, np.repeat(arr[:1], MIN_ROWS - len(arr), axis=0)])
 
 
-def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """a @ b for 2-D operands, into out if given. A one-column b is a
-    row-wise multiply and sum: numpy would call a GEMV, whose rounding of a
-    row depends on where the row sits in the batch."""
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D operands. A one-column b is a row-wise multiply and
+    sum: numpy would call a GEMV, whose rounding of a row depends on where
+    the row sits in the batch."""
     if b.shape[1] == 1:
-        return np.sum(a * b[:, 0], axis=1, keepdims=True, out=out)
-    return np.matmul(a, b, out=out)
+        return (a * b[:, 0]).sum(axis=1, keepdims=True)
+    return a @ b
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -131,15 +131,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor, out=None) -> Tensor:
-    """x @ w + b with b broadcast over rows of x. The product is formed in
-    out if given (a float64 array of the result's shape, which becomes the
-    node's value), and the bias is added to it in place."""
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b with b broadcast over rows of x; the bias is added to the
+    product in place."""
     if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]:
         raise UsageError(f"affine: incompatible shapes {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
         raise UsageError(f"affine: bias shape {b.shape} does not match {w.shape[1]} outputs")
-    value = _product(x.value, w.value, out)
+    value = _product(x.value, w.value)
     np.add(value, b.value, out=value)
     return Tensor(
         value, (x, w, b),

@@ -15,17 +15,17 @@ works on the whole batch. It makes one encode of the finite scenes, one
 predict and one gradient over their codes, one predict over all stepped codes,
 and per further walk step one gradient and one predict over the pairs still
 walking. The stepped codes are then decoded a chunk of whole scenes at a
-time, each scene's counterfactuals in sweep order, into one buffer of at
-most DECODE_ROWS rows (more only for a scene that alone has more), and each
+time, each scene's counterfactuals in sweep order, in one call of at most
+DECODE_ROWS rows (more only for a scene that alone has more), and each
 chunk's kept rows are written straight to the one tensor of the LCZM file
-the caller names; no array of all the batch's rows is ever made. A scene's
-delta_t = 0 step is zero, so that row is its reconstruction D(E(s)). If a
-decoded row fails, the rows after it move up, so a scene's rows stay
-consecutive. The written file is mapped back read-only: every
-counterfactual of the result is a view of that map, and a scene's
-counterfactuals are one slice of it. Every network call runs on at least
-autodiff.MIN_ROWS rows, so a row has the same bits in any batch: a batched
-result equals the result of the scene, or the pair, alone.
+the caller names before the next chunk is decoded; no array of all the
+batch's rows is ever made. A scene's delta_t = 0 step is zero, so that row
+is its reconstruction D(E(s)). If a decoded row fails, the rows after it
+move up, so a scene's rows stay consecutive. The written file is mapped
+back read-only: every counterfactual of the result is a view of that map,
+and a scene's counterfactuals are one slice of it. Every network call runs
+on at least autodiff.MIN_ROWS rows, so a row has the same bits in any
+batch: a batched result equals the result of the scene, or the pair, alone.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import DataError, DegenerateGradientError, NumericError, UsageError
 from .io import map_tensor, row_writer
 
 G_FLOOR = 1e-8  # a gradient norm below it is flat: no step is taken along it
-DECODE_ROWS = 256  # rows per decode call and, unless one scene has more, per written chunk
+DECODE_ROWS = 256  # rows per decode call and written chunk, unless one scene has more
 CF_TENSOR = "cf/counterfactual"  # the one tensor of a batch's file, a row per kept pair
 
 
@@ -138,8 +138,8 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, path, steps=1) ->
     array and scene_ids its N distinct ids; delta_ts must hold 0. Each scene
     is encoded, predicted and differentiated once and stepped per delta_t, by
     at most `steps` closed-form steps; its counterfactuals are decoded with
-    other whole scenes', DECODE_ROWS rows a call, its delta_t = 0 row its
-    reconstruction, and written as rows of the CF_TENSOR tensor of the LCZM
+    other whole scenes', up to DECODE_ROWS rows a call, its delta_t = 0 row
+    its reconstruction, and written as rows of the CF_TENSOR tensor of the LCZM
     file at `path`, which the result maps.
 
     A NumericError fails only the pairs it reaches (all of a scene's pairs
@@ -190,13 +190,9 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, path, steps=1) ->
             chunks[-1] += scene_rows
         else:
             chunks.append(scene_rows)
-    buffer = np.empty((max(map(len, chunks), default=0), *scenes.shape[1:]))
     with row_writer(path, CF_TENSOR, (len(rows), *scenes.shape[1:])) as write:
         for chunk in chunks:
-            block = buffer[:len(chunk)]
-            for start in range(0, len(chunk), DECODE_ROWS):
-                vae_mod.decode(vae, table[chunk[start:start + DECODE_ROWS]],
-                               out=block[start:start + DECODE_ROWS])
+            block = vae_mod.decode(vae, table[chunk])
             for p, ok in zip(chunk, np.isfinite(block).reshape(len(chunk), -1).all(axis=1)):
                 if not ok:
                     what = "reconstruction" if p % k == zero else "counterfactual"
@@ -208,12 +204,12 @@ def batch_perturb(vae, regressor, scenes, delta_ts, scene_ids, path, steps=1) ->
                     errors[i * k:(i + 1) * k] = [errors[i * k + zero]] * k
             keep = np.array([errors[p] is None for p in chunk])
             write(block if keep.all() else block[keep])
+            del block  # freed before the next chunk's decode: one chunk's rows at a time
         failures = [(scene_ids[p // k], delta_ts[p % k], err.kind, str(err))
                     for p, err in enumerate(errors) if err is not None]
         if len(failures) == len(errors):
             raise DataError(f"batch_perturb: all {len(failures)} pairs failed; "
                             f"first: {failures[0][2]}: {failures[0][3]}")
-    del buffer, block  # freed before the results are built (~0.7 MB of restage-sweep's peak)
 
     kept = [p for p in rows if errors[p] is None]  # the pair of each written row
     decoded = map_tensor(path, [(CF_TENSOR, (len(kept), *scenes.shape[1:]))])

@@ -162,7 +162,8 @@ def normalize(channels: np.ndarray, stats: NormStats) -> np.ndarray:
     """Scale (..., C, H, W) channels to zero mean and unit std per channel."""
     if channels.ndim < 3 or channels.shape[-3] != len(stats.mean):
         raise UsageError("norm stats channel count mismatch")
-    return (channels - stats.mean[:, None, None]) / stats.std[:, None, None]
+    out = np.subtract(channels, stats.mean[:, None, None])  # one new array, divided in place
+    return np.divide(out, stats.std[:, None, None], out=out)
 
 
 def save_stack(channels: np.ndarray, path) -> None:

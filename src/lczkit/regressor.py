@@ -169,6 +169,8 @@ def train_regressor(codes, temps, config: RegConfig):
             raise DivergenceError(f"epoch {epoch}: regression loss non-finite")
         ad.backward(loss, opt.params)
         opt.step()
+    for p in opt.params:  # the last step's gradients, which nothing reads
+        p.grad = None
 
     errors = predict(model, val_codes) - val_temps
     report = ErrorReport(

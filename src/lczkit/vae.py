@@ -5,11 +5,12 @@ desk-scale grids, and "patch" (two strided patchwise-affine layers of
 widths VaeModel.PATCH_FEATURES, then a flatten and an affine head) for
 larger grids. Both expose the same encode/decode contract, on batches
 only: encode maps (B, C, H, W) to the posterior means (B, n), decode maps
-(B, n) back, and one scene is a batch of one row. Either call pads a
-batch of fewer than autodiff.MIN_ROWS rows with copies of its first row and
-drops them from the result, so a row encodes and decodes to the same bits
-in any batch. Training weights the ELBO's KL term by kld_weight, a linear
-warm-up set by VaeConfig's ramp_epochs and lambda_max.
+(B, n) back, and one scene is a batch of one row. Either call runs its
+graph once on the batch, padded to autodiff.MIN_ROWS rows with copies of
+its first row if smaller, and returns the value's first B rows, so a row
+encodes and decodes to the same bits in any batch. Training weights the
+ELBO's KL term by kld_weight, a linear warm-up set by VaeConfig's
+ramp_epochs and lambda_max.
 """
 
 from __future__ import annotations
@@ -145,19 +146,15 @@ def encode_graph(model: VaeModel, x: Tensor):
     return mu, logvar
 
 
-def decode_graph(model: VaeModel, code: Tensor, out=None) -> Tensor:
-    """Build the (B, C, H, W) reconstruction graph from (B, n) codes. With
-    out, a C-contiguous (B, C, H, W) array, the mlp arch computes its last
-    layer in out, so the result's value is a view of out; the patch arch,
-    whose last layer is laid out by patch, ignores it."""
+def decode_graph(model: VaeModel, code: Tensor) -> Tensor:
+    """Build the (B, C, H, W) reconstruction graph from (B, n) codes."""
     b = code.shape[0]
     c, h, w = model.input_shape
     pr = model.params
     if model.arch == "mlp":
         h1 = ad.relu(ad.affine(code, pr["dec/W1"], pr["dec/b1"]))
         h2 = ad.relu(ad.affine(h1, pr["dec/W2"], pr["dec/b2"]))
-        flat = ad.affine(h2, pr["dec/W3"], pr["dec/b3"],
-                         out=None if out is None else out.reshape(b, c * h * w))
+        flat = ad.affine(h2, pr["dec/W3"], pr["dec/b3"])
         return ad.reshape(flat, (b, c, h, w))
     p1, p2 = VaeModel.PATCH_SIZES
     f1, f2 = VaeModel.PATCH_FEATURES
@@ -191,26 +188,12 @@ def reparameterize(mu: Tensor, logvar: Tensor, epsilon: Tensor) -> Tensor:
     return ad.add(mu, ad.mul(ad.exp(ad.scale(logvar, 0.5)), epsilon))
 
 
-def decode(model: VaeModel, code, out=None) -> np.ndarray:
-    """Decode a (B, n) batch of latent codes to (B, C, H, W) scenes, written
-    into out if given (a C-contiguous float64 array of that shape, such as
-    a slice of rows of a larger one) and returned. The last layer's product
-    and bias go straight into out; a padded call, or the patch arch, copies
-    its rows in."""
+def decode(model: VaeModel, code) -> np.ndarray:
+    """Decode a (B, n) batch of latent codes to (B, C, H, W) scenes."""
     arr = np.asarray(code, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != model.latent_dim:
         raise UsageError(f"decode: expected a (B, {model.latent_dim}) batch, got {arr.shape}")
-    shape = (len(arr), *model.input_shape)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise UsageError(f"decode: out must be a C-contiguous float64 {shape} array, "
-                         f"got {out.dtype} {out.shape}")
-    rows = ad.pad_rows(arr)
-    value = decode_graph(model, Tensor(rows), out if rows is arr else None).value
-    if not np.may_share_memory(value, out):
-        out[...] = value[:len(arr)]
-    return out
+    return decode_graph(model, Tensor(ad.pad_rows(arr))).value[:len(arr)]
 
 
 def elbo_loss(s: Tensor, s_hat: Tensor, mu: Tensor, logvar: Tensor, lam) -> Tensor:
@@ -263,6 +246,8 @@ def train_vae(corpus, config: VaeConfig):
             total += float(loss.value) * len(idx)
             seen += len(idx)
         history.append(total / seen)
+    for p in opt.params:  # the last step's gradients, which nothing reads
+        p.grad = None
     return model, history
 
 

@@ -231,11 +231,13 @@ def test_a_batch_whose_decodes_all_fail_keeps_the_old_file(monkeypatch, cf_path)
     scenes = np.random.default_rng(47).standard_normal((2, *SHAPE))
     batch_perturb(vae, reg, scenes, [0.0, 1.0], ["a", "b"], cf_path)
     # every row is decoded, and none is written
-    monkeypatch.setattr(vae_mod, "decode", lambda model, codes, out: out.fill(np.inf))
+    monkeypatch.setattr(vae_mod, "decode",
+                        lambda model, codes: np.full((len(codes), *model.input_shape), np.inf))
     _fails_keeping_the_old_file(vae, reg, scenes, cf_path)
 
 
-@pytest.mark.parametrize("decode_rows", [2, 4, 256])  # a scene per chunk in two calls, one, all
+# 3-row scenes: one a chunk, above DECODE_ROWS (2) or not (4); all in one chunk (256)
+@pytest.mark.parametrize("decode_rows", [2, 4, 256])
 @pytest.mark.parametrize("poisoned", ["counterfactual", "reconstruction"])
 def test_a_failed_decode_writes_the_kept_rows_and_their_count(monkeypatch, tmp_path, poisoned,
                                                               decode_rows):
@@ -253,8 +255,8 @@ def test_a_failed_decode_writes_the_kept_rows_and_their_count(monkeypatch, tmp_p
     bad = vae_mod.encode(vae, scenes[1:2])[0] + clean.scenes[3 + sweep.index(dt)].delta_c
     decode = vae_mod.decode
 
-    def decode_inf_at_bad(model, codes, out=None):
-        out = decode(model, codes, out=out)
+    def decode_inf_at_bad(model, codes):
+        out = decode(model, codes)
         out[(codes == bad).all(axis=1)] = np.inf
         return out
 
@@ -367,8 +369,8 @@ def test_batch_records_non_finite_counterfactual_per_pair(monkeypatch, cf_path):
     rng = np.random.default_rng(28)
     decode = vae_mod.decode
 
-    def decode_inf_far_out(model, code, out=None):  # poison only the rows of large latent steps
-        out = decode(model, code, out=out)
+    def decode_inf_far_out(model, code):  # poison only the rows of large latent steps
+        out = decode(model, code)
         out[np.linalg.norm(code, axis=-1) >= 1e3] = np.inf
         return out
 
@@ -390,8 +392,8 @@ def test_non_finite_reconstruction_fails_all_the_scene_s_pairs(monkeypatch, cf_p
     code = vae_mod.encode(vae, scenes[1:])[0]
     decode = vae_mod.decode
 
-    def decode_inf_at_the_code(model, codes, out=None):  # b's delta_t = 0 row only
-        out = decode(model, codes, out=out)
+    def decode_inf_at_the_code(model, codes):  # b's delta_t = 0 row only
+        out = decode(model, codes)
         out[(codes == code).all(axis=1)] = np.inf
         return out
 
@@ -537,9 +539,11 @@ def test_decoded_rows_stream_to_the_file_and_the_call_holds_one_chunk(cf_path):
     for cf in result.scenes:
         assert np.shares_memory(cf.reconstruction, result.decoded)
         assert np.shares_memory(cf.counterfactual, result.decoded)
-    # One chunk's rows, MIN_ROWS more for the padded decode of the last,
-    # 31-row chunk, and twice the scenes: the batch's copy of them, and as
-    # much again for the pairs' codes and steps and the decode's own arrays.
+    # One chunk's rows, as decode returns them and freed before the next
+    # decode (the last, 31-row chunk's padded decode makes MIN_ROWS rows),
+    # MIN_ROWS rows' worth for the chunk's finiteness mask and the like, and
+    # twice the scenes: the batch's copy of them, and as much again for the
+    # pairs' codes and steps and the decode's own arrays.
     # That is under half the 775-row payload; holding every row in memory,
     # as a batch of one array does, peaks at about 1.1x it.
     row = np.prod(shape) * 8

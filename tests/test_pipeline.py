@@ -90,8 +90,8 @@ def test_staged_label_equals_in_memory_label_with_a_failed_middle_pair(setup, mo
     vae, reg, scenes, norm, out = setup
     decode = vae_mod.decode
 
-    def decode_inf_far_out(model, code, out=None):  # poison only the rows of huge latent steps
-        out = decode(model, code, out=out)
+    def decode_inf_far_out(model, code):  # poison only the rows of huge latent steps
+        out = decode(model, code)
         out[np.linalg.norm(code, axis=-1) >= 1e3] = np.inf
         return out
 
@@ -128,8 +128,8 @@ def test_staged_label_of_uneven_scene_blocks_equals_in_memory_label(setup, monke
     poisoned = np.stack([codes[0] + clean.scenes[2].delta_c, codes[1]])  # s0 at 2.0, s1's D(E(s))
     decode = vae_mod.decode
 
-    def decode_inf_at(model, rows, out=None):
-        out = decode(model, rows, out=out)
+    def decode_inf_at(model, rows):
+        out = decode(model, rows)
         out[(rows[:, None] == poisoned[None]).all(axis=2).any(axis=1)] = np.inf
         return out
 

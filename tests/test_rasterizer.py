@@ -241,6 +241,28 @@ def test_normalize_examples_and_round_trip():
     assert np.allclose(back, stack, rtol=1e-6, atol=1e-12)
 
 
+@pytest.mark.parametrize("lead", [(), (4,)])  # one stack, a split
+def test_normalize_has_the_bits_of_the_formula_and_keeps_its_input(lead):
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    c = len(CHANNEL_NAMES)
+    # large enough that numpy's own ~27 KB of ufunc buffers do not count
+    stack = 7.0 * rng.standard_normal((*lead, c, 64, 64)) + 2.0
+    stats = NormStats(rng.standard_normal(c), rng.uniform(0.1, 3.0, c))
+    before = stack.tobytes()
+    tracemalloc.start()
+    try:
+        normed = normalize(stack, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = (stack - stats.mean[:, None, None]) / stats.std[:, None, None]
+    assert normed.tobytes() == expected.tobytes()
+    assert stack.tobytes() == before
+    assert peak < 1.5 * stack.nbytes, peak / stack.nbytes  # one new array, not two
+
+
 def test_normalize_channel_count_mismatch():
     stack = np.zeros((len(CHANNEL_NAMES), 2, 2))
     with pytest.raises(UsageError):
