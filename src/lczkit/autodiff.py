@@ -13,7 +13,11 @@ independent variables are an argument of `backward(root, wrt)`, not a
 property of a tensor. A node is active if it is in `wrt` or any parent is
 active, and only the terms of active parents are computed. Data inputs,
 reparameterization noise and the weights of a network differentiated in
-its input thus cost no adjoint work. `Adam` keeps its parameters' values
+its input thus cost no adjoint work. The weight adjoint of an `affine`
+is not formed: it stays an `Outer`, the layer input and output adjoint
+whose product x.T @ g it is, and `Adam` builds it one cached row block at
+a time (LOMO's fused gradient and update, Lv et al., arXiv:2306.09782), so
+no step holds a dense weight gradient. `Adam` keeps its parameters' values
 and moments in flat buffers and updates them in place, a cache-sized
 block of one parameter at a time, in ten passes with one division:
 Kingma & Ba's pre-scaled ordering of the update, equal to the textbook
@@ -33,6 +37,10 @@ from .errors import NumericError, UsageError
 # 13-16 ms at 16k-128k, 16 ms at 8k and 19 ms unblocked (the 14-pass
 # textbook update: 19-20 ms at 64k).
 _ADAM_BLOCK = 1 << 15
+# Elements per row block (1 MiB) in which Adam builds a weight gradient held
+# as an Outer: one GEMM writes the block, whose _ADAM_BLOCK pieces are then
+# updated while it is still in cache.
+_ADAM_ROWS = 1 << 17
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 FD_STEP = 1e-5  # check_gradient's central-difference step
@@ -61,6 +69,20 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
+
+
+class Outer:
+    """The adjoint x.T @ g of an affine's weight, kept as its two factors:
+    the layer input x (B, n) and the output adjoint g (B, m). `np.asarray`
+    forms the (n, m) product, with the bits of `x.T @ g`."""
+
+    __slots__ = ("x", "g", "shape")
+
+    def __init__(self, x, g):
+        self.x, self.g, self.shape = x, g, (x.shape[1], g.shape[1])
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.x.T @ self.g, dtype=dtype)
 
 
 def he_params(layout, rng) -> dict:
@@ -133,7 +155,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with b broadcast over rows of x; the bias is added to the
-    product in place."""
+    product in place. The weight's adjoint is an Outer, not an array."""
     if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]:
         raise UsageError(f"affine: incompatible shapes {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
@@ -142,7 +164,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     np.add(value, b.value, out=value)
     return Tensor(
         value, (x, w, b),
-        (lambda g: g @ w.value.T, lambda g: x.value.T @ g, lambda g: g.sum(axis=0)),
+        (lambda g: g @ w.value.T, lambda g: Outer(x.value, g), lambda g: g.sum(axis=0)),
     )
 
 
@@ -218,6 +240,12 @@ def backward(root: Tensor, wrt) -> None:
     first adjoint contribution is taken as is and later ones are added to
     it, in the same order as summing all of them onto zeros, so adjoints
     are bit-identical to the unpruned sweep up to the sign of a zero.
+
+    A leaf whose one contribution is an affine's weight adjoint keeps it as
+    an `Outer`, for `Adam.step` to build. The product is formed, with the
+    bits of `x.T @ g`, where an interior node (a weight reached through
+    `reshape`) takes it as its adjoint, or where it is summed with another
+    contribution (a weight used twice).
     """
     if root.value.shape != ():
         raise UsageError(f"backward: root must be scalar, got shape {root.value.shape}")
@@ -237,7 +265,11 @@ def backward(root: Tensor, wrt) -> None:
         for parent, vjp in zip(node.parents, node._vjps):
             if id(parent) in active:
                 contribution = vjp(node.grad)
-                parent.grad = contribution if parent.grad is None else parent.grad + contribution
+                if parent.grad is not None:
+                    contribution = np.asarray(parent.grad) + np.asarray(contribution)
+                elif parent.parents:
+                    contribution = np.asarray(contribution)
+                parent.grad = contribution
 
 
 def check_gradient(function, point) -> float:
@@ -252,7 +284,7 @@ def check_gradient(function, point) -> float:
     if not np.isfinite(out.value):
         raise NumericError("check_gradient: non-finite function value")
     backward(out, [leaf])
-    analytic = leaf.grad.reshape(-1)
+    analytic = np.asarray(leaf.grad).reshape(-1)
     flat = point.reshape(-1)
     numeric = np.empty_like(flat)
     for i in range(flat.size):
@@ -288,12 +320,19 @@ class Adam:
     / (1 - b1**t) and eps_t = eps * c_t at step t, for b1, b2 and eps the
     ADAM_BETA1, ADAM_BETA2 and ADAM_EPS constants.
 
-    This is the textbook update up to rounding. `step` applies it in place
-    to each parameter's slices of the flat buffer, `_ADAM_BLOCK` elements
-    at most, so all passes over a block hit cache, with the same operations
-    in the same order as the formula on whole arrays. A block lies inside
-    one parameter and reads its gradient as a view. Every parameter must
-    have a gradient.
+    This is the textbook update up to rounding. `step` walks each parameter
+    in row blocks of about `_ADAM_ROWS` elements (whole rows of a 2-D
+    parameter, all of any other). A gradient held as an `Outer` is built
+    there one row block at a time, by one GEMM of the block's columns of x
+    with g into a scratch block, so a step holds no dense weight gradient; a
+    dense gradient is read as a view. Each row block is then updated in
+    slices of `_ADAM_BLOCK` elements at most, so all passes over a slice hit
+    cache, with the same operations in the same order as the formula on
+    whole arrays. A row block has the bits of the same rows of `x.T @ g`
+    where the BLAS rounds an element alike at any row count, as OpenBLAS
+    0.3.31 does when the column count is a multiple of 8; every weight of
+    the default shapes that spans more than one row block has such a
+    column count. Every parameter must have a gradient.
     """
 
     def __init__(self, params, lr):
@@ -309,35 +348,50 @@ class Adam:
             p.value = flat[lo:hi].reshape(p.shape)
         self.m, self.v = np.zeros(size), np.zeros(size)
         scratch = np.empty(min(size, _ADAM_BLOCK))
-        # Per block: (value, m, v, scratch, parameter index, start, stop
-        # within that parameter).
-        self._blocks = []
-        for i, (a, n) in enumerate(zip(starts, sizes)):
-            for lo in range(0, n, _ADAM_BLOCK):
-                hi = min(lo + _ADAM_BLOCK, n)
-                self._blocks.append((flat[a + lo:a + hi], self.m[a + lo:a + hi],
-                                     self.v[a + lo:a + hi], scratch[:hi - lo], i, lo, hi))
+        # Per row block: (parameter index, start, stop within that parameter,
+        # slices (value, m, v, scratch, start, stop within the row block)).
+        self._plan = []
+        for i, (p, a, n) in enumerate(zip(self.params, starts, sizes)):
+            width = max(p.shape[1] if p.value.ndim == 2 else n, 1)
+            span = max(1, _ADAM_ROWS // width) * width
+            for lo in range(0, n, span):
+                hi = min(lo + span, n)
+                self._plan.append((i, lo, hi, [
+                    (flat[a + s:a + e], self.m[a + s:a + e], self.v[a + s:a + e],
+                     scratch[:e - s], s - lo, e - lo)
+                    for s in range(lo, hi, _ADAM_BLOCK) for e in [min(s + _ADAM_BLOCK, hi)]]))
+        self._grad = np.empty(max((hi - lo for i, lo, hi, _ in self._plan
+                                   if self.params[i].value.ndim == 2), default=0))
 
     def step(self):
         grads = []
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise UsageError(f"Adam.step: parameter {i} (shape {p.shape}) has no gradient")
-            grads.append(np.ravel(p.grad))
+            grads.append(p.grad if isinstance(p.grad, Outer) else np.ravel(p.grad))
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c = np.sqrt(1.0 - b2 ** self.t) / np.sqrt(1.0 - b2)
         alpha = self.lr * c * (1.0 - b1) / (1.0 - b1 ** self.t)
         eps = ADAM_EPS * c
-        for x, m, v, t, i, lo, hi in self._blocks:
-            g = grads[i][lo:hi]
-            np.multiply(m, b1, out=m)
-            np.add(m, g, out=m)
-            np.square(g, out=t)
-            np.multiply(v, b2, out=v)
-            np.add(v, t, out=v)
-            np.sqrt(v, out=t)
-            np.add(t, eps, out=t)
-            np.divide(m, t, out=t)
-            np.multiply(t, alpha, out=t)
-            np.subtract(x, t, out=x)
+        for i, lo, hi, slices in self._plan:
+            grad = grads[i]
+            if isinstance(grad, Outer):
+                cols = grad.shape[1]
+                block = self._grad[:hi - lo]
+                np.matmul(grad.x[:, lo // cols:hi // cols].T, grad.g,
+                          out=block.reshape(-1, cols))
+            else:
+                block = grad[lo:hi]
+            for x, m, v, t, s, e in slices:
+                g = block[s:e]
+                np.multiply(m, b1, out=m)
+                np.add(m, g, out=m)
+                np.square(g, out=t)
+                np.multiply(v, b2, out=v)
+                np.add(v, t, out=v)
+                np.sqrt(v, out=t)
+                np.add(t, eps, out=t)
+                np.divide(m, t, out=t)
+                np.multiply(t, alpha, out=t)
+                np.subtract(x, t, out=x)

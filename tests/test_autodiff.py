@@ -143,14 +143,15 @@ def test_optimizer_only_touches_marked_params():
 
 
 def _backward_unpruned(root):
-    """The plain sweep: zero adjoints everywhere, every vjp term computed."""
+    """The plain sweep: zero adjoints everywhere, every vjp term computed
+    and formed as an array."""
     order = ad.topo_order(root)
     for node in order:
         node.grad = np.zeros(node.shape)
     root.grad = np.ones(())
     for node in reversed(order):
         for parent, vjp in zip(node.parents, node._vjps):
-            parent.grad = parent.grad + vjp(node.grad)
+            parent.grad = parent.grad + np.asarray(vjp(node.grad))
 
 
 def _mlp_loss(params, x, noise):
@@ -177,7 +178,8 @@ def test_pruned_backward_matches_unpruned_reference():
     backward(root, wrt)
     backward(root, wrt)  # a second sweep starts afresh instead of summing onto the first
     nodes = ad.topo_order(root)
-    pruned = [None if n.grad is None else np.array(n.grad) for n in nodes]
+    assert isinstance(params[2].grad, ad.Outer)  # w2: one affine's weight, left as its factors
+    pruned = [None if n.grad is None else np.asarray(n.grad) for n in nodes]
     assert [p.grad is not None for p in params] == list(trained)
     assert sum(g is None for g in pruned) == 5  # x, its target slice, noise, w1, b2
     _backward_unpruned(root)
@@ -202,10 +204,37 @@ def test_backward_skips_nodes_with_only_inactive_parents():
     assert inactive.grad is None and data.grad is None
 
 
-# Blocks of one parameter piece (inside the first and third arrays), of two
-# (the first two arrays' boundary) and of three (the third's tail, (1,) and
-# the head of (40, 9)), and a short last block.
-_ADAM_SHAPES = [(3, ad._ADAM_BLOCK), (ad._ADAM_BLOCK - 10,), (ad._ADAM_BLOCK + 7,), (1,), (40, 9)]
+def test_weight_reached_through_reshape_or_used_twice_gets_a_dense_adjoint():
+    rng = np.random.default_rng(6)
+    x1, x2 = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
+    flat, w, once = (Tensor(rng.standard_normal(s)) for s in (30, (6, 5), (6, 5)))
+    b = Tensor(rng.standard_normal(5))
+    through = ad.affine(Tensor(x1), ad.reshape(flat, (6, 5)), b)
+    first, second = ad.affine(Tensor(x1), w, b), ad.affine(Tensor(x2), w, b)
+    single = ad.affine(Tensor(x2), once, b)
+    root = ad.sum_all(ad.square(ad.add(ad.add(through, first), ad.add(second, single))))
+    backward(root, [flat, w, once])
+    # formed with the bits of x.T @ g, and of the sum of two such products
+    assert type(flat.grad) is np.ndarray
+    assert np.array_equal(flat.grad, (x1.T @ through.grad).reshape(-1))
+    assert type(w.grad) is np.ndarray
+    assert np.array_equal(w.grad, x1.T @ first.grad + x2.T @ second.grad)
+    # one contribution to a leaf stays as its factors until Adam builds it
+    assert isinstance(once.grad, ad.Outer) and once.grad.shape == (6, 5)
+    assert np.array_equal(np.asarray(once.grad), x2.T @ single.grad)
+
+
+def test_check_gradient_of_an_affine_weight():
+    x, b = RNG.standard_normal((4, 3)), Tensor(RNG.standard_normal(2))
+    assert check_gradient(lambda w: ad.sum_all(ad.tanh(ad.affine(Tensor(x), w, b))),
+                          RNG.standard_normal((3, 2))) <= 1e-6
+
+
+# Row blocks: the whole of (3, n), (40, 9) and the 1-D arrays, and two of
+# (5, 40000), three rows (120,000 elements) and two. Each is updated in
+# slices of at most n, so (3, n) takes three, (n + 7,) a short last one.
+_ADAM_SHAPES = [(3, ad._ADAM_BLOCK), (ad._ADAM_BLOCK - 10,), (ad._ADAM_BLOCK + 7,), (1,), (40, 9),
+                (5, 40000)]
 
 
 def _adam_grads(rng, shapes):
@@ -219,12 +248,16 @@ def test_blocked_adam_equals_its_formula_on_whole_arrays():
     params = [Tensor(a.copy()) for a in x]
     opt = Adam(params, lr=3e-3)
     n = ad._ADAM_BLOCK
-    assert [block[-3:] for block in opt._blocks] == [
-        (0, 0, n), (0, n, 2 * n), (0, 2 * n, 3 * n), (1, 0, n - 10), (2, 0, n), (2, n, n + 7),
-        (3, 0, 1), (4, 0, 360)]
-    for value, *_, i, lo, hi in opt._blocks:  # every block lies inside one parameter
-        assert [j for j, p in enumerate(params) if np.shares_memory(value, p.value)] == [i]
-        assert value.size == hi - lo
+    assert [(i, lo, hi, [(s, e) for *_, s, e in slices]) for i, lo, hi, slices in opt._plan] == [
+        (0, 0, 3 * n, [(0, n), (n, 2 * n), (2 * n, 3 * n)]), (1, 0, n - 10, [(0, n - 10)]),
+        (2, 0, n + 7, [(0, n), (n, n + 7)]), (3, 0, 1, [(0, 1)]), (4, 0, 360, [(0, 360)]),
+        (5, 0, 120000, [(0, n), (n, 2 * n), (2 * n, 3 * n), (3 * n, 120000)]),
+        (5, 120000, 200000, [(0, n), (n, 2 * n), (2 * n, 80000)])]
+    for i, lo, hi, slices in opt._plan:  # every slice is its piece of one parameter
+        for value, *_, s, e in slices:
+            assert [j for j, p in enumerate(params) if np.shares_memory(value, p.value)] == [i]
+            assert value.size == e - s
+            assert value.ctypes.data == params[i].value.ctypes.data + 8 * (lo + s)
     b1, b2, eps, lr = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS, opt.lr
     m, v = [np.zeros(s) for s in _ADAM_SHAPES], [np.zeros(s) for s in _ADAM_SHAPES]
     ends = np.cumsum([a.size for a in x])
@@ -267,6 +300,46 @@ def test_adam_matches_textbook_formula():
     # the same absolute rounding (~1 ulp of the array's values) as the rest.
     for p, ref in zip(params, x):
         assert np.max(np.abs(p.value - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# Adam fed each 2-D gradient as an Outer and as the dense x.T @ g, on the
+# default mlp's two large weights (row blocks of 512 and 39 rows, the last
+# short), two weights smaller than one block and a bias, for batches of 32
+# and 16 rows. Prints per step whether values and moments agree bit for
+# bit, then a digest of the factored run's state. The equality is the
+# BLAS's: OpenBLAS rounds some elements of a (3328, 300) weight differently
+# in a row block than in the whole product (Adam's docstring).
+_OUTER_ADAM = """
+import hashlib
+import numpy as np
+from lczkit import autodiff as ad
+shapes = [(3328, 256), (256, 3328), (256, 32), (40, 9), (256,)]
+rng = np.random.default_rng(0)
+values = [rng.standard_normal(s) for s in shapes]
+factored, dense = ([ad.Tensor(a.copy()) for a in values] for _ in range(2))
+opts = ad.Adam(factored, 1e-3), ad.Adam(dense, 1e-3)
+digest = hashlib.sha256()
+for rows in (32, 16, 32):
+    for p, q in zip(factored, dense):
+        if p.value.ndim == 2:
+            x, g = rng.standard_normal((rows, p.shape[0])), rng.standard_normal((rows, p.shape[1]))
+            p.grad, q.grad = ad.Outer(x, g), x.T @ g
+        else:
+            p.grad = q.grad = rng.standard_normal(p.shape)
+    for opt in opts:
+        opt.step()
+    print(all(np.array_equal(p.value, q.value) for p, q in zip(factored, dense))
+          and all(np.array_equal(getattr(opts[0], k), getattr(opts[1], k)) for k in "mv"))
+    for p in factored:
+        digest.update(p.value.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_adam_builds_an_outer_gradient_with_the_bits_of_the_dense_update(run_under_blas_threads):
+    out1, out2 = run_under_blas_threads(_OUTER_ADAM)
+    assert out1[:-1] == out2[:-1] == ["True"] * 3
+    assert out1 == out2
 
 
 def test_adam_refuses_a_missing_gradient_and_keeps_its_state():

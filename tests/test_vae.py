@@ -245,6 +245,37 @@ def test_train_vae_loss_decreases():
     assert history[-1] < 0.5 * history[0]
 
 
+def test_a_training_step_never_holds_a_dense_weight_gradient():
+    """backward and Adam.step of a default-shape training step, after a
+    warm-up step, allocate less than enc/W1's 6.5 MiB: Adam builds each
+    weight gradient a row block at a time, and no step holds one whole."""
+    import tracemalloc
+
+    config = VaeConfig()
+    rng = np.random.default_rng(0)
+    model = init_vae((13, 16, 16), config, rng)
+    opt = ad.Adam(model.params.values(), vae.LR)
+
+    def loss():
+        x = Tensor(rng.standard_normal((vae.BATCH_SIZE, 13, 16, 16)))
+        mu, logvar = vae.encode_graph(model, x)
+        eps = Tensor(rng.standard_normal((vae.BATCH_SIZE, config.latent_dim)))
+        return elbo_loss(x, vae.decode_graph(model, reparameterize(mu, logvar, eps)), mu, logvar,
+                         config.lambda_max)
+
+    backward(loss(), opt.params)
+    opt.step()
+    root = loss()
+    tracemalloc.start()
+    try:
+        backward(root, opt.params)
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.params["enc/W1"].value.nbytes == 6.5 * 2 ** 20
+
+
 # Trains the default mlp shape (13 x 16 x 16 input, hidden 256, latent 32),
 # whose matmuls are large enough for OpenBLAS to split across threads, and
 # prints a digest of the weights.
