@@ -24,7 +24,8 @@ import numpy as np
 from lczkit.autogeolabel import BUILDING, VEGETATION, LabelRules, segment, vegetation_fraction
 from lczkit.errors import UsageError
 from lczkit.rasterizer import rasterize
-from lczkit.synthcity import SceneParams, generate_scene
+from lczkit.synthcity import (BUILDING_SCALE_RANGE, TREE_SCALE_RANGE, SceneParams,
+                               generate_scene)
 
 VEG_ZSTD_GRID = (0.3, 0.4, 0.5, 0.6, 0.8)
 VEG_MULTIRET_GRID = (0.2, 0.3, 0.4, 0.5)
@@ -39,8 +40,8 @@ def build_scenes(n_scenes, seed):
     for i in range(n_scenes):
         params = SceneParams(
             seed=seed,
-            tree_density=generator.tree_density * rng.uniform(0.02, 1.0),
-            building_density=generator.building_density * rng.uniform(0.3, 1.0),
+            tree_density=generator.tree_density * rng.uniform(*TREE_SCALE_RANGE),
+            building_density=generator.building_density * rng.uniform(*BUILDING_SCALE_RANGE),
         )
         truth = generate_scene(params, i)
         scenes.append((rasterize(truth.cloud, params.grid), truth))

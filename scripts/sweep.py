@@ -90,7 +90,7 @@ def run_row(cfg, trained):
         pl.write_run_manifest(cfg, out)
         corpus = pl.run_synth(cfg, out)
         # The inputs run_train_vae reads; VaeConfig is unhashable, its repr is not.
-        key = (repr(cfg.vae_config()), hashlib.sha256(pl.load_split(out, "train")[1]).digest())
+        key = (repr(cfg.view("vae")), hashlib.sha256(pl.load_split(out, "train")[1]).digest())
         if key not in trained:
             trained[key] = pl.run_train_vae(cfg, out)[:2]
         vae_model, norm = trained[key]

@@ -21,8 +21,6 @@ from .io import parse_point_cloud, text_lines
 SUBCOMMANDS = ("synth", "rasterize", "train-vae", "train-reg", "perturb",
                "label", "analyze", "pipeline", "check")
 
-_FLAG_ALIASES = {"dt-sweep": "perturb.dt_sweep"}
-
 
 def _split_overrides(extra):
     overrides = {}
@@ -30,7 +28,6 @@ def _split_overrides(extra):
         if not token.startswith("--") or "=" not in token:
             raise UsageError(f"unknown flag {token!r}")
         key, _, value = token[2:].partition("=")
-        key = _FLAG_ALIASES.get(key, key)
         if key not in DEFAULTS:
             raise UsageError(f"unknown config key {key!r} (from flag {token!r})")
         overrides[key] = value
@@ -76,7 +73,7 @@ def run(argv) -> int:
         if not args.input or not args.output:
             raise UsageError("rasterize needs --input and --output")
         cloud = parse_point_cloud(text_lines(args.input), path=args.input)
-        stack = rasterizer.rasterize(cloud, cfg.grid_spec())
+        stack = rasterizer.rasterize(cloud, cfg.view("grid"))
         rasterizer.save_stack(stack.channels, args.output)
         print(f"rasterized {len(cloud)} points -> {args.output} "
               f"({stack.n_outside} outside extent)")

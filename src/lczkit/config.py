@@ -1,13 +1,14 @@
 """Flat key=value run configuration with typo-safe keys and seeded
 determinism.
 
-Every key has a default; unknown keys raise. The defaults live in the
-typed views' dataclasses: DEFAULTS lists the keys, reads each field's
-default, and states a literal only for a key no field backs. A field
-without a key stays only if code passes it (RegConfig.activation); a value
-no caller varies is a module constant, such as vae.LR, synthcity.T_BASE or
-analysis.ALPHA. One master seed fans out to per-stage seeds via
-sha256(master:stage), so a single --seed reproduces the whole run.
+Every key has a default; unknown keys raise. VIEWS maps each section to
+its typed view: the dataclass, the fields its keys set and the stage seed
+it takes. DEFAULTS reads those fields' defaults and states a literal only
+for a key no field backs. A field without a key stays only if code passes
+it (RegConfig.activation); a value no caller varies is a module constant,
+such as vae.LR, synthcity.T_BASE or analysis.ALPHA. One master seed fans
+out to per-stage seeds via sha256(master:stage), so a single --seed
+reproduces the whole run.
 """
 
 from __future__ import annotations
@@ -24,23 +25,24 @@ from .report import check_sweep
 from .synthcity import SceneParams, TemperatureLaw, split_sizes
 from .vae import VaeConfig, VaeModel
 
-
-def _fields(section: str, view, names: str) -> dict:
-    """{section.name: the default of view's field name} for each name."""
-    return {f"{section}.{name}": getattr(view, name) for name in names.split()}
-
+# section -> (its view's class, the fields its keys <section>.<field> set,
+# the stage its seed is fanned out to or None)
+VIEWS = {
+    "grid": (GridSpec, "width height cell_size", None),
+    "vae": (VaeConfig, "latent_dim hidden arch epochs ramp_epochs lambda_max", "vae"),
+    "reg": (RegConfig, "epochs", "reg"),
+    "labels": (LabelRules, "veg_zstd_min veg_multiret_min bld_height_min bld_zstd_max", None),
+    "synth": (TemperatureLaw, "k_veg noise_sigma", "law"),
+}
 
 DEFAULTS = {
     "seed": 0,
-    **_fields("grid", GridSpec(), "width height cell_size"),
-    **_fields("vae", VaeConfig(), "latent_dim hidden arch epochs ramp_epochs lambda_max"),
-    **_fields("reg", RegConfig(), "epochs"),
+    **{f"{section}.{name}": getattr(cls(), name)
+       for section, (cls, names, _) in VIEWS.items() for name in names.split()},
     "perturb.dt_sweep": "0,1,3,5,10,-1,-3,-5,-10",
     "perturb.steps": 1,        # closed-form steps on the remaining delta_t
     "perturb.n_scenes": 30,    # held-out scenes to perturb
-    **_fields("labels", LabelRules(), "veg_zstd_min veg_multiret_min bld_height_min bld_zstd_max"),
     "synth.n_scenes": 500,
-    **_fields("synth", TemperatureLaw(), "k_veg noise_sigma"),
 }
 
 
@@ -77,11 +79,9 @@ class RunConfig:
         # is named as the key, after its section.
         if not self["seed"] >= 0:  # numpy seeds only non-negative integers
             raise UsageError(f"bad seed {self['seed']!r}: must be at least 0")
-        views = (("grid", self.grid_spec), ("vae", self.vae_config), ("reg", self.reg_config),
-                 ("labels", self.label_rules), ("synth", self.temperature_law))
-        for section, view in views:
+        for section in VIEWS:
             try:
-                view()
+                self.view(section)
             except UsageError as exc:
                 raise UsageError(" ".join(f"{section}.{word}" if f"{section}.{word}" in DEFAULTS
                                           else word for word in str(exc).split(" "))) from None
@@ -153,36 +153,17 @@ class RunConfig:
 
     # typed views -----------------------------------------------------
 
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(self["grid.cell_size"], self["grid.width"], self["grid.height"])
-
-    def vae_config(self) -> VaeConfig:
-        return VaeConfig(
-            latent_dim=self["vae.latent_dim"], hidden=self["vae.hidden"],
-            arch=self["vae.arch"], epochs=self["vae.epochs"],
-            ramp_epochs=self["vae.ramp_epochs"], lambda_max=self["vae.lambda_max"],
-            seed=stage_seed(self["seed"], "vae"),
-        )
-
-    def reg_config(self) -> RegConfig:
-        return RegConfig(epochs=self["reg.epochs"], seed=stage_seed(self["seed"], "reg"))
-
-    def label_rules(self) -> LabelRules:
-        return LabelRules(
-            veg_zstd_min=self["labels.veg_zstd_min"],
-            veg_multiret_min=self["labels.veg_multiret_min"],
-            bld_height_min=self["labels.bld_height_min"],
-            bld_zstd_max=self["labels.bld_zstd_max"],
-        )
+    def view(self, section: str):
+        """The typed view of section: its class built from the section's keys,
+        with the section's stage seed."""
+        cls, names, stage = VIEWS[section]
+        fields = {name: self[f"{section}.{name}"] for name in names.split()}
+        if stage is not None:
+            fields["seed"] = stage_seed(self["seed"], stage)
+        return cls(**fields)
 
     def scene_params(self) -> SceneParams:
-        return SceneParams(grid=self.grid_spec(), seed=stage_seed(self["seed"], "synth"))
-
-    def temperature_law(self) -> TemperatureLaw:
-        return TemperatureLaw(
-            k_veg=self["synth.k_veg"], noise_sigma=self["synth.noise_sigma"],
-            seed=stage_seed(self["seed"], "law"),
-        )
+        return SceneParams(grid=self.view("grid"), seed=stage_seed(self["seed"], "synth"))
 
     def dt_sweep(self) -> list:
         raw = self["perturb.dt_sweep"]

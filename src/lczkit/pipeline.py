@@ -33,7 +33,7 @@ def write_run_manifest(cfg: RunConfig, out_dir: str) -> None:
 
 def run_synth(cfg: RunConfig, out_dir: str) -> synthcity.CorpusResult:
     return synthcity.generate_corpus(
-        cfg["synth.n_scenes"], cfg.scene_params(), cfg.temperature_law(),
+        cfg["synth.n_scenes"], cfg.scene_params(), cfg.view("synth"),
         cfg["seed"], os.path.join(out_dir, CORPUS_DIR),
     )
 
@@ -72,7 +72,7 @@ def run_train_vae(cfg: RunConfig, out_dir: str):
     _, channels, _ = load_split(out_dir, "train")
     norm = rasterizer.compute_norm_stats(channels)
     channels = rasterizer.normalize(channels, norm)  # only this copy is alive while training
-    model, history = vae.train_vae(channels, cfg.vae_config())
+    model, history = vae.train_vae(channels, cfg.view("vae"))
     save_model(rasterizer.norm_stats_tensors(norm), os.path.join(out_dir, MODEL_DIR, "norm.lczm"))
     save_model(vae.vae_tensors(model), os.path.join(out_dir, MODEL_DIR, "vae.lczm"))
     return model, norm, history
@@ -92,7 +92,7 @@ def run_train_reg(cfg: RunConfig, out_dir: str, vae_model=None, norm=None):
     _, channels, train_temps = load_split(out_dir, "train")
     _check_grid(out_dir, "train", channels, vae_model)
     codes = vae.encode(vae_model, rasterizer.normalize(channels, norm))
-    model, err_report = regressor.train_regressor(codes, train_temps, cfg.reg_config())
+    model, err_report = regressor.train_regressor(codes, train_temps, cfg.view("reg"))
     save_model(regressor.regressor_tensors(model), os.path.join(out_dir, MODEL_DIR, "reg.lczm"))
     return model, err_report
 
@@ -173,7 +173,7 @@ def run_label(cfg: RunConfig, out_dir: str, batch=None, norm=None) -> list:
     else:
         rows, blocks = index_rows(batch), [batch.decoded]
     try:
-        records = label_records(rows, blocks, norm, cfg.label_rules())
+        records = label_records(rows, blocks, norm, cfg.view("labels"))
     except FormatError as exc:  # cf.lczm's, which holds a row per row of index.csv
         raise FormatError(f"{exc}, for the {len(rows)} rows of {index}") from None
     write_table(os.path.join(out_dir, "fractions.csv"), FRACTIONS,

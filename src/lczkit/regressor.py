@@ -78,8 +78,9 @@ class ErrorReport:
     n_holdout: int
 
 
+# The activation code stored in reg/meta is the name's index in this order.
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "identity": lambda t: t}
-_ACT_NAMES = ("relu", "tanh", "identity")  # the activation code stored in reg/meta is the index
+_ACT_NAMES = tuple(_ACTIVATIONS)
 
 
 def init_regressor(latent_dim, config: RegConfig, rng) -> RegressorModel:

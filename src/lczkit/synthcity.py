@@ -40,6 +40,8 @@ CROWN_RADIUS_RANGE = (1.5, 2.5)       # meters
 TREE_HEIGHT_RANGE = (4.0, 9.0)        # meters
 BUILDING_SIDE_RANGE = (3.0, 6.0)      # footprint side, meters
 BUILDING_HEIGHT_RANGE = (4.0, 10.0)   # meters
+TREE_SCALE_RANGE = (0.02, 1.0)        # a scene's factor on SceneParams.tree_density
+BUILDING_SCALE_RANGE = (0.3, 1.0)     # a scene's factor on SceneParams.building_density
 T_BASE = 295.0                        # kelvin, the temperature of a scene with no vegetation
 
 
@@ -255,8 +257,8 @@ def generate_corpus(n_scenes: int, params: SceneParams, law: TemperatureLaw,
     from concurrent.futures import ProcessPoolExecutor
 
     rng = np.random.default_rng([seed, 11])
-    density_scales = rng.uniform(0.02, 1.0, n_scenes)
-    bld_scales = rng.uniform(0.3, 1.0, n_scenes)
+    density_scales = rng.uniform(*TREE_SCALE_RANGE, n_scenes)
+    bld_scales = rng.uniform(*BUILDING_SCALE_RANGE, n_scenes)
 
     ids = [f"scene_{i:05d}" for i in range(n_scenes)]
     paths = [os.path.join("scenes", f"{scene_id}.lczm") for scene_id in ids]

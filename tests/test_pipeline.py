@@ -157,12 +157,15 @@ def test_staged_label_of_uneven_scene_blocks_equals_in_memory_label(setup, monke
     assert batch.decoded[3:].tobytes() == clean.decoded[8:].tobytes()
 
 
-# A whole `lcz pipeline` run at small sizes (those of perfbench's TINY set).
-_TINY_CHAIN = """
+# The settings of the seed-0 tiny chain (the sizes of perfbench's TINY set).
+_TINY = {"seed": 0, "synth.n_scenes": 60, "vae.epochs": 2, "vae.hidden": 32, "reg.epochs": 20,
+         "perturb.n_scenes": 12}
+
+# A whole `lcz pipeline` run of the tiny chain.
+_TINY_CHAIN = f"""
 from lczkit import pipeline
 from lczkit.config import RunConfig
-cfg = RunConfig.from_file(None, {"seed": 0, "synth.n_scenes": 60, "vae.epochs": 2,
-                                 "vae.hidden": 32, "reg.epochs": 20, "perturb.n_scenes": 12})
+cfg = RunConfig.from_file(None, {_TINY!r})
 """
 
 # The chain into a temporary directory, printing the path and sha256 of
@@ -197,10 +200,16 @@ print(core)
 """
 
 # figure.csv and report.txt of the seed-0 tiny chain, which hold across
-# BLAS kernels, and corpus.sha256, the digest of each file its synth stage
-# writes (no BLAS call reaches them); a change that moves them updates
-# these files.
+# BLAS kernels, corpus.sha256, the digest of each file its synth stage
+# writes (no BLAS call reaches them), and run_config.txt, its resolved
+# configuration; a change that moves them updates these files.
 _REFERENCE = Path(__file__).parent / "data" / "tiny"
+
+
+def test_tiny_chain_resolves_to_the_reference_run_config():
+    # the key set, the defaults and how each value is written
+    text = RunConfig.from_file(None, _TINY).resolved_text()
+    assert text.encode() == (_REFERENCE / "run_config.txt").read_bytes()
 
 
 def test_whole_run_is_byte_identical_under_one_and_two_blas_threads(run_under_blas_threads):

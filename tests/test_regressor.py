@@ -284,6 +284,9 @@ def test_loaded_model_is_the_stored_arrays(activation, tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_init)
     monkeypatch.setattr(ad, "he_params", no_init)
     back = regressor_from_tensors(stored)
+    # the activation's code in reg/meta is part of reg.lczm's bytes
+    code = {"relu": 0, "tanh": 1, "identity": 2}[activation]
+    assert dict(stored)["reg/meta"].tolist() == [LATENT, 5, 4, code]
     assert (back.latent_dim, back.hidden, back.activation, back.t_mean, back.t_std) == (
         model.latent_dim, model.hidden, model.activation, model.t_mean, model.t_std)
     assert list(back.params) == list(model.params)

@@ -12,7 +12,9 @@ from lczkit.errors import UsageError
 from lczkit.io import SceneManifest, read_manifest, write_manifest
 from lczkit.rasterizer import load_stack, rasterize, save_stack
 from lczkit.synthcity import (
+    BUILDING_SCALE_RANGE,
     T_BASE,
+    TREE_SCALE_RANGE,
     SceneParams,
     TemperatureLaw,
     _place_discs,
@@ -173,8 +175,8 @@ def test_corpus_split_and_manifests(tmp_path):
 def _serial_corpus(n_scenes, params, law, seed, out_dir):
     """generate_corpus written out in one process, scene after scene."""
     rng = np.random.default_rng([seed, 11])
-    density_scales = rng.uniform(0.02, 1.0, n_scenes)
-    bld_scales = rng.uniform(0.3, 1.0, n_scenes)
+    density_scales = rng.uniform(*TREE_SCALE_RANGE, n_scenes)
+    bld_scales = rng.uniform(*BUILDING_SCALE_RANGE, n_scenes)
     entries = []
     for i in range(n_scenes):
         truth = generate_scene(replace(
